@@ -3,30 +3,25 @@
 Subcommands mirror the pipeline stages (delpezzo, fan, theta, spine, bundle,
 pipeline).  Reports are the acceptance substrate: they embed the input hash,
 library version and seeds, never wall-clock data, so runs are byte-stable
-across repetitions and worker counts.  Exit codes: 0 success, 2 validation
+across repetitions.  The --workers options are accepted for compatibility and
+change neither output nor speed.  Exit codes: 0 success, 2 validation
 problem, 3 broken internal invariant.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .cones import (
-    Fan,
-    fan_check,
-    fan_from_json,
-    fan_to_dot,
-    fan_to_json,
-    is_coarsening,
-    is_complete,
-)
+from .cones import Fan, fan_from_json, fan_to_dot, fan_to_json
 from .delpezzo import (
     BoundaryCycle,
     PicLattice,
@@ -59,6 +54,7 @@ from .thetaalg import (
 from .toricstack import BundleInput, decompose, stabilizers
 
 CACHE_ENV = "SECFAN_CACHE_DIR"
+WORKERS_HELP = "accepted for compatibility; changes neither output nor speed"
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +130,15 @@ def cache_put(cache_dir, key: str, kind: str, payload: dict):
         return
     path = base / kind / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-    tmp.replace(path)
+    # a temp file per writer: concurrent runs never share a half-written file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +151,14 @@ def _fan_payload(fan: Fan, provenances=(), metadata=None) -> dict:
 
 def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
                  seed: int = 20220110, weyl_cap: int = 4) -> dict:
-    sec = secondary_fan(lat, cycle, workers=workers)
+    """Every stage once; the fan checks are the certificates secondary_fan proved.
+
+    workers is accepted for compatibility and has no effect.
+    """
+    sec = secondary_fan(lat, cycle)
     grouping_by_triangulation(sec.chambers)
     battery = cocycle_battery(lat, cycle, sec.chambers, max_level=2) \
         if cycle.n >= 3 else {"ok": True, "pairs": 0, "loops": 0, "points": 0, "failures": []}
-    # the quadratic pairwise predicate on the chamber fan is affordable up to
-    # rank 5; above that the tiling certificates inside secondary_fan carry it
-    if lat.rank <= 5:
-        mori_mode = "pairwise"
-        mori_ok = fan_check(sec.mori_fan, workers=workers).is_fan
-    else:
-        mori_mode = "tiling-certificates"
-        mori_ok = True
-    sec_rep = fan_check(sec.full_fan, workers=workers)
     strata = one_stratum_report(sec)
     theta = theta_divisor_checks(cycle.n)
     halg = boundary_algebra(cycle.n)
@@ -173,7 +169,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     )
     binput = BundleInput(sec.full_fan, mov_fan, (lat.canonical,))
     bcert = decompose(binput)
-    stab = stabilizers(binput) if bcert.ok else None
+    stab = stabilizers(binput, bcert) if bcert.ok else None
     weyl = None
     if lat.model_tag == "blowup" and 2 <= lat.k <= weyl_cap:
         weyl = weyl_orbit_decomposition(lat, sec)
@@ -194,13 +190,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
             "bogus_cones": sec.bogus_count,
             "maximal_cones": sec.maximal_count,
         },
-        "fan_checks": {
-            "mori_is_fan": mori_ok,
-            "mori_check_mode": mori_mode,
-            "secondary_is_fan": sec_rep.is_fan,
-            "secondary_complete": is_complete(sec.full_fan),
-            "coarsens_mori": is_coarsening(sec.full_fan, sec.mori_fan),
-        },
+        "fan_checks": dataclasses.asdict(sec.certificates),
         "grouping_equality": True,  # grouping_by_triangulation raised otherwise
         "cocycle_battery": {
             "ok": battery["ok"],
@@ -456,14 +446,14 @@ def fan_group():
     """Fan computations."""
 
 
-def _fan_command_common(config, cache_dir, kind, workers, outdir=None):
+def _fan_command_common(config, cache_dir, kind, outdir=None):
     cfg = load_config(config)
     lat, cycle = cfg["lat"], cfg["cycle"]
     key = config_hash(lat, cycle)
     cached = cache_get(cache_dir, key, kind)
     if cached is not None and outdir is None:
         return cached, True
-    sec = secondary_fan(lat, cycle, workers=workers)
+    sec = secondary_fan(lat, cycle)
     payloads = {
         "mori": _fan_payload(sec.mori_fan, metadata={"input_hash": key, "kind": "mori"}),
         "movsec": _fan_payload(
@@ -496,33 +486,33 @@ def _fan_command_common(config, cache_dir, kind, workers, outdir=None):
 @fan_group.command("mori")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--cache-dir", default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_mori(config, cache_dir, workers, outdir):
     """Mori fan of the canonical bundle (complete, with bogus cones)."""
-    payload, hit = _fan_command_common(config, cache_dir, "mori", workers, outdir)
+    payload, hit = _fan_command_common(config, cache_dir, "mori", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
 
 
 @fan_group.command("movsec")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--cache-dir", default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_movsec(config, cache_dir, workers, outdir):
     """Moving part of the secondary fan (grouped chambers)."""
-    payload, hit = _fan_command_common(config, cache_dir, "movsec", workers, outdir)
+    payload, hit = _fan_command_common(config, cache_dir, "movsec", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
 
 
 @fan_group.command("secondary")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--cache-dir", default=None)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_secondary(config, cache_dir, workers, outdir):
     """Full secondary fan (moving groups plus bogus completion)."""
-    payload, hit = _fan_command_common(config, cache_dir, "secondary", workers, outdir)
+    payload, hit = _fan_command_common(config, cache_dir, "secondary", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
 
 
@@ -666,7 +656,7 @@ def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
         )
     inp = BundleInput(ambient, subfan, basis)
     cert = decompose(inp)
-    stab = stabilizers(inp) if cert.ok else None
+    stab = stabilizers(inp, cert) if cert.ok else None
     payload = {
         "ok": cert.ok,
         "failures": cert.failures,
@@ -680,14 +670,14 @@ def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
 @cli.command("pipeline")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--out", "outdir", required=True, type=click.Path())
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--cache-dir", default=None)
 @click.option("--json", "as_json", is_flag=True)
 def pipeline(config, outdir, workers, cache_dir, as_json):
     """Run every stage and write the report bundle."""
     cfg = load_config(config)
     lat, cycle = cfg["lat"], cfg["cycle"]
-    report, sec = build_report(lat, cycle, workers=workers, seed=cfg["seed"])
+    report, sec = build_report(lat, cycle, seed=cfg["seed"])
     files = write_bundle(Path(outdir), report, sec)
     key = config_hash(lat, cycle)
     cache_put(cache_dir, key, "report", report)

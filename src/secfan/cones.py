@@ -11,9 +11,7 @@ vectors in lexicographic order.
 
 from __future__ import annotations
 
-import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -59,10 +57,6 @@ def _rank(vectors) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def _dedup_sorted(vectors) -> tuple[IntVec, ...]:
-    return tuple(sorted(set(vectors)))
 
 
 def dual_description(ineqs, eqs, n: int) -> tuple[list[IntVec], list[IntVec]]:
@@ -371,14 +365,10 @@ def _check_pair(fan: Fan, i: int, j: int):
     return None
 
 
-def fan_check(fan: Fan, workers: int = 1) -> FanReport:
+def fan_check(fan: Fan) -> FanReport:
     """Verify every pairwise intersection of maximal cones is a face of both."""
-    pairs = [(i, j) for i in range(len(fan.cones)) for j in range(i + 1, len(fan.cones))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _check_pair(fan, *p), pairs))
-    else:
-        results = [_check_pair(fan, *p) for p in pairs]
+    n = len(fan.cones)
+    results = (_check_pair(fan, i, j) for i in range(n) for j in range(i + 1, n))
     violations = [r for r in results if r is not None]
     return FanReport(is_fan=not violations, violations=violations)
 
@@ -444,7 +434,7 @@ def is_coarsening(coarse: Fan, fine: Fan) -> bool:
     return True
 
 
-def cones_tile(members: list[RationalCone], target: RationalCone, workers: int = 1) -> bool:
+def cones_tile(members: list[RationalCone], target: RationalCone) -> bool:
     """Certificate that the members tile the target cone exactly, by degree.
 
     Every member sits inside the target with the same dimension; every
@@ -529,10 +519,6 @@ def fan_to_json(fan: Fan, provenances: tuple[str, ...] = (), metadata: dict | No
     }
 
 
-def fan_to_json_str(fan: Fan, provenances: tuple[str, ...] = (), metadata: dict | None = None) -> str:
-    return json.dumps(fan_to_json(fan, provenances, metadata), sort_keys=True, indent=1)
-
-
 def _vec_from_json(v) -> IntVec:
     return tuple(int(x) for x in v)
 
@@ -554,19 +540,23 @@ def fan_from_json(data: dict) -> Fan:
     return Fan(n, tuple(cones), tuple(labels))
 
 
-def adjacency_pairs(fan: Fan) -> list[tuple[int, int]]:
-    """Pairs of maximal cones sharing a codimension-1 face."""
+def adjacency_pairs(fan: Fan) -> dict[tuple[int, int], tuple[IntVec, ...]]:
+    """Pairs (a, b), a < b, of maximal cones sharing a codimension-1 face.
+
+    Maps each pair, in sorted order, to the sorted rays of that shared wall;
+    iterating the result yields the pairs alone.
+    """
     by_face: dict[tuple, list[int]] = {}
     for i, c in enumerate(fan.cones):
         for key in _facet_faces_key(c):
             by_face.setdefault(key, []).append(i)
-    pairs = set()
-    for members in by_face.values():
+    walls: dict[tuple[int, int], tuple[IntVec, ...]] = {}
+    for key, members in by_face.items():
         for a in members:
             for b in members:
                 if a < b:
-                    pairs.add((a, b))
-    return sorted(pairs)
+                    walls.setdefault((a, b), key)
+    return dict(sorted(walls.items()))
 
 
 def fan_to_dot(fan: Fan, groups: dict[int, str] | None = None) -> str:

@@ -18,10 +18,6 @@ def vec(entries) -> IntVec:
     return tuple(int(x) for x in entries)
 
 
-def vec_add(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vec_sub(a: IntVec, b: IntVec) -> IntVec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
@@ -371,3 +367,33 @@ def solve_rational(rows: list[IntVec], rhs) -> list[Fraction] | None:
     for i, c in enumerate(pivots):
         x[c] = a[i][nc]
     return x
+
+
+def primitive_coords(basis, x: IntVec) -> IntVec | None:
+    """Primitive integer coordinates, in the given basis, of the ray through x.
+
+    Solves x = sum_j c_j basis[j] over Q, clears denominators and divides out
+    the gcd.  None when x lies outside the span of the basis.
+    """
+    rows = [tuple(b[i] for b in basis) for i in range(len(x))]
+    sol = solve_rational(rows, x)
+    if sol is None:
+        return None
+    den = 1
+    for c in sol:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return primitive(tuple(int(c * den) for c in sol))
+
+
+def quotient_lattice_map(sub_basis, rank: int) -> IntMat:
+    """Projection Z^rank -> Z^rank / saturate(span(sub_basis)) via Smith reduction.
+
+    x -> the last rank - r coordinates of x.V, r the rank of the generators;
+    the rows are primitive and kill exactly the saturated span.
+    """
+    gens = [vec(b) for b in sub_basis]
+    m = IntMat(len(gens), rank, tuple(x for g in gens for x in g))
+    _, d, v = smith_normal_form(m)
+    r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
+    vt = v.transpose()
+    return IntMat.from_rows([vt.row(i) for i in range(r, rank)])

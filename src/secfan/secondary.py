@@ -14,7 +14,7 @@ with an independently computed GKZ secondary fan of the reflexive polygon.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cones import (
@@ -49,10 +49,8 @@ from .errors import InternalInvariantError, ValidationError
 from .lattice import (
     IntMat,
     IntVec,
-    primitive,
+    quotient_lattice_map,
     rank_of,
-    saturate,
-    smith_normal_form,
     solve_integral,
     vec_dot,
     vec_scale,
@@ -130,7 +128,7 @@ def _bogus_cones(face_ray_sets, canonical: IntVec, rank: int) -> list[RationalCo
     ]
 
 
-def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle, workers: int = 1,
+def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle,
                verify: bool = True) -> tuple[Fan, list[Chamber]]:
     """Complete fan on Pic: all Mori chambers plus bogus cones over boundary faces.
 
@@ -149,7 +147,7 @@ def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle, workers: int = 1,
     ]
     fan = Fan(rank, tuple(cones), tuple(labels))
     if verify:
-        report = fan_check(fan, workers=workers)
+        report = fan_check(fan)
         if not report.is_fan:
             raise InternalInvariantError(
                 f"Mori fan fails the fan predicate: {report.violations[:3]}"
@@ -167,7 +165,7 @@ class MovSecGroup:
         return "mov[" + ",".join(str(i) for i in sorted(self.key)) + "]"
 
 
-def movsec(chambers: list[Chamber], workers: int = 1) -> list[MovSecGroup]:
+def movsec(chambers: list[Chamber]) -> list[MovSecGroup]:
     """Group chambers by boundary-exceptional set; certified convex hulls.
 
     The hull-equals-union certificate is the degree argument of cones_tile;
@@ -184,12 +182,28 @@ def movsec(chambers: list[Chamber], workers: int = 1) -> list[MovSecGroup]:
         rank = members[0].ambient_rank
         rays = sorted({r for m in members for r in m.rays})
         hull = cone_from_rays(rays, rank)
-        if not cones_tile(members, hull, workers=workers):
+        if not cones_tile(members, hull):
             raise InternalInvariantError(
                 f"moving group {sorted(key)} is not convex: hull differs from union"
             )
         groups.append(MovSecGroup(key, hull, tuple(ids)))
     return groups
+
+
+@dataclass(frozen=True)
+class FanCertificates:
+    """What secondary_fan proved; a field stays None when its check did not run.
+
+    mori_check_mode says how the Mori fan was certified: "pairwise" by the
+    fan predicate, or "tiling-certificates" by the degree argument of the
+    group hulls and of the coarsening.
+    """
+
+    mori_is_fan: bool | None = None
+    mori_check_mode: str | None = None
+    secondary_is_fan: bool | None = None
+    secondary_complete: bool | None = None
+    coarsens_mori: bool | None = None
 
 
 @dataclass
@@ -202,6 +216,7 @@ class SecondaryFan:
     bogus_faces: list[tuple]
     full_fan: Fan
     mori_fan: Fan
+    certificates: FanCertificates = field(default_factory=FanCertificates)
 
     @property
     def moving_count(self) -> int:
@@ -216,12 +231,19 @@ class SecondaryFan:
         return len(self.full_fan.cones)
 
 
-def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, workers: int = 1,
+def secondary_fan(lat: PicLattice, boundary: BoundaryCycle,
                   check: bool = True, verify_mori: bool | None = None) -> SecondaryFan:
+    """Build the secondary fan; with check, prove it and record the proofs.
+
+    Every check raises InternalInvariantError when it fails, so the
+    certificates record holds only passed checks.  The quadratic pairwise
+    predicate on the Mori fan runs up to rank 5 by default; above that the
+    tiling certificates of movsec and is_coarsening carry it.
+    """
     if verify_mori is None:
         verify_mori = lat.rank <= 5
-    mori, chambers = mori_fan_K(lat, boundary, workers=workers, verify=verify_mori)
-    groups = movsec(chambers, workers=workers)
+    mori, chambers = mori_fan_K(lat, boundary, verify=verify_mori)
+    groups = movsec(chambers)
     eff = effective_cone(lat)
     faces_on_eff = _boundary_faces([g.cone for g in groups], eff, lat.rank)
     bogus = _bogus_cones(faces_on_eff, lat.canonical, lat.rank)
@@ -232,7 +254,7 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, workers: int = 1,
     fan = Fan(lat.rank, tuple(cones), tuple(labels))
     sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori)
     if check:
-        rep = fan_check(fan, workers=workers)
+        rep = fan_check(fan)
         if not rep.is_fan:
             raise InternalInvariantError(
                 f"secondary fan fails the fan predicate: {rep.violations[:3]}"
@@ -248,6 +270,13 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, workers: int = 1,
                 raise InternalInvariantError("bogus cone misses the canonical ray")
             if eff.contains_point(lat.canonical) or b.contains_point(anti):
                 raise InternalInvariantError("canonical class misplaced relative to Eff")
+        sec.certificates = FanCertificates(
+            mori_is_fan=True,
+            mori_check_mode="pairwise" if verify_mori else "tiling-certificates",
+            secondary_is_fan=True,
+            secondary_complete=True,
+            coarsens_mori=True,
+        )
     return sec
 
 
@@ -327,7 +356,8 @@ def theta_cocycle(p: GammaPoint, alpha: Chamber, beta: Chamber,
     return vec_scale(sign * m, d_class)
 
 
-def chamber_adjacency(chambers: list[Chamber]) -> list[tuple[int, int]]:
+def chamber_adjacency(chambers: list[Chamber]) -> dict[tuple[int, int], tuple[IntVec, ...]]:
+    """Adjacent chamber pairs mapped to the rays of their shared wall."""
     fan = Fan(chambers[0].cone.ambient_rank, tuple(c.cone for c in chambers))
     return adjacency_pairs(fan)
 
@@ -411,7 +441,7 @@ def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Cha
                     report["failures"].append(("vanishing", a, b, p))
     # pairing with the non-contracting chamber's rays is nonnegative,
     # and the value kills every class on the shared face
-    for a, b in adj:
+    for (a, b), wall in adj.items():
         i = edges[(a, b)]
         if i == 0:
             continue
@@ -421,8 +451,7 @@ def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Cha
             if any(lat.dot(c, r) < 0 for r in chambers[lo].cone.rays):
                 report["failures"].append(("nef-pairing", lo, hi, p))
                 break
-            shared = intersect(chambers[lo].cone, chambers[hi].cone)
-            if any(lat.dot(c, r) != 0 for r in shared.rays):
+            if any(lat.dot(c, r) != 0 for r in wall):
                 report["failures"].append(("shared-face", lo, hi, p))
                 break
     report["ok"] = not report["failures"]
@@ -488,10 +517,10 @@ def _wall_degree(lat: PicLattice, c: IntVec, wall: RationalCone, far: RationalCo
     """
     if not any(c):
         return 0
-    span = saturate(list(wall.rays))
-    if len(span) != lat.rank - 1:
+    quotient = quotient_lattice_map(wall.rays, lat.rank)
+    if quotient.rows != 1:
         return 0
-    nu = _primitive_normal(span, lat.rank)
+    nu = quotient.row(0)  # primitive normal of the wall span
     far_pt = far.interior_point()
     if vec_dot(nu, far_pt) < 0:
         nu = vec_scale(-1, nu)
@@ -499,37 +528,6 @@ def _wall_degree(lat: PicLattice, c: IntVec, wall: RationalCone, far: RationalCo
     if u is None:
         return 0
     return lat.dot(c, u)
-
-
-def _primitive_normal(span_rows, rank: int) -> IntVec:
-    """Integer normal of a corank-one subspace given by spanning rows."""
-    from .lattice import solve_rational
-
-    for cols in itertools.combinations(range(rank), rank - 1):
-        sub = [[row[c] for c in cols] for row in span_rows]
-        # solve for normal with free coordinate outside cols
-        free = next(i for i in range(rank) if i not in cols)
-        rhs = [-row[free] for row in span_rows]
-        sol = solve_rational([tuple(r) for r in sub], rhs)
-        if sol is None:
-            continue
-        nu = [Fraction(0)] * rank
-        for ci, val in zip(cols, sol):
-            nu[ci] = val
-        nu[free] = Fraction(1)
-        den = 1
-        for x in nu:
-            den = den * x.denominator // _gcd(den, x.denominator)
-        out = tuple(int(x * den) for x in nu)
-        if all(vec_dot(out, row) == 0 for row in span_rows):
-            return primitive(out)
-    raise InternalInvariantError("no normal found for wall span")
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b) if (a or b) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -864,26 +862,12 @@ class GkzFan:
     irregular: list[frozenset]
 
 
-def _affine_quotient(points) -> IntMat:
-    """Integer projection Z^s -> Z^(s-3) killing exactly the affine functions."""
-    s = len(points)
-    gens = [
-        tuple(1 for _ in range(s)),
-        tuple(p[0] for p in points),
-        tuple(p[1] for p in points),
-    ]
-    m = IntMat.from_rows(gens)
-    _, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    if rank != 3:
-        raise ValidationError("configuration does not affinely span the plane")
-    # x -> last s-rank coordinates of x.V kills the saturated row span
-    vt = v.transpose()
-    rows = [vt.row(i) for i in range(rank, s)]
-    return IntMat.from_rows(rows)
+def _affine_functions(points) -> list[IntVec]:
+    """The constant and the two coordinate functions on the configuration."""
+    return [tuple(1 for _ in points), tuple(p[0] for p in points), tuple(p[1] for p in points)]
 
 
-def gkz_secondary_fan(points, workers: int = 1) -> GkzFan:
+def gkz_secondary_fan(points) -> GkzFan:
     """Secondary fan modulo lineality, from all regular triangulations.
 
     Two independent routes must agree: brute-force enumeration of every
@@ -895,7 +879,10 @@ def gkz_secondary_fan(points, workers: int = 1) -> GkzFan:
     regular, irregular = [], []
     for t in tris:
         (regular if is_regular(points, t) else irregular).append(t)
-    proj = _affine_quotient(points)
+    # integer projection Z^s -> Z^(s-3) killing exactly the affine functions
+    proj = quotient_lattice_map(_affine_functions(points), len(points))
+    if proj.rows != len(points) - 3:
+        raise ValidationError("configuration does not affinely span the plane")
     raw = [secondary_cone(points, t) for t in regular]
     cones = []
     for rc in raw:
@@ -903,7 +890,7 @@ def gkz_secondary_fan(points, workers: int = 1) -> GkzFan:
         gens = [g for g in gens if any(g)]
         cones.append(cone_from_rays(gens, proj.rows))
     fan = Fan(proj.rows, tuple(cones), tuple(f"T{i}" for i in range(len(cones))))
-    rep = fan_check(fan, workers=workers)
+    rep = fan_check(fan)
     if not rep.is_fan:
         raise InternalInvariantError(f"GKZ fan predicate failed: {rep.violations[:3]}")
     if not is_complete(fan):
@@ -987,12 +974,7 @@ def toric_compare(lat: PicLattice, boundary: BoundaryCycle, fan_rays,
     phi_rows = [tuple(classes[j][i] for j in range(s)) for i in range(rank)]
     phi = IntMat.from_rows(phi_rows)
     # kernel check: affine functions die, image is full rank
-    aff = [
-        tuple(1 for _ in range(s)),
-        tuple(p[0] for p in points),
-        tuple(p[1] for p in points),
-    ]
-    for a in aff:
+    for a in _affine_functions(points):
         if any(phi.apply(a)):
             return CompareCertificate(False, [], [f"affine function {a} not in kernel"])
     if rank_of(phi_rows) != rank or s - 3 != rank:

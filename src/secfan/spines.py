@@ -45,10 +45,6 @@ def _mat_mul(a: Mat2, b: Mat2) -> Mat2:
     )
 
 
-def _mat_det(a: Mat2) -> int:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
 def monodromy(aff: AffineStructure) -> Mat2:
     """Ordered product M_n ... M_1 of the chart transitions around the puncture."""
     out: Mat2 = ((1, 0), (0, 1))

@@ -17,6 +17,7 @@ from .lattice import (
     IntMat,
     IntVec,
     TorsionGroup,
+    primitive_coords,
     rank_of,
     saturate,
     torsion_quotient,
@@ -141,31 +142,15 @@ def build_tilde(inp: BundleInput) -> TildeFan:
     r = len(inp.sub_lattice)
     total = r + rank
 
-    def coords_in_l(x: IntVec) -> IntVec:
-        """Primitive L-lattice point on the ray of x, in L-basis coordinates."""
-        from math import gcd
-
-        from .lattice import solve_rational
-
-        rows = [tuple(b[i] for b in inp.sub_lattice) for i in range(rank)]
-        sol = solve_rational(rows, x)
-        if sol is None:
-            raise ValidationError("sigma_1 generator outside the subspace")
-        den = 1
-        for c in sol:
-            den = den * c.denominator // gcd(den, c.denominator)
-        coeffs = [int(c * den) for c in sol]
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        return tuple(c // g for c in coeffs) if g else tuple(coeffs)
-
     cones = []
     labels = []
     for idx, (s1, s2) in enumerate(cert.pieces):
         gens = []
         for ray in s1.rays:
-            gens.append(coords_in_l(ray) + tuple(0 for _ in range(rank)))
+            coords = primitive_coords(inp.sub_lattice, ray)
+            if coords is None:
+                raise ValidationError("sigma_1 generator outside the subspace")
+            gens.append(coords + tuple(0 for _ in range(rank)))
         for ray in s2.rays:
             gens.append(tuple(0 for _ in range(r)) + tuple(ray))
         if gens:
@@ -194,13 +179,13 @@ class StabilizerReport:
         return [(lbl, t) for lbl, t in self.entries if not t.is_trivial()]
 
 
-def stabilizers(inp: BundleInput) -> StabilizerReport:
+def stabilizers(inp: BundleInput, cert: DecompositionCert) -> StabilizerReport:
     """Torsion of N/(N_1 + N_2) per lifted stratum, N_i the saturated span lattices.
 
-    N_1 is generated by the sigma_1 lattice points inside L (not its saturation
-    in N): refining L changes the answer while the coarse fan stays put.
+    cert is decompose(inp), computed once by the caller.  N_1 is generated by
+    the sigma_1 lattice points inside L (not its saturation in N): refining L
+    changes the answer while the coarse fan stays put.
     """
-    cert = decompose(inp)
     if not cert.ok:
         raise ValidationError("decomposition failed: " + "; ".join(cert.failures))
     rank = inp.rank
@@ -215,33 +200,15 @@ def stabilizers(inp: BundleInput) -> StabilizerReport:
 
 def _cone_lattice_gens_in(s1: RationalCone, sub_basis, rank: int):
     """Generators of the group generated by s1's points of the sublattice L."""
-    if not s1.rays:
-        return []
-    from .lattice import solve_rational
-
-    rows = [tuple(b[i] for b in sub_basis) for i in range(rank)]
     gens = []
     for ray in s1.rays:
-        sol = solve_rational(rows, ray)
-        if sol is None:
+        coeffs = primitive_coords(sub_basis, ray)
+        if coeffs is None:
             raise ValidationError("sigma_1 ray outside the subspace")
-        # scale to the primitive L-lattice point on the ray
-        from math import gcd
-
-        den = 1
-        for c in sol:
-            den = den * c.denominator // gcd(den, c.denominator)
-        coeffs = [int(c * den) for c in sol]
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        if g:
-            coeffs = [c // g for c in coeffs]
-        point = tuple(
+        gens.append(tuple(
             sum(coeffs[j] * sub_basis[j][i] for j in range(len(sub_basis)))
             for i in range(rank)
-        )
-        gens.append(point)
+        ))
     return gens
 
 
@@ -296,14 +263,3 @@ def character_extends(chi: IntVec, fiber_fan: Fan) -> bool:
         vec_dot(chi, l) == 0 for c in fiber_fan.cones for l in c.lineality
     )
 
-
-def quotient_lattice_map(sub_basis, rank: int) -> IntMat:
-    """Projection N -> N/L as an integer matrix via Smith reduction."""
-    from .lattice import smith_normal_form
-
-    m = IntMat.from_rows([vec(b) for b in sub_basis])
-    _, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    vt = v.transpose()
-    rows = [vt.row(i) for i in range(r, rank)]
-    return IntMat.from_rows(rows)

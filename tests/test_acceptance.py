@@ -370,7 +370,8 @@ def test_criterion_11_toric_stack_certificates():
     # Z/2 on the torsion example
     amb = Fan(2, (cone_from_rays([(1, 1), (1, -1)]),), ("sigma",))
     sub = Fan(2, (cone_from_rays([(1, -1)]),), ("tau",))
-    z2 = stabilizers(BundleInput(amb, sub, ((1, 1),)))
+    z2_input = BundleInput(amb, sub, ((1, 1),))
+    z2 = stabilizers(z2_input, decompose(z2_input))
     z2_ok = z2.entries[0][1].invariant_factors == (2,)
     # Sec/MovSec certificates at k <= 5
     cert_ok = True
@@ -397,7 +398,7 @@ def test_criterion_11_toric_stack_certificates():
     mov_q = Fan(2, tuple(g.cone for g in sec_q.groups), tuple(g.label() for g in sec_q.groups))
     inp1 = BundleInput(sec_q.full_fan, mov_q, (lat_q.canonical,))
     inp2 = BundleInput(sec_q.full_fan, mov_q, (tuple(2 * x for x in lat_q.canonical),))
-    s1, s2 = stabilizers(inp1), stabilizers(inp2)
+    s1, s2 = stabilizers(inp1, decompose(inp1)), stabilizers(inp2, decompose(inp2))
     doubling_ok = [t.order for _, t in s1.entries] != [t.order for _, t in s2.entries]
     pieces_same = [
         (a.rays, b.rays) for a, b in decompose(inp1).pieces

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from secfan.cli import cli, config_hash, load_config
-from secfan.delpezzo import BoundaryCycle, PicLattice
+from secfan import cli as cli_module
+from secfan import cones, secondary, toricstack
+from secfan.cli import build_report, cache_put, cli, config_hash, load_config
+from secfan.delpezzo import BoundaryCycle, PicLattice, hexagon_boundary
 from secfan.errors import ValidationError
 
 HEXAGON = {
@@ -273,3 +275,70 @@ def test_pipeline_deterministic_across_workers(tmp_path, p2_config):
     ).exit_code == 0
     for name in sorted(p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cache_put_reentrant_writer_publishes_whole_payloads(tmp_path, monkeypatch):
+    # a second writer of the same key starts while the first is mid-write
+    outer, inner = {"writer": "outer"}, {"writer": "inner"}
+    real_dump = json.dump
+
+    def dump(obj, fh, **kwargs):
+        if obj is outer:
+            cache_put(str(tmp_path), "k", "report", inner)
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump)
+    cache_put(str(tmp_path), "k", "report", outer)
+    monkeypatch.undo()
+    assert json.loads((tmp_path / "report" / "k.json").read_text()) == outer
+    assert [p.name for p in (tmp_path / "report").iterdir()] == ["k.json"]
+
+
+def test_cache_put_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def dump(obj, fh, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump)
+    with pytest.raises(OSError):
+        cache_put(str(tmp_path), "k", "report", {})
+    assert list((tmp_path / "report").iterdir()) == []
+
+
+def test_build_report_verifies_each_fact_once(monkeypatch):
+    calls = {}
+    checked_fans = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "fan_check":
+                checked_fans.append(tuple(c.key() for c in args[0].cones))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {
+        name: getattr(cones, name)
+        for name in ("fan_check", "is_complete", "is_coarsening", "intersect")
+    }
+    originals["decompose"] = toricstack.decompose
+    for name, fn in originals.items():
+        wrapper = counted(name, fn)
+        for mod in (cli_module, cones, secondary, toricstack):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    battery_intersects = []
+    real_battery = cli_module.cocycle_battery
+
+    def battery(*args, **kwargs):
+        before = calls.get("intersect", 0)
+        out = real_battery(*args, **kwargs)
+        battery_intersects.append(calls.get("intersect", 0) - before)
+        return out
+
+    monkeypatch.setattr(cli_module, "cocycle_battery", battery)
+    report, _ = build_report(*hexagon_boundary())
+    assert len(checked_fans) == 2 and len(set(checked_fans)) == 2
+    assert calls["is_complete"] == calls["is_coarsening"] == calls["decompose"] == 1
+    assert battery_intersects == [0]
+    assert all(report["fan_checks"][k] for k in (
+        "mori_is_fan", "secondary_is_fan", "secondary_complete", "coarsens_mori"))

@@ -231,11 +231,6 @@ def test_fan_check_overlap_violation():
     assert rep.violations
 
 
-def test_fan_check_parallel_matches_serial():
-    f = fan_p2()
-    assert fan_check(f, workers=4).is_fan == fan_check(f, workers=1).is_fan
-
-
 def test_single_quadrant_incomplete():
     f = Fan(2, (cone_from_rays([(1, 0), (0, 1)]),))
     assert not is_complete(f)
@@ -357,4 +352,4 @@ def test_fan_json_roundtrip():
 
 def test_adjacency_pairs_quadric():
     f = quadric_mori_fan()
-    assert adjacency_pairs(f) == [(0, 1), (0, 2), (1, 2)]
+    assert list(adjacency_pairs(f)) == [(0, 1), (0, 2), (1, 2)]

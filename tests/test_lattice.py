@@ -10,6 +10,8 @@ from secfan.lattice import (
     invariant_factors,
     pair,
     primitive,
+    primitive_coords,
+    quotient_lattice_map,
     rank_of,
     saturate,
     smith_normal_form,
@@ -187,3 +189,19 @@ def test_primitive():
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-3, 0)) == (-3, 0) or primitive((-3, 0)) == (-1, 0)
     assert primitive((-3, 0)) == (-1, 0)
+
+
+def test_primitive_coords():
+    basis = ((2, 0, 0), (0, 3, 0))
+    assert primitive_coords(basis, (4, 6, 0)) == (1, 1)
+    assert primitive_coords(basis, (1, 0, 0)) == (1, 0)
+    assert primitive_coords(basis, (0, 0, 1)) is None
+
+
+def test_quotient_lattice_map_kills_exactly_the_saturated_span():
+    sub = [(2, 4, 0), (0, 0, 3)]
+    q = quotient_lattice_map(sub, 3)
+    assert q.rows == 1
+    assert all(not any(q.apply(s)) for s in sub)
+    assert primitive(q.row(0)) == q.row(0)
+    assert quotient_lattice_map([], 2) == IntMat.identity(2)

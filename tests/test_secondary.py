@@ -1,6 +1,6 @@
 import pytest
 
-from secfan.cones import Fan, cones_tile, fan_check, is_coarsening, is_complete
+from secfan.cones import Fan, cones_tile, fan_check, intersect, is_coarsening, is_complete
 from secfan.delpezzo import (
     BoundaryCycle,
     PicLattice,
@@ -13,6 +13,7 @@ from secfan.delpezzo import (
 from secfan.disk import fan_point, fan_triangulation, gamma_complex
 from secfan.errors import ValidationError
 from secfan.secondary import (
+    FanCertificates,
     all_triangulations,
     build_chambers,
     chamber_adjacency,
@@ -90,6 +91,24 @@ def test_secondary_fan_degree6():
     assert fan_check(sec.full_fan).is_fan
     assert is_complete(sec.full_fan)
     assert is_coarsening(sec.full_fan, sec.mori_fan)
+
+
+def test_secondary_fan_records_its_certificates():
+    lat, cycle = hexagon_boundary()
+    assert secondary_fan(lat, cycle).certificates == FanCertificates(
+        mori_is_fan=True,
+        mori_check_mode="pairwise",
+        secondary_is_fan=True,
+        secondary_complete=True,
+        coarsens_mori=True,
+    )
+
+
+def test_unchecked_secondary_fan_carries_no_certificate():
+    lat, cycle = hexagon_boundary()
+    sec = secondary_fan(lat, cycle, check=False)
+    assert sec.certificates == FanCertificates()
+    assert all(v is None for v in vars(sec.certificates).values())
 
 
 def test_secondary_fan_degree5_strictly_coarser():
@@ -280,6 +299,15 @@ def test_intersect_nef_with_chamber_is_perp_face():
         ambient_rank=4,
     )
     assert lhs == rhs
+
+
+def test_adjacency_walls_match_exact_intersection():
+    lat, cycle = hexagon_boundary()
+    chambers = build_chambers(lat, cycle)
+    adj = chamber_adjacency(chambers)
+    assert len(adj) == 30
+    for (a, b), wall in adj.items():
+        assert wall == intersect(chambers[a].cone, chambers[b].cone).rays
 
 
 def test_chamber_adjacency_is_single_flop():

@@ -3,13 +3,13 @@ import pytest
 from secfan.cones import Fan, cone_from_rays, zero_cone
 from secfan.delpezzo import PicLattice, hexagon_boundary, toric_boundary
 from secfan.errors import ValidationError
+from secfan.lattice import quotient_lattice_map
 from secfan.secondary import secondary_fan
 from secfan.toricstack import (
     BundleInput,
     build_tilde,
     check_bundle,
     decompose,
-    quotient_lattice_map,
     stabilizers,
 )
 
@@ -49,14 +49,16 @@ def test_decompose_rejects_subspace_through_interior():
 
 
 def test_stabilizer_z2():
-    rep = stabilizers(simple_input())
+    inp = simple_input()
+    rep = stabilizers(inp, decompose(inp))
     assert rep.entries[0][1].invariant_factors == (2,)
 
 
 def test_stabilizer_trivial_when_direct_sum():
     amb = Fan(2, (cone_from_rays([(1, 0), (0, 1)]),), ("sigma",))
     sub = Fan(2, (cone_from_rays([(0, 1)]),), ("tau",))
-    rep = stabilizers(BundleInput(amb, sub, ((1, 0),)))
+    inp = BundleInput(amb, sub, ((1, 0),))
+    rep = stabilizers(inp, decompose(inp))
     assert rep.entries[0][1].is_trivial()
 
 
@@ -106,11 +108,11 @@ def test_secondary_decomposition_toric(name):
 def test_doubling_changes_stabilizers_not_fan():
     lat, cycle, _ = toric_boundary("quadric")
     sec, inp = _sec_bundle_input(lat, cycle)
-    rep1 = stabilizers(inp)
+    rep1 = stabilizers(inp, decompose(inp))
     doubled = BundleInput(
         inp.ambient, inp.subfan, (tuple(2 * x for x in lat.canonical),)
     )
-    rep2 = stabilizers(doubled)
+    rep2 = stabilizers(doubled, decompose(doubled))
     assert [t.order for _, t in rep1.entries] != [t.order for _, t in rep2.entries]
     # coarse data: the decomposition pieces agree
     c1 = decompose(inp)
