@@ -293,8 +293,7 @@ def report_markdown(report: dict) -> str:
         f"- maximal cones: {report['counts']['maximal_cones']}",
         "",
         "## verification",
-        f"- mori fan predicate: {report['fan_checks']['mori_is_fan']} "
-        f"({report['fan_checks']['mori_check_mode']})",
+        f"- mori fan predicate: {report['fan_checks']['mori_is_fan']}",
         f"- secondary fan predicate: {report['fan_checks']['secondary_is_fan']}",
         f"- secondary complete: {report['fan_checks']['secondary_complete']}",
         f"- coarsens mori fan: {report['fan_checks']['coarsens_mori']}",

@@ -11,7 +11,6 @@ vectors in lexicographic order.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -26,9 +25,6 @@ from .lattice import (
 )
 
 FULL_FACE_LATTICE_CAP = 6  # ambient rank above which full face lattices are refused
-COMPLETENESS_FULL_CAP = 5  # rank above which completeness falls back to membership probes
-COMPLETENESS_PROBES = 10_000
-COMPLETENESS_SEED = 20220110
 
 
 def _unit(n: int, i: int) -> IntVec:
@@ -315,8 +311,6 @@ class Fan:
 @dataclass
 class FanReport:
     is_fan: bool
-    is_complete: bool | None = None
-    contracted_1_strata: list = field(default_factory=list)
     violations: list = field(default_factory=list)
 
 
@@ -366,7 +360,12 @@ def _check_pair(fan: Fan, i: int, j: int):
 
 
 def fan_check(fan: Fan) -> FanReport:
-    """Verify every pairwise intersection of maximal cones is a face of both."""
+    """Verify every pairwise intersection of maximal cones is a face of both.
+
+    Quadratic in the number of cones.  It serves fans that need not be
+    complete, where is_complete does not apply, and it is the oracle the
+    degree certificate of is_complete is tested against.
+    """
     n = len(fan.cones)
     results = (_check_pair(fan, i, j) for i in range(n) for j in range(i + 1, n))
     violations = [r for r in results if r is not None]
@@ -374,44 +373,36 @@ def fan_check(fan: Fan) -> FanReport:
 
 
 def _facet_faces_key(c: RationalCone) -> list[tuple]:
-    out = []
-    for g in c.facets:
-        sub_rays = tuple(sorted(r for r in c.rays if vec_dot(g, r) == 0))
-        out.append(sub_rays)
-    return out
+    """Per facet of c, in facet order, the sorted rays of c tight on it."""
+    return [tuple(sorted(r for r in c.rays if vec_dot(g, r) == 0)) for g in c.facets]
 
 
-def is_complete(fan: Fan, probes: int = COMPLETENESS_PROBES, seed: int = COMPLETENESS_SEED) -> bool:
-    """Support equals the ambient space.
+def is_complete(fan: Fan) -> bool:
+    """The maximal cones form a complete fan: cones_tile with the whole space as target.
 
-    At rank <= COMPLETENESS_FULL_CAP: every codimension-1 face of a maximal cone
-    must lie in exactly two maximal cones, plus a probe at seeded pseudorandom
-    directions.  Above the cap only the (reproducible) probe runs; determinant
-    volume bookkeeping is avoided on purpose.
+    The whole space has no facets, so the certificate reads: every cone is
+    full-dimensional, every wall of every cone is met by exactly one other
+    cone on the opposite side, and one interior point of cone 0 lies in no
+    other cone.  The covering degree is
+    then 1 off a set of codimension 2: the support is all of R^n and the
+    interiors are pairwise disjoint.
+
+    Lemma (compare De Loera, Rambau and Santos, Triangulations, ch. 4): a
+    complete facet-to-facet tiling by convex cones is a fan, i.e. every two
+    cones meet in a common face.  Sketch: at any point x, the tangent cones of
+    the tiles containing x again form a complete facet-to-facet tiling.  Two
+    tangent cones sharing a facet have the lineality space of that facet, and
+    the facet adjacency graph is connected because the codimension-2 skeleton
+    does not disconnect R^n; so every tile A containing x meets x in the
+    relative interior of a face F_A of one common span L, and F_A = A cap L.
+    Walking inside relint F_A away from x never reaches the relative boundary
+    of F_B (the span would drop there), so F_A = F_B; applied at a relative
+    interior point of A cap B this gives A cap B = F_A, a face of both.
+    Hence True means "complete fan", at every rank, with no sampling.
     """
     n = fan.ambient_rank
-    if not fan.cones:
-        return False
-    if n == 0:
-        return True
-    if any(c.dim < n for c in fan.cones):
-        return False
-    if n <= COMPLETENESS_FULL_CAP:
-        counts: dict[tuple, int] = {}
-        for c in fan.cones:
-            for key in _facet_faces_key(c):
-                counts[key] = counts.get(key, 0) + 1
-        if any(v != 2 for v in counts.values()):
-            return False
-        probe_count = min(probes, 200)
-    else:
-        probe_count = probes
-    rng = random.Random(seed)
-    for _ in range(probe_count):
-        x = tuple(rng.randint(-10**6, 10**6) for _ in range(n))
-        if not any(c.contains_point(x) for c in fan.cones):
-            return False
-    return True
+    whole = RationalCone(n, (), (), (), tuple(_unit(n, i) for i in range(n)))
+    return cones_tile(list(fan.cones), whole)
 
 
 def is_coarsening(coarse: Fan, fine: Fan) -> bool:
@@ -450,13 +441,14 @@ def cones_tile(members: list[RationalCone], target: RationalCone) -> bool:
         return False
     if not all(target.contains_cone(m) for m in members):
         return False
-    # collect codim-1 faces: key -> list of (member index, inward facet normal)
+    # codim-1 faces, keyed by their rays and the member's lineality so that a
+    # lineal wall never matches another wall with the same rays:
+    # key -> list of (member index, inward facet normal)
     walls: dict[tuple, list[tuple[int, IntVec]]] = {}
     for mi, m in enumerate(members):
-        for g in m.facets:
-            key = tuple(sorted(r for r in m.rays if vec_dot(g, r) == 0))
-            walls.setdefault(key, []).append((mi, g))
-    for key, incident in walls.items():
+        for g, rays in zip(m.facets, _facet_faces_key(m)):
+            walls.setdefault((rays, m.lineality), []).append((mi, g))
+    for (key, _), incident in walls.items():
         if len(incident) > 2:
             return False
         if len(incident) == 1:

@@ -5,7 +5,8 @@ The fan lives on the Picard lattice of the surface.  Maximal moving cones are
 the Mori chambers (one per orthogonal set of (-1)-classes); grouping chambers
 whose contracted set meets the boundary in the same components and adding the
 cones gamma + R>=0.K over boundary faces gamma of the effective cone completes
-the picture.  Everything is cross-checked: group hulls must equal the union of
+the picture.  Everything is cross-checked: the Mori fan must pass the linear
+degree certificate of a complete fan, group hulls must equal the union of
 their members, the full fan must pass the fan predicate, be complete and
 coarsen the chamber fan, and in the toric cases the whole object must agree
 with an independently computed GKZ secondary fan of the reflexive polygon.
@@ -20,6 +21,7 @@ from fractions import Fraction
 from .cones import (
     Fan,
     RationalCone,
+    _facet_faces_key,
     adjacency_pairs,
     cone_from_rays,
     cones_tile,
@@ -106,8 +108,7 @@ def _boundary_faces(cones_list: list[RationalCone], eff: RationalCone, rank: int
     """Codimension-1 faces of the given cones lying on the boundary of eff."""
     seen = {}
     for c in cones_list:
-        for g in c.facets:
-            face_rays = tuple(sorted(r for r in c.rays if vec_dot(g, r) == 0))
+        for face_rays in _facet_faces_key(c):
             if rank_of(list(face_rays)) != rank - 1 and rank > 1:
                 continue
             if rank == 1 and face_rays:
@@ -128,13 +129,10 @@ def _bogus_cones(face_ray_sets, canonical: IntVec, rank: int) -> list[RationalCo
     ]
 
 
-def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle,
-               verify: bool = True) -> tuple[Fan, list[Chamber]]:
+def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle) -> tuple[Fan, list[Chamber]]:
     """Complete fan on Pic: all Mori chambers plus bogus cones over boundary faces.
 
-    verify=False skips the quadratic pairwise fan predicate (the rank-5 runs
-    rely on the linear tiling certificates instead); the structural build is
-    identical either way.
+    Only builds; secondary_fan(check=True) proves it a complete fan.
     """
     chambers = build_chambers(lat, boundary)
     eff = effective_cone(lat)
@@ -145,14 +143,7 @@ def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle,
     labels = [c.label() for c in chambers] + [
         "bogus[" + ",".join(str(r) for r in face) + "]" for face in faces_on_eff
     ]
-    fan = Fan(rank, tuple(cones), tuple(labels))
-    if verify:
-        report = fan_check(fan)
-        if not report.is_fan:
-            raise InternalInvariantError(
-                f"Mori fan fails the fan predicate: {report.violations[:3]}"
-            )
-    return fan, chambers
+    return Fan(rank, tuple(cones), tuple(labels)), chambers
 
 
 @dataclass(frozen=True)
@@ -192,15 +183,9 @@ def movsec(chambers: list[Chamber]) -> list[MovSecGroup]:
 
 @dataclass(frozen=True)
 class FanCertificates:
-    """What secondary_fan proved; a field stays None when its check did not run.
-
-    mori_check_mode says how the Mori fan was certified: "pairwise" by the
-    fan predicate, or "tiling-certificates" by the degree argument of the
-    group hulls and of the coarsening.
-    """
+    """What secondary_fan proved; a field stays None when its check did not run."""
 
     mori_is_fan: bool | None = None
-    mori_check_mode: str | None = None
     secondary_is_fan: bool | None = None
     secondary_complete: bool | None = None
     coarsens_mori: bool | None = None
@@ -231,18 +216,16 @@ class SecondaryFan:
         return len(self.full_fan.cones)
 
 
-def secondary_fan(lat: PicLattice, boundary: BoundaryCycle,
-                  check: bool = True, verify_mori: bool | None = None) -> SecondaryFan:
+def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, check: bool = True) -> SecondaryFan:
     """Build the secondary fan; with check, prove it and record the proofs.
 
     Every check raises InternalInvariantError when it fails, so the
-    certificates record holds only passed checks.  The quadratic pairwise
-    predicate on the Mori fan runs up to rank 5 by default; above that the
-    tiling certificates of movsec and is_coarsening carry it.
+    certificates record holds only passed checks.  The Mori fan is proved a
+    complete fan by the linear degree certificate of is_complete, at every
+    rank; the much smaller secondary fan also passes the pairwise fan
+    predicate, then is_complete and is_coarsening.
     """
-    if verify_mori is None:
-        verify_mori = lat.rank <= 5
-    mori, chambers = mori_fan_K(lat, boundary, verify=verify_mori)
+    mori, chambers = mori_fan_K(lat, boundary)
     groups = movsec(chambers)
     eff = effective_cone(lat)
     faces_on_eff = _boundary_faces([g.cone for g in groups], eff, lat.rank)
@@ -254,6 +237,8 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle,
     fan = Fan(lat.rank, tuple(cones), tuple(labels))
     sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori)
     if check:
+        if not is_complete(mori):
+            raise InternalInvariantError("Mori fan is not a complete fan")
         rep = fan_check(fan)
         if not rep.is_fan:
             raise InternalInvariantError(
@@ -272,7 +257,6 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle,
                 raise InternalInvariantError("canonical class misplaced relative to Eff")
         sec.certificates = FanCertificates(
             mori_is_fan=True,
-            mori_check_mode="pairwise" if verify_mori else "tiling-certificates",
             secondary_is_fan=True,
             secondary_complete=True,
             coarsens_mori=True,

@@ -306,14 +306,22 @@ def test_cache_put_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
 def test_build_report_verifies_each_fact_once(monkeypatch):
     calls = {}
-    checked_fans = []
+    checked_fans = {"fan_check": [], "is_complete": []}
+    active = []  # names of the counted calls in progress
+    stray_intersects = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            if name == "fan_check":
-                checked_fans.append(tuple(c.key() for c in args[0].cones))
-            return fn(*args, **kwargs)
+            if name in checked_fans:
+                checked_fans[name].append(tuple(c.key() for c in args[0].cones))
+            if name == "intersect" and not {"fan_check", "decompose"} & set(active):
+                stray_intersects.append(list(active))
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
         return wrapper
 
     originals = {
@@ -336,9 +344,14 @@ def test_build_report_verifies_each_fact_once(monkeypatch):
         return out
 
     monkeypatch.setattr(cli_module, "cocycle_battery", battery)
-    report, _ = build_report(*hexagon_boundary())
-    assert len(checked_fans) == 2 and len(set(checked_fans)) == 2
-    assert calls["is_complete"] == calls["is_coarsening"] == calls["decompose"] == 1
+    report, sec = build_report(*hexagon_boundary())
+    mori, full = (tuple(c.key() for c in f.cones) for f in (sec.mori_fan, sec.full_fan))
+    # pairwise predicate on the full fan only; the degree certificate on Mori and full
+    assert mori != full
+    assert checked_fans["fan_check"] == [full]
+    assert sorted(checked_fans["is_complete"]) == sorted([mori, full])
+    assert calls["is_coarsening"] == calls["decompose"] == 1
     assert battery_intersects == [0]
+    assert stray_intersects == []
     assert all(report["fan_checks"][k] for k in (
         "mori_is_fan", "secondary_is_fan", "secondary_complete", "coarsens_mori"))

@@ -23,6 +23,7 @@ from secfan.cones import (
     zero_cone,
 )
 from secfan.errors import ValidationError
+from secfan.lattice import primitive
 
 
 def rays_of(c):
@@ -234,6 +235,114 @@ def test_fan_check_overlap_violation():
 def test_single_quadrant_incomplete():
     f = Fan(2, (cone_from_rays([(1, 0), (0, 1)]),))
     assert not is_complete(f)
+
+
+def _unit_vec(n, i, sign=1):
+    return tuple(sign if j == i else 0 for j in range(n))
+
+
+def _orthant_ray_sets(n):
+    return [
+        frozenset(_unit_vec(n, i, s) for i, s in enumerate(signs))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+
+
+def _thin_gap_fan(drop_sliver):
+    # the positive orthant of R^6 split at w into "orthant with e_i replaced by w"
+    n = 6
+    w = (10**6, 1, 1, 1, 1, 1)
+    positive = frozenset(_unit_vec(n, i) for i in range(n))
+    ray_sets = [rs for rs in _orthant_ray_sets(n) if rs != positive]
+    for i in range(n):
+        if drop_sliver and i == 1:
+            continue  # cone(e1, w, e3, ..., e6) is the sliver
+        ray_sets.append((positive - {_unit_vec(n, i)}) | {w})
+    return Fan(n, tuple(cone_from_rays(sorted(rs), n) for rs in ray_sets))
+
+
+def _pentagram_fan():
+    # five 144-degree cones: every wall has two cones on opposite sides, degree 2
+    v = [(2, 0), (1, 2), (-2, 1), (-2, -1), (1, -2)]
+    return Fan(2, tuple(cone_from_rays([v[i], v[(i + 2) % 5]]) for i in range(5)))
+
+
+def _octant_fan_split_on_a_facet():
+    # the positive octant cut along (1,1,0), a ray inside its facet with (+,+,-)
+    r = (1, 1, 0)
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    ray_sets = [rs for rs in _orthant_ray_sets(3) if rs != {e1, e2, e3}]
+    ray_sets += [{e1, r, e3}, {r, e2, e3}]
+    return Fan(3, tuple(cone_from_rays(sorted(rs), 3) for rs in ray_sets))
+
+
+def _half_plane(sign):
+    return cone_from_rays([(sign, 0)], 2, lineality=[(0, 1)])
+
+
+def test_thin_gap_at_rank_6_is_found():
+    assert is_complete(_thin_gap_fan(drop_sliver=False))
+    assert not is_complete(_thin_gap_fan(drop_sliver=True))
+
+
+@pytest.mark.parametrize("fan", [
+    pytest.param(_pentagram_fan(), id="pentagram"),
+    pytest.param(_octant_fan_split_on_a_facet(), id="octant_split_on_a_facet"),
+    pytest.param(
+        Fan(2, (_half_plane(1), cone_from_rays([(-1, 0), (0, 1)]),
+                cone_from_rays([(-1, 0), (0, -1)]))),
+        id="half_plane_and_two_quadrants",
+    ),
+    pytest.param(
+        Fan(2, (_half_plane(1), cone_from_inequalities([(-1, 1)], ambient_rank=2))),
+        id="two_half_planes_on_different_lines",
+    ),
+])
+def test_covers_that_are_not_complete_fans(fan):
+    assert not is_complete(fan)
+
+
+def test_octant_split_on_a_facet_fails_the_fan_predicate():
+    assert not fan_check(_octant_fan_split_on_a_facet()).is_fan
+
+
+def test_two_half_planes_are_complete():
+    assert is_complete(Fan(2, (_half_plane(1), _half_plane(-1))))
+
+
+@st.composite
+def star_subdivided_orthant_fans(draw):
+    """Rank 2-4 orthant fan after random stellar subdivisions: a complete
+    simplicial fan by construction, as (rank, ray sets of the maximal cones)."""
+    n = draw(st.integers(2, 4))
+    cones = _orthant_ray_sets(n)
+    for _ in range(draw(st.integers(0, 2))):
+        sigma = sorted(cones[draw(st.integers(0, len(cones) - 1))])
+        face = draw(st.lists(st.sampled_from(sigma), min_size=2, max_size=n, unique=True))
+        weights = draw(st.lists(st.integers(1, 3), min_size=len(face), max_size=len(face)))
+        v = primitive(tuple(sum(w * r[t] for w, r in zip(weights, face)) for t in range(n)))
+        # every cone tau * rho containing the face becomes v * (face - u) * rho
+        new = []
+        for c in cones:
+            if set(face) <= c:
+                new.extend((c - {u}) | {v} for u in face)
+            else:
+                new.append(c)
+        cones = new
+    return n, [sorted(c) for c in cones]
+
+
+@settings(max_examples=25, deadline=None)
+@given(star_subdivided_orthant_fans(), st.data())
+def test_is_complete_agrees_with_the_pairwise_oracle(case, data):
+    n, ray_sets = case
+    cones = tuple(cone_from_rays(rs, n) for rs in ray_sets)
+    fan = Fan(n, cones)
+    assert is_complete(fan)
+    assert fan_check(fan).is_fan
+    i = data.draw(st.integers(0, len(cones) - 1))
+    assert not is_complete(Fan(n, cones[:i] + cones[i + 1:]))
+    assert not is_complete(Fan(n, cones + (cones[i],)))
 
 
 def quadric_mori_fan():

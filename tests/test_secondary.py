@@ -97,7 +97,6 @@ def test_secondary_fan_records_its_certificates():
     lat, cycle = hexagon_boundary()
     assert secondary_fan(lat, cycle).certificates == FanCertificates(
         mori_is_fan=True,
-        mori_check_mode="pairwise",
         secondary_is_fan=True,
         secondary_complete=True,
         coarsens_mori=True,
