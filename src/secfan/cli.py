@@ -145,10 +145,6 @@ def cache_put(cache_dir, key: str, kind: str, payload: dict):
 # report assembly
 
 
-def _fan_payload(fan: Fan, provenances=(), metadata=None) -> dict:
-    return fan_to_json(fan, provenances, metadata)
-
-
 def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
                  seed: int = 20220110, weyl_cap: int = 4) -> dict:
     """Every stage once; the fan checks are the certificates secondary_fan proved.
@@ -361,11 +357,11 @@ def write_bundle(outdir: Path, report: dict, sec) -> list[str]:
     outdir.mkdir(parents=True, exist_ok=True)
     files = {}
     files["fan_mori.json"] = json.dumps(
-        _fan_payload(sec.mori_fan, metadata={"kind": "mori", "input_hash": report["input_hash"]}),
+        fan_to_json(sec.mori_fan, metadata={"kind": "mori", "input_hash": report["input_hash"]}),
         sort_keys=True, indent=1,
     )
     files["fan_secondary.json"] = json.dumps(
-        _fan_payload(sec.full_fan, metadata={"kind": "secondary", "input_hash": report["input_hash"]}),
+        fan_to_json(sec.full_fan, metadata={"kind": "secondary", "input_hash": report["input_hash"]}),
         sort_keys=True, indent=1,
     )
     # adjacency of the full secondary fan, nodes colored by moving group
@@ -454,12 +450,12 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
         return cached, True
     sec = secondary_fan(lat, cycle)
     payloads = {
-        "mori": _fan_payload(sec.mori_fan, metadata={"input_hash": key, "kind": "mori"}),
-        "movsec": _fan_payload(
+        "mori": fan_to_json(sec.mori_fan, metadata={"input_hash": key, "kind": "mori"}),
+        "movsec": fan_to_json(
             Fan(lat.rank, tuple(g.cone for g in sec.groups), tuple(g.label() for g in sec.groups)),
             metadata={"input_hash": key, "kind": "movsec"},
         ),
-        "secondary": _fan_payload(
+        "secondary": fan_to_json(
             sec.full_fan, metadata={"input_hash": key, "kind": "secondary"}
         ),
     }
@@ -532,7 +528,7 @@ def fan_gkz(points, toric_name):
         "points": [list(p) for p in pts],
         "triangulation_count": len(gkz.triangulations),
         "irregular_count": len(gkz.irregular),
-        "fan": _fan_payload(gkz.fan, metadata={"kind": "gkz"}),
+        "fan": fan_to_json(gkz.fan, metadata={"kind": "gkz"}),
     }
     click.echo(json.dumps(payload, sort_keys=True))
 

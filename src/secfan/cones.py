@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .lattice import (
     IntVec,
     primitive,
+    rank_of,
     sign_normalized,
     vec,
     vec_dot,
@@ -29,30 +30,6 @@ FULL_FACE_LATTICE_CAP = 6  # ambient rank above which full face lattices are ref
 
 def _unit(n: int, i: int) -> IntVec:
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def _rank(vectors) -> int:
-    """Rank over Q by fraction-free elimination (hot path, avoids SNF)."""
-    rows = [list(vec(v)) for v in vectors if any(x != 0 for x in v)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                a, b = pr[col], rows[r][col]
-                rows[r] = [a * x - b * y for x, y in zip(rows[r], pr)]
-        rank += 1
-        col += 1
-    return rank
 
 
 def dual_description(ineqs, eqs, n: int) -> tuple[list[IntVec], list[IntVec]]:
@@ -103,7 +80,7 @@ def dual_description(ineqs, eqs, n: int) -> tuple[list[IntVec], list[IntVec]]:
         for r in rays:
             if all(x == 0 for x in r):
                 continue
-            if _rank(tight_normals(r)) >= target:
+            if rank_of(tight_normals(r)) >= target:
                 keep.append(r)
         rays = sorted(set(keep))
 
@@ -152,7 +129,7 @@ class RationalCone:
 
     @property
     def dim(self) -> int:
-        return _rank(list(self.rays) + list(self.lineality))
+        return rank_of(list(self.rays) + list(self.lineality))
 
     def is_pointed(self) -> bool:
         return not self.lineality
@@ -253,43 +230,55 @@ def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
     return cone_from_rays(rays, n, lineality=lin)
 
 
-_face_cache: dict[tuple, dict[int, tuple[RationalCone, ...]]] = {}
-
-
 def faces(c: RationalCone, codim: int) -> list[RationalCone]:
-    """All faces of the given codimension (within the cone's own dimension)."""
+    """All faces of the given codimension (within the cone's own dimension).
+
+    Faces are read off the ray-facet incidences: every facet of a face F is
+    F cut by some facet of c, so the ray sets one codimension down are the
+    intersections (ray set of F) & (ray set of a facet of c) whose rank,
+    with the lineality of c, drops by exactly one.  Each distinct face is
+    built once, from its rays and the lineality of c.
+    """
     if codim < 0 or codim > c.dim:
         raise ValidationError("codim out of range")
     if c.ambient_rank > FULL_FACE_LATTICE_CAP and codim > 1:
         raise ValidationError(
             f"full face lattices are capped at ambient rank {FULL_FACE_LATTICE_CAP}"
         )
-    key = (c.ambient_rank, c.key())
-    cache = _face_cache.setdefault(key, {0: (c,)})
-    level = max(cache)
-    while level < codim:
-        nxt: dict = {}
-        for f in cache[level]:
-            for g in f.facets:
-                sub_rays = tuple(r for r in f.rays if vec_dot(g, r) == 0)
-                if sub_rays or f.lineality:
-                    sub = cone_from_rays(sub_rays, c.ambient_rank, lineality=f.lineality)
-                else:
-                    sub = zero_cone(c.ambient_rank)
-                if sub.dim == f.dim - 1:
-                    nxt[sub.key()] = sub
-        level += 1
-        cache[level] = tuple(sorted(nxt.values(), key=lambda x: x.key()))
-    return list(cache[codim])
+    if codim == 0:
+        return [c]
+    facet_sets = [frozenset(rays) for rays in _facet_faces_key(c)]
+    level = {frozenset(c.rays)}
+    dim = c.dim
+    for _ in range(codim):
+        dim -= 1
+        cuts = {s & f for s in level for f in facet_sets}
+        level = {s for s in cuts if rank_of(list(s) + list(c.lineality)) == dim}
+    out = [
+        cone_from_rays(sorted(s), c.ambient_rank, lineality=c.lineality)
+        if s or c.lineality
+        else zero_cone(c.ambient_rank)
+        for s in level
+    ]
+    return sorted(out, key=RationalCone.key)
+
+
+def _face_rays(c: RationalCone, rays) -> frozenset:
+    """Rays of c on the smallest face of c containing the given vectors of c.
+
+    That face is c cut by every facet of c tight on all the vectors; with the
+    lineality of c, its rays (these) generate it.
+    """
+    tight = [g for g in c.facets if all(vec_dot(g, r) == 0 for r in rays)]
+    return frozenset(r for r in c.rays if all(vec_dot(g, r) == 0 for g in tight))
 
 
 def is_face_of(face: RationalCone, c: RationalCone) -> bool:
-    """Face test for pointed cones: cut by the facets of c tight on all of face."""
+    """face lies in c and contains the smallest face of c around it."""
     if not c.contains_cone(face):
         return False
-    tight = [g for g in c.facets if all(vec_dot(g, r) == 0 for r in face.rays)]
-    cut_rays = tuple(r for r in c.rays if all(vec_dot(g, r) == 0 for g in tight))
-    return set(cut_rays) == set(face.rays)
+    lines = list(c.lineality) + [vec_scale(-1, l) for l in c.lineality]
+    return all(face.contains_point(r) for r in [*_face_rays(c, face.rays), *lines])
 
 
 @dataclass(frozen=True)
@@ -400,9 +389,7 @@ def is_complete(fan: Fan) -> bool:
     interior point of A cap B this gives A cap B = F_A, a face of both.
     Hence True means "complete fan", at every rank, with no sampling.
     """
-    n = fan.ambient_rank
-    whole = RationalCone(n, (), (), (), tuple(_unit(n, i) for i in range(n)))
-    return cones_tile(list(fan.cones), whole)
+    return _tiling_defect(list(fan.cones)) is None
 
 
 def is_coarsening(coarse: Fan, fine: Fan) -> bool:
@@ -435,12 +422,24 @@ def cones_tile(members: list[RationalCone], target: RationalCone) -> bool:
     target's interior, and a single generic point contained in exactly one
     member pins it to one: the members tile, with pairwise disjoint interiors.
     """
+    return _tiling_defect(members, target) is None
+
+
+def _tiling_defect(members: list[RationalCone], target: RationalCone | None = None) -> str | None:
+    """The first way the members fail the tiling certificate, or None if they pass.
+
+    target None is the whole space.  Members are named by their index.
+    """
     if not members:
-        return False
-    if any(m.dim != target.dim for m in members):
-        return False
-    if not all(target.contains_cone(m) for m in members):
-        return False
+        return "no members"
+    if target is None:
+        n = members[0].ambient_rank
+        target = RationalCone(n, (), (), (), tuple(_unit(n, i) for i in range(n)))
+    for mi, m in enumerate(members):
+        if m.dim != target.dim:
+            return f"cone {mi} has dimension {m.dim}, not {target.dim}"
+        if not target.contains_cone(m):
+            return f"cone {mi} leaves the target"
     # codim-1 faces, keyed by their rays and the member's lineality so that a
     # lineal wall never matches another wall with the same rays:
     # key -> list of (member index, inward facet normal)
@@ -450,28 +449,30 @@ def cones_tile(members: list[RationalCone], target: RationalCone) -> bool:
             walls.setdefault((rays, m.lineality), []).append((mi, g))
     for (key, _), incident in walls.items():
         if len(incident) > 2:
-            return False
+            return f"wall {list(key)} is shared by cones {[mi for mi, _ in incident]}"
         if len(incident) == 1:
             on_boundary = any(
                 all(vec_dot(g, r) == 0 for r in key) for g in target.facets
             )
             if not on_boundary:
-                return False
+                return f"wall {list(key)} of cone {incident[0][0]} is met by no other cone"
         else:
             (ma, ga), (mb, gb) = incident
             if ma == mb:
-                return False
+                return f"wall {list(key)} is two facets of cone {ma}"
             # opposite sides of the wall hyperplane
-            if not all(vec_dot(ga, r) <= 0 for r in members[mb].rays):
-                return False
-            if not all(vec_dot(gb, r) <= 0 for r in members[ma].rays):
-                return False
+            if not all(vec_dot(ga, r) <= 0 for r in members[mb].rays) or not all(
+                vec_dot(gb, r) <= 0 for r in members[ma].rays
+            ):
+                return f"wall {list(key)}: cones {ma} and {mb} are not on opposite sides"
     probe = members[0].interior_point()
-    hits = sum(1 for m in members if m.contains_point(probe))
-    if hits != 1:
-        return False
+    hits = [mi for mi, m in enumerate(members) if m.contains_point(probe)]
+    if len(hits) != 1:
+        return f"interior point {list(probe)} of cone 0 lies in {len(hits)} cones {hits}"
     # the probe must also witness the target's interior side
-    return target.contains_point(probe)
+    if not target.contains_point(probe):
+        return f"interior point {list(probe)} of cone 0 lies outside the target"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cones import RationalCone, cone_from_rays, cone_from_inequalities
 from .errors import ValidationError
@@ -47,7 +47,7 @@ class PicLattice:
     def degree(self) -> int:
         return 8 if self.model_tag == "quadric" else 9 - self.k
 
-    @property
+    @cached_property
     def form(self) -> BilinearForm:
         if self.model_tag == "quadric":
             return BilinearForm(IntMat.from_rows([(0, 1), (1, 0)]))
@@ -59,27 +59,8 @@ class PicLattice:
             return (-2, -2)
         return tuple([-3] + [1] * self.k)
 
-    @property
-    def basis_labels(self) -> tuple[str, ...]:
-        if self.model_tag == "quadric":
-            return ("f1", "f2")
-        return ("H",) + tuple(f"E{i}" for i in range(1, self.k + 1))
-
     def dot(self, x: IntVec, y: IntVec) -> int:
         return pair(self.form, x, y)
-
-    def class_name(self, c: IntVec) -> str:
-        terms = []
-        for coeff, lbl in zip(c, self.basis_labels):
-            if coeff == 0:
-                continue
-            if coeff == 1:
-                terms.append(f"+{lbl}")
-            elif coeff == -1:
-                terms.append(f"-{lbl}")
-            else:
-                terms.append(f"{coeff:+d}{lbl}")
-        return "".join(terms).lstrip("+") or "0"
 
 
 def quadric() -> PicLattice:
@@ -309,10 +290,6 @@ class BoundaryReport:
     valid: bool
     diagnostics: list[str]
     minus_one_flags: list[bool]
-
-    @property
-    def boundary_minus_one_indices(self) -> list[int]:
-        return [i for i, f in enumerate(self.minus_one_flags) if f]
 
 
 def validate_boundary(lat: PicLattice, b: BoundaryCycle) -> BoundaryReport:

@@ -310,11 +310,28 @@ def saturate(sub: list[IntVec]) -> list[IntVec]:
     return [vec(vinv.row(i)) for i in range(rank)]
 
 
-def rank_of(vectors: list[IntVec]) -> int:
-    vs = [v for v in vectors if any(x != 0 for x in v)]
-    if not vs:
+def rank_of(vectors) -> int:
+    """Rank over Q by fraction-free Gaussian elimination."""
+    rows = [list(vec(v)) for v in vectors if any(x != 0 for x in v)]
+    if not rows:
         return 0
-    return len(invariant_factors(IntMat.from_rows(vs)))
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                a, b = pr[col], rows[r][col]
+                rows[r] = [a * x - b * y for x, y in zip(rows[r], pr)]
+        rank += 1
+        col += 1
+    return rank
 
 
 def solve_integral(m: IntMat, rhs: IntVec) -> IntVec | None:

@@ -38,9 +38,6 @@ class CurveMonomial:
 
     gamma: IntVec
 
-    def is_one(self) -> bool:
-        return not any(self.gamma)
-
 
 def validate_effective(lat: PicLattice, gamma: IntVec):
     """gamma must be a nonnegative rational combination of curve-cone generators."""

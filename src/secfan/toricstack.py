@@ -11,7 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cones import Fan, RationalCone, cone_from_rays, faces, fan_check, zero_cone
+from .cones import (
+    Fan,
+    RationalCone,
+    _face_rays,
+    cone_from_rays,
+    fan_check,
+    intersect,
+    is_face_of,
+    zero_cone,
+)
 from .errors import ValidationError
 from .lattice import (
     IntMat,
@@ -57,25 +66,30 @@ def _subspace_cone(basis, rank: int) -> RationalCone:
     return cone_from_rays([], rank, lineality=gens) if basis else zero_cone(rank)
 
 
-def _cone_in_fan(c: RationalCone, fan: Fan, cap: int = 6) -> bool:
+def _cone_in_fan(c: RationalCone, fan: Fan) -> bool:
     """c equals some cone of the fan (maximal cones or their faces)."""
-    for top in fan.cones:
-        if top == c:
-            return True
-        if not top.contains_cone(c):
-            continue
-        for codim in range(1, top.dim + 1):
-            if any(f == c for f in faces(top, codim)):
-                return True
-    return c.dim == 0
+    return any(is_face_of(c, top) for top in fan.cones) or c.dim == 0
 
 
 def decompose(inp: BundleInput) -> DecompositionCert:
-    """Split every maximal ambient cone as sigma_1 + sigma_2 per the hypothesis."""
-    from .cones import intersect
+    """Split every maximal ambient cone as sigma_1 + sigma_2 per the hypothesis.
 
+    sigma_1 is sigma cap span(L) and sigma_2 is the unique maximal face of
+    sigma whose span misses L, read off the ray-facet incidences of sigma
+    with no walk over the face lattice.  Let C be the cone on the rays of
+    sigma outside span(L), plus the lineality of sigma.  A face whose span
+    misses L has no ray in span(L), so it lies inside C.  So when C is a face
+    whose span misses L, it contains every such face and is the unique
+    maximal one.  Otherwise each such face lacks some ray r of sigma outside
+    span(L), and sigma_1 plus that face is not sigma: r is extreme, so it is
+    no sum of a point of sigma_1 and a point of a face without r (and the
+    recomposition from rays never rebuilds a lineality space).  C is a face
+    exactly when the rays of sigma tight on every facet tight on C's rays
+    are C's rays.
+    """
     rank = inp.rank
     sub_cone = _subspace_cone(inp.sub_lattice, rank)
+    sub_rank = rank_of(list(inp.sub_lattice))
     sub_keys = {c.key() for c in inp.subfan.cones}
     pieces = []
     failures = []
@@ -85,32 +99,18 @@ def decompose(inp: BundleInput) -> DecompositionCert:
             pieces.append((zero_cone(rank), sigma))
             continue
         sigma1 = intersect(sigma, sub_cone)
-        # sigma_2: unique maximal face whose span misses the subspace
-        best = None
-        ambiguous = False
-        frontier = [sigma]
-        seen = set()
-        while frontier:
-            f = frontier.pop()
-            if f.key() in seen:
-                continue
-            seen.add(f.key())
-            if _span_meets_trivially(f, inp.sub_lattice):
-                if best is None or f.dim > best.dim:
-                    best = f
-                    ambiguous = False
-                elif f.dim == best.dim and f != best:
-                    ambiguous = True
-            else:
-                for g in faces(f, 1):
-                    frontier.append(g)
-        if best is None:
-            failures.append(f"{label}: no face avoids the subspace")
+        outside = [r for r in sigma.rays if rank_of([r, *inp.sub_lattice]) > sub_rank]
+        if _face_rays(sigma, outside) != set(outside):
+            failures.append(f"{label}: the rays outside the subspace span no face")
             continue
-        if ambiguous:
-            failures.append(f"{label}: maximal avoiding face is not unique")
+        sigma2 = (
+            cone_from_rays(outside, rank, lineality=sigma.lineality)
+            if outside or sigma.lineality
+            else zero_cone(rank)
+        )
+        if not _span_meets_trivially(sigma2, inp.sub_lattice):
+            failures.append(f"{label}: subspace meets the span of sigma_2")
             continue
-        sigma2 = best
         recomposed = cone_from_rays(
             list(sigma1.rays) + list(sigma2.rays), rank
         ) if (sigma1.rays or sigma2.rays) else zero_cone(rank)
@@ -119,9 +119,6 @@ def decompose(inp: BundleInput) -> DecompositionCert:
             continue
         if not _cone_in_fan(sigma2, inp.subfan):
             failures.append(f"{label}: sigma_2 is not a cone of the subfan")
-            continue
-        if not _span_meets_trivially(sigma2, inp.sub_lattice):
-            failures.append(f"{label}: subspace meets the span of sigma_2")
             continue
         pieces.append((sigma1, sigma2))
     return DecompositionCert(pieces, failures)

@@ -1,0 +1,98 @@
+"""Earlier face kernels, kept as test oracles for the incidence-based ones.
+
+faces_by_recursion rebuilds every face from the facets of the face one
+codimension up, with one double-description sweep per (face, facet) pair.
+decompose_by_face_walk finds sigma_2 by a breadth-first walk over the face
+lattice of each cone, keeping the faces of largest dimension whose span
+misses the subspace and failing when there are two.
+"""
+
+from secfan.cones import RationalCone, cone_from_rays, intersect, zero_cone
+from secfan.errors import ValidationError
+from secfan.lattice import vec_dot
+from secfan.toricstack import (
+    BundleInput,
+    DecompositionCert,
+    _span_meets_trivially,
+    _subspace_cone,
+)
+
+
+def faces_by_recursion(c: RationalCone, codim: int) -> list[RationalCone]:
+    if codim < 0 or codim > c.dim:
+        raise ValidationError("codim out of range")
+    level = [c]
+    for _ in range(codim):
+        nxt = {}
+        for f in level:
+            for g in f.facets:
+                sub_rays = tuple(r for r in f.rays if vec_dot(g, r) == 0)
+                if sub_rays or f.lineality:
+                    sub = cone_from_rays(sub_rays, c.ambient_rank, lineality=f.lineality)
+                else:
+                    sub = zero_cone(c.ambient_rank)
+                if sub.dim == f.dim - 1:
+                    nxt[sub.key()] = sub
+        level = sorted(nxt.values(), key=lambda x: x.key())
+    return list(level)
+
+
+def _cone_in_fan_by_faces(c: RationalCone, fan) -> bool:
+    for top in fan.cones:
+        if top == c:
+            return True
+        if not top.contains_cone(c):
+            continue
+        for codim in range(1, top.dim + 1):
+            if any(f == c for f in faces_by_recursion(top, codim)):
+                return True
+    return c.dim == 0
+
+
+def decompose_by_face_walk(inp: BundleInput) -> DecompositionCert:
+    rank = inp.rank
+    sub_cone = _subspace_cone(inp.sub_lattice, rank)
+    sub_keys = {c.key() for c in inp.subfan.cones}
+    pieces = []
+    failures = []
+    for idx, sigma in enumerate(inp.ambient.cones):
+        label = inp.ambient.label_of(idx)
+        if sigma.key() in sub_keys:
+            pieces.append((zero_cone(rank), sigma))
+            continue
+        sigma1 = intersect(sigma, sub_cone)
+        best = None
+        ambiguous = False
+        frontier = [sigma]
+        seen = set()
+        while frontier:
+            f = frontier.pop()
+            if f.key() in seen:
+                continue
+            seen.add(f.key())
+            if _span_meets_trivially(f, inp.sub_lattice):
+                if best is None or f.dim > best.dim:
+                    best = f
+                    ambiguous = False
+                elif f.dim == best.dim and f != best:
+                    ambiguous = True
+            else:
+                frontier.extend(faces_by_recursion(f, 1))
+        if best is None:
+            failures.append(f"{label}: no face avoids the subspace")
+            continue
+        if ambiguous:
+            failures.append(f"{label}: maximal avoiding face is not unique")
+            continue
+        sigma2 = best
+        recomposed = cone_from_rays(
+            list(sigma1.rays) + list(sigma2.rays), rank
+        ) if (sigma1.rays or sigma2.rays) else zero_cone(rank)
+        if recomposed != sigma:
+            failures.append(f"{label}: sigma_1 + sigma_2 does not recompose the cone")
+            continue
+        if not _cone_in_fan_by_faces(sigma2, inp.subfan):
+            failures.append(f"{label}: sigma_2 is not a cone of the subfan")
+            continue
+        pieces.append((sigma1, sigma2))
+    return DecompositionCert(pieces, failures)

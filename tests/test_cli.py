@@ -326,7 +326,7 @@ def test_build_report_verifies_each_fact_once(monkeypatch):
 
     originals = {
         name: getattr(cones, name)
-        for name in ("fan_check", "is_complete", "is_coarsening", "intersect")
+        for name in ("fan_check", "is_complete", "is_coarsening", "intersect", "faces")
     }
     originals["decompose"] = toricstack.decompose
     for name, fn in originals.items():
@@ -351,6 +351,7 @@ def test_build_report_verifies_each_fact_once(monkeypatch):
     assert checked_fans["fan_check"] == [full]
     assert sorted(checked_fans["is_complete"]) == sorted([mori, full])
     assert calls["is_coarsening"] == calls["decompose"] == 1
+    assert "faces" not in calls  # decompose reads faces off the incidences
     assert battery_intersects == [0]
     assert stray_intersects == []
     assert all(report["fan_checks"][k] for k in (

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from secfan.cones import (
     Fan,
+    _tiling_defect,
     adjacency_pairs,
     cone_from_inequalities,
     cone_from_rays,
@@ -282,7 +283,22 @@ def _half_plane(sign):
 
 def test_thin_gap_at_rank_6_is_found():
     assert is_complete(_thin_gap_fan(drop_sliver=False))
-    assert not is_complete(_thin_gap_fan(drop_sliver=True))
+    gap = _thin_gap_fan(drop_sliver=True)
+    assert not is_complete(gap)
+    # the defect names the wall the sliver used to cover: the positive
+    # orthant's facet without e1, now met by its (+,-,+,+,+,+) neighbour alone
+    wall = sorted(_unit_vec(6, i) for i in range(6) if i != 1)
+    neighbour = next(i for i, c in enumerate(gap.cones)
+                     if set(c.rays) == {*wall, _unit_vec(6, 1, -1)})
+    assert _tiling_defect(list(gap.cones)) == (
+        f"wall {wall} of cone {neighbour} is met by no other cone")
+
+
+def test_pentagram_defect_is_the_double_cover():
+    # every wall is matched, so the defect is the probe: covered twice
+    defect = _tiling_defect(list(_pentagram_fan().cones))
+    assert defect.startswith("interior point ")
+    assert defect.endswith(" of cone 0 lies in 2 cones [0, 1]")
 
 
 @pytest.mark.parametrize("fan", [

@@ -265,6 +265,7 @@ def test_gkz_detects_irregular_triangulations():
     assert len(gkz.fan.cones) == 16
     assert len(gkz.irregular) == 2
     assert is_complete(gkz.fan)
+    assert fan_check(gkz.fan).is_fan  # oracle for the degree certificate
 
 
 @pytest.mark.parametrize("name,count", [("p2", 2), ("quadric", 3), ("f1", 4), ("dp7", 10), ("dp6", 32)])
@@ -274,6 +275,7 @@ def test_toric_compare_certifies(name, count):
     assert sec.maximal_count == count
     gkz = gkz_secondary_fan([tuple(r) for r in rays] + [(0, 0)])
     assert len(gkz.triangulations) == count
+    assert fan_check(gkz.fan).is_fan  # oracle for the degree certificate
     cert = toric_compare(lat, cycle, rays, gkz, sec)
     assert cert.ok, cert.details
 
