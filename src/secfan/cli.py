@@ -54,6 +54,7 @@ from .thetaalg import (
 from .toricstack import BundleInput, decompose, stabilizers
 
 CACHE_ENV = "SECFAN_CACHE_DIR"
+WEYL_CAP = 4  # Weyl orbit data is reported for blowups with 2 <= k <= WEYL_CAP
 WORKERS_HELP = "accepted for compatibility; changes neither output nor speed"
 
 
@@ -61,23 +62,42 @@ WORKERS_HELP = "accepted for compatibility; changes neither output nor speed"
 # configuration
 
 
+def _config_int(path: str, value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"config {path}: {what} must be an integer, not {value!r}") from None
+
+
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # broken JSON or broken UTF-8
+            raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"config {path} must be a JSON object")
     if ("k" in data) == ("degree" in data):
         raise ValidationError("config needs exactly one of 'k' or 'degree'")
     model = data.get("model_tag", "blowup")
+    if model not in ("blowup", "quadric"):
+        raise ValidationError(f"config {path}: unknown model_tag {model!r}")
     if "degree" in data:
         if model == "quadric":
             if data["degree"] != 8:
                 raise ValidationError("the quadric model has degree 8")
             k = 2
         else:
-            k = 9 - int(data["degree"])
+            k = 9 - _config_int(path, data["degree"], "'degree'")
     else:
-        k = int(data["k"])
+        k = _config_int(path, data["k"], "'k'")
     lat = quadric() if model == "quadric" else PicLattice(k)
-    cycle = BoundaryCycle(tuple(tuple(int(x) for x in c) for c in data["cycle"]))
+    classes = data.get("cycle")
+    if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
+        raise ValidationError(f"config {path}: 'cycle' must be a list of classes, each a list")
+    cycle = BoundaryCycle(
+        tuple(tuple(_config_int(path, x, "a 'cycle' entry") for x in c) for c in classes)
+    )
     rep = validate_boundary(lat, cycle)
     if not rep.valid:
         raise ValidationError("invalid boundary: " + "; ".join(rep.diagnostics))
@@ -86,8 +106,16 @@ def load_config(path: str) -> dict:
         "cycle": cycle,
         "report": rep,
         "raw": data,
-        "seed": int(data.get("seed", 20220110)),
+        "seed": _config_int(path, data.get("seed", 20220110), "'seed'"),
     }
+
+
+def _option_ints(text: str, option: str) -> tuple[int, ...]:
+    """Comma-separated integers given to a command-line option."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValidationError(f"{option} takes comma-separated integers, not {text!r}") from None
 
 
 def config_hash(lat: PicLattice, cycle: BoundaryCycle) -> str:
@@ -146,7 +174,7 @@ def cache_put(cache_dir, key: str, kind: str, payload: dict):
 
 
 def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
-                 seed: int = 20220110, weyl_cap: int = 4) -> dict:
+                 seed: int = 20220110) -> dict:
     """Every stage once; the fan checks are the certificates secondary_fan proved.
 
     workers is accepted for compatibility and has no effect.
@@ -158,16 +186,11 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     strata = one_stratum_report(sec)
     theta = theta_divisor_checks(cycle.n)
     halg = boundary_algebra(cycle.n)
-    mov_fan = Fan(
-        lat.rank,
-        tuple(g.cone for g in sec.groups),
-        tuple(g.label() for g in sec.groups),
-    )
-    binput = BundleInput(sec.full_fan, mov_fan, (lat.canonical,))
+    binput = BundleInput(sec.full_fan, _movsec_fan(sec), (lat.canonical,))
     bcert = decompose(binput)
     stab = stabilizers(binput, bcert) if bcert.ok else None
     weyl = None
-    if lat.model_tag == "blowup" and 2 <= lat.k <= weyl_cap:
+    if lat.model_tag == "blowup" and 2 <= lat.k <= WEYL_CAP:
         weyl = weyl_orbit_decomposition(lat, sec)
     report = {
         "version": __version__,
@@ -221,6 +244,12 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     if weyl is not None:
         report["weyl"] = weyl
     return report, sec
+
+
+def _movsec_fan(sec) -> Fan:
+    """The moving part of the secondary fan: one cone per chamber group."""
+    groups = sec.groups
+    return Fan(sec.lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
 
 
 def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
@@ -449,17 +478,11 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
     if cached is not None and outdir is None:
         return cached, True
     sec = secondary_fan(lat, cycle)
-    payloads = {
-        "mori": fan_to_json(sec.mori_fan, metadata={"input_hash": key, "kind": "mori"}),
-        "movsec": fan_to_json(
-            Fan(lat.rank, tuple(g.cone for g in sec.groups), tuple(g.label() for g in sec.groups)),
-            metadata={"input_hash": key, "kind": "movsec"},
-        ),
-        "secondary": fan_to_json(
-            sec.full_fan, metadata={"input_hash": key, "kind": "secondary"}
-        ),
-    }
-    payload = payloads[kind]
+    if kind == "movsec":
+        fan = _movsec_fan(sec)
+    else:
+        fan = sec.mori_fan if kind == "mori" else sec.full_fan
+    payload = fan_to_json(fan, metadata={"input_hash": key, "kind": kind})
     cache_put(cache_dir, key, kind, payload)
     if outdir is not None:
         base = Path(outdir)
@@ -522,7 +545,9 @@ def fan_gkz(points, toric_name):
         _, _, rays = toric_boundary(toric_name)
         pts = [tuple(r) for r in rays] + [(0, 0)]
     else:
-        pts = [tuple(int(x) for x in chunk.split(",")) for chunk in points.split(";")]
+        pts = [_option_ints(chunk, "--points") for chunk in points.split(";")]
+        if any(len(p) != 2 for p in pts):
+            raise ValidationError(f"--points takes x,y pairs, not {points!r}")
     gkz = gkz_secondary_fan(pts)
     payload = {
         "points": [list(p) for p in pts],
@@ -603,7 +628,7 @@ def spine_count(selfint, spine_path):
     from .spines import AffineStructure, count, crossing_class, is_balanced
     from .spines import spine as make_spine
 
-    si = tuple(int(x) for x in selfint.split(","))
+    si = _option_ints(selfint, "--selfint")
     aff = AffineStructure(len(si), si)
     with open(spine_path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -646,9 +671,7 @@ def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
         cfg = load_config(config_path)
         basis = (cfg["lat"].canonical,)
     else:
-        basis = tuple(
-            tuple(int(x) for x in chunk.split(",")) for chunk in l_spec.split(";")
-        )
+        basis = tuple(_option_ints(chunk, "--L") for chunk in l_spec.split(";"))
     inp = BundleInput(ambient, subfan, basis)
     cert = decompose(inp)
     stab = stabilizers(inp, cert) if cert.ok else None

@@ -3,10 +3,11 @@
 Cones carry a double description: irredundant extreme rays (plus an explicit
 lineality basis when not pointed) and irredundant inward facet normals (plus
 span equations when not full-dimensional).  Conversion between the two sides is
-an incremental double description sweep over integers; extremality is decided
-by a rank test on tight constraints, so no floating point ever enters a
-predicate.  Insertion order and output order are deterministic: primitive
-vectors in lexicographic order.
+an incremental double description sweep over integers; each ray carries the
+bitset of constraints it is tight on and only adjacent rays are combined, so
+every ray kept is extreme and no floating point ever enters a predicate.
+Insertion order and output order are deterministic: primitive vectors in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -36,75 +37,60 @@ def dual_description(ineqs, eqs, n: int) -> tuple[list[IntVec], list[IntVec]]:
     """Lineality basis and extreme rays of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
     Rays come back primitive and lex-sorted; the lineality basis is sign-normalized.
+    Every ray carries its zero set: the bitset of the constraints inserted so
+    far that it is tight on.  A plus and a minus ray are combined only when
+    they are adjacent, that is, when no third ray's zero set contains the
+    intersection of theirs (Fukuda and Prodon, "Double description method
+    revisited", 1996, Prop. 7), so every ray kept is extreme.
     """
     lin: list[IntVec] = [_unit(n, i) for i in range(n)]
-    rays: list[IntVec] = []
-    processed: list[tuple[IntVec, bool]] = []  # (normal, is_equation)
-
-    def reduce_lineality(a: IntVec, keep_positive_ray: bool):
-        nonlocal lin, rays
-        orig = next((l for l in lin if vec_dot(l, a) != 0), None)
-        if orig is None:
-            return False
-        l0, d0 = orig, vec_dot(orig, a)
-        if d0 < 0:
-            l0, d0 = vec_scale(-1, orig), -d0
-        new_lin = []
-        for l in lin:
-            if l is orig:
-                continue
-            d = vec_dot(l, a)
-            proj = sign_normalized(vec_sub(vec_scale(d0, l), vec_scale(d, l0)))
-            if any(x != 0 for x in proj):
-                new_lin.append(proj)
-        new_rays = []
-        for r in rays:
-            d = vec_dot(r, a)
-            proj = primitive(vec_sub(vec_scale(d0, r), vec_scale(d, l0)))
-            if any(x != 0 for x in proj):
-                new_rays.append(proj)
-        if keep_positive_ray:
-            new_rays.append(primitive(l0))
-        lin = new_lin
-        rays = sorted(set(new_rays))
-        return True
-
-    def tight_normals(r: IntVec) -> list[IntVec]:
-        out = [a for a, _ in processed if vec_dot(a, r) == 0]
-        return out
-
-    def filter_extreme():
-        nonlocal rays
-        target = n - len(lin) - 1
-        keep = []
-        for r in rays:
-            if all(x == 0 for x in r):
-                continue
-            if rank_of(tight_normals(r)) >= target:
-                keep.append(r)
-        rays = sorted(set(keep))
+    rays: dict[IntVec, int] = {}  # ray -> zero set
+    inserted = 0
 
     def insert(a: IntVec, is_eq: bool):
-        nonlocal rays
-        if reduce_lineality(a, keep_positive_ray=not is_eq):
-            processed.append((a, is_eq))
-            filter_extreme()
+        nonlocal lin, rays, inserted
+        bit = 1 << inserted
+        inserted += 1
+        orig = next((l for l in lin if vec_dot(l, a) != 0), None)
+        if orig is not None:
+            # a cuts the lineality: project along l0 into a's hyperplane, where
+            # every ray and every other lineality vector becomes tight on a
+            l0, d0 = orig, vec_dot(orig, a)
+            if d0 < 0:
+                l0, d0 = vec_scale(-1, orig), -d0
+            lin = [
+                sign_normalized(vec_sub(vec_scale(d0, l), vec_scale(vec_dot(l, a), l0)))
+                for l in lin if l is not orig
+            ]
+            rays = {
+                primitive(vec_sub(vec_scale(d0, r), vec_scale(vec_dot(r, a), l0))): z | bit
+                for r, z in rays.items()
+            }
+            if not is_eq:
+                rays[primitive(l0)] = bit - 1  # tight on everything inserted before
             return
-        plus = [r for r in rays if vec_dot(r, a) > 0]
-        zero = [r for r in rays if vec_dot(r, a) == 0]
-        minus = [r for r in rays if vec_dot(r, a) < 0]
-        combos = []
+        dots = {r: vec_dot(r, a) for r in rays}
+        plus = [r for r, d in dots.items() if d > 0]
+        minus = [r for r, d in dots.items() if d < 0]
+        zero_sets = list(rays.values())
+        # a 2-face is tight on constraints of rank n - dim(lineality) - 2
+        need = n - len(lin) - 2
+        kept = {r: z | bit for r, z in rays.items() if dots[r] == 0}
+        if not is_eq:
+            kept.update((r, rays[r]) for r in plus)
         for rp in plus:
-            dp = vec_dot(rp, a)
+            zp = rays[rp]
             for rm in minus:
-                dm = vec_dot(rm, a)
-                combos.append(primitive(vec_sub(vec_scale(dp, rm), vec_scale(dm, rp))))
-        if is_eq:
-            rays = sorted(set(zero + combos))
-        else:
-            rays = sorted(set(plus + zero + combos))
-        processed.append((a, is_eq))
-        filter_extreme()
+                zm = rays[rm]
+                common = zp & zm
+                # distinct extreme rays have distinct zero sets
+                if common.bit_count() < need or any(
+                    z & common == common for z in zero_sets if z != zp and z != zm
+                ):
+                    continue
+                combo = primitive(vec_sub(vec_scale(dots[rp], rm), vec_scale(dots[rm], rp)))
+                kept[combo] = common | bit
+        rays = kept
 
     for e in eqs:
         e = sign_normalized(vec(e))
@@ -113,8 +99,7 @@ def dual_description(ineqs, eqs, n: int) -> tuple[list[IntVec], list[IntVec]]:
     for a in sorted(primitive(vec(a)) for a in ineqs):
         if any(x != 0 for x in a):
             insert(a, False)
-    lin = sorted(set(sign_normalized(l) for l in lin if any(x != 0 for x in l)))
-    return lin, sorted(set(rays))
+    return sorted(lin), sorted(rays)
 
 
 @dataclass(frozen=True)
@@ -221,13 +206,7 @@ def dual_cone(c: RationalCone) -> RationalCone:
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
     if a.ambient_rank != b.ambient_rank:
         raise ValidationError("ambient rank mismatch")
-    n = a.ambient_rank
-    ineqs = list(a.facets) + list(b.facets)
-    eqs = list(a.equations) + list(b.equations)
-    lin, rays = dual_description(ineqs, eqs, n)
-    if not rays and not lin:
-        return zero_cone(n)
-    return cone_from_rays(rays, n, lineality=lin)
+    return cone_from_inequalities(a.facets + b.facets, a.equations + b.equations, a.ambient_rank)
 
 
 def faces(c: RationalCone, codim: int) -> list[RationalCone]:
@@ -523,12 +502,7 @@ def fan_from_json(data: dict) -> Fan:
     for cd in data["cones"]:
         rays = [_vec_from_json(r) for r in cd["rays"]]
         lin = [_vec_from_json(l) for l in cd.get("lineality", [])]
-        if rays or lin:
-            cones.append(cone_from_rays(rays, n, lineality=lin) if rays
-                         else cone_from_rays([], n, lin))
-        else:
-            cones.append(zero_cone(n))
-    for cd in data["cones"]:
+        cones.append(cone_from_rays(rays, n, lineality=lin) if rays or lin else zero_cone(n))
         labels.append(cd.get("label", ""))
     return Fan(n, tuple(cones), tuple(labels))
 

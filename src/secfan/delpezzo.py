@@ -176,11 +176,11 @@ def validate_contraction(lat: PicLattice, c: Contraction):
             raise ValidationError(f"classes {x} and {y} are not orthogonal")
 
 
-def contractions(lat: PicLattice, cap: int = CONTRACTION_CAP) -> list[Contraction]:
+def contractions(lat: PicLattice) -> list[Contraction]:
     """All cliques (including empty) of the orthogonality graph on (-1)-classes."""
-    if lat.model_tag == "blowup" and lat.k > cap:
+    if lat.model_tag == "blowup" and lat.k > CONTRACTION_CAP:
         raise ValidationError(
-            f"full contraction enumeration is capped at k <= {cap}; "
+            f"full contraction enumeration is capped at k <= {CONTRACTION_CAP}; "
             "use per-chamber predicates for larger lattices"
         )
     classes = minus_one_classes(lat)

@@ -727,6 +727,8 @@ def all_triangulations(points) -> list[frozenset]:
     points = [tuple(p) for p in points]
     if len(set(points)) != len(points):
         raise ValidationError("configuration points must be distinct")
+    if len(points) < 3 or all(_orient(points[0], points[1], p) == 0 for p in points[2:]):
+        raise ValidationError("configuration does not affinely span the plane")
     if len(points) > 12:
         raise ValidationError("configuration capped at 12 points")
     corners = _hull_vertices(points)
@@ -871,8 +873,6 @@ def gkz_secondary_fan(points) -> GkzFan:
         (regular if is_regular(points, t) else irregular).append(t)
     # integer projection Z^s -> Z^(s-3) killing exactly the affine functions
     proj = quotient_lattice_map(_affine_functions(points), len(points))
-    if proj.rows != len(points) - 3:
-        raise ValidationError("configuration does not affinely span the plane")
     raw = [secondary_cone(points, t) for t in regular]
     cones = []
     for rc in raw:

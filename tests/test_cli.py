@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from secfan import cli as cli_module
 from secfan import cones, secondary, toricstack
 from secfan.cli import build_report, cache_put, cli, config_hash, load_config
+from secfan.cones import Fan
 from secfan.delpezzo import BoundaryCycle, PicLattice, hexagon_boundary
 from secfan.errors import ValidationError
 
@@ -70,6 +71,41 @@ def test_invalid_boundary_exits_2(tmp_path):
         text=True,
     )
     assert proc.returncode == 2
+    assert "validation error" in proc.stderr
+
+
+BAD_CONFIGS = {
+    "broken.json": '{"k": 3,',
+    "no_cycle.json": '{"k": 3}',
+    "k_word.json": '{"k": "three", "cycle": [[1, 0, 0, 0]]}',
+    "class_word.json": '{"k": 0, "cycle": [["a"]]}',
+    "cycle_number.json": '{"k": 0, "cycle": 5}',
+    "model_tag.json": '{"k": 0, "model_tag": "cubic", "cycle": [[3]]}',
+    "seed_word.json": '{"k": 0, "cycle": [[3]], "seed": "x"}',
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *[["delpezzo", "validate", name] for name in BAD_CONFIGS],
+    ["bundle", "check", "--fan", "line.json", "--subfan", "line.json", "--L", "K",
+     "--config", "no_cycle.json"],
+    ["fan", "gkz", "--points", "1,0;0,x"],
+    ["fan", "gkz", "--points", "1,0,0;0,1,0;0,0,1"],
+    ["fan", "gkz", "--points", "1,0;0,1;2,-1"],
+    ["spine", "count", "--selfint", "-1,a", "--spine", "line.json"],
+    ["bundle", "check", "--fan", "line.json", "--subfan", "line.json", "--L", "1;x"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_exits_2_without_traceback(tmp_path, argv):
+    for name, text in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    line = Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))
+    (tmp_path / "line.json").write_text(json.dumps(cones.fan_to_json(line)))
+    argv = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "secfan.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
     assert "validation error" in proc.stderr
 
 

@@ -1,0 +1,61 @@
+"""The adjacency-tested double-description kernel against the rank-filter kernel it replaced."""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dd_oracle import dual_description_by_rank_filter
+from secfan import cones
+from secfan.cones import cone_from_rays, dual_description
+
+
+def _rows(n, max_size):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+                    max_size=max_size)
+
+
+def _with_repeats(draw, rows):
+    """The rows plus a few of them again, some scaled by 2 or 3."""
+    if not rows:
+        return rows
+    extra = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(1, 3)), max_size=3))
+    return rows + [tuple(c * x for x in r) for r, c in extra]
+
+
+@st.composite
+def h_descriptions(draw):
+    """Inequalities of rank 1-6 with 0-2 equations, some rows repeated or scaled."""
+    n = draw(st.integers(1, 6))
+    ineqs = _with_repeats(draw, draw(_rows(n, 8)))
+    eqs = draw(_rows(n, 2))
+    return ineqs, eqs, n
+
+
+@st.composite
+def v_descriptions(draw):
+    """Nonzero generators of rank 1-6 with 0-2 lineality vectors, some repeated or scaled."""
+    n = draw(st.integers(1, 6))
+    rays = _with_repeats(draw, [r for r in draw(_rows(n, 8)) if any(r)] or [(1,) * n])
+    lin = draw(_rows(n, 2))
+    return rays, lin, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(h_descriptions())
+def test_dual_description_matches_the_rank_filter(h):
+    assert dual_description(*h) == dual_description_by_rank_filter(*h)
+
+
+def _four_tuples(c):
+    return c.rays, c.facets, c.equations, c.lineality
+
+
+@settings(max_examples=200, deadline=None)
+@given(v_descriptions())
+def test_cone_from_rays_matches_under_the_rank_filter(v):
+    rays, lin, n = v
+    new = cone_from_rays(rays, n, lineality=lin)
+    with mock.patch.object(cones, "dual_description", dual_description_by_rank_filter):
+        old = cone_from_rays(rays, n, lineality=lin)
+    assert _four_tuples(new) == _four_tuples(old)

@@ -1,8 +1,20 @@
+import json
+
 import pytest
 
-from secfan.cones import Fan, cones_tile, fan_check, intersect, is_coarsening, is_complete
+from secfan.cones import (
+    Fan,
+    cones_tile,
+    fan_check,
+    fan_from_json,
+    fan_to_json,
+    intersect,
+    is_coarsening,
+    is_complete,
+)
 from secfan.delpezzo import (
     BoundaryCycle,
+    TORIC_NAMES,
     PicLattice,
     effective_cone,
     hexagon_boundary,
@@ -266,6 +278,19 @@ def test_gkz_detects_irregular_triangulations():
     assert len(gkz.irregular) == 2
     assert is_complete(gkz.fan)
     assert fan_check(gkz.fan).is_fan  # oracle for the degree certificate
+
+
+@pytest.mark.parametrize("name", TORIC_NAMES)
+def test_gkz_raw_cones_survive_the_json_round_trip(name):
+    # each raw secondary cone contains the affine functions as its lineality
+    _, _, rays = toric_boundary(name)
+    raw = gkz_secondary_fan([tuple(r) for r in rays] + [(0, 0)]).raw_cones
+    fan = Fan(len(rays) + 1, tuple(raw), tuple(f"T{i}" for i in range(len(raw))))
+    assert all(len(c.lineality) == 3 for c in fan.cones)
+    back = fan_from_json(json.loads(json.dumps(fan_to_json(fan))))
+    assert back == fan
+    assert [(c.facets, c.equations) for c in back.cones] == [
+        (c.facets, c.equations) for c in fan.cones]
 
 
 @pytest.mark.parametrize("name,count", [("p2", 2), ("quadric", 3), ("f1", 4), ("dp7", 10), ("dp6", 32)])
