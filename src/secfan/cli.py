@@ -32,6 +32,7 @@ from .delpezzo import (
     roots,
     toric_boundary,
     validate_boundary,
+    weyl_generators,
     weyl_group,
 )
 from .disk import fan_triangulation
@@ -69,12 +70,23 @@ def _config_int(path: str, value, what: str) -> int:
         raise ValidationError(f"config {path}: {what} must be an integer, not {value!r}") from None
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str, parse=None):
+    """The file's JSON value, through parse if given; any fault names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # broken JSON or broken UTF-8
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from None
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return data if parse is None else parse(data)
+    except KeyError as exc:
+        raise ValidationError(f"{what} {path} has no key {exc}") from None
+    except (IndexError, TypeError, ValueError, AttributeError) as exc:  # wrong shape
+        raise ValidationError(f"{what} {path} is malformed: {exc}") from None
+
+
+def load_config(path: str) -> dict:
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ValidationError(f"config {path} must be a JSON object")
     if ("k" in data) == ("degree" in data):
@@ -253,8 +265,9 @@ def _movsec_fan(sec) -> Fan:
 
 
 def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
-    """Chamber orbits under the full group, stabilizer action on the fan."""
+    """Chamber orbits, closed under the generators; stabilizer action on the fan."""
     group = weyl_group(lat)
+    gens = weyl_generators(lat)
     chambers = sec.chambers
     keys = [frozenset(c.contraction.classes) for c in chambers]
     index = {k: i for i, k in enumerate(keys)}
@@ -271,7 +284,7 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
             if j in orbit:
                 continue
             orbit.add(j)
-            for w in group:
+            for w in gens:
                 img = frozenset(w.act(c) for c in cur)
                 if img in index and index[img] not in orbit:
                     frontier.append(img)
@@ -630,14 +643,12 @@ def spine_count(selfint, spine_path):
 
     si = _option_ints(selfint, "--selfint")
     aff = AffineStructure(len(si), si)
-    with open(spine_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    s = make_spine(
+    s = _read_json(spine_path, "spine file", lambda data: make_spine(
         int(data["vertex_chart"]),
         tuple(data["vertex_position"]),
         [((int(l["direction"][0]), int(l["direction"][1])), int(l.get("weight", 1)))
          for l in data["legs"]],
-    )
+    ))
     balanced = is_balanced(aff, s)
     cls = crossing_class(aff, s) if balanced else None
     payload = {
@@ -661,10 +672,8 @@ def bundle_group():
 @click.option("--config", "config_path", default=None, type=click.Path(exists=True))
 def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
     """Emit a decomposition certificate for fan/subfan with the given subspace."""
-    with open(fan_path, "r", encoding="utf-8") as fh:
-        ambient = fan_from_json(json.load(fh))
-    with open(subfan_path, "r", encoding="utf-8") as fh:
-        subfan = fan_from_json(json.load(fh))
+    ambient = _read_json(fan_path, "fan file", fan_from_json)
+    subfan = _read_json(subfan_path, "fan file", fan_from_json)
     if l_spec.strip().upper() == "K":
         if config_path is None:
             raise ValidationError("--L K needs --config to resolve the canonical class")

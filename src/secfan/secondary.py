@@ -57,6 +57,7 @@ from .lattice import (
     solve_integral,
     vec_dot,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -352,12 +353,35 @@ def chamber_adjacency(chambers: list[Chamber]) -> dict[tuple[int, int], tuple[In
     return adjacency_pairs(fan)
 
 
+def _bfs_tree(adj) -> list[tuple[int, int]]:
+    """Tree edges (parent, child) of a breadth-first search from chamber 0,
+    in visit order, taking each chamber's neighbours in sorted order."""
+    neighbors: dict[int, list[int]] = {}
+    for a, b in adj:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    seen, queue, tree = {0}, [0], []
+    for u in queue:
+        for w in sorted(neighbors.get(u, [])):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+                tree.append((u, w))
+    return tree
+
+
 def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Chamber],
                     max_level: int = 2) -> dict:
     """Antisymmetry, loop additivity, boundary vanishing and nef nonnegativity.
 
-    Loop additivity is checked on a fundamental cycle basis of the chamber
-    adjacency graph, which is equivalent to additivity on every closed loop.
+    Each value c_p(a, b) is computed once per adjacent pair, point and
+    direction, and every pass reads those tables.  Loop additivity is a
+    coboundary test: a 1-cochain on a connected graph sums to zero on every
+    closed loop exactly when it is the coboundary of a potential.  Integrating
+    along one breadth-first tree, phi_p(0) = 0 and
+    phi_p(w) = phi_p(u) - c_p(u, w), gives the only candidate, so c_p is
+    additive on loops if and only if every chord (a, b) off the tree has
+    c_p(a, b) = phi_p(a) - phi_p(b).
     """
     comp = gamma_complex(fan_triangulation(boundary.n))
     points = [p for m in range(max_level + 1) for p in comp.points_at_level(m)]
@@ -368,84 +392,58 @@ def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Cha
         if idx is None:
             raise InternalInvariantError("adjacent chambers differ by more than one flop")
         edges[(a, b)] = idx
-    report = {"pairs": len(adj), "points": len(points), "loops": 0, "failures": []}
 
-    def cval(p, a, b):
-        return theta_cocycle(p, chambers[a], chambers[b], boundary)
+    def values(a, b):
+        return [theta_cocycle(p, chambers[a], chambers[b], boundary) for p in points]
 
-    zero = tuple(0 for _ in range(lat.rank))
+    fwd = {(a, b): values(a, b) for a, b in adj}
+    back = {(a, b): values(b, a) for a, b in adj}
+    failures = []
     for (a, b) in adj:
-        for p in points:
-            cab, cba = cval(p, a, b), cval(p, b, a)
-            if tuple(cab) != vec_scale(-1, cba):
-                report["failures"].append(("antisymmetry", a, b, p))
-    # spanning forest + chords -> fundamental cycles
-    parent = {0: None}
-    order = [0]
-    tree = set()
-    frontier = [0]
-    neighbors: dict[int, list[int]] = {}
-    for a, b in adj:
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in sorted(neighbors.get(u, [])):
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-                    tree.add((min(u, w), max(u, w)))
-                    nxt.append(w)
-        frontier = nxt
-
-    def path_to_root(u):
-        out = []
-        while parent[u] is not None:
-            out.append((parent[u], u))
-            u = parent[u]
-        return out
-
-    for a, b in adj:
-        if (a, b) in tree:
-            continue
-        report["loops"] += 1
-        # directed cycle: chord a->b, then b up to the root, then root down to a
-        loop = (
-            [(a, b)]
-            + [(v, u) for (u, v) in path_to_root(b)]
-            + list(reversed(path_to_root(a)))
-        )
-        for p in points:
-            total = zero
-            for (u, w) in loop:
-                total = tuple(x + y for x, y in zip(total, cval(p, u, w)))
-            if any(total):
-                report["failures"].append(("loop", a, b, p))
+        for p, cab, cba in zip(points, fwd[(a, b)], back[(a, b)]):
+            if cab != vec_scale(-1, cba):
+                failures.append(("antisymmetry", a, b, p))
+    # integrate along the tree, then test every chord as a coboundary
+    tree = _bfs_tree(adj)
+    phi = {0: [tuple(0 for _ in range(lat.rank))] * len(points)}
+    for u, w in tree:
+        step = fwd[(u, w)] if u < w else back[(w, u)]
+        phi[w] = [vec_sub(x, c) for x, c in zip(phi[u], step)]
+    if len(phi) != len(chambers):
+        raise InternalInvariantError("chamber adjacency graph is not connected")
+    tree_pairs = {(min(u, w), max(u, w)) for u, w in tree}
+    chords = [e for e in adj if e not in tree_pairs]
+    for a, b in chords:
+        for p, cab, pa, pb in zip(points, fwd[(a, b)], phi[a], phi[b]):
+            if cab != vec_sub(pa, pb):
+                failures.append(("loop", a, b, p))
                 break
     # boundary and center vanishing
-    for p in points:
+    for i, p in enumerate(points):
         if comp.is_boundary(p) or comp.on_center_ray(p):
             for a, b in adj:
-                if any(cval(p, a, b)):
-                    report["failures"].append(("vanishing", a, b, p))
+                if any(fwd[(a, b)][i]):
+                    failures.append(("vanishing", a, b, p))
     # pairing with the non-contracting chamber's rays is nonnegative,
     # and the value kills every class on the shared face
+    gram = lat.form.gram
     for (a, b), wall in adj.items():
         i = edges[(a, b)]
         if i == 0:
             continue
-        lo, hi = (a, b) if i in chambers[b].boundary_exc else (b, a)
-        for p in points:
-            c = cval(p, lo, hi)
-            if any(lat.dot(c, r) < 0 for r in chambers[lo].cone.rays):
-                report["failures"].append(("nef-pairing", lo, hi, p))
+        lo, hi, vals = (a, b, fwd[(a, b)]) if i in chambers[b].boundary_exc \
+            else (b, a, back[(a, b)])
+        lo_duals = [gram.apply(r) for r in chambers[lo].cone.rays]
+        wall_duals = [gram.apply(r) for r in wall]
+        for p, c in zip(points, vals):
+            if any(vec_dot(c, r) < 0 for r in lo_duals):
+                failures.append(("nef-pairing", lo, hi, p))
                 break
-            if any(lat.dot(c, r) != 0 for r in wall):
-                report["failures"].append(("shared-face", lo, hi, p))
+            if any(vec_dot(c, r) != 0 for r in wall_duals):
+                failures.append(("shared-face", lo, hi, p))
                 break
-    report["ok"] = not report["failures"]
-    return report
+    return {"pairs": len(adj), "points": len(points), "loops": len(chords),
+            "failures": failures, "ok": not failures}
 
 
 @dataclass
@@ -459,39 +457,26 @@ class ThetaBundleData:
 def theta_line_bundles(sec: SecondaryFan, p: GammaPoint) -> ThetaBundleData:
     """Cech transition data for the theta line bundle over the moving cover.
 
-    Transitions between adjacent groups come from summing chamber crossings
-    along a path; triviality over a complete cover of full-dimensional cones
-    means every transition vanishes.
+    phi integrates the chamber crossings from chamber 0 along the
+    breadth-first tree of the chamber adjacency; cocycle_battery proves the
+    crossings a coboundary, so phi does not depend on the tree.  The
+    transition between adjacent groups is the difference of phi at one member
+    of each; triviality over a complete cover of full-dimensional cones means
+    every transition vanishes.
     """
     chambers = sec.chambers
     groups = sec.groups
-    adj = chamber_adjacency(chambers)
-    neighbors: dict[int, list[int]] = {}
-    for a, b in adj:
-        neighbors.setdefault(a, []).append(b)
-        neighbors.setdefault(b, []).append(a)
-    # transition from the base chamber 0 to every chamber, by BFS (path independent)
-    zero = tuple(0 for _ in range(sec.lat.rank))
-    phi = {0: zero}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in sorted(neighbors.get(u, [])):
-                if w not in phi:
-                    step = theta_cocycle(p, chambers[u], chambers[w], sec.boundary)
-                    phi[w] = tuple(x - y for x, y in zip(phi[u], step))
-                    nxt.append(w)
-        frontier = nxt
+    phi = {0: tuple(0 for _ in range(sec.lat.rank))}
+    for u, w in _bfs_tree(chamber_adjacency(chambers)):
+        step = theta_cocycle(p, chambers[u], chambers[w], sec.boundary)
+        phi[w] = vec_sub(phi[u], step)
     group_fan = Fan(sec.lat.rank, tuple(g.cone for g in groups))
     entries = {}
     degrees = {}
     for gi, gj in adjacency_pairs(group_fan):
-        ci = chambers[groups[gi].member_ids[0]]
-        cj = chambers[groups[gj].member_ids[0]]
         ui = groups[gi].member_ids[0]
         uj = groups[gj].member_ids[0]
-        c = tuple(x - y for x, y in zip(phi[ui], phi[uj]))
+        c = vec_sub(phi[ui], phi[uj])
         entries[(gi, gj)] = c
         wall = intersect(groups[gi].cone, groups[gj].cone)
         degrees[(gi, gj)] = _wall_degree(sec.lat, c, wall, groups[gj].cone)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from secfan.cli import weyl_orbit_decomposition
 from secfan.cones import Fan, cone_from_rays, cones_tile, fan_check, is_coarsening, is_complete
 from secfan.delpezzo import (
     BoundaryCycle,
@@ -449,10 +450,11 @@ def test_criterion_12_weyl_equivariance():
             for w in stab
         )
         orbits = _chamber_orbits(lat, group, chambers)
-        details.append(
-            f"k={lat.k}: |W|={len(group)}, orbits={sorted(len(o) for o in orbits)}, |stab|={len(stab)}"
-        )
-        ok = ok and perm_ok and fix_ok
+        sizes = sorted(len(o) for o in orbits)
+        # the report walks orbits over the generators only
+        orbit_ok = weyl_orbit_decomposition(lat, sec)["orbit_sizes"] == sizes
+        details.append(f"k={lat.k}: |W|={len(group)}, orbits={sizes}, |stab|={len(stab)}")
+        ok = ok and perm_ok and fix_ok and orbit_ok
     report("criterion 12: Weyl equivariance at k <= 5", ok, "; ".join(details))
 
 

@@ -94,6 +94,9 @@ BAD_CONFIGS = {
     ["fan", "gkz", "--points", "1,0;0,1;2,-1"],
     ["spine", "count", "--selfint", "-1,a", "--spine", "line.json"],
     ["bundle", "check", "--fan", "line.json", "--subfan", "line.json", "--L", "1;x"],
+    ["bundle", "check", "--fan", "broken.json", "--subfan", "line.json", "--L", "1"],
+    ["bundle", "check", "--fan", "no_cycle.json", "--subfan", "line.json", "--L", "1"],
+    ["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", "no_cycle.json"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     for name, text in BAD_CONFIGS.items():
@@ -392,3 +395,18 @@ def test_build_report_verifies_each_fact_once(monkeypatch):
     assert stray_intersects == []
     assert all(report["fan_checks"][k] for k in (
         "mori_is_fan", "secondary_is_fan", "secondary_complete", "coarsens_mori"))
+
+
+def test_cocycle_battery_computes_each_value_once(monkeypatch):
+    calls = []
+    real = secondary.theta_cocycle
+
+    def counted(p, alpha, beta, boundary):
+        calls.append((p, id(alpha), id(beta)))
+        return real(p, alpha, beta, boundary)
+
+    monkeypatch.setattr(secondary, "theta_cocycle", counted)
+    lat, cycle = hexagon_boundary()
+    rep = secondary.cocycle_battery(lat, cycle, secondary.build_chambers(lat, cycle))
+    # one value per adjacent pair, point and direction
+    assert len(calls) == len(set(calls)) == 2 * rep["pairs"] * rep["points"]
