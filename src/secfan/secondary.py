@@ -15,8 +15,8 @@ with an independently computed GKZ secondary fan of the reflexive polygon.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cones import (
     Fan,
@@ -592,7 +592,7 @@ def _segments_cross(a, b, c, d) -> bool:
 
 
 def _hull_vertices(points) -> list[int]:
-    """Indices of the convex hull corners (strict vertices)."""
+    """Indices of the convex hull corners (strict vertices), counterclockwise."""
     idx = sorted(range(len(points)), key=lambda i: points[i])
     if len(idx) <= 2:
         return idx
@@ -605,9 +605,7 @@ def _hull_vertices(points) -> list[int]:
             out.append(i)
         return out
 
-    lower = half(idx)
-    upper = half(idx[::-1])
-    return sorted(set(lower[:-1] + upper[:-1]))
+    return half(idx)[:-1] + half(idx[::-1])[:-1]
 
 
 def _triangle_area2(a, b, c) -> int:
@@ -621,82 +619,76 @@ def _point_in_triangle(p, a, b, c) -> bool:
     return s1 >= 0 and s2 >= 0 and s3 >= 0
 
 
-def _triangulations_of_subset(points, used: tuple[int, ...]) -> list[frozenset]:
-    """All triangulations with vertex set exactly `used`, as sets of triangles."""
+def _triangulations_of_subset(points, used: tuple[int, ...], hull_area: int) -> list[frozenset]:
+    """All triangulations with vertex set exactly `used`, as sets of triangles.
+
+    A triangulation of a planar point set is a maximal set of pairwise
+    non-crossing edges (De Loera-Rambau-Santos, *Triangulations*, ch. 2), so
+    this lists the maximal independent sets of the crossing graph on the
+    candidate edges: the segments between used points that pass through no
+    other used point.  Edge t carries the bitmask cross[t] of the edges it
+    crosses.  A partial set is a pair of bitmasks (chosen, blocked), blocked
+    being the union of cross over chosen: edge t extends it when bit t of
+    blocked is clear, and it is maximal when chosen | blocked covers every
+    edge.  The triangles of a maximal set (edge triples with no used point
+    inside) must tile the hull, of doubled area `hull_area`; a set that does
+    not is a broken invariant, not a skipped candidate.
+    """
     pts = points
-    candidate_edges = []
-    for a, b in itertools.combinations(used, 2):
-        if any(
-            c != a and c != b and _on_segment(pts[c], pts[a], pts[b]) and pts[c] not in (pts[a], pts[b])
-            for c in used
-        ):
-            continue  # an edge through a used point is not allowed
-        candidate_edges.append((a, b))
-    crossing = {
-        (e, f)
-        for e, f in itertools.combinations(candidate_edges, 2)
-        if _segments_cross(pts[e[0]], pts[e[1]], pts[f[0]], pts[f[1]])
-    }
-
-    def crosses(e, f):
-        return (e, f) in crossing or (f, e) in crossing
-
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(used, 2)
+        if not any(c != a and c != b and _on_segment(pts[c], pts[a], pts[b]) for c in used)
+    ]
+    m = len(edges)
+    cross = [0] * m
+    for i, j in itertools.combinations(range(m), 2):
+        (a, b), (c, d) = edges[i], edges[j]
+        if _segments_cross(pts[a], pts[b], pts[c], pts[d]):
+            cross[i] |= 1 << j
+            cross[j] |= 1 << i
+    full = (1 << m) - 1
     results = []
-    m = len(candidate_edges)
 
-    def grow(chosen, start):
-        extendable = False
-        for t in range(start, m):
-            e = candidate_edges[t]
-            if all(not crosses(e, c) for c in chosen):
-                extendable = True
-                grow(chosen + [e], t + 1)
-        if not extendable:
+    def grow(chosen, blocked, start):
+        free = (~blocked >> start << start) & full
+        if not free:
             # maximal among edges with index >= start; confirm global maximality
-            if all(
-                any(crosses(e, c) for c in chosen)
-                for e in candidate_edges
-                if e not in chosen
-            ):
-                results.append(frozenset(chosen))
+            if chosen | blocked == full:
+                results.append(chosen)
+            return
+        while free:
+            bit = free & -free
+            t = bit.bit_length() - 1
+            grow(chosen | bit, blocked | cross[t], t + 1)
+            free ^= bit
 
-    grow([], 0)
+    grow(0, 0, 0)
     out = []
-    for edge_set in results:
+    for chosen in results:
+        edge_set = {edges[t] for t in range(m) if chosen >> t & 1}
         tris = _faces_of_edge_set(pts, used, edge_set)
-        if tris is not None:
-            out.append(frozenset(tris))
+        # a maximal non-crossing edge set is a triangulation: its triangles tile the hull
+        if sum(_triangle_area2(pts[a], pts[b], pts[c]) for a, b, c in tris) != hull_area:
+            raise InternalInvariantError(
+                f"maximal non-crossing edge set {sorted(edge_set)} does not tile the hull"
+            )
+        out.append(frozenset(tris))
     return out
 
 
-def _faces_of_edge_set(points, used, edge_set) -> list[tuple[int, int, int]] | None:
-    """Triangles of a maximal non-crossing edge set; None when degenerate."""
-    edges = set(edge_set)
+def _faces_of_edge_set(points, used, edges) -> list[tuple[int, int, int]]:
+    """Triangles of a non-crossing edge set with no used point inside them."""
+    # no three collinear used points are pairwise joined: the outer segment holds the middle one
     tris = []
     for tri in itertools.combinations(sorted(used), 3):
         a, b, c = tri
-        if _triangle_area2(points[a], points[b], points[c]) == 0:
+        if not ((a, b) in edges and (b, c) in edges and (a, c) in edges):
             continue
-        if not all(tuple(sorted(e)) in edges for e in ((a, b), (b, c), (a, c))):
-            continue
-        if any(
-            d not in tri and _point_in_triangle(points[d], points[a], points[b], points[c])
-            and _triangle_area2(points[a], points[b], points[c]) > 0
-            and _strictly_inside(points[d], points[a], points[b], points[c])
-            for d in used
-        ):
+        if any(d not in tri and _strictly_inside(points[d], points[a], points[b], points[c])
+               for d in used):
             continue
         tris.append(tri)
-    # the triangles must tile the hull: compare doubled areas
-    hull = _hull_vertices(points)
-    hull_pts = [points[i] for i in hull]
-    hull_area = 0
-    for i in range(1, len(hull_pts) - 1):
-        hull_area += _orient(hull_pts[0], hull_pts[i], hull_pts[i + 1])
-    hull_area = abs(hull_area)
-    total = sum(_triangle_area2(points[a], points[b], points[c]) for a, b, c in tris)
-    if total != hull_area:
-        return None
     return tris
 
 
@@ -717,13 +709,17 @@ def all_triangulations(points) -> list[frozenset]:
     if len(points) > 12:
         raise ValidationError("configuration capped at 12 points")
     corners = _hull_vertices(points)
+    hull_area = sum(
+        _orient(points[corners[0]], points[corners[i]], points[corners[i + 1]])
+        for i in range(1, len(corners) - 1)
+    )
     optional = [i for i in range(len(points)) if i not in corners]
     seen = set()
     out = []
     for r in range(len(optional) + 1):
         for extra in itertools.combinations(optional, r):
             used = tuple(sorted(set(corners) | set(extra)))
-            for tri in _triangulations_of_subset(points, used):
+            for tri in _triangulations_of_subset(points, used, hull_area):
                 if tri not in seen:
                     seen.add(tri)
                     out.append(tri)
@@ -792,39 +788,53 @@ def is_regular(points, triangulation) -> bool:
 
 
 def regular_subdivision(points, heights, tie_break=None):
-    """Cells of the lower-hull subdivision (lexicographic tie-break heights optional)."""
-    points = [tuple(p) for p in points]
+    """Cells of the lower-hull subdivision (lexicographic tie-break heights optional).
+
+    Heights and tie-breaks are integers.  A triangle abc spans a lower cell when
+    every point d has key (h_d - l0(d), t_d - l1(d)) >= (0, 0) lexicographically,
+    where l0 and l1 are the affine interpolations of the two height layers on
+    abc; the cell is the set of points whose key is (0, 0).  Both l0(d) and l1(d)
+    have denominator det = orient(a, b, c), so the key is multiplied through by
+    |det| > 0: multiplying each component by the same positive number keeps
+    its sign, hence the lexicographic sign of the key, and leaves two integer
+    expressions.  The tie-break layer is evaluated only where the first one is 0.
+    """
     s = len(points)
-    hts = [
-        (Fraction(heights[i]), Fraction(tie_break[i]) if tie_break else Fraction(0))
-        for i in range(s)
-    ]
+    try:
+        hs = [operator.index(heights[i]) for i in range(s)]
+        ts = [operator.index(tie_break[i]) for i in range(s)] if tie_break else [0] * s
+    except TypeError as exc:
+        raise ValidationError(f"heights and tie-breaks must be integers: {exc}") from None
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     cells = []
-    for tri in itertools.combinations(range(s), 3):
-        a, b, c = tri
-        det = _orient(points[a], points[b], points[c])
+    for a, b, c in itertools.combinations(range(s), 3):
+        xa, ya = xs[a], ys[a]
+        ux, uy, vx, vy = xs[b] - xa, ys[b] - ya, xs[c] - xa, ys[c] - ya
+        det = ux * vy - uy * vx
         if det == 0:
             continue
-        # affine pair (ell0, ell1) interpolating the two height layers on tri
-        def ell(pt, layer):
-            la = _orient(pt, points[b], points[c])
-            lb = _orient(points[a], pt, points[c])
-            lc = _orient(points[a], points[b], pt)
-            total = la * hts[a][layer] + lb * hts[b][layer] + lc * hts[c][layer]
-            return Fraction(total, det)
-
+        sign = 1 if det > 0 else -1
+        # |det| (h_d - l(d)) = sign (n . (p_d - p_a, h_d - h_a)) for the normal
+        # n = (p_b - p_a, h_b - h_a) x (p_c - p_a, h_c - h_a) of the lifted plane
+        ha, ta = hs[a], ts[a]
+        uh, vh, ut, vt = hs[b] - ha, hs[c] - ha, ts[b] - ta, ts[c] - ta
+        n0x, n0y = uy * vh - uh * vy, uh * vx - ux * vh
+        n1x, n1y = uy * vt - ut * vy, ut * vx - ux * vt
         lower = True
         tight = []
         for d in range(s):
-            v0, v1 = ell(points[d], 0), ell(points[d], 1)
-            key = (hts[d][0] - v0, hts[d][1] - v1)
-            if key < (0, 0):
+            dx, dy = xs[d] - xa, ys[d] - ya
+            k = sign * (n0x * dx + n0y * dy + det * (hs[d] - ha))
+            if k == 0:
+                k = sign * (n1x * dx + n1y * dy + det * (ts[d] - ta))
+                if k == 0:
+                    tight.append(d)
+            if k < 0:
                 lower = False
                 break
-            if key == (0, 0):
-                tight.append(d)
         if lower:
-            cells.append(tuple(sorted(tight)))
+            cells.append(tuple(tight))
     out = sorted(set(cells))
     return [c for c in out if not any(set(c) < set(o) for o in out)]
 
@@ -853,12 +863,16 @@ def gkz_secondary_fan(points) -> GkzFan:
     """
     points = [tuple(p) for p in points]
     tris = all_triangulations(points)
-    regular, irregular = [], []
+    regular, irregular, raw = [], [], []
     for t in tris:
-        (regular if is_regular(points, t) else irregular).append(t)
+        cone = secondary_cone(points, t)  # built once: it decides regularity and is kept
+        if cone.dim == len(points):
+            regular.append(t)
+            raw.append(cone)
+        else:
+            irregular.append(t)
     # integer projection Z^s -> Z^(s-3) killing exactly the affine functions
     proj = quotient_lattice_map(_affine_functions(points), len(points))
-    raw = [secondary_cone(points, t) for t in regular]
     cones = []
     for rc in raw:
         gens = [proj.apply(r) for r in rc.rays] + [proj.apply(l) for l in rc.lineality]
@@ -890,7 +904,6 @@ def _flip_graph_triangulations(points, regular, raw_cones) -> set:
         t = frontier.pop()
         rc = raw_cones[index[t]]
         for g in rc.facets:
-            interior = [r for r in rc.rays if vec_dot(g, r) > 0]
             wall_pt = [0] * len(points)
             for r in rc.rays:
                 if vec_dot(g, r) == 0:

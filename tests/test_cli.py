@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -198,6 +199,26 @@ def test_fan_gkz_points():
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["triangulation_count"] == 2
+
+
+# sha256 of the printed `fan gkz` payload, taken before the integer and bitset
+# GKZ kernels replaced the Fraction and edge-list ones
+GKZ_DIGESTS = {
+    "p2": "7284ebd912a3103461597971b8065d6c804cbcff93576c99cc02552464b45c47",
+    "quadric": "5f414f98eea6597eb17f757c5594a62fd7feb25c3ded8beb71fe69b096340c0b",
+    "f1": "171a6311343e25f98d96a2b7f5e3cd0181e72cb2f761c0f1c16dcdb6ea0430b9",
+    "dp7": "fbd6ded74d0d9741fc589c98409e618d6b15c4416a08561a603c5808fc9b48c1",
+    "dp6": "474946fc63451fc1da1c0bc421e3c8e68576b8eadca747a4c4539757886502d5",
+    "0,0;4,0;0,4;1,1;2,1;1,2": "99953305c79b65925b99a91595cd2eb9439e21f1f23ef363273f2ac2dd200067",
+}
+
+
+@pytest.mark.parametrize("source", list(GKZ_DIGESTS))
+def test_fan_gkz_output_is_pinned(source):
+    option = "--points" if ";" in source else "--toric"
+    res = CliRunner().invoke(cli, ["fan", "gkz", option, source])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == GKZ_DIGESTS[source]
 
 
 def test_fan_compare_p2():

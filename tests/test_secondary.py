@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from secfan import secondary
 from secfan.cones import (
     Fan,
     cones_tile,
@@ -36,6 +38,7 @@ from secfan.secondary import (
     mori_fan_K,
     movsec,
     one_stratum_report,
+    regular_subdivision,
     secondary_fan,
     theta_cocycle,
     theta_line_bundles,
@@ -278,6 +281,50 @@ def test_gkz_detects_irregular_triangulations():
     assert len(gkz.irregular) == 2
     assert is_complete(gkz.fan)
     assert fan_check(gkz.fan).is_fan  # oracle for the degree certificate
+
+
+@pytest.mark.parametrize("pts,count", [
+    ([tuple(r) for r in toric_boundary("dp6")[2]] + [(0, 0)], 32),
+    ([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)], 18),
+], ids=["dp6", "nested"])
+def test_gkz_builds_each_secondary_cone_once(monkeypatch, pts, count):
+    built = []
+    original = secondary.secondary_cone
+
+    def counted(points, triangulation):
+        built.append(triangulation)
+        return original(points, triangulation)
+
+    monkeypatch.setattr(secondary, "secondary_cone", counted)
+    gkz = gkz_secondary_fan(pts)
+    assert len(built) == len(set(built)) == count
+    assert set(built) == set(gkz.triangulations) | set(gkz.irregular)
+
+
+def test_gkz_square_in_any_point_order():
+    # the hull corners listed out of cyclic order: (0,0), (1,1) is a diagonal
+    pts = [(0, 0), (1, 1), (1, 0), (0, 1)]
+    assert all_triangulations(pts) == [frozenset({(0, 1, 2), (0, 1, 3)}),
+                                       frozenset({(0, 2, 3), (1, 2, 3)})]
+    assert len(gkz_secondary_fan(pts).triangulations) == 2
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, "1", None])
+def test_regular_subdivision_rejects_non_integer_heights(bad):
+    pts = [(0, 0), (2, 0), (0, 2), (1, 1)]
+    with pytest.raises(ValidationError):
+        regular_subdivision(pts, [0, 0, 0, bad])
+    with pytest.raises(ValidationError):
+        regular_subdivision(pts, [0, 0, 0, 0], tie_break=[bad, 0, 0, 0])
+
+
+def test_regular_subdivision_tie_break_refines_a_tie():
+    pts = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    assert regular_subdivision(pts, [0, 0, 0, 0]) == [(0, 1, 2, 3)]
+    assert regular_subdivision(pts, [0, 0, 0, 0], tie_break=[0, 1, 1, 0]) == [
+        (0, 1, 3), (0, 2, 3)]
+    assert regular_subdivision(pts, [0, 0, 0, 0], tie_break=[1, 0, 0, 1]) == [
+        (0, 1, 2), (1, 2, 3)]
 
 
 @pytest.mark.parametrize("name", TORIC_NAMES)
