@@ -404,6 +404,20 @@ def cones_tile(members: list[RationalCone], target: RationalCone) -> bool:
     return _tiling_defect(members, target) is None
 
 
+def _wall_map(members) -> dict[tuple, list[tuple[int, IntVec]]]:
+    """Codimension-1 faces of the members: (rays, lineality) -> [(member index, inward facet)].
+
+    A wall is keyed by its sorted rays and the member's lineality, which every
+    face of the member shares, so that a lineal wall never matches another
+    wall with the same rays.
+    """
+    walls: dict[tuple, list[tuple[int, IntVec]]] = {}
+    for mi, m in enumerate(members):
+        for g, rays in zip(m.facets, _facet_faces_key(m)):
+            walls.setdefault((rays, m.lineality), []).append((mi, g))
+    return walls
+
+
 def _tiling_defect(members: list[RationalCone], target: RationalCone | None = None) -> str | None:
     """The first way the members fail the tiling certificate, or None if they pass.
 
@@ -419,13 +433,7 @@ def _tiling_defect(members: list[RationalCone], target: RationalCone | None = No
             return f"cone {mi} has dimension {m.dim}, not {target.dim}"
         if not target.contains_cone(m):
             return f"cone {mi} leaves the target"
-    # codim-1 faces, keyed by their rays and the member's lineality so that a
-    # lineal wall never matches another wall with the same rays:
-    # key -> list of (member index, inward facet normal)
-    walls: dict[tuple, list[tuple[int, IntVec]]] = {}
-    for mi, m in enumerate(members):
-        for g, rays in zip(m.facets, _facet_faces_key(m)):
-            walls.setdefault((rays, m.lineality), []).append((mi, g))
+    walls = _wall_map(members)
     for (key, _), incident in walls.items():
         if len(incident) > 2:
             return f"wall {list(key)} is shared by cones {[mi for mi, _ in incident]}"
@@ -511,18 +519,15 @@ def adjacency_pairs(fan: Fan) -> dict[tuple[int, int], tuple[IntVec, ...]]:
     """Pairs (a, b), a < b, of maximal cones sharing a codimension-1 face.
 
     Maps each pair, in sorted order, to the sorted rays of that shared wall;
-    iterating the result yields the pairs alone.
+    iterating the result yields the pairs alone.  Walls are matched by rays
+    and lineality, as in the tiling certificate.
     """
-    by_face: dict[tuple, list[int]] = {}
-    for i, c in enumerate(fan.cones):
-        for key in _facet_faces_key(c):
-            by_face.setdefault(key, []).append(i)
     walls: dict[tuple[int, int], tuple[IntVec, ...]] = {}
-    for key, members in by_face.items():
-        for a in members:
-            for b in members:
+    for (rays, _), incident in _wall_map(fan.cones).items():
+        for a, _ in incident:
+            for b, _ in incident:
                 if a < b:
-                    walls.setdefault((a, b), key)
+                    walls.setdefault((a, b), rays)
     return dict(sorted(walls.items()))
 
 

@@ -893,17 +893,25 @@ def gkz_secondary_fan(points) -> GkzFan:
 
 
 def _flip_graph_triangulations(points, regular, raw_cones) -> set:
-    """Reachable set by crossing secondary-cone walls with perturbed lifts."""
+    """Reachable set by crossing secondary-cone walls with perturbed lifts.
+
+    The fan is complete, so every facet g of a cone is a wall shared with the
+    cone on its far side, which has the facet -g; each wall is crossed once,
+    from the side reached first.
+    """
     if not regular:
         return set()
     index = {t: i for i, t in enumerate(regular)}
     start = regular[0]
     seen = {start}
     frontier = [start]
+    crossed: set[tuple] = set()  # (triangulation, facet) walls already crossed
     while frontier:
         t = frontier.pop()
         rc = raw_cones[index[t]]
         for g in rc.facets:
+            if (t, g) in crossed:
+                continue
             wall_pt = [0] * len(points)
             for r in rc.rays:
                 if vec_dot(g, r) == 0:
@@ -911,10 +919,15 @@ def _flip_graph_triangulations(points, regular, raw_cones) -> set:
             # lineality directions (affine heights) do not affect the subdivision,
             # so a zero wall point is legitimate: the tie-break does the crossing
             # step across the wall: heights on the wall, tie-break by -g
-            cells = regular_subdivision(points, wall_pt, tie_break=[-x for x in g])
+            back = tuple(-x for x in g)
+            cells = regular_subdivision(points, wall_pt, tie_break=back)
             tri = _cells_to_triangulation(points, cells)
-            if tri is None or tri not in index:
-                continue
+            if tri not in index or back not in raw_cones[index[tri]].facets:
+                raise InternalInvariantError(
+                    f"crossing facet {list(g)} of triangulation {sorted(t)} lands on "
+                    f"no regular triangulation whose cone has the facet {list(back)}"
+                )
+            crossed.add((tri, back))
             if tri not in seen:
                 seen.add(tri)
                 frontier.append(tri)

@@ -3,15 +3,18 @@ straight-spine shooting, balancing, crossing classes and two-leg products.
 
 Charts are indexed by boundary intervals: chart j has basis (v_j, v_{j+1}) and
 the change across ray j follows v_{j-1} + v_{j+1} = -(D_j^2) v_j, the standard
-relation determined by the self-intersections.  A leg is traced exactly with
-Fraction positions; running along a ray or through the puncture is rejected
-rather than perturbed.  Crossing multiplicities are |det| of the leg direction
-against the primitive ray vector in the local chart, so counts are orientation
-free.
+relation determined by the self-intersections.  Every leg, in local charts or
+in the development, is walked by one integer routine: chart changes have
+determinant 1, so a leg's direction stays integral and the sign of
+det(direction, position) decides which ray it meets next.  A leg through the
+puncture is rejected rather than perturbed.  Crossing multiplicities are |det|
+of the leg direction against the primitive ray vector in the local chart, so
+counts are orientation free.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,65 +92,83 @@ def spine(vertex_chart: int, vertex_position, legs) -> Spine:
     )
 
 
-_MAX_CROSSINGS_FACTOR = 6
+def _det(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
 
 
-def _cross_cw(aff: AffineStructure, j: int, v):
-    """Chart j -> chart j-1 coordinates (crossing ray j)."""
-    x, y = v
-    return (-y, x - aff.d2(j) * y), (j - 2) % aff.n + 1
+def _walk(aff: AffineStructure, chart: int, d: tuple[int, int], k, lo: int, hi: int):
+    """Walk a straight leg chart by chart, from `chart` with direction d in its basis.
+
+    Chart changes are integer matrices of determinant 1, so d stays an integer
+    vector and k = det(d, position) is the same in every chart and at every
+    point of the leg.  The position, which lies in the closed chart cone and
+    off the puncture, therefore matters only through the sign of k: the leg
+    escapes when d >= 0, meets ray a (the y = 0 side) when dy < 0 and
+    (dx >= 0 or k > 0), meets ray a + 1 (the x = 0 side) when dx < 0 and
+    (dy >= 0 or k < 0), and otherwise runs into the puncture.  A crossing's
+    multiplicity is |det| of d against the ray, the negative coordinate.
+
+    Charts are developed, not reduced mod n.  The chart index moves one way
+    only, because a straight line's angle around the puncture is monotone, so
+    a cap on crossings is the index range lo <= chart <= hi.
+
+    Returns (path, crossings, end): path[i] is (chart, direction) after i
+    crossings, crossings[i] is the (ray, multiplicity) of crossing i + 1, and
+    end is "escaped", "puncture" or "range".
+    """
+    a, (dx, dy) = chart, d
+    path, crossings = [(a, d)], []
+    while dx < 0 or dy < 0:
+        if dy < 0 and (dx >= 0 or k > 0):
+            ray, a, mult = a, a - 1, -dy
+            dx, dy = -dy, dx - aff.d2(ray) * dy
+        elif dx < 0 and (dy >= 0 or k < 0):
+            ray, a, mult = a + 1, a + 1, -dx
+            dx, dy = dy - aff.d2(ray) * dx, -dx
+        else:
+            return path, crossings, "puncture"
+        if not lo <= a <= hi:
+            return path, crossings, "range"
+        crossings.append((ray, mult))
+        path.append((a, (dx, dy)))
+    return path, crossings, "escaped"
 
 
-def _cross_ccw(aff: AffineStructure, j: int, v):
-    """Chart j -> chart j+1 coordinates (crossing ray j+1)."""
-    x, y = v
-    d2 = aff.d2(j % aff.n + 1)
-    return (y - d2 * x, -x), j % aff.n + 1
+def _chart_in_range(aff: AffineStructure, chart: int) -> None:
+    if not 1 <= chart <= aff.n:
+        raise ValidationError(f"chart {chart} is not one of 1..{aff.n}")
 
 
 def trace_leg(aff: AffineStructure, chart: int, pos, direction):
-    """Walk a straight leg to infinity; returns the crossing record.
+    """Walk a straight leg to infinity; returns (crossings, final chart, final direction).
 
-    Raises when the leg runs along a ray, hits the puncture, or fails to
-    escape within the winding cap (only possible for non-toric structures).
+    Crossings are (boundary ray, multiplicity) in order.  Raises when the
+    start is not in the open cone of a chart 1..n, when the leg hits the
+    puncture, or when it fails to escape within 6n + 5 crossings (only
+    possible for non-toric structures).
     """
+    _chart_in_range(aff, chart)
     x, y = Fraction(pos[0]), Fraction(pos[1])
-    dx, dy = Fraction(direction[0]), Fraction(direction[1])
-    j = chart
-    crossings: list[tuple[int, int]] = []
-    for _ in range(_MAX_CROSSINGS_FACTOR * aff.n + 6):
-        if dx >= 0 and dy >= 0:
-            return crossings, j, (dx, dy)
-        t_cw = (-y / dy) if dy < 0 else None  # hits the ray j side (y = 0)
-        t_ccw = (-x / dx) if dx < 0 else None  # hits the ray j+1 side (x = 0)
-        if t_cw is not None and (t_ccw is None or t_cw < t_ccw):
-            nx = x + t_cw * dx
-            if nx <= 0:
-                raise ValidationError("leg passes through the puncture")
-            mult = abs(dy)
-            if mult == 0:
-                raise ValidationError("leg runs along a ray: not transverse")
-            crossings.append((j, int(mult) if mult.denominator == 1 else mult))
-            (x, y), _ = _cross_cw(aff, j, (nx, Fraction(0)))
-            (dx, dy), j = _cross_cw(aff, j, (dx, dy))
-        elif t_ccw is not None and (t_cw is None or t_ccw < t_cw):
-            ny = y + t_ccw * dy
-            if ny <= 0:
-                raise ValidationError("leg passes through the puncture")
-            mult = abs(dx)
-            if mult == 0:
-                raise ValidationError("leg runs along a ray: not transverse")
-            ray = j % aff.n + 1
-            crossings.append((ray, int(mult) if mult.denominator == 1 else mult))
-            (x, y), _ = _cross_ccw(aff, j, (Fraction(0), ny))
-            (dx, dy), j = _cross_ccw(aff, j, (dx, dy))
-        else:
-            raise ValidationError("leg hits the chart corner: not transverse")
-    raise ValidationError("leg does not escape to infinity (winding cap reached)")
+    if x <= 0 or y <= 0:
+        raise ValidationError("leg must start in the open chart cone")
+    try:
+        d = (operator.index(direction[0]), operator.index(direction[1]))
+    except TypeError:
+        raise ValidationError(f"leg direction {direction!r} is not integral") from None
+    cap = 6 * aff.n + 5
+    path, crossings, end = _walk(aff, chart, d, _det(d, (x, y)), chart - cap, chart + cap)
+    if end == "puncture":
+        raise ValidationError("leg passes through the puncture")
+    if end == "range":
+        raise ValidationError("leg does not escape to infinity (winding cap reached)")
+    n = aff.n
+    a, d = path[-1]
+    return [((ray - 1) % n + 1, m) for ray, m in crossings], (a - 1) % n + 1, d
 
 
 def is_balanced(aff: AffineStructure, s: Spine) -> bool:
     """Weighted outgoing directions sum to zero at the vertex."""
+    _chart_in_range(aff, s.vertex_chart)
     if s.vertex_position[0] <= 0 or s.vertex_position[1] <= 0:
         raise ValidationError("vertex on the singular point or a ray")
     total = (0, 0)
@@ -171,8 +192,6 @@ def crossing_class(aff: AffineStructure, s: Spine, classes=None):
             aff, s.vertex_chart, s.vertex_position, leg.direction
         )
         for ray, m in crossings:
-            if not isinstance(m, int):
-                raise ValidationError("non-integral crossing multiplicity")
             mults[ray - 1] += leg.weight * m
     if classes is None:
         return tuple(mults)
@@ -213,59 +232,6 @@ def develop_rays(aff: AffineStructure, lo: int, hi: int) -> dict[int, tuple[int,
     return out
 
 
-def _dev_leg(dev, j0: int, x, d, lo: int, hi: int):
-    """Crossings of the straight ray x + t d in the development, walking charts.
-
-    Returns None when the route is invalid (not transverse or out of range).
-    """
-    from .lattice import solve_rational
-
-    def coords_in(a, v):
-        va, vb = dev[a], dev[a + 1]
-        sol = solve_rational([(va[0], vb[0]), (va[1], vb[1])], v)
-        return sol
-
-    a = j0
-    pos = (Fraction(x[0]), Fraction(x[1]))
-    crossings = []
-    for _ in range(4 * (hi - lo)):
-        c = coords_in(a, pos)
-        dvec = coords_in(a, d)
-        if c is None or dvec is None:
-            return None
-        if dvec[0] >= 0 and dvec[1] >= 0:
-            return crossings, a
-        t_cw = (-c[1] / dvec[1]) if dvec[1] < 0 else None
-        t_ccw = (-c[0] / dvec[0]) if dvec[0] < 0 else None
-        if t_cw is not None and (t_ccw is None or t_cw < t_ccw):
-            t = t_cw
-            ray = a
-            new_a = a - 1
-        elif t_ccw is not None and (t_cw is None or t_ccw < t_cw):
-            t = t_ccw
-            ray = a + 1
-            new_a = a + 1
-        else:
-            return None
-        if new_a < lo or new_a + 1 > hi:
-            return None
-        npos = (pos[0] + t * Fraction(d[0]), pos[1] + t * Fraction(d[1]))
-        rv = dev[ray]
-        det = Fraction(d[0]) * rv[1] - Fraction(d[1]) * rv[0]
-        if det == 0:
-            return None
-        s = solve_rational([(rv[0],), (rv[1],)], npos)
-        if s is None or s[0] <= 0:
-            return None  # puncture or wrong side
-        mult = abs(det)
-        if mult.denominator != 1:
-            return None
-        crossings.append((ray, int(mult)))
-        pos = npos
-        a = new_a
-    return None
-
-
 def two_leg_outputs(aff: AffineStructure, i1: int, i2: int):
     """Balanced three-valent spines with two unit legs toward boundary rays.
 
@@ -278,91 +244,44 @@ def two_leg_outputs(aff: AffineStructure, i1: int, i2: int):
     dev = develop_rays(aff, lo, hi)
     results = {}
     for j0 in range(1, n + 1):
-        x = (
-            2 * dev[j0][0] + dev[j0 + 1][0],
-            2 * dev[j0][1] + dev[j0 + 1][1],
-        )
-        lifts1 = [q for q in range(lo + 1, hi) if (q - i1) % n == 0]
-        lifts2 = [q for q in range(lo + 1, hi) if (q - i2) % n == 0]
-        for q1 in lifts1:
-            if abs(q1 - j0) > n:
-                continue
-            leg1 = _dev_leg(dev, j0, x, dev[q1], lo, hi - 1)
-            if leg1 is None:
-                continue
-            for q2 in lifts2:
-                if abs(q2 - j0) > n:
+        # the vertex sits at x in chart j0, whose basis has determinant 1, so
+        # a developed vector's chart coordinates are two determinants
+        x, va, vb = (2, 1), dev[j0], dev[j0 + 1]
+        lifts = {
+            i: [q for q in range(lo + 1, hi) if (q - i) % n == 0 and abs(q - j0) <= n]
+            for i in (i1, i2)
+        }
+        legs = {}
+        for q in set(lifts[i1] + lifts[i2]):
+            d = (_det(dev[q], vb), _det(va, dev[q]))
+            _, crossings, end = _walk(aff, j0, d, _det(d, x), lo, hi - 2)
+            if end == "escaped":
+                legs[q] = (d, crossings)
+        for q1 in lifts[i1]:
+            for q2 in lifts[i2]:
+                if q1 not in legs or q2 not in legs:
                     continue
-                leg2 = _dev_leg(dev, j0, x, dev[q2], lo, hi - 1)
-                if leg2 is None:
-                    continue
-                d1, d2 = dev[q1], dev[q2]
-                d3 = (-(d1[0] + d2[0]), -(d1[1] + d2[1]))
-                base = list(leg1[0]) + list(leg2[0])
+                (d1, cross1), (d2, cross2) = legs[q1], legs[q2]
+                base = cross1 + cross2
+                d3 = (-d1[0] - d2[0], -d1[1] - d2[1])
                 if d3 == (0, 0):
-                    _record_output(results, aff, dev, j0, (0, 0), base, n)
+                    _record_output(results, n, j0, (0, 0), base)
                     continue
-                walk = _output_walk(dev, j0, x, d3, lo, hi - 1)
-                if walk is None:
-                    continue
-                for out_chart, out_dir_neg, extra in walk:
-                    _record_output(
-                        results, aff, dev, out_chart, out_dir_neg, base + extra, n,
-                    )
-    return sorted(results.values(), key=lambda r: (r[0], sorted(r[1].items())))
+                # the output leg's evaluation end: every chart of its walk
+                # where -d3 lies in the closed cone, with the crossings so far
+                path, crossings, _ = _walk(aff, j0, d3, _det(d3, x), lo + 1, hi - 2)
+                for i, (a, (dx, dy)) in enumerate(path):
+                    if dx <= 0 and dy <= 0:
+                        _record_output(results, n, a, (-dx, -dy), base + crossings[:i])
+    return sorted(
+        results.values(),
+        key=lambda r: (r[0][0], sorted(r[0][1].items()), sorted(r[1].items())),
+    )
 
 
-def _output_walk(dev, j0, x, d3, lo, hi):
-    """Positions for the evaluation end of the output leg: one variant per chart
-    prefix where the backward direction stays in the chart cone."""
-    from .lattice import solve_rational
-
-    def coords_in(a, v):
-        va, vb = dev[a], dev[a + 1]
-        return solve_rational([(va[0], vb[0]), (va[1], vb[1])], v)
-
-    out = []
-    a = j0
-    pos = (Fraction(x[0]), Fraction(x[1]))
-    extra: list[tuple[int, int]] = []
-    neg = (-d3[0], -d3[1])
-    for _ in range(len(dev)):
-        c_neg = coords_in(a, neg)
-        if c_neg is not None and c_neg[0] >= 0 and c_neg[1] >= 0:
-            out.append((a, (c_neg[0], c_neg[1]), list(extra)))
-        c = coords_in(a, pos)
-        dvec = coords_in(a, d3)
-        if c is None or dvec is None:
-            break
-        if dvec[0] >= 0 and dvec[1] >= 0:
-            break
-        t_cw = (-c[1] / dvec[1]) if dvec[1] < 0 else None
-        t_ccw = (-c[0] / dvec[0]) if dvec[0] < 0 else None
-        if t_cw is not None and (t_ccw is None or t_cw < t_ccw):
-            t, ray, new_a = t_cw, a, a - 1
-        elif t_ccw is not None and (t_cw is None or t_ccw < t_cw):
-            t, ray, new_a = t_ccw, a + 1, a + 1
-        else:
-            break
-        if new_a <= lo or new_a + 1 > hi:
-            break
-        npos = (pos[0] + t * Fraction(d3[0]), pos[1] + t * Fraction(d3[1]))
-        rv = dev[ray]
-        det = Fraction(d3[0]) * rv[1] - Fraction(d3[1]) * rv[0]
-        s = solve_rational([(rv[0],), (rv[1],)], npos)
-        if det == 0 or s is None or s[0] <= 0 or abs(det).denominator != 1:
-            break
-        extra.append((ray, int(abs(det))))
-        pos, a = npos, new_a
-    return out
-
-
-def _record_output(results, aff, dev, chart, out_coords, crossings, n):
+def _record_output(results, n, chart, out_coords, crossings):
     """Canonicalize one spine result: output as level-two point data plus class."""
-    alpha, beta = Fraction(out_coords[0]), Fraction(out_coords[1])
-    if alpha.denominator != 1 or beta.denominator != 1:
-        return
-    alpha, beta = int(alpha), int(beta)
+    alpha, beta = out_coords
     if alpha + beta > 2:
         return
     b: dict[int, int] = {}

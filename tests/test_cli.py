@@ -84,6 +84,15 @@ BAD_CONFIGS = {
     "model_tag.json": '{"k": 0, "model_tag": "cubic", "cycle": [[3]]}',
     "seed_word.json": '{"k": 0, "cycle": [[3]], "seed": "x"}',
 }
+# a straight hexagon spine whose vertex chart is no chart 1..6
+BAD_SPINES = {
+    f"chart{c}.json": json.dumps({
+        "vertex_chart": c,
+        "vertex_position": [2, 1],
+        "legs": [{"direction": [1, 1]}, {"direction": [-1, -1]}],
+    })
+    for c in (0, 7)
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -98,9 +107,11 @@ BAD_CONFIGS = {
     ["bundle", "check", "--fan", "broken.json", "--subfan", "line.json", "--L", "1"],
     ["bundle", "check", "--fan", "no_cycle.json", "--subfan", "line.json", "--L", "1"],
     ["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", "no_cycle.json"],
+    *[["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", name]
+      for name in BAD_SPINES],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
-    for name, text in BAD_CONFIGS.items():
+    for name, text in {**BAD_CONFIGS, **BAD_SPINES}.items():
         (tmp_path / name).write_text(text)
     line = Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))
     (tmp_path / "line.json").write_text(json.dumps(cones.fan_to_json(line)))

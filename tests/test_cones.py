@@ -478,3 +478,12 @@ def test_fan_json_roundtrip():
 def test_adjacency_pairs_quadric():
     f = quadric_mori_fan()
     assert list(adjacency_pairs(f)) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_adjacency_pairs_match_walls_by_rays_and_lineality():
+    # x >= 0 and x <= 0 share the line x = 0; x >= 0 and y >= 0 have walls
+    # with no rays too, but different lineality, and are no fan
+    assert adjacency_pairs(Fan(2, (_half_plane(1), _half_plane(-1)))) == {(0, 1): ()}
+    crossed = Fan(2, (_half_plane(1), cone_from_rays([(0, 1)], 2, lineality=[(1, 0)])))
+    assert adjacency_pairs(crossed) == {}
+    assert not is_complete(crossed) and not fan_check(crossed).is_fan

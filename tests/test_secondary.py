@@ -25,7 +25,7 @@ from secfan.delpezzo import (
     toric_boundary,
 )
 from secfan.disk import fan_point, fan_triangulation, gamma_complex
-from secfan.errors import ValidationError
+from secfan.errors import InternalInvariantError, ValidationError
 from secfan.secondary import (
     FanCertificates,
     all_triangulations,
@@ -299,6 +299,35 @@ def test_gkz_builds_each_secondary_cone_once(monkeypatch, pts, count):
     gkz = gkz_secondary_fan(pts)
     assert len(built) == len(set(built)) == count
     assert set(built) == set(gkz.triangulations) | set(gkz.irregular)
+
+
+GKZ_INPUTS = [[tuple(r) for r in toric_boundary(name)[2]] + [(0, 0)] for name in TORIC_NAMES]
+GKZ_INPUTS.append([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("pts", GKZ_INPUTS, ids=list(TORIC_NAMES) + ["nested"])
+def test_flip_walk_crosses_each_wall_once(monkeypatch, pts):
+    gkz = gkz_secondary_fan(pts)
+    calls = []
+    original = secondary.regular_subdivision
+
+    def counted(points, heights, tie_break=None):
+        calls.append(tuple(tie_break))
+        return original(points, heights, tie_break)
+
+    monkeypatch.setattr(secondary, "regular_subdivision", counted)
+    reached = secondary._flip_graph_triangulations(pts, gkz.triangulations, gkz.raw_cones)
+    assert reached == set(gkz.triangulations)
+    # a complete fan: every facet is one side of an interior wall
+    assert 2 * len(calls) == sum(len(c.facets) for c in gkz.raw_cones)
+
+
+def test_flip_walk_asserts_where_a_crossing_lands():
+    pts = GKZ_INPUTS[-1]
+    gkz = gkz_secondary_fan(pts)
+    # drop one regular triangulation: the walls around it lead nowhere
+    with pytest.raises(InternalInvariantError, match="lands on no regular triangulation"):
+        secondary._flip_graph_triangulations(pts, gkz.triangulations[:-1], gkz.raw_cones)
 
 
 def test_gkz_square_in_any_point_order():

@@ -128,6 +128,12 @@ def test_trace_leg_rejects_ray_run():
         trace_leg(aff, 1, (1, 1), (-1, -1))
 
 
+@pytest.mark.parametrize("chart, pos", [(0, (2, 1)), (7, (2, 1)), (1, (0, 1)), (1, (2, -1))])
+def test_trace_leg_rejects_a_start_outside_the_open_chart_cones(chart, pos):
+    with pytest.raises(ValidationError):
+        trace_leg(hex_aff(), chart, pos, (1, 0))
+
+
 def test_vertex_on_ray_rejected():
     with pytest.raises(ValidationError):
         spine(1, (0, 1), [((1, 0), 1)])
@@ -162,6 +168,22 @@ def test_two_leg_opposite():
     for (center, b), cls in outs:
         assert center == 2 and b == {}
         assert sorted(cls) in ([2, 3], [5, 6])
+
+
+def test_two_leg_outputs_with_one_center_and_two_boundary_points():
+    # outputs (0, {1: 1, 2: 1}) and (0, {2: 2}) share the center coordinate,
+    # so their order is decided by the boundary coordinates
+    aff = AffineStructure(5, (-1,) * 5)
+    assert two_leg_outputs(aff, 1, 2) == [
+        ((0, {1: 1, 2: 1}), {}),
+        ((0, {2: 2}), {}),
+        ((1, {1: 1}), {1: 1}),
+        ((1, {2: 1}), {2: 1}),
+        ((2, {}), {1: 1, 2: 1}),
+    ]
+    assert [out for out, _ in two_leg_outputs(aff, 1, 1)] == [
+        (0, {1: 1, 2: 1}), (0, {1: 2}), (0, {2: 2}), (1, {1: 1})]
+    assert len(two_leg_outputs(aff, 1, 5)) == 5
 
 
 def test_two_leg_outputs_all_counted():
