@@ -158,10 +158,15 @@ def cache_get(cache_dir, key: str, kind: str):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except (json.JSONDecodeError, OSError):
         click.echo(f"warning: corrupt cache entry {path}, recomputing", err=True)
         return None
+    meta = payload.get("metadata") if isinstance(payload, dict) else None
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        click.echo(f"warning: cache entry {path} is not a {kind} payload, recomputing", err=True)
+        return None
+    return payload
 
 
 def cache_put(cache_dir, key: str, kind: str, payload: dict):

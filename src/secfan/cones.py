@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import InternalInvariantError, ValidationError
 from .lattice import (
     IntVec,
     primitive,
@@ -529,6 +529,22 @@ def adjacency_pairs(fan: Fan) -> dict[tuple[int, int], tuple[IntVec, ...]]:
                 if a < b:
                     walls.setdefault((a, b), rays)
     return dict(sorted(walls.items()))
+
+
+def boundary_walls(members, support: RationalCone) -> list[tuple[IntVec, ...]]:
+    """Rays of the walls met by exactly one member, sorted.
+
+    When the members tile support, those are its walls on the boundary of
+    support, so each must lie in a facet hyperplane of support; one that does
+    not is a gap in the tiling and raises InternalInvariantError naming it.
+    """
+    out = sorted(rays for (rays, _), incident in _wall_map(members).items()
+                 if len(incident) == 1)
+    for rays in out:
+        if not any(all(vec_dot(h, r) == 0 for r in rays) for h in support.facets):
+            raise InternalInvariantError(
+                f"wall {list(rays)} is met by one cone and lies on no facet of the support")
+    return out
 
 
 def fan_to_dot(fan: Fan, groups: dict[int, str] | None = None) -> str:

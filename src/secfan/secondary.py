@@ -4,12 +4,14 @@ curves, bogus-cone completion, theta cocycles, and the GKZ oracle.
 The fan lives on the Picard lattice of the surface.  Maximal moving cones are
 the Mori chambers (one per orthogonal set of (-1)-classes); grouping chambers
 whose contracted set meets the boundary in the same components and adding the
-cones gamma + R>=0.K over boundary faces gamma of the effective cone completes
-the picture.  Everything is cross-checked: the Mori fan must pass the linear
+cones gamma + R>=0.K over the faces gamma on the boundary of the effective
+cone, read off the wall map as the walls met by one cone, completes the
+picture.  Everything is cross-checked: the Mori fan must pass the linear
 degree certificate of a complete fan, group hulls must equal the union of
 their members, the full fan must pass the fan predicate, be complete and
-coarsen the chamber fan, and in the toric cases the whole object must agree
-with an independently computed GKZ secondary fan of the reflexive polygon.
+hold every Mori cone, so coarsen it, and in the toric cases the whole object
+must agree with an independently computed GKZ secondary fan of the reflexive
+polygon.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from dataclasses import dataclass, field
 from .cones import (
     Fan,
     RationalCone,
-    _facet_faces_key,
     _tiling_defect,
     adjacency_pairs,
+    boundary_walls,
+    cone_from_inequalities,
     cone_from_rays,
     cones_tile,
     fan_check,
     intersect,
-    is_coarsening,
     is_complete,
 )
 from .delpezzo import (
@@ -74,11 +76,6 @@ class Chamber:
         return "c[" + ",".join(str(c) for c in self.contraction.classes) + "]"
 
 
-def triangulation_of(chamber_exc: frozenset[int], n: int) -> DiskTriangulation:
-    """Fan triangulation with one flip per boundary-exceptional index."""
-    return triangulation_with_flips(n, chamber_exc)
-
-
 def build_chambers(lat: PicLattice, boundary: BoundaryCycle) -> list[Chamber]:
     rep = validate_boundary(lat, boundary)
     if not rep.valid:
@@ -100,52 +97,30 @@ def build_chambers(lat: PicLattice, boundary: BoundaryCycle) -> list[Chamber]:
                 contraction=con,
                 cone=mori_chamber(lat, con),
                 boundary_exc=exc,
-                triangulation=triangulation_of(exc, n),
+                triangulation=triangulation_with_flips(n, exc),
             )
         )
     return out
 
 
-def _boundary_faces(cones_list: list[RationalCone], eff: RationalCone, rank: int):
-    """Codimension-1 faces of the given cones lying on the boundary of eff."""
-    seen = {}
-    for c in cones_list:
-        for face_rays in _facet_faces_key(c):
-            if rank_of(list(face_rays)) != rank - 1 and rank > 1:
-                continue
-            if rank == 1 and face_rays:
-                continue
-            on_eff = (
-                any(all(vec_dot(h, r) == 0 for r in face_rays) for h in eff.facets)
-                if face_rays
-                else True
-            )
-            if on_eff:
-                seen.setdefault(face_rays, face_rays)
-    return sorted(seen)
-
-
-def _bogus_cones(face_ray_sets, canonical: IntVec, rank: int) -> list[RationalCone]:
-    return [
-        cone_from_rays(list(face) + [canonical], rank) for face in face_ray_sets
-    ]
+def _with_bogus(cones, labels, faces, lat: PicLattice) -> Fan:
+    """The given cones, then the bogus cone face + R>=0.K over each face."""
+    bogus = [cone_from_rays(list(face) + [lat.canonical], lat.rank) for face in faces]
+    names = ["bogus[" + ",".join(map(str, face)) + "]" for face in faces]
+    return Fan(lat.rank, tuple(cones) + tuple(bogus), tuple(labels) + tuple(names))
 
 
 def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle) -> tuple[Fan, list[Chamber]]:
     """Complete fan on Pic: all Mori chambers plus bogus cones over boundary faces.
 
-    Only builds; secondary_fan(check=True) proves it a complete fan.
+    The faces on the boundary of Eff are the chamber walls met by one chamber
+    (boundary_walls raises on one off Eff).  Otherwise this only builds;
+    secondary_fan(check=True) proves the result a complete fan.
     """
     chambers = build_chambers(lat, boundary)
-    eff = effective_cone(lat)
-    rank = lat.rank
-    faces_on_eff = _boundary_faces([c.cone for c in chambers], eff, rank)
-    bogus = _bogus_cones(faces_on_eff, lat.canonical, rank)
-    cones = [c.cone for c in chambers] + bogus
-    labels = [c.label() for c in chambers] + [
-        "bogus[" + ",".join(str(r) for r in face) + "]" for face in faces_on_eff
-    ]
-    return Fan(rank, tuple(cones), tuple(labels)), chambers
+    cones = [c.cone for c in chambers]
+    faces = boundary_walls(cones, effective_cone(lat))
+    return _with_bogus(cones, [c.label() for c in chambers], faces, lat), chambers
 
 
 @dataclass(frozen=True)
@@ -223,21 +198,23 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, check: bool = True) 
     """Build the secondary fan; with check, prove it and record the proofs.
 
     Every check raises InternalInvariantError when it fails, so the
-    certificates record holds only passed checks.  The Mori fan is proved a
-    complete fan by the linear degree certificate of is_complete, at every
-    rank; the much smaller secondary fan also passes the pairwise fan
-    predicate, then is_complete and is_coarsening.
+    certificates record holds only passed checks.  The faces on the boundary
+    of Eff are the group walls met by one group.  is_complete proves the Mori
+    fan a complete fan at every rank; the much smaller secondary fan also
+    passes the pairwise fan predicate, then is_complete.  Coarsening is
+    containment: movsec proved each chamber lies in its group's hull, and each
+    Mori bogus cone must lie in a secondary bogus cone.  That proves it, as the
+    two fans are complete: a point x inside a cone C of the secondary fan lies
+    in some Mori cone f, and f in some secondary C'; C cap C' is a face of both
+    with x inside, so full-dimensional, so C = C'.  The Mori cones in C cover it.
     """
     mori, chambers = mori_fan_K(lat, boundary)
     groups = movsec(chambers)
     eff = effective_cone(lat)
-    faces_on_eff = _boundary_faces([g.cone for g in groups], eff, lat.rank)
-    bogus = _bogus_cones(faces_on_eff, lat.canonical, lat.rank)
-    cones = [g.cone for g in groups] + bogus
-    labels = [g.label() for g in groups] + [
-        "bogus[" + ",".join(str(r) for r in face) + "]" for face in faces_on_eff
-    ]
-    fan = Fan(lat.rank, tuple(cones), tuple(labels))
+    cones = [g.cone for g in groups]
+    faces_on_eff = boundary_walls(cones, eff)
+    fan = _with_bogus(cones, [g.label() for g in groups], faces_on_eff, lat)
+    bogus = list(fan.cones[len(groups):])
     sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori)
     if check:
         if not is_complete(mori):
@@ -253,8 +230,11 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, check: bool = True) 
             raise InternalInvariantError(
                 f"secondary fan is not complete: {_tiling_defect(list(fan.cones))}"
             )
-        if not is_coarsening(fan, mori):
-            raise InternalInvariantError("secondary fan does not coarsen the Mori fan")
+        for i in range(len(chambers), len(mori.cones)):
+            if not any(host.contains_cone(mori.cones[i]) for host in bogus):
+                raise InternalInvariantError(
+                    f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
+                )
         # bogus cones contain K and touch Eff only along their base face
         anti = vec_scale(-1, lat.canonical)
         for b in bogus:
@@ -778,8 +758,6 @@ def secondary_cone(points, triangulation) -> RationalCone:
             + [tuple(-1 if j == i else 0 for j in range(s)) for i in range(s)],
             s,
         )
-    from .cones import cone_from_inequalities
-
     return cone_from_inequalities(ineqs, ambient_rank=s)
 
 

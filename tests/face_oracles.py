@@ -5,11 +5,14 @@ codimension up, with one double-description sweep per (face, facet) pair.
 decompose_by_face_walk finds sigma_2 by a breadth-first walk over the face
 lattice of each cone, keeping the faces of largest dimension whose span
 misses the subspace and failing when there are two.
+boundary_faces_by_facet_scan finds the faces on the boundary of Eff by
+testing every facet of every cone for full rank and for an Eff facet
+hyperplane holding it.
 """
 
-from secfan.cones import RationalCone, cone_from_rays, intersect, zero_cone
+from secfan.cones import RationalCone, _facet_faces_key, cone_from_rays, intersect, zero_cone
 from secfan.errors import ValidationError
-from secfan.lattice import vec_dot
+from secfan.lattice import rank_of, vec_dot
 from secfan.toricstack import (
     BundleInput,
     DecompositionCert,
@@ -96,3 +99,22 @@ def decompose_by_face_walk(inp: BundleInput) -> DecompositionCert:
             continue
         pieces.append((sigma1, sigma2))
     return DecompositionCert(pieces, failures)
+
+
+def boundary_faces_by_facet_scan(cones_list, eff: RationalCone, rank: int):
+    """Codimension-1 faces of the given cones lying on the boundary of eff."""
+    seen = {}
+    for c in cones_list:
+        for face_rays in _facet_faces_key(c):
+            if rank_of(list(face_rays)) != rank - 1 and rank > 1:
+                continue
+            if rank == 1 and face_rays:
+                continue
+            on_eff = (
+                any(all(vec_dot(h, r) == 0 for r in face_rays) for h in eff.facets)
+                if face_rays
+                else True
+            )
+            if on_eff:
+                seen.setdefault(face_rays, face_rays)
+    return sorted(seen)

@@ -188,6 +188,37 @@ def test_fan_secondary_and_cache(tmp_path, p2_config):
     assert list(cache.glob("secondary/*.json"))
 
 
+def test_cache_entry_of_another_kind_recomputes_with_warning(tmp_path, hexagon_config):
+    runner = CliRunner()
+    cache = tmp_path / "cache"
+    want = {}
+    for kind in ("mori", "secondary"):
+        res = runner.invoke(cli, ["fan", kind, hexagon_config, "--cache-dir", str(cache)])
+        want[kind] = json.loads(res.output)
+    assert want["mori"] != want["secondary"]
+    entry = next(cache.glob("mori/*.json"))
+    entry.write_bytes(next(cache.glob("secondary/*.json")).read_bytes())
+    res = runner.invoke(cli, ["fan", "mori", hexagon_config, "--cache-dir", str(cache)])
+    assert res.exit_code == 0
+    assert "is not a mori payload, recomputing" in res.output
+    payload_line = next(l for l in res.output.splitlines() if l.startswith("{"))
+    assert json.loads(payload_line) == want["mori"]
+    assert json.loads(entry.read_text()) == want["mori"]
+
+
+@pytest.mark.parametrize("payload", [[], {"cones": []}, {"metadata": "mori"}])
+def test_cache_entry_without_metadata_recomputes_with_warning(tmp_path, p2_config, payload):
+    runner = CliRunner()
+    cache = tmp_path / "cache"
+    want = json.loads(runner.invoke(
+        cli, ["fan", "mori", p2_config, "--cache-dir", str(cache)]).output)
+    entry = next(cache.glob("mori/*.json"))
+    entry.write_text(json.dumps(payload), encoding="utf-8")
+    res = runner.invoke(cli, ["fan", "mori", p2_config, "--cache-dir", str(cache)])
+    assert "is not a mori payload, recomputing" in res.output
+    assert json.loads(res.output.splitlines()[-1]) == want
+
+
 def test_corrupt_cache_recomputes_with_warning(tmp_path, p2_config):
     runner = CliRunner()
     cache = tmp_path / "cache"
@@ -421,7 +452,9 @@ def test_build_report_verifies_each_fact_once(monkeypatch):
     assert mori != full
     assert checked_fans["fan_check"] == [full]
     assert sorted(checked_fans["is_complete"]) == sorted([mori, full])
-    assert calls["is_coarsening"] == calls["decompose"] == 1
+    # coarsening is read off movsec and the bogus-cone containment, not re-proved
+    assert "is_coarsening" not in calls
+    assert calls["decompose"] == 1
     assert "faces" not in calls  # decompose reads faces off the incidences
     assert battery_intersects == [0]
     assert stray_intersects == []

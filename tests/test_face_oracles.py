@@ -3,9 +3,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from face_oracles import decompose_by_face_walk, faces_by_recursion
-from secfan.cones import Fan, cone_from_rays, faces
-from secfan.delpezzo import PicLattice, hexagon_boundary, minus_one_cycles, toric_boundary
+from face_oracles import boundary_faces_by_facet_scan, decompose_by_face_walk, faces_by_recursion
+from secfan.cones import Fan, boundary_walls, cone_from_rays, faces
+from secfan.delpezzo import (
+    TORIC_NAMES,
+    PicLattice,
+    effective_cone,
+    hexagon_boundary,
+    minus_one_cycles,
+    toric_boundary,
+)
 from secfan.lattice import IntMat, invariant_factors, primitive, rank_of
 from secfan.secondary import secondary_fan
 from secfan.toricstack import BundleInput, decompose
@@ -138,3 +145,26 @@ def test_decompose_matches_the_face_walk_on_the_criterion_11_fans():
                   tuple(g.label() for g in sec.groups))
         cert = _same_decomposition(BundleInput(sec.full_fan, mov, (lat.canonical,)))
         assert cert.ok, (name, cert.failures)
+
+
+def _boundary_face_inputs():
+    yield "hexagon", hexagon_boundary()
+    for name in TORIC_NAMES:
+        yield name, toric_boundary(name)[:2]
+    for i, cycle in enumerate(minus_one_cycles(PicLattice(4), 5)):
+        yield f"pentagon{i}", (PicLattice(4), cycle)
+    for i, cycle in enumerate(minus_one_cycles(PicLattice(5), 4)[:3]):
+        yield f"square{i}", (PicLattice(5), cycle)
+
+
+def test_boundary_walls_match_the_facet_scan():
+    names = []
+    for name, (lat, cycle) in _boundary_face_inputs():
+        sec = secondary_fan(lat, cycle, check=False)
+        eff = effective_cone(lat)
+        for cs in ([c.cone for c in sec.chambers], [g.cone for g in sec.groups]):
+            want = boundary_faces_by_facet_scan(cs, eff, lat.rank)
+            assert want and boundary_walls(cs, eff) == want, name
+        assert sec.bogus_faces == want, name
+        names.append(name)
+    assert len(names) == 1 + len(TORIC_NAMES) + 12 + 3

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from secfan import secondary
 from secfan.cones import (
     Fan,
+    FanReport,
     cones_tile,
     fan_check,
     fan_from_json,
@@ -116,6 +118,43 @@ def test_secondary_fan_records_its_certificates():
         secondary_complete=True,
         coarsens_mori=True,
     )
+
+
+def test_a_missing_chamber_leaves_a_wall_off_eff(monkeypatch):
+    lat, cycle = hexagon_boundary()
+    real = build_chambers(lat, cycle)
+    degree = {}
+    for pair in chamber_adjacency(real):
+        for i in pair:
+            degree[i] = degree.get(i, 0) + 1
+    # a chamber every wall of which it shares with another chamber
+    drop = next(i for i, c in enumerate(real) if degree.get(i) == len(c.cone.facets))
+    monkeypatch.setattr(secondary, "build_chambers",
+                        lambda *_: real[:drop] + real[drop + 1:])
+    with pytest.raises(InternalInvariantError,
+                       match=r"wall \[.*is met by one cone and lies on no facet"):
+        secondary_fan(lat, cycle, check=True)
+
+
+def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch):
+    lat, cycle = hexagon_boundary()
+    # drop the last group face, and pass the two checks that would see the gap
+    real = secondary.boundary_walls
+    calls = []
+
+    def walls(cones, support):
+        calls.append(len(cones))
+        faces = real(cones, support)
+        return faces[:-1] if len(calls) == 2 else faces
+
+    monkeypatch.setattr(secondary, "boundary_walls", walls)
+    monkeypatch.setattr(secondary, "fan_check", lambda fan: FanReport(True))
+    monkeypatch.setattr(secondary, "is_complete", lambda fan: True)
+    face = real([c.cone for c in build_chambers(lat, cycle)], effective_cone(lat))[-1]
+    label = "bogus[" + ",".join(str(r) for r in face) + "]"
+    with pytest.raises(InternalInvariantError,
+                       match=rf"Mori cone {re.escape(label)} lies in no secondary bogus cone"):
+        secondary_fan(lat, cycle, check=True)
 
 
 def test_unchecked_secondary_fan_carries_no_certificate():

@@ -111,12 +111,17 @@ def test_crossing_class_with_classes():
 
 def test_count_rules():
     aff = hex_aff()
-    s = spine(1, (2, 1), [((1, 1), 1), ((-1, -1), 1)])
-    z = crossing_class(aff, s)
-    assert count(aff, s, z) == 1
-    bumped = list(z)
-    bumped[0] += 1
-    assert count(aff, s, tuple(bumped)) == 0
+    for s in (
+        spine(1, (2, 1), [((1, 1), 1), ((-1, -1), 1)]),
+        # flop vertex in chart 6 reaching legs 6 and 2, output toward -v_1
+        spine(6, (2, 1), [((1, 0), 1), ((-1, 1), 1), ((0, -1), 1)]),
+    ):
+        assert is_balanced(aff, s)
+        z = crossing_class(aff, s)
+        assert count(aff, s, z) == 1
+        bumped = list(z)
+        bumped[0] += 1
+        assert count(aff, s, tuple(bumped)) == 0
     unbalanced = spine(1, (2, 1), [((1, 0), 1), ((0, 1), 1)])
     assert count(aff, unbalanced, (0, 0, 0, 0, 0, 0)) == 0
 
@@ -184,21 +189,6 @@ def test_two_leg_outputs_with_one_center_and_two_boundary_points():
     assert [out for out, _ in two_leg_outputs(aff, 1, 1)] == [
         (0, {1: 1, 2: 1}), (0, {1: 2}), (0, {2: 2}), (1, {1: 1})]
     assert len(two_leg_outputs(aff, 1, 5)) == 5
-
-
-def test_two_leg_outputs_all_counted():
-    # every enumerated spine is realizable: rebuild it by hand and count it
-    aff = hex_aff()
-    outs = two_leg_outputs(aff, 6, 2)
-    for (center, b), cls in outs:
-        target = [0] * 6
-        for i, m in cls.items():
-            target[i - 1] += m
-        # hand spine: vertex in chart 6 reaching legs 6 and 2, output toward -v_1
-        s = spine(6, (2, 1), [((1, 0), 1), ((-1, 1), 1), ((0, -1), 1)])
-        if is_balanced(aff, s):
-            got = crossing_class(aff, s)
-            assert count(aff, s, got) == 1
 
 
 def test_nontoric_structure_trace_still_exact():
