@@ -111,17 +111,13 @@ def test_crossing_class_with_classes():
 
 def test_count_rules():
     aff = hex_aff()
-    for s in (
-        spine(1, (2, 1), [((1, 1), 1), ((-1, -1), 1)]),
-        # flop vertex in chart 6 reaching legs 6 and 2, output toward -v_1
-        spine(6, (2, 1), [((1, 0), 1), ((-1, 1), 1), ((0, -1), 1)]),
-    ):
-        assert is_balanced(aff, s)
-        z = crossing_class(aff, s)
-        assert count(aff, s, z) == 1
-        bumped = list(z)
-        bumped[0] += 1
-        assert count(aff, s, tuple(bumped)) == 0
+    s = spine(1, (2, 1), [((1, 1), 1), ((-1, -1), 1)])
+    assert is_balanced(aff, s)
+    z = crossing_class(aff, s)
+    assert count(aff, s, z) == 1
+    bumped = list(z)
+    bumped[0] += 1
+    assert count(aff, s, tuple(bumped)) == 0
     unbalanced = spine(1, (2, 1), [((1, 0), 1), ((0, 1), 1)])
     assert count(aff, unbalanced, (0, 0, 0, 0, 0, 0)) == 0
 
@@ -173,6 +169,20 @@ def test_two_leg_opposite():
     for (center, b), cls in outs:
         assert center == 2 and b == {}
         assert sorted(cls) in ([2, 3], [5, 6])
+
+
+def test_two_leg_outputs_all_counted():
+    # the one (6, 2) output is realized by a hand spine: a flop vertex in
+    # chart 6 reaching legs 6 and 2, output toward -v_1; it is counted once
+    aff = hex_aff()
+    assert two_leg_outputs(aff, 6, 2) == [((1, {1: 1}), {1: 1})]
+    s = spine(6, (2, 1), [((1, 0), 1), ((-1, 1), 1), ((0, -1), 1)])
+    assert is_balanced(aff, s)
+    z = crossing_class(aff, s)
+    assert count(aff, s, z) == 1
+    bumped = list(z)
+    bumped[0] += 1
+    assert count(aff, s, tuple(bumped)) == 0
 
 
 def test_two_leg_outputs_with_one_center_and_two_boundary_points():
