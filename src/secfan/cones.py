@@ -8,11 +8,18 @@ bitset of constraints it is tight on and only adjacent rays are combined, so
 every ray kept is extreme and no floating point ever enters a predicate.
 Insertion order and output order are deterministic: primitive vectors in
 lexicographic order.
+
+A pointed cone given by generators needs one sweep, not two: with its facets
+known, a generator is an extreme ray exactly when no other generator is tight
+on every facet it is tight on (the zero-set redundancy lemma in
+cone_from_rays), so the rays are read off the generators by bitset tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 
 from .errors import InternalInvariantError, ValidationError
 from .lattice import (
@@ -120,7 +127,6 @@ class RationalCone:
         return not self.lineality
 
     def contains_point(self, x: IntVec) -> bool:
-        x = vec(x)
         return all(vec_dot(f, x) >= 0 for f in self.facets) and all(
             vec_dot(e, x) == 0 for e in self.equations
         )
@@ -151,7 +157,22 @@ class RationalCone:
 
 
 def cone_from_rays(rays, ambient_rank: int | None = None, lineality=()) -> RationalCone:
-    """Irredundant double description of the conic hull of the given generators."""
+    """Irredundant double description of the conic hull of the given generators.
+
+    One sweep (V to H) gives the facets and span equations.  A pointed cone
+    then takes its rays from the generators, by the zero-set redundancy lemma:
+    after deduplicating primitive generators, the cone is pointed if and only
+    if no generator is tight on every facet, and then a generator g is an
+    extreme ray if and only if no other generator is tight on every facet g
+    is tight on.  Proof sketch: a face is cut out by the facets containing it,
+    and every face is generated by the generators lying in it.  The smallest
+    face containing g is cut out by the facets tight on g; it is the ray of g
+    exactly when no other primitive generator lies in it.  Likewise the
+    lineality space is the face cut out by all facets, nonzero exactly when
+    some generator lies in it.  A cone that is not pointed takes a second
+    sweep (H to V), whose lineality basis and rays modulo it are the stored
+    ones.
+    """
     rays = [vec(r) for r in rays]
     lineality = [vec(l) for l in lineality]
     if not rays and not lineality:
@@ -162,19 +183,27 @@ def cone_from_rays(rays, ambient_rank: int | None = None, lineality=()) -> Ratio
             raise ValidationError("generators have mixed lengths")
     if any(all(x == 0 for x in r) for r in rays):
         raise ValidationError("zero vector is not a valid ray")
-    # facets of cone(R) = extreme rays of the dual {y : y.r >= 0, y.l = 0}
-    dual_lin, dual_rays = dual_description(rays, lineality, n)
+    # facets of cone(R) = extreme rays of the dual {y : y.r >= 0, y.l = 0};
     # dual lineality = equations of the primal span; dual rays = facet normals
-    equations = tuple(sorted(set(sign_normalized(l) for l in dual_lin)))
-    facets = tuple(sorted(set(primitive(r) for r in dual_rays)))
-    # irredundant primal rays: convert back from the H-description
+    dual_lin, dual_rays = dual_description(rays, lineality, n)
+    equations, facets = tuple(dual_lin), tuple(dual_rays)
+    if not any(any(l) for l in lineality):
+        gens = sorted(set(primitive(r) for r in rays))
+        # per facet, the bitset of generators tight on it
+        tight = [sum(1 << i for i, g in enumerate(gens) if vec_dot(f, g) == 0) for f in facets]
+        everyone = (1 << len(gens)) - 1
+        if not reduce(and_, tight, everyone):
+            # g is extreme when the generators tight on all of g's facets are g alone
+            extreme = tuple(g for i, g in enumerate(gens)
+                            if reduce(and_, (t for t in tight if t >> i & 1), everyone) == 1 << i)
+            return RationalCone(n, extreme, facets, equations)
     lin2, rays2 = dual_description(facets, equations, n)
     return RationalCone(
         ambient_rank=n,
         rays=tuple(rays2),
         facets=facets,
         equations=equations,
-        lineality=tuple(sorted(set(sign_normalized(l) for l in lin2))),
+        lineality=tuple(lin2),
     )
 
 

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cones import RationalCone, cone_from_rays, cone_from_inequalities
-from .errors import ValidationError
+from .cones import RationalCone, cone_from_inequalities, cone_from_rays, dual_description
+from .errors import InternalInvariantError, ValidationError
 from .lattice import BilinearForm, IntMat, IntVec, pair
 
 CONTRACTION_CAP = 6  # full clique enumeration refused above this blowup count
@@ -203,13 +203,19 @@ def contractions(lat: PicLattice) -> list[Contraction]:
 
 
 def mori_chamber(lat: PicLattice, c: Contraction) -> RationalCone:
-    """Pullback nef cone of the blowdown plus the span of the contracted classes."""
+    """Pullback nef cone of the blowdown plus the span of the contracted classes.
+
+    The pullback nef cone is the face of Nef cut out by the contracted
+    classes; one sweep gives its extreme rays, and one more the chamber.
+    """
     validate_contraction(lat, c)
     gram = lat.form.gram
     eqs = [gram.apply(f) for f in c.classes]
     ineqs = [gram.apply(x) for x in ne_generators(lat)]
-    face = cone_from_inequalities(ineqs, eqs, ambient_rank=lat.rank)
-    gens = list(face.rays) + list(c.classes)
+    lin, face_rays = dual_description(ineqs, eqs, lat.rank)
+    if lin:
+        raise InternalInvariantError(f"nef face of contraction {c.classes} is not pointed")
+    gens = face_rays + list(c.classes)
     return cone_from_rays(gens, lat.rank)
 
 

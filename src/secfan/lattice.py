@@ -9,41 +9,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import mul, sub
 
 IntVec = tuple[int, ...]
 
 
 def vec(entries) -> IntVec:
-    return tuple(int(x) for x in entries)
+    return tuple(map(int, entries))
 
 
 def vec_sub(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    return tuple(map(sub, a, b))
 
 
 def vec_scale(c: int, a: IntVec) -> IntVec:
-    return tuple(c * x for x in a)
+    return tuple(map(mul, repeat(c), a))
 
 
 def vec_dot(a: IntVec, b: IntVec) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_gcd(a) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*a)
 
 
 def primitive(a: IntVec) -> IntVec:
     """Divide out the gcd, keeping direction.  Zero vector maps to itself."""
     g = vec_gcd(a)
     if g <= 1:
-        return vec(a)
+        return a if type(a) is tuple else vec(a)
     return tuple(x // g for x in a)
 
 
@@ -99,13 +100,8 @@ class IntMat:
     def mul(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        rows = []
-        for i in range(self.rows):
-            r = self.row(i)
-            rows.append(
-                tuple(sum(r[t] * other[t, j] for t in range(self.cols)) for j in range(other.cols))
-            )
-        return IntMat.from_rows(rows)
+        cols = [other.col(j) for j in range(other.cols)]
+        return IntMat.from_rows([[vec_dot(self.row(i), c) for c in cols] for i in range(self.rows)])
 
     def apply(self, v: IntVec) -> IntVec:
         if len(v) != self.cols:

@@ -231,7 +231,10 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, check: bool = True) 
                 f"secondary fan is not complete: {_tiling_defect(list(fan.cones))}"
             )
         for i in range(len(chambers), len(mori.cones)):
-            if not any(host.contains_cone(mori.cones[i]) for host in bogus):
+            # a host of the Mori cone holds its interior point: test that first
+            c = mori.cones[i]
+            x = c.interior_point()
+            if not any(host.contains_cone(c) for host in bogus if host.contains_point(x)):
                 raise InternalInvariantError(
                     f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
                 )
@@ -318,13 +321,16 @@ def theta_cocycle(p: GammaPoint, alpha: Chamber, beta: Chamber,
     idx = _single_flop_index(alpha, beta)
     if idx is None:
         raise ValidationError("chambers are not adjacent across a single flop")
-    rank = len(boundary.classes[0])
+    return _crossing_values([p], idx, beta, boundary)[0]
+
+
+def _crossing_values(points, idx: int, beta: Chamber, boundary: BoundaryCycle) -> list[IntVec]:
+    """theta_cocycle at each point for a crossing into beta across flop idx."""
     if idx == 0:
-        return tuple(0 for _ in range(rank))
-    m = cocycle_coefficient(p, idx)
+        return [tuple(0 for _ in boundary.classes[0])] * len(points)
     d_class = boundary.classes[idx - 1]
     sign = 1 if idx in beta.boundary_exc else -1
-    return vec_scale(sign * m, d_class)
+    return [vec_scale(sign * cocycle_coefficient(p, idx), d_class) for p in points]
 
 
 def chamber_adjacency(chambers: list[Chamber]) -> dict[tuple[int, int], tuple[IntVec, ...]]:
@@ -373,11 +379,8 @@ def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Cha
             raise InternalInvariantError("adjacent chambers differ by more than one flop")
         edges[(a, b)] = idx
 
-    def values(a, b):
-        return [theta_cocycle(p, chambers[a], chambers[b], boundary) for p in points]
-
-    fwd = {(a, b): values(a, b) for a, b in adj}
-    back = {(a, b): values(b, a) for a, b in adj}
+    fwd = {e: _crossing_values(points, idx, chambers[e[1]], boundary) for e, idx in edges.items()}
+    back = {e: _crossing_values(points, idx, chambers[e[0]], boundary) for e, idx in edges.items()}
     failures = []
     for (a, b) in adj:
         for p, cab, cba in zip(points, fwd[(a, b)], back[(a, b)]):

@@ -3,9 +3,10 @@
 cocycle_battery_by_cycles checks loop additivity by walking each chord's
 fundamental cycle up to the root of a breadth-first spanning tree, and calls
 theta_cocycle afresh in each of its four passes.  It returns the same report
-as secfan.secondary.cocycle_battery.  theta_cocycle is looked up on the
-secfan.secondary module at call time, so a test that patches it there
-patches both batteries.
+as secfan.secondary.cocycle_battery.  Both batteries evaluate crossings
+through secfan.secondary._crossing_values, which theta_cocycle calls and
+which is looked up on the module at call time, so a test that patches it
+there patches both batteries.
 """
 
 from secfan import secondary

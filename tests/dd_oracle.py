@@ -5,9 +5,15 @@ and, after each insertion, drops the combinations that are not extreme: it
 rebuilds every ray's tight constraints and keeps the ray when their rank is
 n - dim(lineality) - 1.  It returns the same (lineality, rays) pair as
 secfan.cones.dual_description.
+
+cone_from_rays_two_sweeps is the earlier cone_from_rays: it converts the
+generators to facets and back (V to H to V) with two double-description
+sweeps, where secfan.cones.cone_from_rays reads a pointed cone's rays off the
+generators after the first.
 """
 
-from secfan.cones import _unit
+from secfan import cones
+from secfan.cones import RationalCone, _unit
 from secfan.lattice import (
     IntVec,
     primitive,
@@ -98,3 +104,20 @@ def dual_description_by_rank_filter(ineqs, eqs, n: int) -> tuple[list[IntVec], l
             insert(a, False)
     lin = sorted(set(sign_normalized(l) for l in lin if any(x != 0 for x in l)))
     return lin, sorted(set(rays))
+
+
+def cone_from_rays_two_sweeps(rays, ambient_rank: int | None = None, lineality=()) -> RationalCone:
+    rays = [vec(r) for r in rays]
+    lineality = [vec(l) for l in lineality]
+    n = ambient_rank if ambient_rank is not None else len((rays + lineality)[0])
+    dual_lin, dual_rays = cones.dual_description(rays, lineality, n)
+    equations = tuple(sorted(set(sign_normalized(l) for l in dual_lin)))
+    facets = tuple(sorted(set(primitive(r) for r in dual_rays)))
+    lin2, rays2 = cones.dual_description(facets, equations, n)
+    return RationalCone(
+        ambient_rank=n,
+        rays=tuple(rays2),
+        facets=facets,
+        equations=equations,
+        lineality=tuple(sorted(set(sign_normalized(l) for l in lin2))),
+    )

@@ -464,14 +464,16 @@ def test_build_report_verifies_each_fact_once(monkeypatch):
 
 def test_cocycle_battery_computes_each_value_once(monkeypatch):
     calls = []
-    real = secondary.theta_cocycle
+    real = secondary._crossing_values
 
-    def counted(p, alpha, beta, boundary):
-        calls.append((p, id(alpha), id(beta)))
-        return real(p, alpha, beta, boundary)
+    def counted(points, idx, beta, boundary):
+        calls.extend((p, idx, id(beta)) for p in points)
+        return real(points, idx, beta, boundary)
 
-    monkeypatch.setattr(secondary, "theta_cocycle", counted)
+    monkeypatch.setattr(secondary, "_crossing_values", counted)
+    monkeypatch.setattr(secondary, "theta_cocycle", None)
     lat, cycle = hexagon_boundary()
     rep = secondary.cocycle_battery(lat, cycle, secondary.build_chambers(lat, cycle))
-    # one value per adjacent pair, point and direction
+    # one value per adjacent pair, point and direction; in the hexagon a
+    # crossing is named by its flop index and the chamber it enters
     assert len(calls) == len(set(calls)) == 2 * rep["pairs"] * rep["points"]

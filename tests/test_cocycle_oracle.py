@@ -40,23 +40,31 @@ def _tree_and_chords(chambers):
 @pytest.mark.parametrize("edge", ["chord", "tree"])
 def test_one_perturbed_value_fails_both_batteries(monkeypatch, edge, both_ways):
     """Add 1 to c_p(u, w) at one interior point; with both_ways also take 1 off
-    c_p(w, u), which keeps antisymmetry, so the loop check must see it."""
+    c_p(w, u), which keeps antisymmetry, so the loop check must see it.
+
+    Both batteries evaluate crossings through secondary._crossing_values, which
+    sees the flop index and the chamber crossed into; in the hexagon that pair
+    names one crossing, as the first assertion checks."""
     lat, cycle = hexagon_boundary()
     chambers = build_chambers(lat, cycle)
     tree, chords = _tree_and_chords(chambers)
     u, w = chords[0] if edge == "chord" else tree[0]
+    idx = secondary._single_flop_index(chambers[u], chambers[w])
+    crossings = [(a, b) for e in chamber_adjacency(chambers) for a, b in (e, e[::-1])]
+    into = [(a, b) for a, b in crossings
+            if b in (u, w) and secondary._single_flop_index(chambers[a], chambers[b]) == idx]
+    assert sorted(into) == sorted([(u, w), (w, u)])
     target = fan_point(6, 1, {1: 1})
-    real = secondary.theta_cocycle
+    real = secondary._crossing_values
 
-    def perturbed(p, alpha, beta, boundary):
-        value = real(p, alpha, beta, boundary)
-        if p == target and alpha is chambers[u] and beta is chambers[w]:
-            return (value[0] + 1,) + value[1:]
-        if both_ways and p == target and alpha is chambers[w] and beta is chambers[u]:
-            return (value[0] - 1,) + value[1:]
-        return value
+    def perturbed(points, i, beta, boundary):
+        values = real(points, i, beta, boundary)
+        shift = 1 if beta is chambers[w] else -1 if both_ways and beta is chambers[u] else 0
+        if i != idx or not shift:
+            return values
+        return [(v[0] + shift,) + v[1:] if p == target else v for p, v in zip(points, values)]
 
-    monkeypatch.setattr(secondary, "theta_cocycle", perturbed)
+    monkeypatch.setattr(secondary, "_crossing_values", perturbed)
     expected = {"loop"} if both_ways else {"loop", "antisymmetry"}
     for battery in (cocycle_battery, cocycle_battery_by_cycles):
         rep = battery(lat, cycle, chambers, max_level=2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secfan import cones
 from secfan.cones import (
     Fan,
     _tiling_defect,
@@ -487,3 +488,47 @@ def test_adjacency_pairs_match_walls_by_rays_and_lineality():
     crossed = Fan(2, (_half_plane(1), cone_from_rays([(0, 1)], 2, lineality=[(1, 0)])))
     assert adjacency_pairs(crossed) == {}
     assert not is_complete(crossed) and not fan_check(crossed).is_fan
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Number of dual_description sweeps a call makes, wherever the library calls it from."""
+    from secfan import delpezzo
+
+    real = cones.dual_description
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cones, "dual_description", counted)
+    monkeypatch.setattr(delpezzo, "dual_description", counted)
+
+    def count(fn, *args):
+        del calls[:]
+        fn(*args)
+        return len(calls)
+
+    return count
+
+
+def test_pointed_cone_from_rays_runs_one_sweep(sweeps):
+    assert sweeps(cone_from_rays, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]) == 1
+    assert sweeps(cone_from_rays, [(1, 0, 0, 0), (0, 1, 0, 0)]) == 1
+    # not pointed: the lineality and the rays modulo it take the second sweep
+    assert sweeps(cone_from_rays, [(1, 0), (-1, 0), (0, 1)]) == 2
+    assert sweeps(cone_from_rays, [(0, 1)], 2, [(1, 0)]) == 2
+
+
+def test_intersect_of_pointed_cones_runs_two_sweeps(sweeps):
+    a = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    b = cone_from_rays([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    assert sweeps(intersect, a, b) == 2
+
+
+def test_mori_chamber_runs_two_sweeps(sweeps):
+    from secfan.delpezzo import PicLattice, contractions, mori_chamber
+
+    lat = PicLattice(4)
+    assert [sweeps(mori_chamber, lat, c) for c in contractions(lat)[:6]] == [2] * 6

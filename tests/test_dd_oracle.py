@@ -2,10 +2,11 @@
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dd_oracle import dual_description_by_rank_filter
+from dd_oracle import cone_from_rays_two_sweeps, dual_description_by_rank_filter
 from secfan import cones
 from secfan.cones import cone_from_rays, dual_description
 
@@ -59,3 +60,30 @@ def test_cone_from_rays_matches_under_the_rank_filter(v):
     with mock.patch.object(cones, "dual_description", dual_description_by_rank_filter):
         old = cone_from_rays(rays, n, lineality=lin)
     assert _four_tuples(new) == _four_tuples(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v_descriptions())
+def test_one_sweep_cone_from_rays_matches_two_sweeps(v):
+    rays, lin, n = v
+    new = cone_from_rays(rays, n, lineality=lin)
+    assert _four_tuples(new) == _four_tuples(cone_from_rays_two_sweeps(rays, n, lineality=lin))
+
+
+@pytest.mark.parametrize("rays, lin", [
+    ([(1, 0, 0), (1, 0, 0), (2, 0, 0), (0, 3, 0), (0, 1, 0), (1, 1, 0)], []),  # duplicates, scaled
+    ([(2, 2, 0), (1, 1, 0), (1, 0, 1), (3, 0, 3), (1, 1, 1)], []),  # scaled, one inside
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], []),  # lower-dimensional
+    ([(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (0, 0, 1)], []),  # square pyramid, one inside
+    ([(1, 2, 3), (-1, -2, -3)], []),  # a line from {r, -r}
+    ([(1, 2, 3), (-2, -4, -6), (0, 0, 1)], []),  # a half-plane from {r, -r} and one more
+    ([(2, -4, 6)], []),  # a single ray
+    ([(0, 0, 5)], []),
+    ([(1, 0)], [(0, 1)]),  # lineality given
+    ([(1, 0)], [(0, 0)]),  # a zero lineality vector
+    ([], [(1, 1, 0)]),
+])
+def test_one_sweep_cone_from_rays_on_edge_cases(rays, lin):
+    n = len((rays + lin)[0])
+    new = cone_from_rays(rays, n, lineality=lin)
+    assert _four_tuples(new) == _four_tuples(cone_from_rays_two_sweeps(rays, n, lineality=lin))

@@ -18,6 +18,9 @@ from secfan.lattice import (
     solve_integral,
     solve_rational,
     torsion_quotient,
+    vec_dot,
+    vec_gcd,
+    vec_sub,
 )
 
 
@@ -189,6 +192,34 @@ def test_primitive():
     assert primitive((0, 0)) == (0, 0)
     assert primitive((-3, 0)) == (-3, 0) or primitive((-3, 0)) == (-1, 0)
     assert primitive((-3, 0)) == (-1, 0)
+
+
+def test_vec_gcd_and_primitive_on_signs():
+    assert vec_gcd(()) == vec_gcd((0, 0, 0)) == 0
+    assert vec_gcd((-4, 6)) == vec_gcd((4, -6)) == vec_gcd((-4, -6)) == 2
+    assert vec_gcd((0, -5, 0)) == 5
+    assert primitive((0, 0, 0)) == (0, 0, 0)
+    assert primitive((-4, -6)) == (-2, -3)
+    assert primitive((0, -5, 10)) == (0, -1, 2)
+    assert primitive((3, -7)) == (3, -7)
+    assert primitive([2, -4]) == (1, -2)
+    assert primitive([1, -1]) == (1, -1)
+
+
+@pytest.mark.parametrize("op", [vec_dot, vec_sub], ids=["vec_dot", "vec_sub"])
+def test_vector_length_mismatch_raises(op):
+    assert op((1, 2), (3, 4)) in (11, (-2, -2))
+    with pytest.raises(ValueError):
+        op((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        op((1, 2, 3), (1, 2))
+
+
+def test_apply_length_mismatch_raises():
+    m = mat([[1, 2], [3, 4]])
+    assert m.apply((1, 1)) == (3, 7)
+    with pytest.raises(ValueError):
+        m.apply((1, 1, 1))
 
 
 def test_primitive_coords():
