@@ -18,7 +18,7 @@ cone_from_rays), so the rays are read off the generators by bitset tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
 
 from .errors import InternalInvariantError, ValidationError
@@ -121,7 +121,8 @@ class RationalCone:
 
     @property
     def dim(self) -> int:
-        return rank_of(list(self.rays) + list(self.lineality))
+        # the equations are a basis of the span's orthogonal complement
+        return self.ambient_rank - len(self.equations)
 
     def is_pointed(self) -> bool:
         return not self.lineality
@@ -291,7 +292,11 @@ def is_face_of(face: RationalCone, c: RationalCone) -> bool:
 
 @dataclass(frozen=True)
 class Fan:
-    """Finite collection of maximal cones with provenance labels."""
+    """Finite collection of maximal cones with provenance labels.
+
+    The wall map of the cones is built on first use of walls and kept:
+    is_complete, adjacency_pairs and boundary_walls all read it.
+    """
 
     ambient_rank: int
     cones: tuple[RationalCone, ...]
@@ -303,6 +308,19 @@ class Fan:
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels else f"cone{i}"
+
+    @cached_property
+    def walls(self) -> dict[tuple, list[tuple[int, IntVec]]]:
+        """The wall map of the cones (see _wall_map), built on first use."""
+        return _wall_map(self.cones)
+
+    def extended(self, cones, labels) -> "Fan":
+        """This fan followed by more labelled cones; walls are built for the new cones only."""
+        cones = tuple(cones)
+        out = Fan(self.ambient_rank, self.cones + cones, self.labels + tuple(labels))
+        walls = {key: list(incident) for key, incident in self.walls.items()}
+        out.__dict__["walls"] = _wall_map(cones, len(self.cones), walls)  # fills the cache
+        return out
 
 
 @dataclass
@@ -397,7 +415,7 @@ def is_complete(fan: Fan) -> bool:
     interior point of A cap B this gives A cap B = F_A, a face of both.
     Hence True means "complete fan", at every rank, with no sampling.
     """
-    return _tiling_defect(list(fan.cones)) is None
+    return _tiling_defect(fan.cones, walls=fan.walls) is None
 
 
 def is_coarsening(coarse: Fan, fine: Fan) -> bool:
@@ -433,24 +451,26 @@ def cones_tile(members: list[RationalCone], target: RationalCone) -> bool:
     return _tiling_defect(members, target) is None
 
 
-def _wall_map(members) -> dict[tuple, list[tuple[int, IntVec]]]:
+def _wall_map(members, start: int = 0, walls=None) -> dict[tuple, list[tuple[int, IntVec]]]:
     """Codimension-1 faces of the members: (rays, lineality) -> [(member index, inward facet)].
 
     A wall is keyed by its sorted rays and the member's lineality, which every
     face of the member shares, so that a lineal wall never matches another
-    wall with the same rays.
+    wall with the same rays.  Members are numbered from start and added to
+    walls, a map of the members before them, when given.
     """
-    walls: dict[tuple, list[tuple[int, IntVec]]] = {}
-    for mi, m in enumerate(members):
+    walls = {} if walls is None else walls
+    for mi, m in enumerate(members, start):
         for g, rays in zip(m.facets, _facet_faces_key(m)):
             walls.setdefault((rays, m.lineality), []).append((mi, g))
     return walls
 
 
-def _tiling_defect(members: list[RationalCone], target: RationalCone | None = None) -> str | None:
+def _tiling_defect(members, target: RationalCone | None = None, walls=None) -> str | None:
     """The first way the members fail the tiling certificate, or None if they pass.
 
-    target None is the whole space.  Members are named by their index.
+    target None is the whole space.  Members are named by their index.  walls
+    is the members' wall map, built here when not given.
     """
     if not members:
         return "no members"
@@ -462,7 +482,8 @@ def _tiling_defect(members: list[RationalCone], target: RationalCone | None = No
             return f"cone {mi} has dimension {m.dim}, not {target.dim}"
         if not target.contains_cone(m):
             return f"cone {mi} leaves the target"
-    walls = _wall_map(members)
+    if walls is None:
+        walls = _wall_map(members)
     for (key, _), incident in walls.items():
         if len(incident) > 2:
             return f"wall {list(key)} is shared by cones {[mi for mi, _ in incident]}"
@@ -552,7 +573,7 @@ def adjacency_pairs(fan: Fan) -> dict[tuple[int, int], tuple[IntVec, ...]]:
     and lineality, as in the tiling certificate.
     """
     walls: dict[tuple[int, int], tuple[IntVec, ...]] = {}
-    for (rays, _), incident in _wall_map(fan.cones).items():
+    for (rays, _), incident in fan.walls.items():
         for a, _ in incident:
             for b, _ in incident:
                 if a < b:
@@ -560,15 +581,14 @@ def adjacency_pairs(fan: Fan) -> dict[tuple[int, int], tuple[IntVec, ...]]:
     return dict(sorted(walls.items()))
 
 
-def boundary_walls(members, support: RationalCone) -> list[tuple[IntVec, ...]]:
-    """Rays of the walls met by exactly one member, sorted.
+def boundary_walls(fan: Fan, support: RationalCone) -> list[tuple[IntVec, ...]]:
+    """Rays of the walls met by exactly one cone of the fan, sorted.
 
-    When the members tile support, those are its walls on the boundary of
+    When the cones tile support, those are its walls on the boundary of
     support, so each must lie in a facet hyperplane of support; one that does
     not is a gap in the tiling and raises InternalInvariantError naming it.
     """
-    out = sorted(rays for (rays, _), incident in _wall_map(members).items()
-                 if len(incident) == 1)
+    out = sorted(rays for (rays, _), incident in fan.walls.items() if len(incident) == 1)
     for rays in out:
         if not any(all(vec_dot(h, r) == 0 for r in rays) for h in support.facets):
             raise InternalInvariantError(

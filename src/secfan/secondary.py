@@ -5,20 +5,22 @@ The fan lives on the Picard lattice of the surface.  Maximal moving cones are
 the Mori chambers (one per orthogonal set of (-1)-classes); grouping chambers
 whose contracted set meets the boundary in the same components and adding the
 cones gamma + R>=0.K over the faces gamma on the boundary of the effective
-cone, read off the wall map as the walls met by one cone, completes the
-picture.  Everything is cross-checked: the Mori fan must pass the linear
-degree certificate of a complete fan, group hulls must equal the union of
-their members, the full fan must pass the fan predicate, be complete and
-hold every Mori cone, so coarsen it, and in the toric cases the whole object
-must agree with an independently computed GKZ secondary fan of the reflexive
-polygon.
+cone completes the picture.  Each fan's walls are built once, as data of the
+Fan: the faces gamma are the walls met by one cone, the bogus cones add only
+their own walls, and the degree certificate, the adjacency and the DOT export
+read that one map.  secondary_fan always proves what it returns: the Mori fan
+and the full fan pass the linear degree certificate of a complete fan, group
+hulls equal the union of their members, the full fan passes the pairwise fan
+predicate and holds every Mori cone, so coarsens the Mori fan.  In the toric
+cases the whole object must agree with an independently computed GKZ
+secondary fan of the reflexive polygon.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cones import (
     Fan,
@@ -103,24 +105,34 @@ def build_chambers(lat: PicLattice, boundary: BoundaryCycle) -> list[Chamber]:
     return out
 
 
-def _with_bogus(cones, labels, faces, lat: PicLattice) -> Fan:
-    """The given cones, then the bogus cone face + R>=0.K over each face."""
+def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone,
+                         what: str) -> tuple[Fan, list[tuple]]:
+    """The members, then the bogus cone face + R>=0.K over each face on the
+    boundary of eff, proved a complete fan; also returns those faces.
+
+    The faces are the member walls met by one member (boundary_walls raises on
+    one off eff).  The bogus cones add their own walls to the members' map,
+    and is_complete reads the whole map: True proves a complete fan at every
+    rank (see its lemma).  A failure raises InternalInvariantError naming what.
+    """
+    faces = boundary_walls(members, eff)
     bogus = [cone_from_rays(list(face) + [lat.canonical], lat.rank) for face in faces]
-    names = ["bogus[" + ",".join(map(str, face)) + "]" for face in faces]
-    return Fan(lat.rank, tuple(cones) + tuple(bogus), tuple(labels) + tuple(names))
+    fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces])
+    if not is_complete(fan):
+        raise InternalInvariantError(
+            f"{what} is not a complete fan: {_tiling_defect(fan.cones, walls=fan.walls)}"
+        )
+    return fan, faces
 
 
 def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle) -> tuple[Fan, list[Chamber]]:
     """Complete fan on Pic: all Mori chambers plus bogus cones over boundary faces.
 
-    The faces on the boundary of Eff are the chamber walls met by one chamber
-    (boundary_walls raises on one off Eff).  Otherwise this only builds;
-    secondary_fan(check=True) proves the result a complete fan.
+    Proved a complete fan by the degree certificate, hence a fan.
     """
     chambers = build_chambers(lat, boundary)
-    cones = [c.cone for c in chambers]
-    faces = boundary_walls(cones, effective_cone(lat))
-    return _with_bogus(cones, [c.label() for c in chambers], faces, lat), chambers
+    members = Fan(lat.rank, tuple(c.cone for c in chambers), tuple(c.label() for c in chambers))
+    return _complete_with_bogus(members, lat, effective_cone(lat), "Mori fan")[0], chambers
 
 
 @dataclass(frozen=True)
@@ -159,16 +171,6 @@ def movsec(chambers: list[Chamber]) -> list[MovSecGroup]:
     return groups
 
 
-@dataclass(frozen=True)
-class FanCertificates:
-    """What secondary_fan proved; a field stays None when its check did not run."""
-
-    mori_is_fan: bool | None = None
-    secondary_is_fan: bool | None = None
-    secondary_complete: bool | None = None
-    coarsens_mori: bool | None = None
-
-
 @dataclass
 class SecondaryFan:
     lat: PicLattice
@@ -179,7 +181,7 @@ class SecondaryFan:
     bogus_faces: list[tuple]
     full_fan: Fan
     mori_fan: Fan
-    certificates: FanCertificates = field(default_factory=FanCertificates)
+    movsec_fan: Fan  # the moving part: one cone per group, the first cones of full_fan
 
     @property
     def moving_count(self) -> int:
@@ -194,64 +196,48 @@ class SecondaryFan:
         return len(self.full_fan.cones)
 
 
-def secondary_fan(lat: PicLattice, boundary: BoundaryCycle, check: bool = True) -> SecondaryFan:
-    """Build the secondary fan; with check, prove it and record the proofs.
+def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
+    """Build the secondary fan and prove it a complete fan coarsening the Mori fan.
 
-    Every check raises InternalInvariantError when it fails, so the
-    certificates record holds only passed checks.  The faces on the boundary
-    of Eff are the group walls met by one group.  is_complete proves the Mori
-    fan a complete fan at every rank; the much smaller secondary fan also
-    passes the pairwise fan predicate, then is_complete.  Coarsening is
-    containment: movsec proved each chamber lies in its group's hull, and each
-    Mori bogus cone must lie in a secondary bogus cone.  That proves it, as the
-    two fans are complete: a point x inside a cone C of the secondary fan lies
-    in some Mori cone f, and f in some secondary C'; C cap C' is a face of both
-    with x inside, so full-dimensional, so C = C'.  The Mori cones in C cover it.
+    Every proof raises InternalInvariantError when it fails, so a returned
+    fan is proved.  Each fan's walls are built once: mori_fan_K and the
+    moving groups each get their bogus cones from the walls met by one cone,
+    and is_complete reads the same map to prove the Mori fan and the
+    secondary fan complete fans at every rank.  The much smaller secondary
+    fan also passes the pairwise fan predicate.  Coarsening is containment:
+    movsec proved each chamber lies in its group's hull, and each Mori bogus
+    cone must lie in a secondary bogus cone.  That proves it, as the two fans
+    are complete: a point x inside a cone C of the secondary fan lies in some
+    Mori cone f, and f in some secondary C'; C cap C' is a face of both with
+    x inside, so full-dimensional, so C = C'.  The Mori cones in C cover it.
     """
     mori, chambers = mori_fan_K(lat, boundary)
     groups = movsec(chambers)
+    mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     eff = effective_cone(lat)
-    cones = [g.cone for g in groups]
-    faces_on_eff = boundary_walls(cones, eff)
-    fan = _with_bogus(cones, [g.label() for g in groups], faces_on_eff, lat)
-    bogus = list(fan.cones[len(groups):])
-    sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori)
-    if check:
-        if not is_complete(mori):
-            raise InternalInvariantError(
-                f"Mori fan is not a complete fan: {_tiling_defect(list(mori.cones))}"
-            )
-        rep = fan_check(fan)
-        if not rep.is_fan:
-            raise InternalInvariantError(
-                f"secondary fan fails the fan predicate: {rep.violations[:3]}"
-            )
-        if not is_complete(fan):
-            raise InternalInvariantError(
-                f"secondary fan is not complete: {_tiling_defect(list(fan.cones))}"
-            )
-        for i in range(len(chambers), len(mori.cones)):
-            # a host of the Mori cone holds its interior point: test that first
-            c = mori.cones[i]
-            x = c.interior_point()
-            if not any(host.contains_cone(c) for host in bogus if host.contains_point(x)):
-                raise InternalInvariantError(
-                    f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
-                )
-        # bogus cones contain K and touch Eff only along their base face
-        anti = vec_scale(-1, lat.canonical)
-        for b in bogus:
-            if not b.contains_point(lat.canonical):
-                raise InternalInvariantError("bogus cone misses the canonical ray")
-            if eff.contains_point(lat.canonical) or b.contains_point(anti):
-                raise InternalInvariantError("canonical class misplaced relative to Eff")
-        sec.certificates = FanCertificates(
-            mori_is_fan=True,
-            secondary_is_fan=True,
-            secondary_complete=True,
-            coarsens_mori=True,
+    fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, "secondary fan")
+    rep = fan_check(fan)
+    if not rep.is_fan:
+        raise InternalInvariantError(
+            f"secondary fan fails the fan predicate: {rep.violations[:3]}"
         )
-    return sec
+    bogus = list(fan.cones[len(groups):])
+    for i in range(len(chambers), len(mori.cones)):
+        # a host of the Mori cone holds its interior point: test that first
+        c = mori.cones[i]
+        x = c.interior_point()
+        if not any(host.contains_cone(c) for host in bogus if host.contains_point(x)):
+            raise InternalInvariantError(
+                f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
+            )
+    # bogus cones contain K and touch Eff only along their base face
+    anti = vec_scale(-1, lat.canonical)
+    for b in bogus:
+        if not b.contains_point(lat.canonical):
+            raise InternalInvariantError("bogus cone misses the canonical ray")
+        if eff.contains_point(lat.canonical) or b.contains_point(anti):
+            raise InternalInvariantError("canonical class misplaced relative to Eff")
+    return SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori, mov)
 
 
 def movsec_is_single_group(lat: PicLattice, boundary: BoundaryCycle) -> bool:
@@ -356,11 +342,10 @@ def _bfs_tree(adj) -> list[tuple[int, int]]:
     return tree
 
 
-def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Chamber],
-                    max_level: int = 2) -> dict:
+def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Chamber]) -> dict:
     """Antisymmetry, loop additivity, boundary vanishing and nef nonnegativity.
 
-    Each value c_p(a, b) is computed once per adjacent pair, point and
+    The points are those of levels 0 to 2.  Each value c_p(a, b) is computed once per adjacent pair, point and
     direction, and every pass reads those tables.  Loop additivity is a
     coboundary test: a 1-cochain on a connected graph sums to zero on every
     closed loop exactly when it is the coboundary of a potential.  Integrating
@@ -370,7 +355,7 @@ def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Cha
     c_p(a, b) = phi_p(a) - phi_p(b).
     """
     comp = gamma_complex(fan_triangulation(boundary.n))
-    points = [p for m in range(max_level + 1) for p in comp.points_at_level(m)]
+    points = [p for m in range(3) for p in comp.points_at_level(m)]
     adj = chamber_adjacency(chambers)
     edges = {}
     for a, b in adj:
@@ -453,10 +438,9 @@ def theta_line_bundles(sec: SecondaryFan, p: GammaPoint) -> ThetaBundleData:
     for u, w in _bfs_tree(chamber_adjacency(chambers)):
         step = theta_cocycle(p, chambers[u], chambers[w], sec.boundary)
         phi[w] = vec_sub(phi[u], step)
-    group_fan = Fan(sec.lat.rank, tuple(g.cone for g in groups))
     entries = {}
     degrees = {}
-    for gi, gj in adjacency_pairs(group_fan):
+    for gi, gj in adjacency_pairs(sec.movsec_fan):
         ui = groups[gi].member_ids[0]
         uj = groups[gj].member_ids[0]
         c = vec_sub(phi[ui], phi[uj])

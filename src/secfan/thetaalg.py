@@ -32,13 +32,6 @@ from .lattice import IntVec, solve_rational, vec
 # coefficients: integer combinations of monomials z^gamma, gamma effective
 
 
-@dataclass(frozen=True)
-class CurveMonomial:
-    """z^gamma for gamma in the effective-curve monoid of the surface."""
-
-    gamma: IntVec
-
-
 def validate_effective(lat: PicLattice, gamma: IntVec):
     """gamma must be a nonnegative rational combination of curve-cone generators."""
     gens = ne_generators(lat)
@@ -109,11 +102,12 @@ def hilbert(n: int, m: int) -> int:
     return len(gamma_points(n, None, m))
 
 
-def proj_degree(n: int, samples: int = 4) -> int:
-    """Twice the leading coefficient of the quadratic Hilbert growth."""
-    if samples < 3:
-        raise ValidationError("need at least three sample levels for the quadratic fit")
-    levels = list(range(1, samples + 1))
+def proj_degree(n: int) -> int:
+    """Twice the leading coefficient of the quadratic Hilbert growth.
+
+    A quadratic is fitted through levels 1 to 3 and checked at level 4.
+    """
+    levels = [1, 2, 3, 4]
     values = [hilbert(n, m) for m in levels]
     rows = [(m * m, m, 1) for m in levels[:3]]
     sol = solve_rational(rows, values[:3])

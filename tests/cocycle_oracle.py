@@ -18,14 +18,14 @@ from secfan.secondary import Chamber, _single_flop_index, chamber_adjacency
 
 
 def cocycle_battery_by_cycles(lat: PicLattice, boundary: BoundaryCycle,
-                              chambers: list[Chamber], max_level: int = 2) -> dict:
+                              chambers: list[Chamber]) -> dict:
     """Antisymmetry, loop additivity, boundary vanishing and nef nonnegativity.
 
     Loop additivity is checked on a fundamental cycle basis of the chamber
     adjacency graph, which is equivalent to additivity on every closed loop.
     """
     comp = gamma_complex(fan_triangulation(boundary.n))
-    points = [p for m in range(max_level + 1) for p in comp.points_at_level(m)]
+    points = [p for m in range(3) for p in comp.points_at_level(m)]
     adj = chamber_adjacency(chambers)
     edges = {}
     for a, b in adj:

@@ -353,12 +353,12 @@ def test_criterion_10_cocycle_battery_deg5_deg6():
     results = {}
     lat6, hexagon = hexagon_boundary()
     chambers6 = build_chambers(lat6, hexagon)
-    rep6 = cocycle_battery(lat6, hexagon, chambers6, max_level=2)
+    rep6 = cocycle_battery(lat6, hexagon, chambers6)
     results["deg6"] = rep6["ok"] and rep6["loops"] > 0
     lat5 = PicLattice(4)
     pentagon = minus_one_cycles(lat5, 5)[0]
     chambers5 = build_chambers(lat5, pentagon)
-    rep5 = cocycle_battery(lat5, pentagon, chambers5, max_level=2)
+    rep5 = cocycle_battery(lat5, pentagon, chambers5)
     results["deg5"] = rep5["ok"] and rep5["loops"] > 0
     report(
         "criterion 10: cocycle battery (antisymmetry, loops, vanishing, nef pairing)",

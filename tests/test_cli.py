@@ -9,10 +9,11 @@ from click.testing import CliRunner
 
 from secfan import cli as cli_module
 from secfan import cones, secondary, toricstack
-from secfan.cli import build_report, cache_put, cli, config_hash, load_config
+from secfan.cli import build_report, cache_put, cli, config_hash, load_config, write_bundle
 from secfan.cones import Fan
-from secfan.delpezzo import BoundaryCycle, PicLattice, hexagon_boundary
+from secfan.delpezzo import BoundaryCycle, PicLattice, hexagon_boundary, minus_one_cycles
 from secfan.errors import ValidationError
+from secfan.lattice import rank_of
 
 HEXAGON = {
     "k": 3,
@@ -460,6 +461,44 @@ def test_build_report_verifies_each_fact_once(monkeypatch):
     assert stray_intersects == []
     assert all(report["fan_checks"][k] for k in (
         "mori_is_fan", "secondary_is_fan", "secondary_complete", "coarsens_mori"))
+
+
+BOUNDARIES = {
+    "hexagon": hexagon_boundary,
+    "pentagon": lambda: (PicLattice(4), minus_one_cycles(PicLattice(4), 5)[0]),
+    "square": lambda: (PicLattice(5), minus_one_cycles(PicLattice(5), 4)[0]),
+}
+
+
+@pytest.mark.parametrize("name, rows", [("hexagon", 100), ("pentagon", 309), ("square", 1410)])
+def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, name, rows):
+    counted, maps = [], []
+    real_key, real_map = cones._facet_faces_key, cones._wall_map
+
+    def key(c):
+        counted.append(c)
+        return real_key(c)
+
+    def wall_map(members, *args):
+        maps.append(tuple(members))
+        return real_map(members, *args)
+
+    monkeypatch.setattr(cones, "_facet_faces_key", key)
+    monkeypatch.setattr(cones, "_wall_map", wall_map)
+    report, sec = build_report(*BOUNDARIES[name]())
+    write_bundle(tmp_path, report, sec)
+    monkeypatch.undo()
+    mori, full = sec.mori_fan, sec.full_fan
+    # a row per cone of the Mori and the full fan, and per chamber for the
+    # tilings of movsec and for the adjacency of the cocycle battery
+    assert len(counted) == len(mori.cones) + len(full.cones) + 2 * len(sec.chambers) == rows
+    # is_complete, one_stratum_report and fan_to_dot build no map of their own
+    assert mori.cones not in maps and full.cones not in maps
+    # the bogus cones' walls, added to the members' map, give a fresh map of all
+    # cones and leave the members' map as it was
+    for fan in (mori, full, sec.movsec_fan):
+        assert list(fan.walls.items()) == list(cones._wall_map(fan.cones).items())
+        assert all(c.dim == rank_of(list(c.rays) + list(c.lineality)) for c in fan.cones)
 
 
 def test_cocycle_battery_computes_each_value_once(monkeypatch):

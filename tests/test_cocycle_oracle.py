@@ -24,8 +24,8 @@ def _square():
 def test_battery_matches_the_cycle_oracle(setup):
     lat, cycle = setup()
     chambers = build_chambers(lat, cycle)
-    rep = cocycle_battery(lat, cycle, chambers, max_level=2)
-    assert rep == cocycle_battery_by_cycles(lat, cycle, chambers, max_level=2)
+    rep = cocycle_battery(lat, cycle, chambers)
+    assert rep == cocycle_battery_by_cycles(lat, cycle, chambers)
     assert rep["ok"] and rep["loops"] > 0
 
 
@@ -67,6 +67,6 @@ def test_one_perturbed_value_fails_both_batteries(monkeypatch, edge, both_ways):
     monkeypatch.setattr(secondary, "_crossing_values", perturbed)
     expected = {"loop"} if both_ways else {"loop", "antisymmetry"}
     for battery in (cocycle_battery, cocycle_battery_by_cycles):
-        rep = battery(lat, cycle, chambers, max_level=2)
+        rep = battery(lat, cycle, chambers)
         assert not rep["ok"]
         assert {f[0] for f in rep["failures"]} & expected

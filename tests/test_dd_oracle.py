@@ -1,4 +1,5 @@
-"""The adjacency-tested double-description kernel against the rank-filter kernel it replaced."""
+"""The adjacency-tested double-description kernel against the rank-filter kernel it
+replaced, and RationalCone.dim against the rank of the generators."""
 
 from unittest import mock
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from dd_oracle import cone_from_rays_two_sweeps, dual_description_by_rank_filter
 from secfan import cones
-from secfan.cones import cone_from_rays, dual_description
+from secfan.cones import cone_from_inequalities, cone_from_rays, dual_description, faces, intersect, zero_cone
+from secfan.lattice import rank_of
 
 
 def _rows(n, max_size):
@@ -68,6 +70,17 @@ def test_one_sweep_cone_from_rays_matches_two_sweeps(v):
     rays, lin, n = v
     new = cone_from_rays(rays, n, lineality=lin)
     assert _four_tuples(new) == _four_tuples(cone_from_rays_two_sweeps(rays, n, lineality=lin))
+
+
+@settings(max_examples=100, deadline=None)
+@given(v_descriptions(), st.data())
+def test_dim_matches_the_rank_of_the_generators(v, data):
+    rays, lin, n = v
+    c = cone_from_rays(rays, n, lineality=lin)
+    h = cone_from_inequalities(data.draw(_rows(n, 8)), data.draw(_rows(n, 2)), n)
+    for cone in (c, h, intersect(c, h), *faces(c, 1), zero_cone(n)):
+        # the formula dim replaced: the rank of the generators
+        assert cone.dim == rank_of(list(cone.rays) + list(cone.lineality))
 
 
 @pytest.mark.parametrize("rays, lin", [

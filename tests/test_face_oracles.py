@@ -14,7 +14,7 @@ from secfan.delpezzo import (
     toric_boundary,
 )
 from secfan.lattice import IntMat, invariant_factors, primitive, rank_of
-from secfan.secondary import secondary_fan
+from secfan.secondary import _complete_with_bogus, build_chambers, movsec
 from secfan.toricstack import BundleInput, decompose
 
 
@@ -128,6 +128,16 @@ def test_rays_outside_the_subspace_that_span_no_face_fail_in_both():
     assert cert.failures == ["cone0: the rays outside the subspace span no face"]
 
 
+def _moving_fans(lat, cycle):
+    """The chambers' fan, the groups' fan, and the full fan over the groups with
+    its bogus faces; the Mori fan and the pairwise fan predicate are skipped."""
+    chambers = build_chambers(lat, cycle)
+    groups = movsec(chambers)
+    mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
+    full, faces = _complete_with_bogus(mov, lat, effective_cone(lat), "secondary fan")
+    return Fan(lat.rank, tuple(c.cone for c in chambers)), mov, full, faces
+
+
 def _criterion_11_inputs():
     yield "p2", toric_boundary("p2")[:2]
     yield "quadric", toric_boundary("quadric")[:2]
@@ -140,10 +150,8 @@ def _criterion_11_inputs():
 
 def test_decompose_matches_the_face_walk_on_the_criterion_11_fans():
     for name, (lat, cycle) in _criterion_11_inputs():
-        sec = secondary_fan(lat, cycle, check=False)
-        mov = Fan(lat.rank, tuple(g.cone for g in sec.groups),
-                  tuple(g.label() for g in sec.groups))
-        cert = _same_decomposition(BundleInput(sec.full_fan, mov, (lat.canonical,)))
+        _, mov, full, _ = _moving_fans(lat, cycle)
+        cert = _same_decomposition(BundleInput(full, mov, (lat.canonical,)))
         assert cert.ok, (name, cert.failures)
 
 
@@ -160,11 +168,11 @@ def _boundary_face_inputs():
 def test_boundary_walls_match_the_facet_scan():
     names = []
     for name, (lat, cycle) in _boundary_face_inputs():
-        sec = secondary_fan(lat, cycle, check=False)
+        chamber_fan, mov, _, faces = _moving_fans(lat, cycle)
         eff = effective_cone(lat)
-        for cs in ([c.cone for c in sec.chambers], [g.cone for g in sec.groups]):
-            want = boundary_faces_by_facet_scan(cs, eff, lat.rank)
-            assert want and boundary_walls(cs, eff) == want, name
-        assert sec.bogus_faces == want, name
+        for fan in (chamber_fan, mov):
+            want = boundary_faces_by_facet_scan(fan.cones, eff, lat.rank)
+            assert want and boundary_walls(fan, eff) == want, name
+        assert faces == want, name
         names.append(name)
     assert len(names) == 1 + len(TORIC_NAMES) + 12 + 3

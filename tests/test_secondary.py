@@ -29,7 +29,6 @@ from secfan.delpezzo import (
 from secfan.disk import fan_point, fan_triangulation, gamma_complex
 from secfan.errors import InternalInvariantError, ValidationError
 from secfan.secondary import (
-    FanCertificates,
     all_triangulations,
     build_chambers,
     chamber_adjacency,
@@ -110,16 +109,6 @@ def test_secondary_fan_degree6():
     assert is_coarsening(sec.full_fan, sec.mori_fan)
 
 
-def test_secondary_fan_records_its_certificates():
-    lat, cycle = hexagon_boundary()
-    assert secondary_fan(lat, cycle).certificates == FanCertificates(
-        mori_is_fan=True,
-        secondary_is_fan=True,
-        secondary_complete=True,
-        coarsens_mori=True,
-    )
-
-
 def test_a_missing_chamber_leaves_a_wall_off_eff(monkeypatch):
     lat, cycle = hexagon_boundary()
     real = build_chambers(lat, cycle)
@@ -133,7 +122,16 @@ def test_a_missing_chamber_leaves_a_wall_off_eff(monkeypatch):
                         lambda *_: real[:drop] + real[drop + 1:])
     with pytest.raises(InternalInvariantError,
                        match=r"wall \[.*is met by one cone and lies on no facet"):
-        secondary_fan(lat, cycle, check=True)
+        secondary_fan(lat, cycle)
+
+
+def test_a_missing_bogus_cone_leaves_the_mori_fan_incomplete(monkeypatch):
+    lat, cycle = hexagon_boundary()
+    real = secondary.boundary_walls
+    monkeypatch.setattr(secondary, "boundary_walls", lambda fan, support: real(fan, support)[:-1])
+    with pytest.raises(InternalInvariantError,
+                       match=r"^Mori fan is not a complete fan: wall \[.*is met by no other cone"):
+        secondary_fan(lat, cycle)
 
 
 def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch):
@@ -142,26 +140,20 @@ def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch):
     real = secondary.boundary_walls
     calls = []
 
-    def walls(cones, support):
-        calls.append(len(cones))
-        faces = real(cones, support)
+    def walls(fan, support):
+        calls.append(len(fan.cones))
+        faces = real(fan, support)
         return faces[:-1] if len(calls) == 2 else faces
 
     monkeypatch.setattr(secondary, "boundary_walls", walls)
     monkeypatch.setattr(secondary, "fan_check", lambda fan: FanReport(True))
     monkeypatch.setattr(secondary, "is_complete", lambda fan: True)
-    face = real([c.cone for c in build_chambers(lat, cycle)], effective_cone(lat))[-1]
+    chambers = Fan(lat.rank, tuple(c.cone for c in build_chambers(lat, cycle)))
+    face = real(chambers, effective_cone(lat))[-1]
     label = "bogus[" + ",".join(str(r) for r in face) + "]"
     with pytest.raises(InternalInvariantError,
                        match=rf"Mori cone {re.escape(label)} lies in no secondary bogus cone"):
-        secondary_fan(lat, cycle, check=True)
-
-
-def test_unchecked_secondary_fan_carries_no_certificate():
-    lat, cycle = hexagon_boundary()
-    sec = secondary_fan(lat, cycle, check=False)
-    assert sec.certificates == FanCertificates()
-    assert all(v is None for v in vars(sec.certificates).values())
+        secondary_fan(lat, cycle)
 
 
 def test_secondary_fan_degree5_strictly_coarser():
@@ -234,7 +226,7 @@ def test_theta_cocycle_rejects_non_adjacent():
 
 def test_cocycle_battery_degree6():
     lat, cycle, chambers = _hex_setup()
-    rep = cocycle_battery(lat, cycle, chambers, max_level=2)
+    rep = cocycle_battery(lat, cycle, chambers)
     assert rep["ok"], rep["failures"][:3]
     assert rep["loops"] > 0
 

@@ -44,11 +44,6 @@ def test_proj_degree(n):
     assert proj_degree(n) == n
 
 
-def test_proj_degree_needs_samples():
-    with pytest.raises(ValidationError):
-        proj_degree(3, samples=2)
-
-
 def _vertices(n):
     comp = gamma_complex(fan_triangulation(n))
     return comp, {i: comp.vertex_point(i) for i in range(1, n + 1)}, comp.center_point()
