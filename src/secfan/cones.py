@@ -13,13 +13,18 @@ A pointed cone given by generators needs one sweep, not two: with its facets
 known, a generator is an extreme ray exactly when no other generator is tight
 on every facet it is tight on (the zero-set redundancy lemma in
 cone_from_rays), so the rays are read off the generators by bitset tests.
+
+intersect resumes its first operand's double description and inserts only the
+second operand's constraints: any constraint set defining a cone, with each
+extreme ray's zero set taken over it, is a valid start (see dual_description).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import and_
+from itertools import islice
+from operator import and_, mul
 
 from .errors import InternalInvariantError, ValidationError
 from .lattice import (
@@ -30,7 +35,6 @@ from .lattice import (
     vec,
     vec_dot,
     vec_scale,
-    vec_sub,
 )
 
 FULL_FACE_LATTICE_CAP = 6  # ambient rank above which full face lattices are refused
@@ -40,7 +44,7 @@ def _unit(n: int, i: int) -> IntVec:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def dual_description(ineqs, eqs, n: int) -> tuple[list[IntVec], list[IntVec]]:
+def dual_description(ineqs, eqs, n: int, start=None) -> tuple[list[IntVec], list[IntVec]]:
     """Lineality basis and extreme rays of {x : a.x >= 0 for a in ineqs, e.x = 0 for e in eqs}.
 
     Rays come back primitive and lex-sorted; the lineality basis is sign-normalized.
@@ -49,54 +53,62 @@ def dual_description(ineqs, eqs, n: int) -> tuple[list[IntVec], list[IntVec]]:
     they are adjacent, that is, when no third ray's zero set contains the
     intersection of theirs (Fukuda and Prodon, "Double description method
     revisited", 1996, Prop. 7), so every ray kept is extreme.
+
+    The sweep starts from R^n, or resumes from start = (lineality basis,
+    {extreme ray: zero set}, constraints inserted) of a cone C and returns C
+    cut by ineqs and eqs.  Lemma: any set H of constraints defining C, with
+    zero sets taken over H, is a valid start.  The constraints of H tight on a
+    face cut it out, so Z(r) cuts out the smallest face containing r (distinct
+    rays, distinct zero sets), r and s are adjacent exactly when no third zero
+    set contains Z(r) & Z(s), and those tight on a 2-face have rank
+    n - dim(lineality) - 2, whichever H defines C; H plus an inserted
+    constraint defines the next cone.
     """
-    lin: list[IntVec] = [_unit(n, i) for i in range(n)]
-    rays: dict[IntVec, int] = {}  # ray -> zero set
-    inserted = 0
+    # insertions rebind lin and rays, never mutate them, so start is not copied
+    lin, rays, inserted = start or ([_unit(n, i) for i in range(n)], {}, 0)
 
     def insert(a: IntVec, is_eq: bool):
         nonlocal lin, rays, inserted
         bit = 1 << inserted
         inserted += 1
-        orig = next((l for l in lin if vec_dot(l, a) != 0), None)
+        orig = next((l for l in lin if sum(map(mul, l, a))), None)
         if orig is not None:
             # a cuts the lineality: project along l0 into a's hyperplane, where
             # every ray and every other lineality vector becomes tight on a
-            l0, d0 = orig, vec_dot(orig, a)
+            l0, d0 = orig, sum(map(mul, orig, a))
             if d0 < 0:
-                l0, d0 = vec_scale(-1, orig), -d0
-            lin = [
-                sign_normalized(vec_sub(vec_scale(d0, l), vec_scale(vec_dot(l, a), l0)))
-                for l in lin if l is not orig
-            ]
-            rays = {
-                primitive(vec_sub(vec_scale(d0, r), vec_scale(vec_dot(r, a), l0))): z | bit
-                for r, z in rays.items()
-            }
+                l0, d0 = tuple(-x for x in orig), -d0
+
+            def project(v):
+                d = sum(map(mul, v, a))
+                return tuple(d0 * x - d * y for x, y in zip(v, l0))
+
+            lin = [sign_normalized(project(l)) for l in lin if l is not orig]
+            rays = {primitive(project(r)): z | bit for r, z in rays.items()}
             if not is_eq:
                 rays[primitive(l0)] = bit - 1  # tight on everything inserted before
             return
-        dots = {r: vec_dot(r, a) for r in rays}
+        dots = {r: sum(map(mul, r, a)) for r in rays}
         plus = [r for r, d in dots.items() if d > 0]
         minus = [r for r, d in dots.items() if d < 0]
         zero_sets = list(rays.values())
         # a 2-face is tight on constraints of rank n - dim(lineality) - 2
         need = n - len(lin) - 2
-        kept = {r: z | bit for r, z in rays.items() if dots[r] == 0}
+        kept = {r: z | bit for r, z in rays.items() if not dots[r]}
         if not is_eq:
             kept.update((r, rays[r]) for r in plus)
         for rp in plus:
-            zp = rays[rp]
+            zp, dp = rays[rp], dots[rp]
             for rm in minus:
-                zm = rays[rm]
-                common = zp & zm
-                # distinct extreme rays have distinct zero sets
-                if common.bit_count() < need or any(
-                    z & common == common for z in zero_sets if z != zp and z != zm
-                ):
+                common = zp & rays[rm]
+                if common.bit_count() < need:
                     continue
-                combo = primitive(vec_sub(vec_scale(dots[rp], rm), vec_scale(dots[rm], rp)))
-                kept[combo] = common | bit
+                # adjacent when no third zero set contains common: stop at the
+                # third holder (distinct extreme rays have distinct zero sets)
+                holders = (z for z in zero_sets if z & common == common)
+                if next(islice(holders, 2, None), None) is None:
+                    dm = dots[rm]
+                    kept[primitive(tuple(dp * y - dm * x for x, y in zip(rp, rm)))] = common | bit
         rays = kept
 
     for e in eqs:
@@ -234,9 +246,18 @@ def dual_cone(c: RationalCone) -> RationalCone:
 
 
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
+    """a cut by b: the sweep resumes from a's lineality and rays, with zero sets
+    over a's equations and facets (a valid start, see dual_description), and
+    inserts only b's constraints; cone_from_rays puts the result in canonical form.
+    """
     if a.ambient_rank != b.ambient_rank:
         raise ValidationError("ambient rank mismatch")
-    return cone_from_inequalities(a.facets + b.facets, a.equations + b.equations, a.ambient_rank)
+    own = a.equations + a.facets
+    zero_sets = {r: sum(1 << i for i, h in enumerate(own) if not sum(map(mul, h, r)))
+                 for r in a.rays}
+    n = a.ambient_rank
+    lin, rays = dual_description(b.facets, b.equations, n, start=(a.lineality, zero_sets, len(own)))
+    return cone_from_rays(rays, n, lineality=lin) if rays or lin else zero_cone(n)
 
 
 def faces(c: RationalCone, codim: int) -> list[RationalCone]:

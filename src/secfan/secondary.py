@@ -319,6 +319,22 @@ def _crossing_values(points, idx: int, beta: Chamber, boundary: BoundaryCycle) -
     return [vec_scale(sign * cocycle_coefficient(p, idx), d_class) for p in points]
 
 
+def _crossing_cochain(points, edges, chambers, boundary: BoundaryCycle):
+    """c_p(a, b) and c_p(b, a) at every point per adjacent pair (a, b), one table
+    per flop index and direction (whether the chamber entered contracts the curve)."""
+    tables = {}
+
+    def values(idx, beta):
+        key = (idx, idx in beta.boundary_exc)
+        if key not in tables:
+            tables[key] = _crossing_values(points, idx, beta, boundary)
+        return tables[key]
+
+    fwd = {e: values(idx, chambers[e[1]]) for e, idx in edges.items()}
+    back = {e: values(idx, chambers[e[0]]) for e, idx in edges.items()}
+    return fwd, back
+
+
 def chamber_adjacency(chambers: list[Chamber]) -> dict[tuple[int, int], tuple[IntVec, ...]]:
     """Adjacent chamber pairs mapped to the rays of their shared wall."""
     fan = Fan(chambers[0].cone.ambient_rank, tuple(c.cone for c in chambers))
@@ -345,8 +361,9 @@ def _bfs_tree(adj) -> list[tuple[int, int]]:
 def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Chamber]) -> dict:
     """Antisymmetry, loop additivity, boundary vanishing and nef nonnegativity.
 
-    The points are those of levels 0 to 2.  Each value c_p(a, b) is computed once per adjacent pair, point and
-    direction, and every pass reads those tables.  Loop additivity is a
+    The points are those of levels 0 to 2.  Each value is computed once per
+    flop index, direction and point (see _crossing_cochain), and every pass
+    reads those tables.  Loop additivity is a
     coboundary test: a 1-cochain on a connected graph sums to zero on every
     closed loop exactly when it is the coboundary of a potential.  Integrating
     along one breadth-first tree, phi_p(0) = 0 and
@@ -364,8 +381,7 @@ def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Cha
             raise InternalInvariantError("adjacent chambers differ by more than one flop")
         edges[(a, b)] = idx
 
-    fwd = {e: _crossing_values(points, idx, chambers[e[1]], boundary) for e, idx in edges.items()}
-    back = {e: _crossing_values(points, idx, chambers[e[0]], boundary) for e, idx in edges.items()}
+    fwd, back = _crossing_cochain(points, edges, chambers, boundary)
     failures = []
     for (a, b) in adj:
         for p, cab, cba in zip(points, fwd[(a, b)], back[(a, b)]):

@@ -238,6 +238,12 @@ def two_leg_outputs(aff: AffineStructure, i1: int, i2: int):
     Returns a list of (output point data, crossing multiplicities) pairs where
     the point data is (center coordinate, boundary coordinates) at level two.
     Degenerate opposite legs give straight-line spines with center output.
+
+    The output is read where -d3 lies in the closed chart cone, which along
+    the output leg happens in the vertex chart only, so that leg is not
+    walked (and no walk bound, lo or lo + 1, can change the outputs): a
+    crossing of ray a needs dy < 0 and leaves dx = -dy > 0, one of ray a + 1
+    needs dx < 0 and leaves dy = -dx > 0 (see _walk).
     """
     n = aff.n
     lo, hi = -2 * n, 3 * n
@@ -264,15 +270,9 @@ def two_leg_outputs(aff: AffineStructure, i1: int, i2: int):
                 (d1, cross1), (d2, cross2) = legs[q1], legs[q2]
                 base = cross1 + cross2
                 d3 = (-d1[0] - d2[0], -d1[1] - d2[1])
-                if d3 == (0, 0):
-                    _record_output(results, n, j0, (0, 0), base)
-                    continue
-                # the output leg's evaluation end: every chart of its walk
-                # where -d3 lies in the closed cone, with the crossings so far
-                path, crossings, _ = _walk(aff, j0, d3, _det(d3, x), lo + 1, hi - 2)
-                for i, (a, (dx, dy)) in enumerate(path):
-                    if dx <= 0 and dy <= 0:
-                        _record_output(results, n, a, (-dx, -dy), base + crossings[:i])
+                # d3 = 0 too: opposite legs, a straight line with center output
+                if d3[0] <= 0 and d3[1] <= 0:
+                    _record_output(results, n, j0, (-d3[0], -d3[1]), base)
     return sorted(
         results.values(),
         key=lambda r: (r[0][0], sorted(r[0][1].items()), sorted(r[1].items())),

@@ -10,10 +10,14 @@ cone_from_rays_two_sweeps is the earlier cone_from_rays: it converts the
 generators to facets and back (V to H to V) with two double-description
 sweeps, where secfan.cones.cone_from_rays reads a pointed cone's rays off the
 generators after the first.
+
+intersect_from_facets is the earlier intersect: it sweeps the equations and
+facets of both cones from scratch, where secfan.cones.intersect resumes the
+first cone's double description and inserts only the second cone's.
 """
 
 from secfan import cones
-from secfan.cones import RationalCone, _unit
+from secfan.cones import RationalCone, _unit, cone_from_inequalities
 from secfan.lattice import (
     IntVec,
     primitive,
@@ -121,3 +125,7 @@ def cone_from_rays_two_sweeps(rays, ambient_rank: int | None = None, lineality=(
         equations=equations,
         lineality=tuple(sorted(set(sign_normalized(l) for l in lin2))),
     )
+
+
+def intersect_from_facets(a: RationalCone, b: RationalCone) -> RationalCone:
+    return cone_from_inequalities(a.facets + b.facets, a.equations + b.equations, a.ambient_rank)

@@ -506,13 +506,20 @@ def test_cocycle_battery_computes_each_value_once(monkeypatch):
     real = secondary._crossing_values
 
     def counted(points, idx, beta, boundary):
-        calls.extend((p, idx, id(beta)) for p in points)
+        calls.extend((p, idx, idx in beta.boundary_exc) for p in points)
         return real(points, idx, beta, boundary)
 
     monkeypatch.setattr(secondary, "_crossing_values", counted)
     monkeypatch.setattr(secondary, "theta_cocycle", None)
     lat, cycle = hexagon_boundary()
-    rep = secondary.cocycle_battery(lat, cycle, secondary.build_chambers(lat, cycle))
-    # one value per adjacent pair, point and direction; in the hexagon a
-    # crossing is named by its flop index and the chamber it enters
-    assert len(calls) == len(set(calls)) == 2 * rep["pairs"] * rep["points"]
+    chambers = secondary.build_chambers(lat, cycle)
+    rep = secondary.cocycle_battery(lat, cycle, chambers)
+    # a crossing's values depend on its flop index and on whether the chamber
+    # it enters contracts that boundary curve: one value per such key and point
+    keys = set()
+    for e in secondary.chamber_adjacency(chambers):
+        for a, b in (e, e[::-1]):
+            idx = secondary._single_flop_index(chambers[a], chambers[b])
+            keys.add((idx, idx in chambers[b].boundary_exc))
+    assert len(keys) == 12 < 2 * rep["pairs"]
+    assert len(calls) == len(set(calls)) == len(keys) * rep["points"]

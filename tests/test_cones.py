@@ -498,16 +498,16 @@ def sweeps(monkeypatch):
     real = cones.dual_description
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(cones, "dual_description", counted)
     monkeypatch.setattr(delpezzo, "dual_description", counted)
 
-    def count(fn, *args):
+    def count(fn, *args, **kwargs):
         del calls[:]
-        fn(*args)
+        fn(*args, **kwargs)
         return len(calls)
 
     return count
@@ -525,6 +525,19 @@ def test_intersect_of_pointed_cones_runs_two_sweeps(sweeps):
     a = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     b = cone_from_rays([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
     assert sweeps(intersect, a, b) == 2
+
+
+def test_intersect_of_lineal_or_lower_dimensional_cones_runs_two_sweeps(sweeps):
+    # a lineal first operand: its rays and lineality start the sweep
+    half_space = cone_from_rays([(1, 0, 0)], 3, lineality=[(0, 1, 0), (0, 0, 1)])
+    tilted = cone_from_rays([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    assert intersect(half_space, tilted).is_pointed()
+    assert sweeps(intersect, a=half_space, b=tilted) == 2
+    # two planes meeting in a ray
+    plane = cone_from_rays([(1, 0, 0), (0, 1, 0)])
+    other = cone_from_rays([(1, 0, 0), (0, 0, 1)])
+    assert intersect(plane, other).rays == ((1, 0, 0),)
+    assert sweeps(intersect, plane, other) == 2
 
 
 def test_mori_chamber_runs_two_sweeps(sweeps):

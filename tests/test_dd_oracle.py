@@ -1,5 +1,6 @@
 """The adjacency-tested double-description kernel against the rank-filter kernel it
-replaced, and RationalCone.dim against the rank of the generators."""
+replaced, the resumed intersect against the from-scratch one, and
+RationalCone.dim against the rank of the generators."""
 
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dd_oracle import cone_from_rays_two_sweeps, dual_description_by_rank_filter
+from dd_oracle import cone_from_rays_two_sweeps, dual_description_by_rank_filter, intersect_from_facets
 from secfan import cones
 from secfan.cones import cone_from_inequalities, cone_from_rays, dual_description, faces, intersect, zero_cone
 from secfan.lattice import rank_of
@@ -36,9 +37,9 @@ def h_descriptions(draw):
 
 
 @st.composite
-def v_descriptions(draw):
-    """Nonzero generators of rank 1-6 with 0-2 lineality vectors, some repeated or scaled."""
-    n = draw(st.integers(1, 6))
+def v_descriptions(draw, n=None):
+    """Nonzero generators of rank 1-6 (or n) with 0-2 lineality vectors, some repeated or scaled."""
+    n = draw(st.integers(1, 6)) if n is None else n
     rays = _with_repeats(draw, [r for r in draw(_rows(n, 8)) if any(r)] or [(1,) * n])
     lin = draw(_rows(n, 2))
     return rays, lin, n
@@ -70,6 +71,34 @@ def test_one_sweep_cone_from_rays_matches_two_sweeps(v):
     rays, lin, n = v
     new = cone_from_rays(rays, n, lineality=lin)
     assert _four_tuples(new) == _four_tuples(cone_from_rays_two_sweeps(rays, n, lineality=lin))
+
+
+@st.composite
+def intersect_operands(draw, n):
+    """A cone of rank n from v_descriptions, flattened into x_n = 0 or the zero cone at times."""
+    kind = draw(st.sampled_from(["as drawn", "flat", "zero"]))
+    if kind == "zero":
+        return zero_cone(n)
+    rays, lin, _ = draw(v_descriptions(n))
+    if kind == "flat":
+        rays = [r[:-1] + (0,) for r in rays if any(r[:-1])]
+        lin = [l[:-1] + (0,) for l in lin]
+    if not rays and not any(any(l) for l in lin):
+        return zero_cone(n)
+    return cone_from_rays(rays, n, lineality=lin)
+
+
+@st.composite
+def intersect_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(intersect_operands(n)), draw(intersect_operands(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(intersect_pairs())
+def test_resumed_intersect_matches_the_sweep_from_facets(pair):
+    a, b = pair
+    assert _four_tuples(intersect(a, b)) == _four_tuples(intersect_from_facets(a, b))
 
 
 @settings(max_examples=100, deadline=None)

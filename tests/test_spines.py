@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from secfan.errors import ValidationError
 from secfan.spines import (
+    _walk,
     AffineStructure,
     Leg,
     count,
@@ -183,6 +185,19 @@ def test_two_leg_outputs_all_counted():
     bumped = list(z)
     bumped[0] += 1
     assert count(aff, s, tuple(bumped)) == 0
+
+
+def test_a_leg_points_out_of_the_closed_cone_after_every_crossing():
+    # two_leg_outputs reads the output only in the vertex chart: after any
+    # crossing the walked direction has a positive coordinate, whatever the
+    # structure, so a later chart of the output leg never holds -d3
+    for n in (1, 2, 3):
+        for selfint in itertools.product(range(-3, 2), repeat=n):
+            aff = AffineStructure(n, selfint)
+            for d in itertools.product(range(-4, 5), repeat=2):
+                for k in (-1, 1):
+                    path, _, _ = _walk(aff, 1, d, k, -4 * n, 4 * n)
+                    assert all(dx > 0 or dy > 0 for _, (dx, dy) in path[1:])
 
 
 def test_two_leg_outputs_with_one_center_and_two_boundary_points():
