@@ -34,7 +34,7 @@ from .delpezzo import (
     weyl_generators,
     weyl_group,
 )
-from .disk import fan_triangulation
+from .disk import fan_triangulation, triangulation_with_flips
 from .errors import InternalInvariantError, ValidationError
 from .secondary import (
     cocycle_battery,
@@ -63,10 +63,9 @@ WORKERS_HELP = "accepted for compatibility; changes neither output nor speed"
 
 
 def _config_int(path: str, value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"config {path}: {what} must be an integer, not {value!r}") from None
+    if type(value) is not int:  # floats, strings and booleans are refused, not truncated
+        raise ValidationError(f"config {path}: {what} must be an integer, not {value!r}")
+    return value
 
 
 def _read_json(path: str, what: str, parse=None):
@@ -95,7 +94,7 @@ def load_config(path: str) -> dict:
         raise ValidationError(f"config {path}: unknown model_tag {model!r}")
     if "degree" in data:
         if model == "quadric":
-            if data["degree"] != 8:
+            if _config_int(path, data["degree"], "'degree'") != 8:
                 raise ValidationError("the quadric model has degree 8")
             k = 2
         else:
@@ -197,7 +196,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     """
     sec = secondary_fan(lat, cycle)
     grouping_by_triangulation(sec.chambers)
-    battery = cocycle_battery(lat, cycle, sec.chambers) \
+    battery = cocycle_battery(sec) \
         if cycle.n >= 3 else {"ok": True, "pairs": 0, "loops": 0, "points": 0, "failures": []}
     strata = one_stratum_report(sec)
     theta = theta_divisor_checks(cycle.n)
@@ -375,8 +374,6 @@ def report_markdown(report: dict) -> str:
 
 def theta_table_csv(n: int, flips, level: int) -> str:
     """One row per level basis point with the degree-one products landing on it."""
-    from .disk import triangulation_with_flips
-
     tri = triangulation_with_flips(n, flips) if flips else fan_triangulation(n)
     ring = UmbrellaRing(n, tri)
     comp = ring.complex
@@ -611,7 +608,7 @@ def theta_hilbert(n, max_level):
 @click.option("--triangulation", "flips", default="", help="comma-separated flip indices")
 @click.option("--level", type=int, default=2)
 def theta_table(n, flips, level):
-    idx = [int(x) for x in flips.split(",") if x.strip()]
+    idx = _option_ints(flips, "--triangulation") if flips.strip() else ()
     click.echo(theta_table_csv(n, idx, level), nl=False)
 
 

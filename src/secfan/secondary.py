@@ -7,13 +7,13 @@ whose contracted set meets the boundary in the same components and adding the
 cones gamma + R>=0.K over the faces gamma on the boundary of the effective
 cone completes the picture.  Each fan's walls are built once, as data of the
 Fan: the faces gamma are the walls met by one cone, the bogus cones add only
-their own walls, and the degree certificate, the adjacency and the DOT export
-read that one map.  secondary_fan always proves what it returns: the Mori fan
-and the full fan pass the linear degree certificate of a complete fan, group
-hulls equal the union of their members, the full fan passes the pairwise fan
-predicate and holds every Mori cone, so coarsens the Mori fan.  In the toric
-cases the whole object must agree with an independently computed GKZ
-secondary fan of the reflexive polygon.
+their own walls, and the degree certificate, movsec, the cocycle battery, the
+one-strata and the DOT export read that one map.  secondary_fan always proves
+what it returns: the Mori fan and the full fan pass the linear degree
+certificate of a complete fan, group hulls equal the union of their members,
+the full fan passes the pairwise fan predicate and holds every Mori cone, so
+coarsens the Mori fan.  In the toric cases the whole object must agree with an
+independently computed GKZ secondary fan of the reflexive polygon.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .cones import (
     boundary_walls,
     cone_from_inequalities,
     cone_from_rays,
-    cones_tile,
     fan_check,
     intersect,
     is_complete,
@@ -145,29 +144,38 @@ class MovSecGroup:
         return "mov[" + ",".join(str(i) for i in sorted(self.key)) + "]"
 
 
-def movsec(chambers: list[Chamber]) -> list[MovSecGroup]:
-    """Group chambers by boundary-exceptional set; certified convex hulls.
+def movsec(mori: Fan, chambers: list[Chamber]) -> list[MovSecGroup]:
+    """Group chambers by boundary-exceptional set; hulls proved convex off the
+    walls of mori, mori_fan_K's proven fan (chambers first; its bogus cones
+    are in no group): every wall whose cones are not all in one group must
+    lie in a facet hyperplane of the hull of each group it touches, or
+    InternalInvariantError (CLI exit 3) names the group and the wall.
 
-    The hull-equals-union certificate is the degree argument of cones_tile;
-    grouped chambers always merge into convex cones, so a failure is a bug and
-    raises the internal-invariant error (CLI exit 3).
+    Lemma: then the hull H of a group is the union U of its chambers.  The
+    Mori proof gives each wall at most two cones, on opposite sides, so a
+    boundary point of U off the codimension-2 skeleton lies inside a wall
+    between a member and a non-member: on a facet hyperplane of H, not in
+    int H.  So in int H the boundary of U has codimension >= 2 and does not
+    disconnect int H, which meets the interior of U; hence U = H.
     """
     by_key: dict[frozenset[int], list[int]] = {}
     for i, ch in enumerate(chambers):
         by_key.setdefault(ch.boundary_exc, []).append(i)
     groups = []
     for key in sorted(by_key, key=sorted):
-        ids = by_key[key]
-        members = [chambers[i].cone for i in ids]
-        rank = members[0].ambient_rank
-        rays = sorted({r for m in members for r in m.rays})
-        hull = cone_from_rays(rays, rank)
-        if not cones_tile(members, hull):
-            raise InternalInvariantError(
-                f"moving group {sorted(key)} is not convex: chambers {ids}, numbered"
-                f" from 0, do not tile their hull: {_tiling_defect(members, hull)}"
-            )
-        groups.append(MovSecGroup(key, hull, tuple(ids)))
+        rays = sorted({r for i in by_key[key] for r in chambers[i].cone.rays})
+        groups.append(MovSecGroup(key, cone_from_rays(rays, mori.ambient_rank), tuple(by_key[key])))
+    group_of = {i: g for g in groups for i in g.member_ids}
+    for (rays, _), incident in mori.walls.items():
+        touched = [group_of.get(mi) for mi, _ in incident]  # None for a bogus cone
+        if all(g is touched[0] for g in touched):
+            continue
+        for g in filter(None, touched):
+            if not any(all(vec_dot(h, r) == 0 for r in rays) for h in g.cone.facets):
+                raise InternalInvariantError(
+                    f"moving group {sorted(g.key)} is not convex: wall {list(rays)} of cones"
+                    f" {[mori.label_of(mi) for mi, _ in incident]} lies on no facet of its hull"
+                )
     return groups
 
 
@@ -203,16 +211,16 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     fan is proved.  Each fan's walls are built once: mori_fan_K and the
     moving groups each get their bogus cones from the walls met by one cone,
     and is_complete reads the same map to prove the Mori fan and the
-    secondary fan complete fans at every rank.  The much smaller secondary
-    fan also passes the pairwise fan predicate.  Coarsening is containment:
-    movsec proved each chamber lies in its group's hull, and each Mori bogus
+    secondary fan complete fans, and movsec reads the Mori walls too.  The
+    smaller secondary fan also passes the pairwise fan predicate.  Coarsening
+    is containment: movsec proved each chamber lies in its group's hull, and each Mori bogus
     cone must lie in a secondary bogus cone.  That proves it, as the two fans
     are complete: a point x inside a cone C of the secondary fan lies in some
     Mori cone f, and f in some secondary C'; C cap C' is a face of both with
     x inside, so full-dimensional, so C = C'.  The Mori cones in C cover it.
     """
     mori, chambers = mori_fan_K(lat, boundary)
-    groups = movsec(chambers)
+    groups = movsec(mori, chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     eff = effective_cone(lat)
     fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, "secondary fan")
@@ -335,10 +343,9 @@ def _crossing_cochain(points, edges, chambers, boundary: BoundaryCycle):
     return fwd, back
 
 
-def chamber_adjacency(chambers: list[Chamber]) -> dict[tuple[int, int], tuple[IntVec, ...]]:
-    """Adjacent chamber pairs mapped to the rays of their shared wall."""
-    fan = Fan(chambers[0].cone.ambient_rank, tuple(c.cone for c in chambers))
-    return adjacency_pairs(fan)
+def _chamber_adjacency(sec: SecondaryFan) -> dict[tuple[int, int], tuple[IntVec, ...]]:
+    """Adjacent chamber pairs and their shared walls: the Mori fan's pairs of chambers."""
+    return {e: w for e, w in adjacency_pairs(sec.mori_fan).items() if e[1] < len(sec.chambers)}
 
 
 def _bfs_tree(adj) -> list[tuple[int, int]]:
@@ -358,12 +365,12 @@ def _bfs_tree(adj) -> list[tuple[int, int]]:
     return tree
 
 
-def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Chamber]) -> dict:
+def cocycle_battery(sec: SecondaryFan) -> dict:
     """Antisymmetry, loop additivity, boundary vanishing and nef nonnegativity.
 
-    The points are those of levels 0 to 2.  Each value is computed once per
-    flop index, direction and point (see _crossing_cochain), and every pass
-    reads those tables.  Loop additivity is a
+    The points are those of levels 0 to 2, the adjacency the Mori fan's; each
+    value is computed once per flop index, direction and point (see
+    _crossing_cochain), and every pass reads those tables.  Loop additivity is a
     coboundary test: a 1-cochain on a connected graph sums to zero on every
     closed loop exactly when it is the coboundary of a potential.  Integrating
     along one breadth-first tree, phi_p(0) = 0 and
@@ -371,9 +378,10 @@ def cocycle_battery(lat: PicLattice, boundary: BoundaryCycle, chambers: list[Cha
     additive on loops if and only if every chord (a, b) off the tree has
     c_p(a, b) = phi_p(a) - phi_p(b).
     """
+    lat, boundary, chambers = sec.lat, sec.boundary, sec.chambers
     comp = gamma_complex(fan_triangulation(boundary.n))
     points = [p for m in range(3) for p in comp.points_at_level(m)]
-    adj = chamber_adjacency(chambers)
+    adj = _chamber_adjacency(sec)
     edges = {}
     for a, b in adj:
         idx = _single_flop_index(chambers[a], chambers[b])
@@ -451,7 +459,7 @@ def theta_line_bundles(sec: SecondaryFan, p: GammaPoint) -> ThetaBundleData:
     chambers = sec.chambers
     groups = sec.groups
     phi = {0: tuple(0 for _ in range(sec.lat.rank))}
-    for u, w in _bfs_tree(chamber_adjacency(chambers)):
+    for u, w in _bfs_tree(_chamber_adjacency(sec)):
         step = theta_cocycle(p, chambers[u], chambers[w], sec.boundary)
         phi[w] = vec_sub(phi[u], step)
     entries = {}
@@ -496,31 +504,26 @@ def one_stratum_report(sec: SecondaryFan) -> list[dict]:
     """For each wall of the full fan, whether the combinatorial family data changes.
 
     Moving cones carry (exceptional set, triangulation), bogus cones carry
-    (base face, incident groups, dropped-center theta pattern).  Walls whose
-    two sides carry identical data are flagged: they would correspond to a
-    contracted stratum.
+    (base face, the group sharing it as a wall, dropped-center theta pattern).
+    Walls whose two sides carry identical data are flagged: they would
+    correspond to a contracted stratum.
     """
     fan = sec.full_fan
     n_mov = len(sec.groups)
-
-    def shadow(idx: int):
-        if idx < n_mov:
-            g = sec.groups[idx]
-            tri = sec.chambers[g.member_ids[0]].triangulation.canonical_key()
-            return ("moving", tuple(sorted(g.key)), tri)
-        face = sec.bogus_faces[idx - n_mov]
-        incident = tuple(
-            sorted(
-                tuple(sorted(g.key))
-                for g in sec.groups
-                if all(g.cone.contains_point(r) for r in face)
-            )
-        )
-        return ("bogus", face, incident, "theta-drop-center")
+    # a bogus cone's base face is the one wall it shares with a moving group
+    owner = {}
+    for (rays, _), incident in fan.walls.items():
+        ids = sorted(mi for mi, _ in incident)
+        if ids[0] < n_mov <= ids[-1]:
+            owner[rays] = sec.groups[ids[0]]
+    shadows = [("moving", tuple(sorted(g.key)),
+                sec.chambers[g.member_ids[0]].triangulation.canonical_key()) for g in sec.groups]
+    shadows += [("bogus", face, (tuple(sorted(owner[face].key)),), "theta-drop-center")
+                for face in sec.bogus_faces]
 
     out = []
     for a, b in adjacency_pairs(fan):
-        da, db = shadow(a), shadow(b)
+        da, db = shadows[a], shadows[b]
         out.append(
             {
                 "wall": (fan.label_of(a), fan.label_of(b)),

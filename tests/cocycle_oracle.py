@@ -7,14 +7,23 @@ as secfan.secondary.cocycle_battery.  Both batteries evaluate crossings
 through secfan.secondary._crossing_values, which theta_cocycle calls and
 which is looked up on the module at call time, so a test that patches it
 there patches both batteries.
+
+chamber_adjacency builds a fresh wall map of the chambers alone; the library
+reads the same pairs off the Mori fan's proven wall map.
 """
 
 from secfan import secondary
+from secfan.cones import Fan, adjacency_pairs
 from secfan.delpezzo import BoundaryCycle, PicLattice
 from secfan.disk import fan_triangulation, gamma_complex
 from secfan.errors import InternalInvariantError
 from secfan.lattice import vec_scale
-from secfan.secondary import Chamber, _single_flop_index, chamber_adjacency
+from secfan.secondary import Chamber, _single_flop_index
+
+
+def chamber_adjacency(chambers: list[Chamber]) -> dict:
+    """Adjacent chamber pairs mapped to the rays of their shared wall."""
+    return adjacency_pairs(Fan(chambers[0].cone.ambient_rank, tuple(c.cone for c in chambers)))
 
 
 def cocycle_battery_by_cycles(lat: PicLattice, boundary: BoundaryCycle,

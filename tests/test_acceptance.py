@@ -36,6 +36,7 @@ from secfan.secondary import (
     cocycle_battery,
     gkz_secondary_fan,
     grouping_by_triangulation,
+    mori_fan_K,
     movsec,
     movsec_is_single_group,
     secondary_fan,
@@ -162,8 +163,7 @@ def test_criterion_04_no_boundary_exceptional_single_group():
         rep = validate_boundary(lat, cycle)
         assert rep.valid, rep.diagnostics
         assert not any(rep.minus_one_flags)
-        chambers = build_chambers(lat, cycle)
-        groups = movsec(chambers)
+        groups = movsec(*mori_fan_K(lat, cycle))
         single = len(groups) == 1 and groups[0].cone == effective_cone(lat)
         results.append(single)
     # lazy mode at k = 8: grouping predicate only, no cone enumeration
@@ -195,8 +195,7 @@ def _boundary_suite_k_le_5():
 def test_criterion_05_movsec_convexity_battery():
     tested = 0
     for lat, cycle in _boundary_suite_k_le_5():
-        chambers = build_chambers(lat, cycle)
-        movsec(chambers)  # raises InternalInvariantError on any convexity failure
+        movsec(*mori_fan_K(lat, cycle))  # raises InternalInvariantError on any convexity failure
         tested += 1
     # the failure path maps to CLI exit code 3
     stub = (
@@ -352,13 +351,11 @@ def test_criterion_09_monodromy_and_spine_counts():
 def test_criterion_10_cocycle_battery_deg5_deg6():
     results = {}
     lat6, hexagon = hexagon_boundary()
-    chambers6 = build_chambers(lat6, hexagon)
-    rep6 = cocycle_battery(lat6, hexagon, chambers6)
+    rep6 = cocycle_battery(secondary_fan(lat6, hexagon))
     results["deg6"] = rep6["ok"] and rep6["loops"] > 0
     lat5 = PicLattice(4)
     pentagon = minus_one_cycles(lat5, 5)[0]
-    chambers5 = build_chambers(lat5, pentagon)
-    rep5 = cocycle_battery(lat5, pentagon, chambers5)
+    rep5 = cocycle_battery(secondary_fan(lat5, pentagon))
     results["deg5"] = rep5["ok"] and rep5["loops"] > 0
     report(
         "criterion 10: cocycle battery (antisymmetry, loops, vanishing, nef pairing)",

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cocycle_oracle import chamber_adjacency
 from secfan import cli as cli_module
 from secfan import cones, secondary, toricstack
 from secfan.cli import build_report, cache_put, cli, config_hash, load_config, write_bundle
@@ -84,7 +85,16 @@ BAD_CONFIGS = {
     "cycle_number.json": '{"k": 0, "cycle": 5}',
     "model_tag.json": '{"k": 0, "model_tag": "cubic", "cycle": [[3]]}',
     "seed_word.json": '{"k": 0, "cycle": [[3]], "seed": "x"}',
+    # JSON numbers that are not integers, and booleans, are refused, not truncated
+    "class_float.json": '{"degree": 9, "cycle": [[1.9], [1], [1]]}',
+    "k_float.json": '{"k": 0.5, "cycle": [[1], [1], [1]]}',
+    "k_bool.json": '{"k": true, "cycle": [[1, 0], [2, -1]]}',
+    "quadric_float.json": '{"degree": 8.0, "model_tag": "quadric",'
+                          ' "cycle": [[1, 0], [0, 1], [1, 0], [0, 1]]}',
 }
+# the key each of those configs must name in its error
+NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_bool.json": "'k'",
+              "quadric_float.json": "'degree'"}
 # a straight hexagon spine whose vertex chart is no chart 1..6
 BAD_SPINES = {
     f"chart{c}.json": json.dumps({
@@ -108,6 +118,7 @@ BAD_SPINES = {
     ["bundle", "check", "--fan", "broken.json", "--subfan", "line.json", "--L", "1"],
     ["bundle", "check", "--fan", "no_cycle.json", "--subfan", "line.json", "--L", "1"],
     ["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", "no_cycle.json"],
+    ["theta", "table", "--n", "6", "--triangulation", "a"],
     *[["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", name]
       for name in BAD_SPINES],
 ], ids=lambda argv: " ".join(argv))
@@ -116,6 +127,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv):
         (tmp_path / name).write_text(text)
     line = Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))
     (tmp_path / "line.json").write_text(json.dumps(cones.fan_to_json(line)))
+    key = NAMED_KEYS.get(argv[-1], "")
     argv = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "secfan.cli", *argv], capture_output=True, text=True
@@ -123,6 +135,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "validation error" in proc.stderr
+    assert key in proc.stderr
 
 
 def test_internal_invariant_exits_3(tmp_path, monkeypatch):
@@ -470,10 +483,12 @@ BOUNDARIES = {
 }
 
 
-@pytest.mark.parametrize("name, rows", [("hexagon", 100), ("pentagon", 309), ("square", 1410)])
+# ids leave out the pinned counts, so a new pin does not rename the test
+@pytest.mark.parametrize("name, rows", [("hexagon", 64), ("pentagon", 157), ("square", 624)],
+                         ids=["hexagon", "pentagon", "square"])
 def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, name, rows):
-    counted, maps = [], []
-    real_key, real_map = cones._facet_faces_key, cones._wall_map
+    counted, maps, tilings = [], [], []
+    real_key, real_map, real_tile = cones._facet_faces_key, cones._wall_map, cones.cones_tile
 
     def key(c):
         counted.append(c)
@@ -483,15 +498,23 @@ def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, name, r
         maps.append(tuple(members))
         return real_map(members, *args)
 
+    def tile(*args):
+        tilings.append(args)
+        return real_tile(*args)
+
     monkeypatch.setattr(cones, "_facet_faces_key", key)
     monkeypatch.setattr(cones, "_wall_map", wall_map)
+    for mod in (cli_module, cones, secondary):
+        if getattr(mod, "cones_tile", None) is real_tile:
+            monkeypatch.setattr(mod, "cones_tile", tile)
     report, sec = build_report(*BOUNDARIES[name]())
     write_bundle(tmp_path, report, sec)
     monkeypatch.undo()
     mori, full = sec.mori_fan, sec.full_fan
-    # a row per cone of the Mori and the full fan, and per chamber for the
-    # tilings of movsec and for the adjacency of the cocycle battery
-    assert len(counted) == len(mori.cones) + len(full.cones) + 2 * len(sec.chambers) == rows
+    # a row per cone of the Mori and the full fan: movsec and the cocycle
+    # battery read the Mori walls, and no group is re-tiled
+    assert len(counted) == len(mori.cones) + len(full.cones) == rows
+    assert tilings == []
     # is_complete, one_stratum_report and fan_to_dot build no map of their own
     assert mori.cones not in maps and full.cones not in maps
     # the bogus cones' walls, added to the members' map, give a fresh map of all
@@ -511,13 +534,13 @@ def test_cocycle_battery_computes_each_value_once(monkeypatch):
 
     monkeypatch.setattr(secondary, "_crossing_values", counted)
     monkeypatch.setattr(secondary, "theta_cocycle", None)
-    lat, cycle = hexagon_boundary()
-    chambers = secondary.build_chambers(lat, cycle)
-    rep = secondary.cocycle_battery(lat, cycle, chambers)
+    sec = secondary.secondary_fan(*hexagon_boundary())
+    chambers = sec.chambers
+    rep = secondary.cocycle_battery(sec)
     # a crossing's values depend on its flop index and on whether the chamber
     # it enters contracts that boundary curve: one value per such key and point
     keys = set()
-    for e in secondary.chamber_adjacency(chambers):
+    for e in chamber_adjacency(chambers):
         for a, b in (e, e[::-1]):
             idx = secondary._single_flop_index(chambers[a], chambers[b])
             keys.add((idx, idx in chambers[b].boundary_exc))

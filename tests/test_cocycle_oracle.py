@@ -2,11 +2,11 @@
 
 import pytest
 
-from cocycle_oracle import cocycle_battery_by_cycles
+from cocycle_oracle import chamber_adjacency, cocycle_battery_by_cycles
 from secfan import secondary
 from secfan.delpezzo import PicLattice, hexagon_boundary, minus_one_cycles
 from secfan.disk import fan_point
-from secfan.secondary import build_chambers, chamber_adjacency, cocycle_battery
+from secfan.secondary import cocycle_battery, secondary_fan
 
 
 def _pentagon():
@@ -23,9 +23,9 @@ def _square():
                          ids=["hexagon", "pentagon", "square"])
 def test_battery_matches_the_cycle_oracle(setup):
     lat, cycle = setup()
-    chambers = build_chambers(lat, cycle)
-    rep = cocycle_battery(lat, cycle, chambers)
-    assert rep == cocycle_battery_by_cycles(lat, cycle, chambers)
+    sec = secondary_fan(lat, cycle)
+    rep = cocycle_battery(sec)
+    assert rep == cocycle_battery_by_cycles(lat, cycle, sec.chambers)
     assert rep["ok"] and rep["loops"] > 0
 
 
@@ -49,7 +49,8 @@ def test_one_perturbed_value_fails_both_batteries(monkeypatch, edge, both_ways):
     and the chamber crossed into; in the hexagon that pair names one
     crossing, as the first assertion checks."""
     lat, cycle = hexagon_boundary()
-    chambers = build_chambers(lat, cycle)
+    sec = secondary_fan(lat, cycle)
+    chambers = sec.chambers
     tree, chords = _tree_and_chords(chambers)
     u, w = chords[0] if edge == "chord" else tree[0]
     idx = secondary._single_flop_index(chambers[u], chambers[w])
@@ -83,10 +84,12 @@ def test_one_perturbed_value_fails_both_batteries(monkeypatch, edge, both_ways):
                 {(a, b): bumped(points, v, shift(b, a)) for (a, b), v in back.items()})
 
     expected = {"loop"} if both_ways else {"loop", "antisymmetry"}
-    for battery, name, fake in ((cocycle_battery, "_crossing_cochain", perturbed_cochain),
-                                (cocycle_battery_by_cycles, "_crossing_values", perturbed_values)):
+    for battery, name, fake in (
+            (lambda: cocycle_battery(sec), "_crossing_cochain", perturbed_cochain),
+            (lambda: cocycle_battery_by_cycles(lat, cycle, chambers), "_crossing_values",
+             perturbed_values)):
         with monkeypatch.context() as patch:
             patch.setattr(secondary, name, fake)
-            rep = battery(lat, cycle, chambers)
+            rep = battery()
         assert not rep["ok"]
         assert {f[0] for f in rep["failures"]} & expected

@@ -14,7 +14,7 @@ from secfan.delpezzo import (
     toric_boundary,
 )
 from secfan.lattice import IntMat, invariant_factors, primitive, rank_of
-from secfan.secondary import _complete_with_bogus, build_chambers, movsec
+from secfan.secondary import _complete_with_bogus, mori_fan_K, movsec
 from secfan.toricstack import BundleInput, decompose
 
 
@@ -130,9 +130,9 @@ def test_rays_outside_the_subspace_that_span_no_face_fail_in_both():
 
 def _moving_fans(lat, cycle):
     """The chambers' fan, the groups' fan, and the full fan over the groups with
-    its bogus faces; the Mori fan and the pairwise fan predicate are skipped."""
-    chambers = build_chambers(lat, cycle)
-    groups = movsec(chambers)
+    its bogus faces; the pairwise fan predicate is skipped."""
+    mori, chambers = mori_fan_K(lat, cycle)
+    groups = movsec(mori, chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     full, faces = _complete_with_bogus(mov, lat, effective_cone(lat), "secondary fan")
     return Fan(lat.rank, tuple(c.cone for c in chambers)), mov, full, faces

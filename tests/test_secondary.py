@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cocycle_oracle import chamber_adjacency
 from secfan import secondary
 from secfan.cones import (
     Fan,
@@ -31,7 +32,6 @@ from secfan.errors import InternalInvariantError, ValidationError
 from secfan.secondary import (
     all_triangulations,
     build_chambers,
-    chamber_adjacency,
     cocycle_battery,
     gkz_secondary_fan,
     grouping_by_triangulation,
@@ -71,8 +71,7 @@ def test_mori_fan_degree6():
 
 def test_movsec_hexagon_all_singletons():
     lat, cycle = hexagon_boundary()
-    chambers = build_chambers(lat, cycle)
-    groups = movsec(chambers)
+    groups = movsec(*mori_fan_K(lat, cycle))
     assert len(groups) == 18
     assert all(len(g.member_ids) == 1 for g in groups)
 
@@ -80,8 +79,7 @@ def test_movsec_hexagon_all_singletons():
 def test_movsec_no_minus_one_boundary_single_group():
     # degree 9: triangle of lines, no (-1)-components anywhere
     lat, cycle, _ = toric_boundary("p2")
-    chambers = build_chambers(lat, cycle)
-    groups = movsec(chambers)
+    groups = movsec(*mori_fan_K(lat, cycle))
     assert len(groups) == 1
     assert groups[0].cone == effective_cone(lat)
 
@@ -89,8 +87,8 @@ def test_movsec_no_minus_one_boundary_single_group():
 def test_movsec_degree5_intermediate():
     lat = PicLattice(4)
     cycle = minus_one_cycles(lat, 5)[0]
-    chambers = build_chambers(lat, cycle)
-    groups = movsec(chambers)
+    mori, chambers = mori_fan_K(lat, cycle)
+    groups = movsec(mori, chambers)
     # 1 empty + 5 singletons + 5 non-adjacent pairs
     assert len(groups) == 11
     assert 1 < len(groups) < len(chambers)
@@ -225,8 +223,8 @@ def test_theta_cocycle_rejects_non_adjacent():
 
 
 def test_cocycle_battery_degree6():
-    lat, cycle, chambers = _hex_setup()
-    rep = cocycle_battery(lat, cycle, chambers)
+    lat, cycle = hexagon_boundary()
+    rep = cocycle_battery(secondary_fan(lat, cycle))
     assert rep["ok"], rep["failures"][:3]
     assert rep["loops"] > 0
 
@@ -435,18 +433,18 @@ def test_intersect_nef_with_chamber_is_perp_face():
 
 
 def test_adjacency_walls_match_exact_intersection():
-    lat, cycle = hexagon_boundary()
-    chambers = build_chambers(lat, cycle)
-    adj = chamber_adjacency(chambers)
+    sec = secondary_fan(*hexagon_boundary())
+    chambers = sec.chambers
+    adj = secondary._chamber_adjacency(sec)
     assert len(adj) == 30
     for (a, b), wall in adj.items():
         assert wall == intersect(chambers[a].cone, chambers[b].cone).rays
 
 
 def test_chamber_adjacency_is_single_flop():
-    lat, cycle = hexagon_boundary()
-    chambers = build_chambers(lat, cycle)
-    for a, b in chamber_adjacency(chambers):
+    sec = secondary_fan(*hexagon_boundary())
+    chambers = sec.chambers
+    for a, b in secondary._chamber_adjacency(sec):
         sa = set(chambers[a].contraction.classes)
         sb = set(chambers[b].contraction.classes)
         assert len(sa.symmetric_difference(sb)) == 1

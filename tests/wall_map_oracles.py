@@ -1,0 +1,66 @@
+"""The grouping and one-stratum code that built its own maps, kept as test oracles.
+
+secfan.secondary.movsec proves each group convex from the Mori fan's wall
+map, and one_stratum_report reads a bogus cone's incident group off the full
+fan's wall map.  movsec_by_tiling is the earlier movsec: one cones_tile per
+group, which builds a fresh wall map of the group's chambers and runs its own
+dimension, containment, opposite-side and probe checks.
+one_stratum_report_by_containment is the earlier report: it scans every group
+for one containing the bogus cone's base face.  The chamber adjacency oracle
+is cocycle_oracle.chamber_adjacency.
+"""
+
+from secfan.cones import _tiling_defect, adjacency_pairs, cone_from_rays, cones_tile
+from secfan.errors import InternalInvariantError
+from secfan.secondary import Chamber, MovSecGroup, SecondaryFan
+
+
+def movsec_by_tiling(chambers: list[Chamber]) -> list[MovSecGroup]:
+    """Group chambers by boundary-exceptional set; each group's chambers must
+    tile their hull by the degree certificate of cones_tile."""
+    by_key: dict[frozenset[int], list[int]] = {}
+    for i, ch in enumerate(chambers):
+        by_key.setdefault(ch.boundary_exc, []).append(i)
+    groups = []
+    for key in sorted(by_key, key=sorted):
+        ids = by_key[key]
+        members = [chambers[i].cone for i in ids]
+        rank = members[0].ambient_rank
+        rays = sorted({r for m in members for r in m.rays})
+        hull = cone_from_rays(rays, rank)
+        if not cones_tile(members, hull):
+            raise InternalInvariantError(
+                f"moving group {sorted(key)} is not convex: chambers {ids}, numbered"
+                f" from 0, do not tile their hull: {_tiling_defect(members, hull)}"
+            )
+        groups.append(MovSecGroup(key, hull, tuple(ids)))
+    return groups
+
+
+def incident_groups_by_containment(sec: SecondaryFan, face) -> tuple:
+    """Sorted keys of the groups whose cone holds every ray of the face."""
+    return tuple(sorted(
+        tuple(sorted(g.key)) for g in sec.groups if all(g.cone.contains_point(r) for r in face)
+    ))
+
+
+def one_stratum_report_by_containment(sec: SecondaryFan) -> list[dict]:
+    """one_stratum_report with each bogus cone's incident groups found by a
+    containment scan over every group, and each shadow built per wall side."""
+    fan = sec.full_fan
+    n_mov = len(sec.groups)
+
+    def shadow(idx: int):
+        if idx < n_mov:
+            g = sec.groups[idx]
+            tri = sec.chambers[g.member_ids[0]].triangulation.canonical_key()
+            return ("moving", tuple(sorted(g.key)), tri)
+        face = sec.bogus_faces[idx - n_mov]
+        return ("bogus", face, incident_groups_by_containment(sec, face), "theta-drop-center")
+
+    out = []
+    for a, b in adjacency_pairs(fan):
+        da, db = shadow(a), shadow(b)
+        out.append({"wall": (fan.label_of(a), fan.label_of(b)), "changes": da != db,
+                    "left": da, "right": db})
+    return out
