@@ -3,9 +3,9 @@
 Subcommands mirror the pipeline stages (delpezzo, fan, theta, spine, bundle,
 pipeline).  Reports are the acceptance substrate: they embed the input hash,
 library version and seeds, never wall-clock data, so runs are byte-stable
-across repetitions.  The --workers options are accepted for compatibility and
-change neither output nor speed.  Exit codes: 0 success, 2 validation
-problem, 3 broken internal invariant.
+across repetitions; every blowup report with k >= 2 carries Weyl data.  The
+--workers options are accepted for compatibility and change neither output
+nor speed.  Exit codes: 0 success, 2 validation problem, 3 broken invariant.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from operator import mul
 from pathlib import Path
 
 import click
@@ -25,17 +26,19 @@ from .delpezzo import (
     BoundaryCycle,
     PicLattice,
     TORIC_NAMES,
+    WeylElement,
     minus_one_classes,
     normalized_cycle,
     quadric,
     roots,
+    simple_roots,
     toric_boundary,
     validate_boundary,
     weyl_generators,
-    weyl_group,
 )
 from .disk import fan_triangulation, triangulation_with_flips
 from .errors import InternalInvariantError, ValidationError
+from .lattice import IntMat
 from .secondary import (
     cocycle_battery,
     gkz_secondary_fan,
@@ -54,7 +57,6 @@ from .thetaalg import (
 from .toricstack import BundleInput, decompose, stabilizers
 
 CACHE_ENV = "SECFAN_CACHE_DIR"
-WEYL_CAP = 4  # Weyl orbit data is reported for blowups with 2 <= k <= WEYL_CAP
 WORKERS_HELP = "accepted for compatibility; changes neither output nor speed"
 
 
@@ -192,7 +194,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
                  seed: int = 20220110) -> dict:
     """Every stage once; secondary_fan proves the four fan checks or raises.
 
-    workers is accepted for compatibility and has no effect.
+    Blowups with k >= 2 get a "weyl" section.  workers has no effect.
     """
     sec = secondary_fan(lat, cycle)
     grouping_by_triangulation(sec.chambers)
@@ -204,9 +206,6 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     binput = BundleInput(sec.full_fan, sec.movsec_fan, (lat.canonical,))
     bcert = decompose(binput)
     stab = stabilizers(binput, bcert) if bcert.ok else None
-    weyl = None
-    if lat.model_tag == "blowup" and 2 <= lat.k <= WEYL_CAP:
-        weyl = weyl_orbit_decomposition(lat, sec)
     report = {
         "version": __version__,
         "input_hash": config_hash(lat, cycle),
@@ -261,59 +260,79 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
             ],
         },
     }
-    if weyl is not None:
-        report["weyl"] = weyl
+    if lat.model_tag == "blowup" and lat.k >= 2:
+        report["weyl"] = weyl_orbit_decomposition(lat, sec)
     return report, sec
 
 
+def _orbit(start, moves) -> dict:
+    """Breadth-first Schreier tree: point -> (parent, move index), start -> None."""
+    tree, queue = {start: None}, [start]
+    for p in queue:
+        for i, move in enumerate(moves):
+            q = move(p)
+            if q not in tree:
+                tree[q] = (p, i)
+                queue.append(q)
+    return tree
+
+
+def _move(w: WeylElement):
+    """w.act, computing only the rows where w's matrix differs from the identity's."""
+    m, one = w.matrix, IntMat.identity(w.matrix.rows)
+    changed = [(i, m.row(i)) for i in range(m.rows) if m.row(i) != one.row(i)]
+
+    def act(v):
+        out = list(v)
+        for i, row in changed:
+            out[i] = sum(map(mul, row, v))
+        return tuple(out)
+    return act
+
+
 def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
-    """Chamber orbits, closed under the generators; stabilizer action on the fan."""
-    group = weyl_group(lat)
+    """W(E_k) data from the simple reflections alone; no element list is built.
+
+    W permutes the contractions, so a chamber orbit is the closure of one
+    contracted-class set under the generators.  rho = (0, 1, ..., k) pairs
+    positively with every simple root, so it lies in an open chamber; W acts
+    simply transitively on chambers (Humphreys, Reflection Groups and Coxeter
+    Groups, 1990, 1.12), so |W| = |W rho|.  With u_p the element along the
+    Schreier tree from the sorted boundary multiset to p, the u_q^-1 s u_p
+    (s a generator, q = s p) generate its stabilizer, of order |W| / |orbit|
+    (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4).  A
+    group maps a finite set of cones onto itself iff each generator does.
+    """
     gens = weyl_generators(lat)
-    chambers = sec.chambers
-    keys = [frozenset(c.contraction.classes) for c in chambers]
-    index = {k: i for i, k in enumerate(keys)}
-    seen = set()
-    orbits = []
-    for i, key in enumerate(keys):
-        if i in seen:
-            continue
-        orbit = set()
-        frontier = [key]
-        while frontier:
-            cur = frontier.pop()
-            j = index[cur]
-            if j in orbit:
-                continue
-            orbit.add(j)
-            for w in gens:
-                img = frozenset(w.act(c) for c in cur)
-                if img in index and index[img] not in orbit:
-                    frontier.append(img)
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    boundary_multiset = sorted(sec.boundary.classes)
-    stab_elems = [
-        w for w in group
-        if sorted(w.act(c) for c in sec.boundary.classes) == boundary_multiset
-    ]
-    cone_keys = {c.key() for c in sec.full_fan.cones}
-    fixes = all(
-        {_act_cone_key(w, c) for c in sec.full_fan.cones} == cone_keys
-        for w in stab_elems
-    )
-    return {
-        "group_order": len(group),
-        "orbit_sizes": sorted(len(o) for o in orbits),
-        "stabilizer_order": len(stab_elems),
-        "stabilizer_fixes_secondary_fan": fixes,
-    }
-
-
-def _act_cone_key(w, cone):
-    rays = tuple(sorted(w.act(r) for r in cone.rays))
-    lin = tuple(sorted(w.act(l) for l in cone.lineality))
-    return (rays, lin)
+    acts = [_move(g) for g in gens]
+    rho = tuple(range(lat.rank))
+    if any(lat.dot(rho, a) <= 0 for a in simple_roots(lat)):
+        raise InternalInvariantError(f"rho = {rho} pairs non-positively with a simple root")
+    order = len(_orbit(rho, acts))
+    set_moves = [lambda s, a=a: frozenset(map(a, s)) for a in acts]
+    left, orbit_sizes = {frozenset(c.contraction.classes) for c in sec.chambers}, []
+    while left:
+        start = next(iter(left))
+        orbit = _orbit(start, set_moves).keys()
+        if not orbit <= left:
+            raise InternalInvariantError(f"a Weyl image of chamber {sorted(start)} is no chamber")
+        left -= orbit
+        orbit_sizes.append(len(orbit))
+    moves = [lambda m, a=a: tuple(sorted(map(a, m))) for a in acts]
+    start = tuple(sorted(sec.boundary.classes))
+    tree = _orbit(start, moves)
+    ident = WeylElement(IntMat.identity(lat.rank))
+    word = {start: (ident, ident)}  # p -> (u_p, u_p^-1)
+    for p, (parent, i) in list(tree.items())[1:]:
+        u, v = word[parent]
+        word[p] = (gens[i].compose(u), v.compose(gens[i]))
+    stab_gens = {word[move(p)][1].compose(g.compose(word[p][0]))
+                 for p in tree for g, move in zip(gens, moves)} - {ident}
+    cones = sec.full_fan.cones
+    fixes = all({(tuple(sorted(map(w.act, c.rays))), tuple(sorted(map(w.act, c.lineality))))
+                 for c in cones} == {c.key() for c in cones} for w in stab_gens)
+    return {"group_order": order, "orbit_sizes": sorted(orbit_sizes),
+            "stabilizer_order": order // len(tree), "stabilizer_fixes_secondary_fan": fixes}
 
 
 def report_markdown(report: dict) -> str:
@@ -374,24 +393,22 @@ def report_markdown(report: dict) -> str:
 
 def theta_table_csv(n: int, flips, level: int) -> str:
     """One row per level basis point with the degree-one products landing on it."""
-    tri = triangulation_with_flips(n, flips) if flips else fan_triangulation(n)
-    ring = UmbrellaRing(n, tri)
+    ring = UmbrellaRing(n, triangulation_with_flips(n, flips) if flips else fan_triangulation(n))
     comp = ring.complex
     basis = comp.points_at_level(level)
     lower = comp.points_at_level(level - 1) if level >= 1 else []
     ones = comp.points_at_level(1)
+    sources = {}  # target point -> the degree-one products landing on it
+    for p in lower:
+        for q in ones:
+            for pt, _, coeff in ring.product(p, q).terms:
+                if coeff:
+                    sources.setdefault((pt.cell, pt.coords), set()).add(
+                        f"{p.cell}{p.coords}*{q.cell}{q.coords}")
     rows = ["point_cell,point_coords,level,products_from_degree_one"]
     for b in basis:
-        sources = []
-        for p in lower:
-            for q in ones:
-                prod = ring.product(p, q)
-                for pt, _, coeff in prod.terms:
-                    if (pt.cell, pt.coords) == (b.cell, b.coords) and coeff:
-                        sources.append(f"{p.cell}{p.coords}*{q.cell}{q.coords}")
-        rows.append(
-            f"\"{b.cell}\",\"{b.coords}\",{b.level},\"{';'.join(sorted(set(sources)))}\""
-        )
+        srcs = ";".join(sorted(sources.get((b.cell, b.coords), ())))
+        rows.append(f"\"{b.cell}\",\"{b.coords}\",{b.level},\"{srcs}\"")
     return "\n".join(rows) + "\n"
 
 
@@ -593,7 +610,7 @@ def theta_group():
 
 @theta_group.command("hilbert")
 @click.option("--n", type=int, required=True)
-@click.option("--max-level", type=int, default=6)
+@click.option("--max-level", type=click.IntRange(min=0), default=6)
 def theta_hilbert(n, max_level):
     payload = {
         "n": n,

@@ -5,6 +5,7 @@ lines.  Tolerances are exact (integer/rational arithmetic throughout); the
 stated runtime budgets are asserted where the criteria give one.
 """
 
+import dataclasses
 import itertools
 import json
 import subprocess
@@ -38,7 +39,6 @@ from secfan.secondary import (
     grouping_by_triangulation,
     mori_fan_K,
     movsec,
-    movsec_is_single_group,
     secondary_fan,
     toric_compare,
 )
@@ -166,10 +166,12 @@ def test_criterion_04_no_boundary_exceptional_single_group():
         groups = movsec(*mori_fan_K(lat, cycle))
         single = len(groups) == 1 and groups[0].cone == effective_cone(lat)
         results.append(single)
-    # lazy mode at k = 8: grouping predicate only, no cone enumeration
+    # lazy mode at k = 8, no cone enumeration: when no boundary component is a
+    # (-1)-class, every contraction meets the boundary trivially, so the
+    # exceptional grouping has one class and the moving part is all of Eff
     lat8 = PicLattice(8)
-    anti = tuple(-x for x in lat8.canonical)
-    lazy = movsec_is_single_group(lat8, BoundaryCycle((anti,)))
+    rep8 = validate_boundary(lat8, BoundaryCycle((tuple(-x for x in lat8.canonical),)))
+    lazy = rep8.valid and not any(rep8.minus_one_flags)
     report(
         "criterion 4: no (-1)-components gives a single moving cone (k<=5 + lazy k=8)",
         all(results) and lazy,
@@ -437,22 +439,46 @@ def test_criterion_12_weyl_equivariance():
             w for w in group
             if sorted(w.act(c) for c in cycle.classes) == boundary_multiset
         ]
-        cone_keys = {(c.rays, c.lineality) for c in sec.full_fan.cones}
-        fix_ok = all(
-            {
-                (tuple(sorted(w.act(r) for r in c.rays)), c.lineality)
-                for c in sec.full_fan.cones
-            }
-            == cone_keys
-            for w in stab
-        )
+        cone_keys = {c.key() for c in sec.full_fan.cones}
+        fix_ok = all({_moved_key(w, c) for c in sec.full_fan.cones} == cone_keys for w in stab)
         orbits = _chamber_orbits(lat, group, chambers)
         sizes = sorted(len(o) for o in orbits)
-        # the report walks orbits over the generators only
-        orbit_ok = weyl_orbit_decomposition(lat, sec)["orbit_sizes"] == sizes
+        want = {
+            "group_order": len(group),
+            "orbit_sizes": sizes,
+            "stabilizer_order": len(stab),
+            "stabilizer_fixes_secondary_fan": fix_ok,
+        }
+        # the report reads all four off the simple reflections alone
+        weyl_ok = weyl_orbit_decomposition(lat, sec) == want
+        if lat.k == 5:
+            assert want == {"group_order": 1920, "orbit_sizes": [1, 16, 16, 40, 80, 80, 160],
+                            "stabilizer_order": 48, "stabilizer_fixes_secondary_fan": True}
         details.append(f"k={lat.k}: |W|={len(group)}, orbits={sizes}, |stab|={len(stab)}")
-        ok = ok and perm_ok and fix_ok and orbit_ok
+        ok = ok and perm_ok and fix_ok and weyl_ok
     report("criterion 12: Weyl equivariance at k <= 5", ok, "; ".join(details))
+
+
+def _moved_key(w, cone):
+    return tuple(sorted(w.act(r) for r in cone.rays)), cone.lineality
+
+
+def test_weyl_data_sees_a_fan_the_stabilizer_does_not_fix():
+    # the seed-0 pentagon: its stabilizer (order 10) contains no simple reflection
+    lat = PicLattice(4)
+    cycle = minus_one_cycles(lat, 5)[0]
+    sec = secondary_fan(lat, cycle)
+    stab = [w for w in weyl_group(lat)
+            if sorted(w.act(c) for c in cycle.classes) == sorted(cycle.classes)]
+    cones = sec.full_fan.cones
+    # drop a cone that some stabilizer element moves onto another cone
+    drop = next(c for c in cones if any(_moved_key(w, c) != c.key() for w in stab))
+    kept = tuple(c for c in cones if c is not drop)
+    doctored = dataclasses.replace(sec, full_fan=Fan(sec.full_fan.ambient_rank, kept))
+    oracle = all({_moved_key(w, c) for c in kept} == {c.key() for c in kept} for w in stab)
+    got = weyl_orbit_decomposition(lat, doctored)
+    assert got["stabilizer_fixes_secondary_fan"] is oracle is False
+    assert got["stabilizer_order"] == len(stab) == 10
 
 
 def _chamber_orbits(lat, group, chambers):

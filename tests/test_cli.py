@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -13,8 +14,10 @@ from secfan import cones, secondary, toricstack
 from secfan.cli import build_report, cache_put, cli, config_hash, load_config, write_bundle
 from secfan.cones import Fan
 from secfan.delpezzo import BoundaryCycle, PicLattice, hexagon_boundary, minus_one_cycles
-from secfan.errors import ValidationError
+from secfan.disk import fan_triangulation, gamma_complex, triangulation_with_flips
+from secfan.errors import InternalInvariantError, ValidationError
 from secfan.lattice import rank_of
+from secfan.thetaalg import UmbrellaRing
 
 HEXAGON = {
     "k": 3,
@@ -119,6 +122,7 @@ BAD_SPINES = {
     ["bundle", "check", "--fan", "no_cycle.json", "--subfan", "line.json", "--L", "1"],
     ["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", "no_cycle.json"],
     ["theta", "table", "--n", "6", "--triangulation", "a"],
+    ["theta", "hilbert", "--n", "3", "--max-level", "-1"],
     *[["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", name]
       for name in BAD_SPINES],
 ], ids=lambda argv: " ".join(argv))
@@ -296,6 +300,52 @@ def test_theta_commands():
     res3 = runner.invoke(cli, ["theta", "table", "--n", "6", "--level", "2"])
     rows = [r for r in res3.output.splitlines() if r.strip()]
     assert len(rows) == 1 + 19  # header + level-2 basis
+
+
+def theta_table_per_row(n, flips, level):
+    """Reference theta table: every degree-one product recomputed for each output row."""
+    tri = triangulation_with_flips(n, flips) if flips else fan_triangulation(n)
+    ring = UmbrellaRing(n, tri)
+    comp = ring.complex
+    basis = comp.points_at_level(level)
+    lower = comp.points_at_level(level - 1) if level >= 1 else []
+    ones = comp.points_at_level(1)
+    rows = ["point_cell,point_coords,level,products_from_degree_one"]
+    for b in basis:
+        sources = []
+        for p in lower:
+            for q in ones:
+                prod = ring.product(p, q)
+                for pt, _, coeff in prod.terms:
+                    if (pt.cell, pt.coords) == (b.cell, b.coords) and coeff:
+                        sources.append(f"{p.cell}{p.coords}*{q.cell}{q.coords}")
+        rows.append(
+            f"\"{b.cell}\",\"{b.coords}\",{b.level},\"{';'.join(sorted(set(sources)))}\""
+        )
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("n, flips, level", [
+    (5, (), 2), (3, (), 3), (6, (1, 3), 2), (4, (2,), 0), (1, (), 2), (2, (), 2),
+])
+def test_theta_table_matches_per_row_oracle(n, flips, level):
+    assert cli_module.theta_table_csv(n, flips, level) == theta_table_per_row(n, flips, level)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_theta_table_computes_each_product_once(monkeypatch, level):
+    calls = []
+    real = UmbrellaRing.product
+
+    def product(self, p, q):
+        calls.append((p.cell, p.coords, q.cell, q.coords))
+        return real(self, p, q)
+
+    monkeypatch.setattr(UmbrellaRing, "product", product)
+    cli_module.theta_table_csv(5, (), level)
+    comp = gamma_complex(fan_triangulation(5))
+    want = len(comp.points_at_level(level - 1)) * len(comp.points_at_level(1))
+    assert len(calls) == len(set(calls)) == want
 
 
 def test_spine_count_command(tmp_path):
@@ -480,7 +530,53 @@ BOUNDARIES = {
     "hexagon": hexagon_boundary,
     "pentagon": lambda: (PicLattice(4), minus_one_cycles(PicLattice(4), 5)[0]),
     "square": lambda: (PicLattice(5), minus_one_cycles(PicLattice(5), 4)[0]),
+    "p2": lambda: (PicLattice(0), BoundaryCycle(((1,), (1,), (1,)))),
 }
+
+
+# sha256 of each bundle file; the seed-0 square's report carries its k = 5 weyl section
+BUNDLE_DIGESTS = {
+    "hexagon": {
+        "chambers.dot": "8e069ffdd595381e6ec2a12fb3e91039f4a4fe2009d6767ab7e0616bf508c01a",
+        "fan_mori.json": "b865d641cfd4885b0f44f9b00968e3c61776cb034093bcd380ae1395d962a823",
+        "fan_secondary.json": "97817589d669a4507df1c3b03cc8a8671f15dc8377ba21172f6b03f092b664db",
+        "report.json": "2ed15f08e4e9876910d71e190c57d917ad689adf902ce846ae647b49296b29d6",
+        "report.md": "20e4118cca86cf8ed72b7124c5cc5ddc295b2a5a9aebdf3bb902f8cbd4878886",
+        "theta_table.csv": "985af5adf02f8280444b30586ae0f69b11841cf8c2571ede86d935c11dff1753",
+    },
+    "p2": {
+        "chambers.dot": "d86096bc8a1aa83f822f0e1c00ab31af96bebf04709cd65b9329321b5915179e",
+        "fan_mori.json": "11ea6e5725af330797e001d05ae83f0290e315a91609396a6b9c17ebe179b245",
+        "fan_secondary.json": "34ce240415f4e92d38a436234b0666946565509ae59f12fa0e00c770c1168003",
+        "report.json": "9b268e26c236bd1c519d124fdf771812766522d61b8e8ab413ae5e55362daffe",
+        "report.md": "fb1db9dddb5b180ac102365fbc80f635d84c757b784222e82efa1381eef2a722",
+        "theta_table.csv": "41fe46231cf966b8fafd195d89b2f819ecba64c233a9b4481f8f4a0afdc337bb",
+    },
+    "pentagon": {
+        "chambers.dot": "cd501872d66c0b4af73e8eea5ca42cc534a26215b535e5a6e9485b12dcfd107a",
+        "fan_mori.json": "b10ec9e606f87ce2fee91a5cd93c6b7fe987e9d875d3167609ed946b99aa912d",
+        "fan_secondary.json": "5b216c92ad67e2f4e62c6c23d2e32d03eee568878df4a940c8696e74f8f3fdb4",
+        "report.json": "29ac8b665f8b16cbbbbb6fcb6845cb2f86c3a8efea74f8c04bc80a29928f6368",
+        "report.md": "db9097c04c63c491b52c5a5a9180f9ad817d924ba1044685329ab54f531244df",
+        "theta_table.csv": "176eb7f0ed8fa40360dfe1a902fb7ff78047c472353cf64d8af02701ef1a9cc2",
+    },
+    "square": {
+        "chambers.dot": "6198881952ce705377e3aa4e1d51d9a9be113add26269037e17ac4fe4a17b1e0",
+        "fan_mori.json": "87c313c5ac92551ee61276f25f63f960a549bfa4ab462e5078be1369b5de5f09",
+        "fan_secondary.json": "5599f6d471dfaccd8f4951072e085def658e5e692d9a40534702b13eb60d93a1",
+        "report.json": "837891267dc98da590ab78a0dce8a8d46764eeb45a2c4611eb6a1002c31b9554",
+        "report.md": "4d18aef92a44a3ef19ba2bfe47494d19635bcdafeee920bf09a45544db0414d0",
+        "theta_table.csv": "d2a64fe38db2c7f666e8afe2292eaf4291864029476657c5d304a7c5f9f6ad99",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(BUNDLE_DIGESTS))
+def test_bundle_bytes_are_pinned(tmp_path, name):
+    report, sec = build_report(*BOUNDARIES[name]())
+    files = write_bundle(tmp_path, report, sec)
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files}
+    assert got == BUNDLE_DIGESTS[name]
 
 
 # ids leave out the pinned counts, so a new pin does not rename the test
@@ -522,6 +618,21 @@ def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, name, r
     for fan in (mori, full, sec.movsec_fan):
         assert list(fan.walls.items()) == list(cones._wall_map(fan.cones).items())
         assert all(c.dim == rank_of(list(c.rays) + list(c.lineality)) for c in fan.cones)
+
+
+def test_weyl_data_names_a_broken_invariant(monkeypatch):
+    lat, cycle = hexagon_boundary()
+    sec = secondary.secondary_fan(lat, cycle)
+    # a chamber set that W does not preserve: the last chamber's orbit is not a point
+    missing = dataclasses.replace(sec, chambers=sec.chambers[:-1])
+    with pytest.raises(InternalInvariantError, match="is no chamber"):
+        cli_module.weyl_orbit_decomposition(lat, missing)
+    # a start point that pairs negatively with the simple roots
+    real = cli_module.simple_roots
+    monkeypatch.setattr(cli_module, "simple_roots",
+                        lambda lat: [tuple(-x for x in a) for a in real(lat)])
+    with pytest.raises(InternalInvariantError, match="rho"):
+        cli_module.weyl_orbit_decomposition(lat, sec)
 
 
 def test_cocycle_battery_computes_each_value_once(monkeypatch):
