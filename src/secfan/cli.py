@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from operator import mul
 from pathlib import Path
 
 import click
@@ -277,19 +276,6 @@ def _orbit(start, moves) -> dict:
     return tree
 
 
-def _move(w: WeylElement):
-    """w.act, computing only the rows where w's matrix differs from the identity's."""
-    m, one = w.matrix, IntMat.identity(w.matrix.rows)
-    changed = [(i, m.row(i)) for i in range(m.rows) if m.row(i) != one.row(i)]
-
-    def act(v):
-        out = list(v)
-        for i, row in changed:
-            out[i] = sum(map(mul, row, v))
-        return tuple(out)
-    return act
-
-
 def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     """W(E_k) data from the simple reflections alone; no element list is built.
 
@@ -304,7 +290,7 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     group maps a finite set of cones onto itself iff each generator does.
     """
     gens = weyl_generators(lat)
-    acts = [_move(g) for g in gens]
+    acts = [g.act for g in gens]
     rho = tuple(range(lat.rank))
     if any(lat.dot(rho, a) <= 0 for a in simple_roots(lat)):
         raise InternalInvariantError(f"rho = {rho} pairs non-positively with a simple root")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .cones import RationalCone, cone_from_inequalities, cone_from_rays, dual_description
 from .errors import InternalInvariantError, ValidationError
@@ -223,8 +224,20 @@ def mori_chamber(lat: PicLattice, c: Contraction) -> RationalCone:
 class WeylElement:
     matrix: IntMat
 
+    @cached_property
+    def _moved_rows(self) -> tuple:
+        """(i, row i) for each row of the matrix that differs from the identity's."""
+        m, one = self.matrix, IntMat.identity(self.matrix.rows)
+        return tuple((i, m.row(i)) for i in range(m.rows) if m.row(i) != one.row(i))
+
     def act(self, v: IntVec) -> IntVec:
-        return self.matrix.apply(v)
+        """matrix.apply(v), computing only the moved rows (2 or 4 for a simple reflection)."""
+        if len(v) != self.matrix.cols:
+            raise ValueError("vector length mismatch")
+        out = list(v)
+        for i, row in self._moved_rows:
+            out[i] = sum(map(mul, row, v))
+        return tuple(out)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.matrix.mul(other.matrix))

@@ -248,6 +248,19 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     return SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori, mov)
 
 
+def movsec_is_single_group(lat: PicLattice, boundary: BoundaryCycle) -> bool:
+    """Lazy grouping predicate: no cone enumeration.
+
+    When no boundary component is a (-1)-class, every contraction meets the
+    boundary trivially, so the exceptional grouping has one class and the
+    moving part of the secondary fan is the whole effective cone.
+    """
+    rep = validate_boundary(lat, boundary)
+    if not rep.valid:
+        raise ValidationError("; ".join(rep.diagnostics))
+    return not any(rep.minus_one_flags)
+
+
 def grouping_by_triangulation(chambers: list[Chamber]) -> dict:
     """Partition of chamber ids by triangulation; must match the exceptional grouping."""
     by_tri: dict = {}
@@ -752,6 +765,10 @@ def secondary_cone(points, triangulation) -> RationalCone:
             s,
         )
     return cone_from_inequalities(ineqs, ambient_rank=s)
+
+
+def is_regular(points, triangulation) -> bool:
+    return secondary_cone(points, triangulation).dim == len(points)
 
 
 def regular_subdivision(points, heights, tie_break=None):

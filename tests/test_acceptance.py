@@ -39,6 +39,7 @@ from secfan.secondary import (
     grouping_by_triangulation,
     mori_fan_K,
     movsec,
+    movsec_is_single_group,
     secondary_fan,
     toric_compare,
 )
@@ -166,12 +167,10 @@ def test_criterion_04_no_boundary_exceptional_single_group():
         groups = movsec(*mori_fan_K(lat, cycle))
         single = len(groups) == 1 and groups[0].cone == effective_cone(lat)
         results.append(single)
-    # lazy mode at k = 8, no cone enumeration: when no boundary component is a
-    # (-1)-class, every contraction meets the boundary trivially, so the
-    # exceptional grouping has one class and the moving part is all of Eff
+    # lazy mode at k = 8: grouping predicate only, no cone enumeration
     lat8 = PicLattice(8)
-    rep8 = validate_boundary(lat8, BoundaryCycle((tuple(-x for x in lat8.canonical),)))
-    lazy = rep8.valid and not any(rep8.minus_one_flags)
+    anti = tuple(-x for x in lat8.canonical)
+    lazy = movsec_is_single_group(lat8, BoundaryCycle((anti,)))
     report(
         "criterion 4: no (-1)-components gives a single moving cone (k<=5 + lazy k=8)",
         all(results) and lazy,

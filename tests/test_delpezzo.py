@@ -198,6 +198,17 @@ def test_weyl_group_orders():
     assert len(weyl_group(PicLattice(4))) == 120
 
 
+def test_weyl_act_equals_the_full_matrix_product():
+    # act computes only the rows that differ from the identity's
+    lat = PicLattice(4)
+    vecs = list(itertools.product(range(-2, 3), repeat=lat.rank))[::37] + minus_one_classes(lat)
+    for w in weyl_group(lat):
+        assert all(w.act(v) == w.matrix.apply(v) for v in vecs)
+    assert [len(g._moved_rows) for g in weyl_generators(lat)] == [4, 2, 2, 2]
+    with pytest.raises(ValueError):
+        weyl_generators(lat)[1].act((0, 1, 0))
+
+
 def test_validate_boundary_hexagon():
     lat, cycle = hexagon_boundary()
     rep = validate_boundary(lat, cycle)

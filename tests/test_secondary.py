@@ -35,20 +35,16 @@ from secfan.secondary import (
     cocycle_battery,
     gkz_secondary_fan,
     grouping_by_triangulation,
+    is_regular,
     mori_fan_K,
     movsec,
     one_stratum_report,
     regular_subdivision,
-    secondary_cone,
     secondary_fan,
     theta_cocycle,
     theta_line_bundles,
     toric_compare,
 )
-
-
-def is_regular(points, triangulation) -> bool:
-    return secondary_cone(points, triangulation).dim == len(points)
 
 
 def test_mori_fan_p2():
