@@ -3,9 +3,8 @@
 Subcommands mirror the pipeline stages (delpezzo, fan, theta, spine, bundle,
 pipeline).  Reports are the acceptance substrate: they embed the input hash,
 library version and seeds, never wall-clock data, so runs are byte-stable
-across repetitions; every blowup report with k >= 2 carries Weyl data.  The
---workers options are accepted for compatibility and change neither output
-nor speed.  Exit codes: 0 success, 2 validation problem, 3 broken invariant.
+across repetitions; every blowup report with k >= 2 carries Weyl data.
+Exit codes: 0 success, 2 validation problem, 3 broken invariant.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .thetaalg import (
 from .toricstack import BundleInput, decompose, stabilizers
 
 CACHE_ENV = "SECFAN_CACHE_DIR"
-WORKERS_HELP = "accepted for compatibility; changes neither output nor speed"
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +515,8 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
 @fan_group.command("mori")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--cache-dir", default=None)
-@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--out", "outdir", default=None, type=click.Path())
-def fan_mori(config, cache_dir, workers, outdir):
+def fan_mori(config, cache_dir, outdir):
     """Mori fan of the canonical bundle (complete, with bogus cones)."""
     payload, hit = _fan_command_common(config, cache_dir, "mori", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
@@ -528,9 +525,8 @@ def fan_mori(config, cache_dir, workers, outdir):
 @fan_group.command("movsec")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--cache-dir", default=None)
-@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--out", "outdir", default=None, type=click.Path())
-def fan_movsec(config, cache_dir, workers, outdir):
+def fan_movsec(config, cache_dir, outdir):
     """Moving part of the secondary fan (grouped chambers)."""
     payload, hit = _fan_command_common(config, cache_dir, "movsec", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
@@ -539,9 +535,8 @@ def fan_movsec(config, cache_dir, workers, outdir):
 @fan_group.command("secondary")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--cache-dir", default=None)
-@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--out", "outdir", default=None, type=click.Path())
-def fan_secondary(config, cache_dir, workers, outdir):
+def fan_secondary(config, cache_dir, outdir):
     """Full secondary fan (moving groups plus bogus completion)."""
     payload, hit = _fan_command_common(config, cache_dir, "secondary", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
@@ -697,10 +692,9 @@ def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
 @cli.command("pipeline")
 @click.argument("config", type=click.Path(exists=True))
 @click.option("--out", "outdir", required=True, type=click.Path())
-@click.option("--workers", type=int, default=1, help=WORKERS_HELP)
 @click.option("--cache-dir", default=None)
 @click.option("--json", "as_json", is_flag=True)
-def pipeline(config, outdir, workers, cache_dir, as_json):
+def pipeline(config, outdir, cache_dir, as_json):
     """Run every stage and write the report bundle."""
     cfg = load_config(config)
     lat, cycle = cfg["lat"], cfg["cycle"]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 from operator import mul
 
 from .cones import RationalCone, cone_from_inequalities, cone_from_rays, dual_description
@@ -98,22 +99,25 @@ def _search_classes(lat: PicLattice, self_int: int, k_degree: int) -> list[IntVe
                 return
             if s * s > t * q:
                 return
-            bound = int(q ** 0.5) + 1
+            bound = isqrt(q)
             for m in range(-bound, bound + 1):
-                if m * m <= q:
-                    extend(prefix + [m], s - m, q - m * m)
+                extend(prefix + [m], s - m, q - m * m)
 
         extend([], target_sum, target_sq)
     return sorted(out)
 
 
+def _bounded_search(k: int, model_tag: str, self_int: int, k_degree: int) -> tuple[IntVec, ...]:
+    found = _search_classes(PicLattice(k, model_tag), self_int, k_degree)
+    # post hoc: the Cauchy-Schwarz bound is not tight, nothing sits on the boundary
+    if any(abs(c[0]) >= H_COEFF_BOUND for c in found):
+        raise InternalInvariantError(f"a class with C.C = {self_int} sits on the search bound")
+    return tuple(found)
+
+
 @lru_cache(maxsize=None)
 def _minus_one_classes(k: int, model_tag: str) -> tuple[IntVec, ...]:
-    lat = PicLattice(k, model_tag)
-    found = _search_classes(lat, -1, -1)
-    # post hoc: the Cauchy-Schwarz bound is not tight, nothing sits on the boundary
-    assert all(abs(c[0]) < H_COEFF_BOUND for c in found)
-    return tuple(found)
+    return _bounded_search(k, model_tag, -1, -1)
 
 
 def minus_one_classes(lat: PicLattice) -> list[IntVec]:
@@ -123,10 +127,7 @@ def minus_one_classes(lat: PicLattice) -> list[IntVec]:
 
 @lru_cache(maxsize=None)
 def _roots(k: int, model_tag: str) -> tuple[IntVec, ...]:
-    lat = PicLattice(k, model_tag)
-    found = _search_classes(lat, -2, 0)
-    assert all(abs(c[0]) < H_COEFF_BOUND for c in found)
-    return tuple(found)
+    return _bounded_search(k, model_tag, -2, 0)
 
 
 def roots(lat: PicLattice) -> list[IntVec]:
@@ -146,6 +147,7 @@ def ne_generators(lat: PicLattice) -> list[IntVec]:
     return minus_one_classes(lat)
 
 
+@lru_cache(maxsize=None)
 def effective_cone(lat: PicLattice) -> RationalCone:
     return cone_from_rays(ne_generators(lat), lat.rank)
 
@@ -455,7 +457,8 @@ def toric_boundary(name: str) -> tuple[PicLattice, BoundaryCycle, list[IntVec]]:
         lat = PicLattice(k=data["k"])
     cycle = BoundaryCycle(tuple(tuple(c) for c in data["classes"]))
     rep = validate_boundary(lat, cycle)
-    assert rep.valid, rep.diagnostics
+    if not rep.valid:
+        raise InternalInvariantError(f"built-in {name} boundary is invalid: {rep.diagnostics}")
     return lat, cycle, [tuple(r) for r in data["rays"]]
 
 

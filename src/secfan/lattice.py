@@ -106,7 +106,8 @@ class IntMat:
     def apply(self, v: IntVec) -> IntVec:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(vec_dot(self.row(i), v) for i in range(self.rows))
+        e, c = self.entries, self.cols
+        return tuple(sum(map(mul, e[i * c : i * c + c], v)) for i in range(self.rows))
 
     def is_diagonal(self) -> bool:
         return all(
@@ -270,40 +271,14 @@ def torsion_quotient(sub: list[IntVec], ambient_rank: int) -> TorsionGroup:
     )
 
 
-def _inverse_unimodular(m: IntMat) -> IntMat:
-    """Exact inverse of a +-1-determinant integer matrix (stays integral)."""
-    n = m.rows
-    aug = [[Fraction(m[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    rows = []
-    for r in range(n):
-        row = aug[r][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        rows.append(tuple(int(x) for x in row))
-    return IntMat.from_rows(rows)
-
-
 def saturate(sub: list[IntVec]) -> list[IntVec]:
-    """Basis of the saturation (Q-span of sub intersected with the integer lattice)."""
+    """Basis of the saturation (Q-span of sub intersected with the integer lattice):
+    the integer vectors orthogonal to the rows of quotient_lattice_map(sub)."""
     sub = [vec(s) for s in sub if any(x != 0 for x in s)]
     if not sub:
         return []
-    m = IntMat.from_rows(sub)
-    u, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    vinv = _inverse_unimodular(v)
-    # rows of m span the same lattice as d_i * (row i of V^-1); saturation drops the d_i
-    return [vec(vinv.row(i)) for i in range(rank)]
+    n = len(sub[0])
+    return quotient_lattice_map(quotient_lattice_map(sub, n).row_list(), n).row_list()
 
 
 def rank_of(vectors) -> int:

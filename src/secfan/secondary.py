@@ -757,13 +757,6 @@ def secondary_cone(points, triangulation) -> RationalCone:
             if _point_in_triangle(points[d], points[t[0]], points[t[1]], points[t[2]])
         )
         ineqs.append(lift_functional(host, d))
-    if not ineqs:
-        # a single-cell triangulation with no constraints: everything
-        return cone_from_rays(
-            [tuple(1 if j == i else 0 for j in range(s)) for i in range(s)]
-            + [tuple(-1 if j == i else 0 for j in range(s)) for i in range(s)],
-            s,
-        )
     return cone_from_inequalities(ineqs, ambient_rank=s)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .delpezzo import BoundaryCycle, PicLattice, minus_one_classes, ne_generators
+from .delpezzo import BoundaryCycle, PicLattice, effective_cone, minus_one_classes
 from .disk import (
     DiskTriangulation,
     GammaPoint,
@@ -25,7 +25,7 @@ from .disk import (
     gamma_complex,
 )
 from .errors import InternalInvariantError, ValidationError
-from .lattice import IntVec, solve_rational, vec
+from .lattice import IntVec, vec
 
 
 # ---------------------------------------------------------------------------
@@ -33,25 +33,9 @@ from .lattice import IntVec, solve_rational, vec
 
 
 def validate_effective(lat: PicLattice, gamma: IntVec):
-    """gamma must be a nonnegative rational combination of curve-cone generators."""
-    gens = ne_generators(lat)
-    sol = _nonneg_solve(gens, gamma)
-    if sol is None:
+    """gamma must lie in the cone of curves (nonnegative in the generators)."""
+    if len(gamma) != lat.rank or not effective_cone(lat).contains_point(vec(gamma)):
         raise ValidationError(f"{gamma} is not an effective curve class")
-
-
-def _nonneg_solve(gens, target):
-    """Small exact feasibility search: target = sum c_i gens_i with c_i >= 0."""
-    import itertools
-
-    rank = len(target)
-    for r in range(0, min(len(gens), rank) + 1):
-        for sub in itertools.combinations(gens, r):
-            sol = solve_rational([tuple(g[i] for g in sub) for i in range(rank)], target) \
-                if sub else ([] if not any(target) else None)
-            if sol is not None and all(c >= 0 for c in sol):
-                return sol
-    return None
 
 
 @dataclass(frozen=True)
@@ -103,24 +87,12 @@ def hilbert(n: int, m: int) -> int:
 
 
 def proj_degree(n: int) -> int:
-    """Twice the leading coefficient of the quadratic Hilbert growth.
-
-    A quadratic is fitted through levels 1 to 3 and checked at level 4.
-    """
-    levels = [1, 2, 3, 4]
-    values = [hilbert(n, m) for m in levels]
-    rows = [(m * m, m, 1) for m in levels[:3]]
-    sol = solve_rational(rows, values[:3])
-    if sol is None:
-        raise InternalInvariantError("Hilbert values do not fit a quadratic")
-    a, b, c = sol
-    for m, v in zip(levels[3:], values[3:]):
-        if a * m * m + b * m + c != v:
-            raise InternalInvariantError("Hilbert growth is not quadratic")
-    deg = 2 * a
-    if deg.denominator != 1:
-        raise InternalInvariantError("degree is not an integer")
-    return int(deg)
+    """Twice the leading coefficient of the quadratic Hilbert growth: the second
+    difference at levels 1 to 3, once the third difference through level 4 is 0."""
+    h1, h2, h3, h4 = (hilbert(n, m) for m in (1, 2, 3, 4))
+    if h4 - 3 * h3 + 3 * h2 - h1 != 0:
+        raise InternalInvariantError("Hilbert growth is not quadratic")
+    return h3 - 2 * h2 + h1
 
 
 class UmbrellaRing:

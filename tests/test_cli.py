@@ -123,6 +123,7 @@ BAD_SPINES = {
     ["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", "no_cycle.json"],
     ["theta", "table", "--n", "6", "--triangulation", "a"],
     ["theta", "hilbert", "--n", "3", "--max-level", "-1"],
+    ["fan", "mori", "no_cycle.json", "--workers", "1"],
     *[["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", name]
       for name in BAD_SPINES],
 ], ids=lambda argv: " ".join(argv))
@@ -430,15 +431,11 @@ def test_pipeline_hexagon_dot_has_32_nodes(tmp_path, hexagon_config):
     assert report["one_strata"]["non_changing"] == []
 
 
-def test_pipeline_deterministic_across_workers(tmp_path, p2_config):
+def test_pipeline_is_byte_deterministic(tmp_path, p2_config):
     runner = CliRunner()
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    assert runner.invoke(
-        cli, ["pipeline", p2_config, "--out", str(out1), "--workers", "1"]
-    ).exit_code == 0
-    assert runner.invoke(
-        cli, ["pipeline", p2_config, "--out", str(out2), "--workers", "4"]
-    ).exit_code == 0
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    assert runner.invoke(cli, ["pipeline", p2_config, "--out", str(out1)]).exit_code == 0
+    assert runner.invoke(cli, ["pipeline", p2_config, "--out", str(out2)]).exit_code == 0
     for name in sorted(p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

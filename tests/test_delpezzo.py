@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from secfan import delpezzo
 from secfan.cones import cones_tile, dual_cone
 from secfan.delpezzo import (
     BoundaryCycle,
@@ -25,7 +26,7 @@ from secfan.delpezzo import (
     weyl_generators,
     weyl_group,
 )
-from secfan.errors import ValidationError
+from secfan.errors import InternalInvariantError, ValidationError
 
 MINUS_ONE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
@@ -245,6 +246,25 @@ def test_all_minus_one_cycle_capped_at_six():
     fake = BoundaryCycle(tuple([(0, 1, 0)] * 7))
     rep = validate_boundary(lat, fake)
     assert not rep.valid
+
+
+def test_a_class_on_the_search_bound_is_a_broken_invariant(monkeypatch):
+    # E_1, E_2 and H - E_1 - E_2 have |H coefficient| <= 1, so bound 1 is hit
+    monkeypatch.setattr(delpezzo, "H_COEFF_BOUND", 1)
+    delpezzo._minus_one_classes.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError):
+            minus_one_classes(PicLattice(2))
+    finally:
+        delpezzo._minus_one_classes.cache_clear()
+
+
+def test_an_invalid_builtin_boundary_is_a_broken_invariant(monkeypatch):
+    data = delpezzo._toric_data()
+    data["p2"]["classes"] = [(1,), (1,), (2,)]
+    monkeypatch.setattr(delpezzo, "_toric_data", lambda: data)
+    with pytest.raises(InternalInvariantError):
+        toric_boundary("p2")
 
 
 def test_toric_boundaries_valid():

@@ -9,6 +9,7 @@ from secfan import secondary
 from secfan.cones import (
     Fan,
     FanReport,
+    cone_from_inequalities,
     cones_tile,
     fan_check,
     fan_from_json,
@@ -279,6 +280,15 @@ def test_gkz_triangle_center():
     assert len(gkz.triangulations) == 2
     assert gkz.irregular == []
     assert is_complete(gkz.fan)
+
+
+def test_secondary_cone_of_one_triangle_is_every_height_function():
+    # one cell, no interior edge and no unused point: no constraint at all
+    pts = [(0, 0), (1, 0), (0, 1)]
+    cone = secondary.secondary_cone(pts, frozenset({(0, 1, 2)}))
+    assert cone == cone_from_inequalities([], ambient_rank=3)
+    assert cone.lineality and not cone.rays
+    assert is_regular(pts, frozenset({(0, 1, 2)}))
 
 
 def test_gkz_square_center():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -254,3 +255,15 @@ def test_validate_effective():
     validate_effective(lat, (0, 0, 0, 0))
     with pytest.raises(ValidationError):
         validate_effective(lat, tuple(lat.canonical))
+    with pytest.raises(ValidationError):
+        validate_effective(lat, (1, -1, -1))
+
+
+def test_validate_effective_is_fast_at_k6():
+    # the subset search it replaced did not finish three such calls in a minute
+    lat = PicLattice(6)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        validate_effective(lat, lat.canonical)
+    validate_effective(lat, tuple(-x for x in lat.canonical))
+    assert time.perf_counter() - start < 1.0
