@@ -41,6 +41,7 @@ from .secondary import (
     cocycle_battery,
     gkz_secondary_fan,
     grouping_by_triangulation,
+    mori_fan_K,
     one_stratum_report,
     secondary_fan,
     toric_compare,
@@ -491,8 +492,11 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
     cached = cache_get(cache_dir, key, kind)
     if cached is not None and outdir is None:
         return cached, True
-    sec = secondary_fan(lat, cycle)
-    fan = {"mori": sec.mori_fan, "movsec": sec.movsec_fan, "secondary": sec.full_fan}[kind]
+    if kind == "mori":
+        fan = mori_fan_K(lat)
+    else:
+        sec = secondary_fan(lat, cycle)
+        fan = sec.movsec_fan if kind == "movsec" else sec.full_fan
     payload = fan_to_json(fan, metadata={"input_hash": key, "kind": kind})
     cache_put(cache_dir, key, kind, payload)
     if outdir is not None:

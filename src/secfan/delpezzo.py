@@ -168,6 +168,9 @@ class Contraction:
     def __len__(self):
         return len(self.classes)
 
+    def label(self) -> str:
+        return "c[" + ",".join(map(str, self.classes)) + "]" if self.classes else "nef"
+
 
 def validate_contraction(lat: PicLattice, c: Contraction):
     mo = set(minus_one_classes(lat))
@@ -179,7 +182,8 @@ def validate_contraction(lat: PicLattice, c: Contraction):
             raise ValidationError(f"classes {x} and {y} are not orthogonal")
 
 
-def contractions(lat: PicLattice) -> list[Contraction]:
+@lru_cache(maxsize=None)
+def contractions(lat: PicLattice) -> tuple[Contraction, ...]:
     """All cliques (including empty) of the orthogonality graph on (-1)-classes."""
     if lat.model_tag == "blowup" and lat.k > CONTRACTION_CAP:
         raise ValidationError(
@@ -202,7 +206,7 @@ def contractions(lat: PicLattice) -> list[Contraction]:
                 current.pop()
 
     grow([], 0)
-    return [Contraction(tuple(classes[i] for i in c)) for c in sorted(cliques)]
+    return tuple(Contraction(tuple(classes[i] for i in c)) for c in sorted(cliques))
 
 
 def mori_chamber(lat: PicLattice, c: Contraction) -> RationalCone:

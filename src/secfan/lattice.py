@@ -383,5 +383,4 @@ def quotient_lattice_map(sub_basis, rank: int) -> IntMat:
     m = IntMat(len(gens), rank, tuple(x for g in gens for x in g))
     _, d, v = smith_normal_form(m)
     r = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    vt = v.transpose()
-    return IntMat.from_rows([vt.row(i) for i in range(r, rank)])
+    return IntMat(rank - r, rank, v.transpose().entries[r * rank:])

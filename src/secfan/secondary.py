@@ -1,26 +1,28 @@
 """Mori fan of the canonical bundle, its coarsening by boundary-exceptional
 curves, bogus-cone completion, theta cocycles, and the GKZ oracle.
 
-The fan lives on the Picard lattice of the surface.  Maximal moving cones are
-the Mori chambers (one per orthogonal set of (-1)-classes); grouping chambers
-whose contracted set meets the boundary in the same components and adding the
-cones gamma + R>=0.K over the faces gamma on the boundary of the effective
-cone completes the picture.  Each fan's walls are built once, as data of the
-Fan: the faces gamma are the walls met by one cone, the bogus cones add only
-their own walls, and the degree certificate, movsec, the cocycle battery, the
-one-strata and the DOT export read that one map.  secondary_fan always proves
-what it returns: the Mori fan and the full fan pass the linear degree
+The fans live on the Picard lattice of the surface.  The Mori fan (the Mori
+chambers, one per orthogonal set of (-1)-classes, and the bogus cones
+gamma + R>=0.K over the faces gamma on the boundary of the effective cone)
+depends on the lattice alone: it is built and proved once per lattice and
+process.  A boundary only annotates the chambers; grouping those whose
+contracted set meets it in the same components, and completing the groups by
+bogus cones, gives the secondary fan.  Each fan's walls are built once, as data
+of the Fan: the faces gamma are the walls met by one cone, the bogus cones add
+only their own walls, and the degree certificate, movsec, the cocycle battery,
+the one-strata and the DOT export read that one map.  secondary_fan always
+proves what it returns: the Mori fan and the full fan pass the linear degree
 certificate of a complete fan, group hulls equal the union of their members,
 the full fan passes the pairwise fan predicate and holds every Mori cone, so
 coarsens the Mori fan.  In the toric cases the whole object must agree with an
 independently computed GKZ secondary fan of the reflexive polygon.
 """
-
 from __future__ import annotations
 
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cones import (
     Fan,
@@ -33,6 +35,7 @@ from .cones import (
     fan_check,
     intersect,
     is_complete,
+    zero_cone,
 )
 from .delpezzo import (
     BoundaryCycle,
@@ -71,38 +74,6 @@ class Chamber:
     boundary_exc: frozenset[int]  # 1-based boundary indices
     triangulation: DiskTriangulation
 
-    def label(self) -> str:
-        if not self.contraction.classes:
-            return "nef"
-        return "c[" + ",".join(str(c) for c in self.contraction.classes) + "]"
-
-
-def build_chambers(lat: PicLattice, boundary: BoundaryCycle) -> list[Chamber]:
-    rep = validate_boundary(lat, boundary)
-    if not rep.valid:
-        raise ValidationError("; ".join(rep.diagnostics))
-    out = []
-    for con in contractions(lat):
-        exc = frozenset(
-            i + 1 for i, cls in enumerate(boundary.classes) if cls in con.classes
-        )
-        n = boundary.n
-        for i in exc:
-            j = i % n + 1
-            if j in exc and j != i:
-                raise InternalInvariantError(
-                    "adjacent boundary components in one contraction"
-                )
-        out.append(
-            Chamber(
-                contraction=con,
-                cone=mori_chamber(lat, con),
-                boundary_exc=exc,
-                triangulation=triangulation_with_flips(n, exc),
-            )
-        )
-    return out
-
 
 def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone,
                          what: str) -> tuple[Fan, list[tuple]]:
@@ -124,14 +95,28 @@ def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone,
     return fan, faces
 
 
-def mori_fan_K(lat: PicLattice, boundary: BoundaryCycle) -> tuple[Fan, list[Chamber]]:
-    """Complete fan on Pic: all Mori chambers plus bogus cones over boundary faces.
+@lru_cache(maxsize=None)
+def mori_fan_K(lat: PicLattice) -> Fan:
+    """The Mori chambers in contractions(lat) order, then the bogus cones over
+    the faces on the boundary of Eff: a complete fan on Pic, proved by the
+    degree certificate (hence a fan), built once per lattice and process."""
+    cons = contractions(lat)
+    members = Fan(lat.rank, tuple(mori_chamber(lat, c) for c in cons),
+                  tuple(c.label() for c in cons))
+    return _complete_with_bogus(members, lat, effective_cone(lat), "Mori fan")[0]
 
-    Proved a complete fan by the degree certificate, hence a fan.
-    """
-    chambers = build_chambers(lat, boundary)
-    members = Fan(lat.rank, tuple(c.cone for c in chambers), tuple(c.label() for c in chambers))
-    return _complete_with_bogus(members, lat, effective_cone(lat), "Mori fan")[0], chambers
+
+def build_chambers(lat: PicLattice, boundary: BoundaryCycle) -> list[Chamber]:
+    """The chambers of mori_fan_K(lat), in its order, each with the boundary
+    components its contraction contracts and the triangulation flipped at them."""
+    rep = validate_boundary(lat, boundary)
+    if not rep.valid:
+        raise ValidationError("; ".join(rep.diagnostics))
+    out = []
+    for con, cone in zip(contractions(lat), mori_fan_K(lat).cones):
+        exc = frozenset(i + 1 for i, cls in enumerate(boundary.classes) if cls in con.classes)
+        out.append(Chamber(con, cone, exc, triangulation_with_flips(boundary.n, exc)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,10 +131,11 @@ class MovSecGroup:
 
 def movsec(mori: Fan, chambers: list[Chamber]) -> list[MovSecGroup]:
     """Group chambers by boundary-exceptional set; hulls proved convex off the
-    walls of mori, mori_fan_K's proven fan (chambers first; its bogus cones
-    are in no group): every wall whose cones are not all in one group must
-    lie in a facet hyperplane of the hull of each group it touches, or
-    InternalInvariantError (CLI exit 3) names the group and the wall.
+    walls of mori, the proven fan mori_fan_K(lat) whose chambers build_chambers
+    annotated (its bogus cones are in no group): every wall whose cones are not
+    all in one group must lie in a facet hyperplane of the hull of each group
+    it touches, or InternalInvariantError (CLI exit 3) names the group and the
+    wall.
 
     Lemma: then the hull H of a group is the union U of its chambers.  The
     Mori proof gives each wall at most two cones, on opposite sides, so a
@@ -208,18 +194,22 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     """Build the secondary fan and prove it a complete fan coarsening the Mori fan.
 
     Every proof raises InternalInvariantError when it fails, so a returned
-    fan is proved.  Each fan's walls are built once: mori_fan_K and the
-    moving groups each get their bogus cones from the walls met by one cone,
-    and is_complete reads the same map to prove the Mori fan and the
-    secondary fan complete fans, and movsec reads the Mori walls too.  The
-    smaller secondary fan also passes the pairwise fan predicate.  Coarsening
-    is containment: movsec proved each chamber lies in its group's hull, and each Mori bogus
-    cone must lie in a secondary bogus cone.  That proves it, as the two fans
-    are complete: a point x inside a cone C of the secondary fan lies in some
-    Mori cone f, and f in some secondary C'; C cap C' is a face of both with
-    x inside, so full-dimensional, so C = C'.  The Mori cones in C cover it.
+    fan is proved.  The Mori fan does not depend on the boundary: mori_fan_K
+    builds and proves it once per lattice, and build_chambers only annotates
+    its chambers, so a second boundary on the same lattice reuses it.  Each
+    fan's walls are built once: the Mori fan and the moving groups each get
+    their bogus cones from the walls met by one cone, is_complete reads the
+    same map to prove each a complete fan, and movsec reads the Mori walls
+    too.  The smaller secondary fan also passes the pairwise fan predicate.
+    Coarsening is containment: movsec proved each chamber lies in its group's
+    hull, and each Mori bogus cone must lie in a secondary bogus cone.  That
+    proves it, as the two fans are complete: a point x inside a cone C of the
+    secondary fan lies in some Mori cone f, and f in some secondary C'; C cap
+    C' is a face of both with x inside, so full-dimensional, so C = C'.  The
+    Mori cones in C cover it.
     """
-    mori, chambers = mori_fan_K(lat, boundary)
+    chambers = build_chambers(lat, boundary)
+    mori = mori_fan_K(lat)
     groups = movsec(mori, chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     eff = effective_cone(lat)
@@ -854,7 +844,7 @@ def gkz_secondary_fan(points) -> GkzFan:
     for rc in raw:
         gens = [proj.apply(r) for r in rc.rays] + [proj.apply(l) for l in rc.lineality]
         gens = [g for g in gens if any(g)]
-        cones.append(cone_from_rays(gens, proj.rows))
+        cones.append(cone_from_rays(gens, proj.rows) if gens else zero_cone(proj.rows))
     fan = Fan(proj.rows, tuple(cones), tuple(f"T{i}" for i in range(len(cones))))
     # the degree certificate proves "complete fan" on its own (see is_complete)
     if not is_complete(fan):

@@ -262,6 +262,28 @@ def test_fan_gkz_points():
     assert data["triangulation_count"] == 2
 
 
+def test_fan_gkz_of_one_triangle_is_the_rank_0_fan():
+    res = CliRunner().invoke(cli, ["fan", "gkz", "--points", "0,0;1,0;0,1"])
+    assert res.exit_code == 0, res.output
+    data = json.loads(res.output)
+    assert data["triangulation_count"] == 1
+    assert data["fan"]["ambient_rank"] == 0 and len(data["fan"]["cones"]) == 1
+
+
+def test_fan_mori_builds_no_secondary_fan(tmp_path, hexagon_config, monkeypatch):
+    report, sec = build_report(*hexagon_boundary())
+    write_bundle(tmp_path / "bundle", report, sec)
+
+    def boom(*_):
+        raise AssertionError("fan mori built the secondary fan")
+
+    monkeypatch.setattr(cli_module, "secondary_fan", boom)
+    res = CliRunner().invoke(cli, ["fan", "mori", hexagon_config])
+    assert res.exit_code == 0, res.output
+    bundle = json.loads((tmp_path / "bundle" / "fan_mori.json").read_text())
+    assert json.loads(res.output)["cones"] == bundle["cones"]
+
+
 # sha256 of the printed `fan gkz` payload, taken before the integer and bitset
 # GKZ kernels replaced the Fraction and edge-list ones
 GKZ_DIGESTS = {
@@ -467,7 +489,7 @@ def test_cache_put_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list((tmp_path / "report").iterdir()) == []
 
 
-def test_build_report_verifies_each_fact_once(monkeypatch):
+def test_build_report_verifies_each_fact_once(monkeypatch, cold_mori_fan):
     calls = {}
     checked_fans = {"fan_check": [], "is_complete": []}
     active = []  # names of the counted calls in progress
@@ -579,7 +601,8 @@ def test_bundle_bytes_are_pinned(tmp_path, name):
 # ids leave out the pinned counts, so a new pin does not rename the test
 @pytest.mark.parametrize("name, rows", [("hexagon", 64), ("pentagon", 157), ("square", 624)],
                          ids=["hexagon", "pentagon", "square"])
-def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, name, rows):
+def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, cold_mori_fan,
+                                                 name, rows):
     counted, maps, tilings = [], [], []
     real_key, real_map, real_tile = cones._facet_faces_key, cones._wall_map, cones.cones_tile
 
@@ -615,6 +638,15 @@ def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, name, r
     for fan in (mori, full, sec.movsec_fan):
         assert list(fan.walls.items()) == list(cones._wall_map(fan.cones).items())
         assert all(c.dim == rank_of(list(c.rays) + list(c.lineality)) for c in fan.cones)
+
+
+def test_a_warm_mori_fan_gives_the_cold_report(cold_mori_fan):
+    lat = PicLattice(4)
+    first, second = minus_one_cycles(lat, 5)[:2]
+    build_report(lat, first)
+    warm = build_report(lat, second)[0]
+    cold_mori_fan()
+    assert build_report(lat, second)[0] == warm
 
 
 def test_weyl_data_names_a_broken_invariant(monkeypatch):

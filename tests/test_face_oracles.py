@@ -14,7 +14,7 @@ from secfan.delpezzo import (
     toric_boundary,
 )
 from secfan.lattice import IntMat, invariant_factors, primitive, rank_of
-from secfan.secondary import _complete_with_bogus, mori_fan_K, movsec
+from secfan.secondary import _complete_with_bogus, build_chambers, mori_fan_K, movsec
 from secfan.toricstack import BundleInput, decompose
 
 
@@ -131,7 +131,7 @@ def test_rays_outside_the_subspace_that_span_no_face_fail_in_both():
 def _moving_fans(lat, cycle):
     """The chambers' fan, the groups' fan, and the full fan over the groups with
     its bogus faces; the pairwise fan predicate is skipped."""
-    mori, chambers = mori_fan_K(lat, cycle)
+    mori, chambers = mori_fan_K(lat), build_chambers(lat, cycle)
     groups = movsec(mori, chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     full, faces = _complete_with_bogus(mov, lat, effective_cone(lat), "secondary fan")

@@ -236,3 +236,9 @@ def test_quotient_lattice_map_kills_exactly_the_saturated_span():
     assert all(not any(q.apply(s)) for s in sub)
     assert primitive(q.row(0)) == q.row(0)
     assert quotient_lattice_map([], 2) == IntMat.identity(2)
+
+
+def test_quotient_by_a_full_rank_span_is_0_by_n():
+    q = quotient_lattice_map([(1, 1, 0), (0, 1, 0), (2, 0, 1)], 3)
+    assert (q.rows, q.cols) == (0, 3)
+    assert q.apply((5, 6, 7)) == ()

@@ -22,6 +22,7 @@ from secfan.delpezzo import (
     BoundaryCycle,
     TORIC_NAMES,
     PicLattice,
+    contractions,
     effective_cone,
     hexagon_boundary,
     minus_one_cycles,
@@ -50,21 +51,21 @@ from secfan.secondary import (
 
 def test_mori_fan_p2():
     lat, cycle, _ = toric_boundary("p2")
-    fan, chambers = mori_fan_K(lat, cycle)
+    fan = mori_fan_K(lat)
     assert len(fan.cones) == 2
     assert is_complete(fan)
 
 
 def test_mori_fan_quadric():
     lat, cycle, _ = toric_boundary("quadric")
-    fan, chambers = mori_fan_K(lat, cycle)
+    fan = mori_fan_K(lat)
     assert len(fan.cones) == 3
     assert is_complete(fan)
 
 
 def test_mori_fan_degree6():
     lat, cycle = hexagon_boundary()
-    fan, chambers = mori_fan_K(lat, cycle)
+    fan, chambers = mori_fan_K(lat), build_chambers(lat, cycle)
     assert len(chambers) == 18
     assert len(fan.cones) == 32  # 18 moving + 14 bogus
     assert is_complete(fan)
@@ -72,7 +73,7 @@ def test_mori_fan_degree6():
 
 def test_movsec_hexagon_all_singletons():
     lat, cycle = hexagon_boundary()
-    groups = movsec(*mori_fan_K(lat, cycle))
+    groups = movsec(mori_fan_K(lat), build_chambers(lat, cycle))
     assert len(groups) == 18
     assert all(len(g.member_ids) == 1 for g in groups)
 
@@ -80,7 +81,7 @@ def test_movsec_hexagon_all_singletons():
 def test_movsec_no_minus_one_boundary_single_group():
     # degree 9: triangle of lines, no (-1)-components anywhere
     lat, cycle, _ = toric_boundary("p2")
-    groups = movsec(*mori_fan_K(lat, cycle))
+    groups = movsec(mori_fan_K(lat), build_chambers(lat, cycle))
     assert len(groups) == 1
     assert groups[0].cone == effective_cone(lat)
 
@@ -88,7 +89,7 @@ def test_movsec_no_minus_one_boundary_single_group():
 def test_movsec_degree5_intermediate():
     lat = PicLattice(4)
     cycle = minus_one_cycles(lat, 5)[0]
-    mori, chambers = mori_fan_K(lat, cycle)
+    mori, chambers = mori_fan_K(lat), build_chambers(lat, cycle)
     groups = movsec(mori, chambers)
     # 1 empty + 5 singletons + 5 non-adjacent pairs
     assert len(groups) == 11
@@ -108,23 +109,24 @@ def test_secondary_fan_degree6():
     assert is_coarsening(sec.full_fan, sec.mori_fan)
 
 
-def test_a_missing_chamber_leaves_a_wall_off_eff(monkeypatch):
+def test_a_missing_chamber_leaves_a_wall_off_eff(monkeypatch, cold_mori_fan):
     lat, cycle = hexagon_boundary()
     real = build_chambers(lat, cycle)
+    cold_mori_fan()
     degree = {}
     for pair in chamber_adjacency(real):
         for i in pair:
             degree[i] = degree.get(i, 0) + 1
     # a chamber every wall of which it shares with another chamber
     drop = next(i for i, c in enumerate(real) if degree.get(i) == len(c.cone.facets))
-    monkeypatch.setattr(secondary, "build_chambers",
-                        lambda *_: real[:drop] + real[drop + 1:])
+    cons = [c.contraction for c in real]
+    monkeypatch.setattr(secondary, "contractions", lambda _: cons[:drop] + cons[drop + 1:])
     with pytest.raises(InternalInvariantError,
                        match=r"wall \[.*is met by one cone and lies on no facet"):
         secondary_fan(lat, cycle)
 
 
-def test_a_missing_bogus_cone_leaves_the_mori_fan_incomplete(monkeypatch):
+def test_a_missing_bogus_cone_leaves_the_mori_fan_incomplete(monkeypatch, cold_mori_fan):
     lat, cycle = hexagon_boundary()
     real = secondary.boundary_walls
     monkeypatch.setattr(secondary, "boundary_walls", lambda fan, support: real(fan, support)[:-1])
@@ -133,7 +135,7 @@ def test_a_missing_bogus_cone_leaves_the_mori_fan_incomplete(monkeypatch):
         secondary_fan(lat, cycle)
 
 
-def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch):
+def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch, cold_mori_fan):
     lat, cycle = hexagon_boundary()
     # drop the last group face, and pass the two checks that would see the gap
     real = secondary.boundary_walls
@@ -153,6 +155,24 @@ def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch):
     with pytest.raises(InternalInvariantError,
                        match=rf"Mori cone {re.escape(label)} lies in no secondary bogus cone"):
         secondary_fan(lat, cycle)
+
+
+def test_a_second_boundary_reuses_the_proved_mori_fan(monkeypatch, cold_mori_fan):
+    lat = PicLattice(4)
+    first, second = minus_one_cycles(lat, 5)[:2]
+    built, proved = [], []
+    real_chamber, real_complete = secondary.mori_chamber, secondary.is_complete
+    monkeypatch.setattr(secondary, "mori_chamber", lambda *a: built.append(a) or real_chamber(*a))
+    monkeypatch.setattr(secondary, "is_complete",
+                        lambda fan: proved.append(fan) or real_complete(fan))
+    secondary_fan(lat, first)
+    assert len(built) == len(contractions(lat)) and len(proved) == 2
+    built.clear()
+    proved.clear()
+    sec = secondary_fan(lat, second)
+    assert built == []
+    assert len(proved) == 1 and proved[0] is sec.full_fan
+    assert sec.mori_fan is mori_fan_K(lat)
 
 
 def test_secondary_fan_degree5_strictly_coarser():

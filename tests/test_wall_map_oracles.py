@@ -16,7 +16,13 @@ from wall_map_oracles import (
 from secfan import secondary
 from secfan.delpezzo import TORIC_NAMES, PicLattice, minus_one_cycles, toric_boundary
 from secfan.errors import InternalInvariantError
-from secfan.secondary import mori_fan_K, movsec, one_stratum_report, secondary_fan
+from secfan.secondary import (
+    build_chambers,
+    mori_fan_K,
+    movsec,
+    one_stratum_report,
+    secondary_fan,
+)
 
 
 def _group_rows(groups):
@@ -43,7 +49,7 @@ def test_wall_map_readers_match_the_map_building_oracles():
 def test_a_group_with_a_stray_chamber_is_not_convex():
     """Move chamber 0 of the pentagon into a group with no member adjacent to it."""
     lat = PicLattice(4)
-    mori, chambers = mori_fan_K(lat, minus_one_cycles(lat, 5)[0])
+    mori, chambers = mori_fan_K(lat), build_chambers(lat, minus_one_cycles(lat, 5)[0])
     near = {i for e in chamber_adjacency(chambers) if 0 in e for i in e}
     keys = sorted({c.boundary_exc for c in chambers} - {chambers[0].boundary_exc}, key=sorted)
     far = next(k for k in keys if all(chambers[i].boundary_exc != k for i in near))
