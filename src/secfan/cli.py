@@ -36,7 +36,7 @@ from .delpezzo import (
 )
 from .disk import fan_triangulation, triangulation_with_flips
 from .errors import InternalInvariantError, ValidationError
-from .lattice import IntMat
+from .lattice import IntMat, rank_of
 from .secondary import (
     cocycle_battery,
     gkz_secondary_fan,
@@ -62,9 +62,9 @@ CACHE_ENV = "SECFAN_CACHE_DIR"
 # configuration
 
 
-def _config_int(path: str, value, what: str) -> int:
+def _json_int(value, what: str) -> int:
     if type(value) is not int:  # floats, strings and booleans are refused, not truncated
-        raise ValidationError(f"config {path}: {what} must be an integer, not {value!r}")
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
     return value
 
 
@@ -94,19 +94,19 @@ def load_config(path: str) -> dict:
         raise ValidationError(f"config {path}: unknown model_tag {model!r}")
     if "degree" in data:
         if model == "quadric":
-            if _config_int(path, data["degree"], "'degree'") != 8:
+            if _json_int(data["degree"], f"config {path}: 'degree'") != 8:
                 raise ValidationError("the quadric model has degree 8")
             k = 2
         else:
-            k = 9 - _config_int(path, data["degree"], "'degree'")
+            k = 9 - _json_int(data["degree"], f"config {path}: 'degree'")
     else:
-        k = _config_int(path, data["k"], "'k'")
+        k = _json_int(data["k"], f"config {path}: 'k'")
     lat = quadric() if model == "quadric" else PicLattice(k)
     classes = data.get("cycle")
     if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
         raise ValidationError(f"config {path}: 'cycle' must be a list of classes, each a list")
     cycle = BoundaryCycle(
-        tuple(tuple(_config_int(path, x, "a 'cycle' entry") for x in c) for c in classes)
+        tuple(tuple(_json_int(x, f"config {path}: a 'cycle' entry") for x in c) for c in classes)
     )
     rep = validate_boundary(lat, cycle)
     if not rep.valid:
@@ -115,8 +115,7 @@ def load_config(path: str) -> dict:
         "lat": lat,
         "cycle": cycle,
         "report": rep,
-        "raw": data,
-        "seed": _config_int(path, data.get("seed", 20220110), "'seed'"),
+        "seed": _json_int(data.get("seed", 20220110), f"config {path}: 'seed'"),
     }
 
 
@@ -643,10 +642,10 @@ def spine_count(selfint, spine_path):
     si = _option_ints(selfint, "--selfint")
     aff = AffineStructure(len(si), si)
     s = _read_json(spine_path, "spine file", lambda data: make_spine(
-        int(data["vertex_chart"]),
+        _json_int(data["vertex_chart"], "'vertex_chart'"),
         tuple(data["vertex_position"]),
-        [((int(l["direction"][0]), int(l["direction"][1])), int(l.get("weight", 1)))
-         for l in data["legs"]],
+        [(tuple(_json_int(x, "a 'direction' entry") for x in l["direction"]),
+          _json_int(l.get("weight", 1), "'weight'")) for l in data["legs"]],
     ))
     balanced = is_balanced(aff, s)
     cls = crossing_class(aff, s) if balanced else None
@@ -680,6 +679,8 @@ def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
         basis = (cfg["lat"].canonical,)
     else:
         basis = tuple(_option_ints(chunk, "--L") for chunk in l_spec.split(";"))
+    if any(len(b) != ambient.ambient_rank for b in basis) or rank_of(basis) != len(basis):
+        raise ValidationError(f"--L needs independent vectors of length {ambient.ambient_rank}")
     inp = BundleInput(ambient, subfan, basis)
     cert = decompose(inp)
     stab = stabilizers(inp, cert) if cert.ok else None

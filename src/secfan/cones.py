@@ -17,6 +17,9 @@ cone_from_rays), so the rays are read off the generators by bitset tests.
 intersect resumes its first operand's double description and inserts only the
 second operand's constraints: any constraint set defining a cone, with each
 extreme ray's zero set taken over it, is a valid start (see dual_description).
+
+Callers need no edge cases: an empty hull in a given rank is zero_cone, and
+image(m, c) is the one rule for the image of a cone under an integer map.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from operator import and_, mul
 
 from .errors import InternalInvariantError, ValidationError
 from .lattice import (
+    IntMat,
     IntVec,
     primitive,
     rank_of,
@@ -185,11 +189,16 @@ def cone_from_rays(rays, ambient_rank: int | None = None, lineality=()) -> Ratio
     some generator lies in it.  A cone that is not pointed takes a second
     sweep (H to V), whose lineality basis and rays modulo it are the stored
     ones.
+
+    No rays and no lineality give zero_cone(ambient_rank), field for field, or
+    ValidationError without ambient_rank.  A zero ray is refused (fan files too).
     """
     rays = [vec(r) for r in rays]
     lineality = [vec(l) for l in lineality]
     if not rays and not lineality:
-        raise ValidationError("need at least one generator")
+        if ambient_rank is None:
+            raise ValidationError("need at least one generator")
+        return zero_cone(ambient_rank)
     n = ambient_rank if ambient_rank is not None else len((rays + lineality)[0])
     for r in rays + lineality:
         if len(r) != n:
@@ -228,8 +237,6 @@ def cone_from_inequalities(facets, equations=(), ambient_rank: int | None = None
             raise ValidationError("ambient rank required for the unconstrained cone")
         ambient_rank = len((facets + equations)[0])
     lin, rays = dual_description(facets, equations, ambient_rank)
-    if not rays and not lin:
-        return zero_cone(ambient_rank)
     return cone_from_rays(rays, ambient_rank, lineality=lin)
 
 
@@ -240,9 +247,14 @@ def zero_cone(ambient_rank: int) -> RationalCone:
 
 def dual_cone(c: RationalCone) -> RationalCone:
     """Polar dual: rays of the output are the facets of the input and vice versa."""
-    if not c.facets and not c.equations:
-        return zero_cone(c.ambient_rank)
     return cone_from_rays(c.facets, c.ambient_rank, lineality=c.equations)
+
+
+def image(m: IntMat, c: RationalCone) -> RationalCone:
+    """m(c): the nonzero images of c's rays, with those of its lineality basis as lineality."""
+    rays = [g for g in map(m.apply, c.rays) if any(g)]
+    lin = [g for g in map(m.apply, c.lineality) if any(g)]
+    return cone_from_rays(rays, m.rows, lineality=lin)
 
 
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
@@ -257,7 +269,7 @@ def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
                  for r in a.rays}
     n = a.ambient_rank
     lin, rays = dual_description(b.facets, b.equations, n, start=(a.lineality, zero_sets, len(own)))
-    return cone_from_rays(rays, n, lineality=lin) if rays or lin else zero_cone(n)
+    return cone_from_rays(rays, n, lineality=lin)
 
 
 def faces(c: RationalCone, codim: int) -> list[RationalCone]:
@@ -284,12 +296,7 @@ def faces(c: RationalCone, codim: int) -> list[RationalCone]:
         dim -= 1
         cuts = {s & f for s in level for f in facet_sets}
         level = {s for s in cuts if rank_of(list(s) + list(c.lineality)) == dim}
-    out = [
-        cone_from_rays(sorted(s), c.ambient_rank, lineality=c.lineality)
-        if s or c.lineality
-        else zero_cone(c.ambient_rank)
-        for s in level
-    ]
+    out = [cone_from_rays(sorted(s), c.ambient_rank, lineality=c.lineality) for s in level]
     return sorted(out, key=RationalCone.key)
 
 
@@ -581,7 +588,7 @@ def fan_from_json(data: dict) -> Fan:
     for cd in data["cones"]:
         rays = [_vec_from_json(r) for r in cd["rays"]]
         lin = [_vec_from_json(l) for l in cd.get("lineality", [])]
-        cones.append(cone_from_rays(rays, n, lineality=lin) if rays or lin else zero_cone(n))
+        cones.append(cone_from_rays(rays, n, lineality=lin))
         labels.append(cd.get("label", ""))
     return Fan(n, tuple(cones), tuple(labels))
 

@@ -33,9 +33,9 @@ from .cones import (
     cone_from_inequalities,
     cone_from_rays,
     fan_check,
+    image,
     intersect,
     is_complete,
-    zero_cone,
 )
 from .delpezzo import (
     BoundaryCycle,
@@ -840,12 +840,8 @@ def gkz_secondary_fan(points) -> GkzFan:
             irregular.append(t)
     # integer projection Z^s -> Z^(s-3) killing exactly the affine functions
     proj = quotient_lattice_map(_affine_functions(points), len(points))
-    cones = []
-    for rc in raw:
-        gens = [proj.apply(r) for r in rc.rays] + [proj.apply(l) for l in rc.lineality]
-        gens = [g for g in gens if any(g)]
-        cones.append(cone_from_rays(gens, proj.rows) if gens else zero_cone(proj.rows))
-    fan = Fan(proj.rows, tuple(cones), tuple(f"T{i}" for i in range(len(cones))))
+    cones = tuple(image(proj, rc) for rc in raw)
+    fan = Fan(proj.rows, cones, tuple(f"T{i}" for i in range(len(cones))))
     # the degree certificate proves "complete fan" on its own (see is_complete)
     if not is_complete(fan):
         raise InternalInvariantError(
@@ -949,11 +945,7 @@ def toric_compare(lat: PicLattice, boundary: BoundaryCycle, fan_rays,
         return CompareCertificate(False, [], ["rank mismatch: kernel exceeds affine functions"])
     if sec is None:
         sec = secondary_fan(lat, boundary)
-    pushed = []
-    for rc in gkz.raw_cones:
-        gens = [phi.apply(r) for r in rc.rays]
-        gens = [g for g in gens if any(g)]
-        pushed.append(cone_from_rays(gens, rank))
+    pushed = [image(phi, rc) for rc in gkz.raw_cones]
     sec_cones = {c.key(): i for i, c in enumerate(sec.full_fan.cones)}
     matched = []
     for t_idx, pc in enumerate(pushed):

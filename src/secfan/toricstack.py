@@ -17,6 +17,7 @@ from .cones import (
     _face_rays,
     cone_from_rays,
     fan_check,
+    image,
     intersect,
     is_face_of,
     zero_cone,
@@ -30,7 +31,6 @@ from .lattice import (
     rank_of,
     saturate,
     torsion_quotient,
-    vec,
     vec_dot,
 )
 
@@ -61,11 +61,6 @@ def _span_meets_trivially(cone: RationalCone, sub_basis) -> bool:
     return rank_of(gens + list(sub_basis)) == rank_of(gens) + rank_of(list(sub_basis))
 
 
-def _subspace_cone(basis, rank: int) -> RationalCone:
-    gens = [vec(b) for b in basis] + [tuple(-x for x in b) for b in basis]
-    return cone_from_rays([], rank, lineality=gens) if basis else zero_cone(rank)
-
-
 def _cone_in_fan(c: RationalCone, fan: Fan) -> bool:
     """c equals some cone of the fan (maximal cones or their faces)."""
     return any(is_face_of(c, top) for top in fan.cones) or c.dim == 0
@@ -88,7 +83,7 @@ def decompose(inp: BundleInput) -> DecompositionCert:
     are C's rays.
     """
     rank = inp.rank
-    sub_cone = _subspace_cone(inp.sub_lattice, rank)
+    sub_cone = cone_from_rays([], rank, lineality=inp.sub_lattice)  # span(L)
     sub_rank = rank_of(list(inp.sub_lattice))
     sub_keys = {c.key() for c in inp.subfan.cones}
     pieces = []
@@ -103,17 +98,11 @@ def decompose(inp: BundleInput) -> DecompositionCert:
         if _face_rays(sigma, outside) != set(outside):
             failures.append(f"{label}: the rays outside the subspace span no face")
             continue
-        sigma2 = (
-            cone_from_rays(outside, rank, lineality=sigma.lineality)
-            if outside or sigma.lineality
-            else zero_cone(rank)
-        )
+        sigma2 = cone_from_rays(outside, rank, lineality=sigma.lineality)
         if not _span_meets_trivially(sigma2, inp.sub_lattice):
             failures.append(f"{label}: subspace meets the span of sigma_2")
             continue
-        recomposed = cone_from_rays(
-            list(sigma1.rays) + list(sigma2.rays), rank
-        ) if (sigma1.rays or sigma2.rays) else zero_cone(rank)
+        recomposed = cone_from_rays(sigma1.rays + sigma2.rays, rank)
         if recomposed != sigma:
             failures.append(f"{label}: sigma_1 + sigma_2 does not recompose the cone")
             continue
@@ -150,10 +139,7 @@ def build_tilde(inp: BundleInput) -> TildeFan:
             gens.append(coords + tuple(0 for _ in range(rank)))
         for ray in s2.rays:
             gens.append(tuple(0 for _ in range(r)) + tuple(ray))
-        if gens:
-            cones.append(cone_from_rays(gens, total))
-        else:
-            cones.append(zero_cone(total))
+        cones.append(cone_from_rays(gens, total))
         labels.append(inp.ambient.label_of(idx))
     proj_rows = []
     for i in range(rank):
@@ -189,7 +175,7 @@ def stabilizers(inp: BundleInput, cert: DecompositionCert) -> StabilizerReport:
     out = []
     for idx, (s1, s2) in enumerate(cert.pieces):
         n1 = _cone_lattice_gens_in(s1, inp.sub_lattice, rank)
-        n2 = saturate(list(s2.rays)) if s2.rays else []
+        n2 = saturate(s2.rays)
         tg = torsion_quotient(n1 + n2, rank)
         out.append((inp.ambient.label_of(idx), tg))
     return StabilizerReport(out)
@@ -226,16 +212,8 @@ def check_bundle(inp: BundleInput, quotient_fan: Fan, quotient_map: IntMat) -> B
     cert = decompose(inp)
     if not cert.ok:
         diags.extend(cert.failures)
-    images = []
-    for c in inp.subfan.cones:
-        img_gens = [quotient_map.apply(r) for r in c.rays]
-        img_gens = [g for g in img_gens if any(g)]
-        if img_gens:
-            images.append(cone_from_rays(img_gens, quotient_map.rows))
-        else:
-            images.append(zero_cone(quotient_map.rows))
     quotient_keys = {c.key() for c in quotient_fan.cones}
-    image_keys = {c.key() for c in images}
+    image_keys = {image(quotient_map, c).key() for c in inp.subfan.cones}
     if image_keys != quotient_keys:
         missing = quotient_keys - image_keys
         extra = image_keys - quotient_keys
@@ -244,9 +222,7 @@ def check_bundle(inp: BundleInput, quotient_fan: Fan, quotient_map: IntMat) -> B
         if extra:
             diags.append(f"{len(extra)} lifted cone(s) project outside the quotient fan")
     for idx, c in enumerate(inp.subfan.cones):
-        if rank_of(list(c.rays) + list(inp.sub_lattice)) != rank_of(list(c.rays)) + len(
-            inp.sub_lattice
-        ):
+        if not _span_meets_trivially(c, inp.sub_lattice):
             diags.append(f"lift cone {inp.subfan.label_of(idx)} meets the subspace")
     return BundleCheck(not diags, diags)
 

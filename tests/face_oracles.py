@@ -17,7 +17,6 @@ from secfan.toricstack import (
     BundleInput,
     DecompositionCert,
     _span_meets_trivially,
-    _subspace_cone,
 )
 
 
@@ -54,7 +53,8 @@ def _cone_in_fan_by_faces(c: RationalCone, fan) -> bool:
 
 def decompose_by_face_walk(inp: BundleInput) -> DecompositionCert:
     rank = inp.rank
-    sub_cone = _subspace_cone(inp.sub_lattice, rank)
+    # span(L) as the hull of +-L, whose lineality the sweep finds
+    sub_cone = cone_from_rays([*inp.sub_lattice, *[[-x for x in b] for b in inp.sub_lattice]], rank)
     sub_keys = {c.key() for c in inp.subfan.cones}
     pieces = []
     failures = []

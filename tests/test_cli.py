@@ -95,18 +95,30 @@ BAD_CONFIGS = {
     "quadric_float.json": '{"degree": 8.0, "model_tag": "quadric",'
                           ' "cycle": [[1, 0], [0, 1], [1, 0], [0, 1]]}',
 }
-# the key each of those configs must name in its error
-NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_bool.json": "'k'",
-              "quadric_float.json": "'degree'"}
-# a straight hexagon spine whose vertex chart is no chart 1..6
-BAD_SPINES = {
-    f"chart{c}.json": json.dumps({
-        "vertex_chart": c,
-        "vertex_position": [2, 1],
-        "legs": [{"direction": [1, 1]}, {"direction": [-1, -1]}],
-    })
-    for c in (0, 7)
+# a straight hexagon spine in chart 1
+SPINE = {
+    "vertex_chart": 1,
+    "vertex_position": [2, 1],
+    "legs": [{"direction": [1, 1]}, {"direction": [-1, -1]}],
 }
+# that spine with a vertex chart that is no chart 1..6, or with a number that
+# is not a JSON integer (refused, not truncated to the spine above)
+BAD_SPINES = {
+    **{f"chart{c}.json": json.dumps({**SPINE, "vertex_chart": c}) for c in (0, 7)},
+    "chart_float.json": json.dumps({**SPINE, "vertex_chart": 1.9}),
+    "direction_float.json": json.dumps(
+        {**SPINE, "legs": [{"direction": [1.7, 1]}, {"direction": [-1, -1]}]}),
+    "weight_float.json": json.dumps(
+        {**SPINE, "legs": [{"direction": [1, 1], "weight": 1.5}, {"direction": [-1, -1]}]}),
+    "weight_bool.json": json.dumps(
+        {**SPINE, "legs": [{"direction": [1, 1], "weight": True}, {"direction": [-1, -1]}]}),
+}
+# by the last argument, the key or option a bad input must name in its error;
+# a named key comes with the name of its file
+NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_bool.json": "'k'",
+              "quadric_float.json": "'degree'", "chart_float.json": "'vertex_chart'",
+              "direction_float.json": "'direction' entry", "weight_float.json": "'weight'",
+              "weight_bool.json": "'weight'", "1,0": "--L", "0": "--L"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -118,6 +130,9 @@ BAD_SPINES = {
     ["fan", "gkz", "--points", "1,0;0,1;2,-1"],
     ["spine", "count", "--selfint", "-1,a", "--spine", "line.json"],
     ["bundle", "check", "--fan", "line.json", "--subfan", "line.json", "--L", "1;x"],
+    # --L must be a basis: vectors of the fan's rank, linearly independent
+    ["bundle", "check", "--fan", "line.json", "--subfan", "line.json", "--L", "1,0"],
+    ["bundle", "check", "--fan", "line.json", "--subfan", "line.json", "--L", "0"],
     ["bundle", "check", "--fan", "broken.json", "--subfan", "line.json", "--L", "1"],
     ["bundle", "check", "--fan", "no_cycle.json", "--subfan", "line.json", "--L", "1"],
     ["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", "no_cycle.json"],
@@ -141,6 +156,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     assert "validation error" in proc.stderr
     assert key in proc.stderr
+    if key.startswith("'"):
+        assert argv[-1] in proc.stderr
 
 
 def test_internal_invariant_exits_3(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from secfan.cones import (
     fan_check,
     fan_from_json,
     fan_to_json,
+    image,
     intersect,
     is_coarsening,
     is_complete,
@@ -25,7 +26,7 @@ from secfan.cones import (
     zero_cone,
 )
 from secfan.errors import ValidationError
-from secfan.lattice import primitive
+from secfan.lattice import IntMat, primitive
 
 
 def rays_of(c):
@@ -68,6 +69,26 @@ def _sweep_is_full_plane(gens):
 def test_zero_vector_rejected():
     with pytest.raises(ValidationError):
         cone_from_rays([(0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_empty_hull_is_the_zero_cone(n):
+    empty, zero = cone_from_rays([], n), zero_cone(n)
+    # field by field: __eq__ compares rays and lineality only
+    assert (empty.ambient_rank, empty.rays, empty.facets, empty.equations, empty.lineality) == (
+        zero.ambient_rank, zero.rays, zero.facets, zero.equations, zero.lineality)
+    with pytest.raises(ValidationError):
+        cone_from_rays([])
+
+
+def test_image_keeps_lineality_and_drops_zero_images():
+    # a half-space of R^3 whose lineality maps to a line and onto 0
+    half_space = cone_from_rays([(1, 0, 0)], 3, lineality=[(0, 1, 0), (0, 0, 1)])
+    drop_z = IntMat.from_rows([(1, 0, 0), (0, 1, 0)])
+    assert image(drop_z, half_space) == cone_from_rays([(1, 0)], 2, lineality=[(0, 1)])
+    # a ray mapped to 0 leaves the zero cone
+    onto_y = IntMat.from_rows([(0, 1, 0)])
+    assert image(onto_y, cone_from_rays([(1, 0, 0)])) == zero_cone(1)
 
 
 def test_dual_quadrant_self_dual():

@@ -3,7 +3,7 @@ import pytest
 from secfan.cones import Fan, cone_from_rays, zero_cone
 from secfan.delpezzo import PicLattice, hexagon_boundary, toric_boundary
 from secfan.errors import ValidationError
-from secfan.lattice import quotient_lattice_map
+from secfan.lattice import IntMat, quotient_lattice_map
 from secfan.secondary import secondary_fan
 from secfan.toricstack import (
     BundleInput,
@@ -176,6 +176,32 @@ def test_check_bundle_broken_lift_named():
     res = check_bundle(BundleInput(amb, bad, L_basis), qfan, qm)
     assert not res.ok
     assert any("s-" in d for d in res.diagnostics)
+
+
+def _half_planes(lineality):
+    """The two half-planes of R^3 on either side of the given line, through (+-1, 0, 0)."""
+    return Fan(3, (cone_from_rays([(1, 0, 0)], 3, lineality=[lineality]),
+                   cone_from_rays([(-1, 0, 0)], 3, lineality=[lineality])), ("up", "down"))
+
+
+def test_check_bundle_lineal_subfan_projects_onto_the_quotient():
+    # subfan = ambient = the half-planes z = 0, x >= 0 and x <= 0; L = the z axis
+    sub = _half_planes((0, 1, 0))
+    qfan = Fan(2, (cone_from_rays([(1, 0)], 2, lineality=[(0, 1)]),
+                   cone_from_rays([(-1, 0)], 2, lineality=[(0, 1)])))
+    drop_z = IntMat.from_rows([(1, 0, 0), (0, 1, 0)])
+    res = check_bundle(BundleInput(sub, sub, ((0, 0, 1),)), qfan, drop_z)
+    assert res.ok, res.diagnostics
+
+
+def test_check_bundle_sees_a_lineality_meeting_the_subspace():
+    # the half-planes y = 0 contain L = the z axis in their lineality
+    sub = _half_planes((0, 0, 1))
+    drop_z = IntMat.from_rows([(1, 0, 0), (0, 1, 0)])
+    qfan = Fan(2, (cone_from_rays([(1, 0)]), cone_from_rays([(-1, 0)])))
+    res = check_bundle(BundleInput(sub, sub, ((0, 0, 1),)), qfan, drop_z)
+    assert [d for d in res.diagnostics if "meets the subspace" in d] == [
+        "lift cone up meets the subspace", "lift cone down meets the subspace"]
 
 
 def test_character_extends():
