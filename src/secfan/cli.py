@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from math import factorial
 from pathlib import Path
 
 import click
@@ -27,9 +28,9 @@ from .delpezzo import (
     WeylElement,
     minus_one_classes,
     normalized_cycle,
+    orbit_tree,
     quadric,
     roots,
-    simple_roots,
     toric_boundary,
     validate_boundary,
     weyl_generators,
@@ -262,49 +263,40 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     return report, sec
 
 
-def _orbit(start, moves) -> dict:
-    """Breadth-first Schreier tree: point -> (parent, move index), start -> None."""
-    tree, queue = {start: None}, [start]
-    for p in queue:
-        for i, move in enumerate(moves):
-            q = move(p)
-            if q not in tree:
-                tree[q] = (p, i)
-                queue.append(q)
-    return tree
-
-
 def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     """W(E_k) data from the simple reflections alone; no element list is built.
 
     W permutes the contractions, so a chamber orbit is the closure of one
-    contracted-class set under the generators.  rho = (0, 1, ..., k) pairs
-    positively with every simple root, so it lies in an open chamber; W acts
-    simply transitively on chambers (Humphreys, Reflection Groups and Coxeter
-    Groups, 1990, 1.12), so |W| = |W rho|.  With u_p the element along the
-    Schreier tree from the sorted boundary multiset to p, the u_q^-1 s u_p
-    (s a generator, q = s p) generate its stabilizer, of order |W| / |orbit|
+    contracted-class set under the generators.  |W| = k! |W E| for the
+    contraction E = {E_1, ..., E_k}: W fixes K, and K with the E_i spans
+    Pic (x) Q since H = (sum E_i - K) / 3, so only the identity fixes every
+    E_i; an element mapping E onto itself permutes the E_i, and the
+    reflections in E_i - E_{i+1} give every permutation, so Stab(E) = S_k;
+    orbit-stabilizer does the rest.  With u_p the element along the Schreier
+    tree from the sorted boundary multiset to p, the u_q^-1 s u_p (s a
+    generator, q = s p) generate its stabilizer, of order |W| / |orbit|
     (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4).  A
     group maps a finite set of cones onto itself iff each generator does.
     """
     gens = weyl_generators(lat)
     acts = [g.act for g in gens]
-    rho = tuple(range(lat.rank))
-    if any(lat.dot(rho, a) <= 0 for a in simple_roots(lat)):
-        raise InternalInvariantError(f"rho = {rho} pairs non-positively with a simple root")
-    order = len(_orbit(rho, acts))
     set_moves = [lambda s, a=a: frozenset(map(a, s)) for a in acts]
-    left, orbit_sizes = {frozenset(c.contraction.classes) for c in sec.chambers}, []
+    left, orbits = {frozenset(c.contraction.classes) for c in sec.chambers}, []
     while left:
         start = next(iter(left))
-        orbit = _orbit(start, set_moves).keys()
+        orbit = orbit_tree(start, set_moves).keys()
         if not orbit <= left:
             raise InternalInvariantError(f"a Weyl image of chamber {sorted(start)} is no chamber")
         left -= orbit
-        orbit_sizes.append(len(orbit))
+        orbits.append(orbit)
+    e = frozenset(tuple(int(i == j) for i in range(lat.rank)) for j in range(1, lat.rank))
+    e_orbit = next((o for o in orbits if e in o), None)
+    if e_orbit is None:
+        raise InternalInvariantError(f"no chamber orbit holds the contraction E = {sorted(e)}")
+    order = factorial(lat.k) * len(e_orbit)
     moves = [lambda m, a=a: tuple(sorted(map(a, m))) for a in acts]
     start = tuple(sorted(sec.boundary.classes))
-    tree = _orbit(start, moves)
+    tree = orbit_tree(start, moves)
     ident = WeylElement(IntMat.identity(lat.rank))
     word = {start: (ident, ident)}  # p -> (u_p, u_p^-1)
     for p, (parent, i) in list(tree.items())[1:]:
@@ -315,7 +307,7 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     cones = sec.full_fan.cones
     fixes = all({(tuple(sorted(map(w.act, c.rays))), tuple(sorted(map(w.act, c.lineality))))
                  for c in cones} == {c.key() for c in cones} for w in stab_gens)
-    return {"group_order": order, "orbit_sizes": sorted(orbit_sizes),
+    return {"group_order": order, "orbit_sizes": sorted(map(len, orbits)),
             "stabilizer_order": order // len(tree), "stabilizer_fixes_secondary_fan": fixes}
 
 

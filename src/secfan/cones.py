@@ -548,12 +548,12 @@ def _vec_to_json(v: IntVec) -> list[str]:
     return [str(x) for x in v]
 
 
-def cone_to_json(c: RationalCone, label: str = "", provenance: str = "") -> dict:
+def cone_to_json(c: RationalCone, label: str = "") -> dict:
     out = {
         "rays": [_vec_to_json(r) for r in c.rays],
         "facets": [_vec_to_json(f) for f in c.facets],
         "label": label,
-        "provenance": provenance,
+        "provenance": "",
     }
     if c.equations:
         out["equations"] = [_vec_to_json(e) for e in c.equations]
@@ -562,17 +562,10 @@ def cone_to_json(c: RationalCone, label: str = "", provenance: str = "") -> dict
     return out
 
 
-def fan_to_json(fan: Fan, provenances: tuple[str, ...] = (), metadata: dict | None = None) -> dict:
+def fan_to_json(fan: Fan, metadata: dict | None = None) -> dict:
     return {
         "ambient_rank": fan.ambient_rank,
-        "cones": [
-            cone_to_json(
-                c,
-                label=fan.label_of(i),
-                provenance=provenances[i] if provenances else "",
-            )
-            for i, c in enumerate(fan.cones)
-        ],
+        "cones": [cone_to_json(c, label=fan.label_of(i)) for i, c in enumerate(fan.cones)],
         "metadata": metadata or {},
     }
 

@@ -281,22 +281,23 @@ def weyl_generators(lat: PicLattice) -> list[WeylElement]:
     return [reflection(lat, a) for a in simple_roots(lat)]
 
 
+def orbit_tree(start, moves) -> dict:
+    """Breadth-first Schreier tree: point -> (parent, move index), start -> None."""
+    tree, queue = {start: None}, [start]
+    for p in queue:
+        for i, move in enumerate(moves):
+            q = move(p)
+            if q not in tree:
+                tree[q] = (p, i)
+                queue.append(q)
+    return tree
+
+
 def weyl_group(lat: PicLattice) -> list[WeylElement]:
-    """The full group, by closure of the generators (orders: 0,0,2,12,120,1920,...)."""
-    gens = weyl_generators(lat)
+    """The full group, by closure of the generators (orders 1, 1, 2, 12, 120, 1920, ...)."""
     ident = WeylElement(IntMat.identity(lat.rank))
-    seen = {ident.matrix.entries: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                h = g.compose(w)
-                if h.matrix.entries not in seen:
-                    seen[h.matrix.entries] = h
-                    nxt.append(h)
-        frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    tree = orbit_tree(ident, [g.compose for g in weyl_generators(lat)])
+    return sorted(tree, key=lambda w: w.matrix.entries)
 
 
 @dataclass(frozen=True)

@@ -141,9 +141,7 @@ class UmbrellaRing:
         return out
 
 
-def umbrella_ring(boundary: BoundaryCycle | int,
-                  tri: DiskTriangulation | None = None) -> UmbrellaRing:
-    n = boundary if isinstance(boundary, int) else boundary.n
+def umbrella_ring(n: int, tri: DiskTriangulation | None = None) -> UmbrellaRing:
     ring = UmbrellaRing(n, tri)
     # closure sanity on a small fragment for the self-glued cases
     if n <= 2:

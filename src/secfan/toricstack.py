@@ -77,10 +77,9 @@ def decompose(inp: BundleInput) -> DecompositionCert:
     whose span misses L, it contains every such face and is the unique
     maximal one.  Otherwise each such face lacks some ray r of sigma outside
     span(L), and sigma_1 plus that face is not sigma: r is extreme, so it is
-    no sum of a point of sigma_1 and a point of a face without r (and the
-    recomposition from rays never rebuilds a lineality space).  C is a face
-    exactly when the rays of sigma tight on every facet tight on C's rays
-    are C's rays.
+    no sum of a point of sigma_1 and a point of a face without r.  C is a
+    face exactly when the rays of sigma tight on every facet tight on C's
+    rays are C's rays.
     """
     rank = inp.rank
     sub_cone = cone_from_rays([], rank, lineality=inp.sub_lattice)  # span(L)
@@ -102,7 +101,7 @@ def decompose(inp: BundleInput) -> DecompositionCert:
         if not _span_meets_trivially(sigma2, inp.sub_lattice):
             failures.append(f"{label}: subspace meets the span of sigma_2")
             continue
-        recomposed = cone_from_rays(sigma1.rays + sigma2.rays, rank)
+        recomposed = cone_from_rays(sigma1.rays + sigma2.rays, rank, lineality=sigma2.lineality)
         if recomposed != sigma:
             failures.append(f"{label}: sigma_1 + sigma_2 does not recompose the cone")
             continue
@@ -137,9 +136,9 @@ def build_tilde(inp: BundleInput) -> TildeFan:
             if coords is None:
                 raise ValidationError("sigma_1 generator outside the subspace")
             gens.append(coords + tuple(0 for _ in range(rank)))
-        for ray in s2.rays:
-            gens.append(tuple(0 for _ in range(r)) + tuple(ray))
-        cones.append(cone_from_rays(gens, total))
+        pad = (0,) * r
+        gens += [pad + tuple(ray) for ray in s2.rays]
+        cones.append(cone_from_rays(gens, total, lineality=[pad + tuple(l) for l in s2.lineality]))
         labels.append(inp.ambient.label_of(idx))
     proj_rows = []
     for i in range(rank):
@@ -175,7 +174,7 @@ def stabilizers(inp: BundleInput, cert: DecompositionCert) -> StabilizerReport:
     out = []
     for idx, (s1, s2) in enumerate(cert.pieces):
         n1 = _cone_lattice_gens_in(s1, inp.sub_lattice, rank)
-        n2 = saturate(s2.rays)
+        n2 = saturate(s2.rays + s2.lineality)
         tg = torsion_quotient(n1 + n2, rank)
         out.append((inp.ambient.label_of(idx), tg))
     return StabilizerReport(out)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -13,7 +14,17 @@ from secfan import cli as cli_module
 from secfan import cones, secondary, toricstack
 from secfan.cli import build_report, cache_put, cli, config_hash, load_config, write_bundle
 from secfan.cones import Fan
-from secfan.delpezzo import BoundaryCycle, PicLattice, hexagon_boundary, minus_one_cycles
+from secfan.delpezzo import (
+    BoundaryCycle,
+    PicLattice,
+    contractions,
+    hexagon_boundary,
+    minus_one_cycles,
+    orbit_tree,
+    simple_roots,
+    toric_boundary,
+    weyl_generators,
+)
 from secfan.disk import fan_triangulation, gamma_complex, triangulation_with_flips
 from secfan.errors import InternalInvariantError, ValidationError
 from secfan.lattice import rank_of
@@ -666,19 +677,56 @@ def test_a_warm_mori_fan_gives_the_cold_report(cold_mori_fan):
     assert build_report(lat, second)[0] == warm
 
 
-def test_weyl_data_names_a_broken_invariant(monkeypatch):
+def test_weyl_data_names_a_broken_invariant():
     lat, cycle = hexagon_boundary()
     sec = secondary.secondary_fan(lat, cycle)
     # a chamber set that W does not preserve: the last chamber's orbit is not a point
     missing = dataclasses.replace(sec, chambers=sec.chambers[:-1])
     with pytest.raises(InternalInvariantError, match="is no chamber"):
         cli_module.weyl_orbit_decomposition(lat, missing)
-    # a start point that pairs negatively with the simple roots
-    real = cli_module.simple_roots
-    monkeypatch.setattr(cli_module, "simple_roots",
-                        lambda lat: [tuple(-x for x in a) for a in real(lat)])
-    with pytest.raises(InternalInvariantError, match="rho"):
-        cli_module.weyl_orbit_decomposition(lat, sec)
+
+
+def _weyl_stub(k, chambers=None):
+    """A boundary at k and a secondary-fan stand-in: every contraction, no cones."""
+    if k == 2:
+        lat, cycle, _ = toric_boundary("dp7")
+    else:
+        lat = PicLattice(k)
+        cycle = minus_one_cycles(lat, 9 - k)[0]
+    chambers = contractions(lat) if chambers is None else chambers
+    sec = SimpleNamespace(chambers=[SimpleNamespace(contraction=c) for c in chambers],
+                          boundary=cycle, full_fan=Fan(lat.rank, ()))
+    return lat, sec
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_weyl_group_order_is_the_rho_orbit(k):
+    # the replaced kernel as the oracle: rho = (0, 1, ..., k) pairs positively
+    # with every simple root, so it lies in an open chamber, and W acts simply
+    # transitively on chambers, so |W| = |W rho|
+    lat, sec = _weyl_stub(k)
+    rho = tuple(range(lat.rank))
+    assert all(lat.dot(rho, a) > 0 for a in simple_roots(lat))
+    rho_orbit = orbit_tree(rho, [g.act for g in weyl_generators(lat)])
+    assert cli_module.weyl_orbit_decomposition(lat, sec)["group_order"] == len(rho_orbit)
+
+
+def test_weyl_section_at_k6():
+    lat, sec = _weyl_stub(6)
+    assert cli_module.weyl_orbit_decomposition(lat, sec) == {
+        "group_order": 51840, "orbit_sizes": [1, 27, 72, 216, 216, 432, 720, 1080],
+        "stabilizer_order": 1152, "stabilizer_fixes_secondary_fan": True}
+
+
+def test_weyl_data_names_a_missing_orbit_of_e():
+    lat = PicLattice(4)
+    e = frozenset([(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+    moves = [lambda s, a=g.act: frozenset(map(a, s)) for g in weyl_generators(lat)]
+    e_orbit = orbit_tree(e, moves)
+    kept = [c for c in contractions(lat) if frozenset(c.classes) not in e_orbit]
+    assert 0 < len(kept) < len(contractions(lat))
+    with pytest.raises(InternalInvariantError, match=r"contraction E = \[\(0, 0, 0, 0, 1\), "):
+        cli_module.weyl_orbit_decomposition(*_weyl_stub(4, kept))
 
 
 def test_cocycle_battery_computes_each_value_once(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import pytest
 
@@ -17,6 +18,7 @@ from secfan.delpezzo import (
     ne_generators,
     nef_cone,
     normalized_cycle,
+    orbit_tree,
     quadric,
     reflection,
     roots,
@@ -178,19 +180,18 @@ def test_weyl_preserves_classes_and_form():
 
 def test_weyl_orbit_of_e1_k3():
     lat = PicLattice(3)
-    gens = weyl_generators(lat)
-    orbit = {(0, 1, 0, 0)}
-    frontier = list(orbit)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                u = g.act(v)
-                if u not in orbit:
-                    orbit.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    assert orbit == set(minus_one_classes(lat))
+    orbit = orbit_tree((0, 1, 0, 0), [g.act for g in weyl_generators(lat)])
+    assert orbit.keys() == set(minus_one_classes(lat))
+
+
+def test_weyl_order_at_k7_from_the_orbit_of_e():
+    # |W(E_7)| = 7! |W E| for the contraction E = {E_1, ..., E_7}, with no element list
+    lat = PicLattice(7)
+    e = frozenset(tuple(int(i == j) for i in range(8)) for j in range(1, 8))
+    moves = [lambda s, a=g.act: frozenset(map(a, s)) for g in weyl_generators(lat)]
+    orbit = orbit_tree(e, moves)
+    assert len(orbit) == 576
+    assert factorial(7) * len(orbit) == 2_903_040
 
 
 def test_weyl_group_orders():

@@ -1,6 +1,6 @@
 import pytest
 
-from secfan.cones import Fan, cone_from_rays, zero_cone
+from secfan.cones import Fan, cone_from_rays, image, zero_cone
 from secfan.delpezzo import PicLattice, hexagon_boundary, toric_boundary
 from secfan.errors import ValidationError
 from secfan.lattice import IntMat, quotient_lattice_map
@@ -202,6 +202,38 @@ def test_check_bundle_sees_a_lineality_meeting_the_subspace():
     res = check_bundle(BundleInput(sub, sub, ((0, 0, 1),)), qfan, drop_z)
     assert [d for d in res.diagnostics if "meets the subspace" in d] == [
         "lift cone up meets the subspace", "lift cone down meets the subspace"]
+
+
+def _lineal_quarter_spaces():
+    """{x >= 0, +-z >= 0} in R^3 with the y axis as lineality; L = the z axis,
+    subfan = their common face {x >= 0, z = 0}."""
+    y = [(0, 1, 0)]
+    amb = Fan(3, (cone_from_rays([(1, 0, 0), (0, 0, 1)], 3, lineality=y),
+                  cone_from_rays([(1, 0, 0), (0, 0, -1)], 3, lineality=y)), ("up", "down"))
+    sub = Fan(3, (cone_from_rays([(1, 0, 0)], 3, lineality=y),), ("half",))
+    return BundleInput(amb, sub, ((0, 0, 1),))
+
+
+def test_decompose_keeps_the_lineality_of_sigma_2():
+    inp = _lineal_quarter_spaces()
+    cert = decompose(inp)
+    assert cert.ok, cert.failures
+    assert [(s1.rays, s2) for s1, s2 in cert.pieces] == [
+        (((0, 0, 1),), inp.subfan.cones[0]), (((0, 0, -1),), inp.subfan.cones[0])]
+
+
+def test_stabilizers_count_the_lineality_of_sigma_2():
+    inp = _lineal_quarter_spaces()
+    rep = stabilizers(inp, decompose(inp))
+    assert [(lbl, t.invariant_factors, t.free_rank) for lbl, t in rep.entries] == [
+        ("up", (), 0), ("down", (), 0)]
+
+
+def test_build_tilde_lifts_the_lineality_of_sigma_2():
+    inp = _lineal_quarter_spaces()
+    tf = build_tilde(inp)
+    assert [c.lineality for c in tf.fan.cones] == [((0, 0, 1, 0),)] * 2
+    assert [image(tf.projection, c) for c in tf.fan.cones] == list(inp.ambient.cones)
 
 
 def test_character_extends():
