@@ -18,6 +18,9 @@ intersect resumes its first operand's double description and inserts only the
 second operand's constraints: any constraint set defining a cone, with each
 extreme ray's zero set taken over it, is a valid start (see dual_description).
 
+fan_check proves most pairs of pointed cones by a separating functional read
+off facet.ray tables, and sends the rest to the exact intersect and is_face_of.
+
 Callers need no edge cases: an empty hull in a given rank is zero_cone, and
 image(m, c) is the one rule for the image of a cone under an integer map.
 """
@@ -26,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import islice
-from operator import and_, mul
+from itertools import combinations, islice
+from operator import add, and_, mul, neg
 
 from .errors import InternalInvariantError, ValidationError
 from .lattice import (
@@ -357,49 +360,29 @@ class FanReport:
     violations: list = field(default_factory=list)
 
 
-def _pair_is_common_face_fast(a: RationalCone, b: RationalCone) -> bool | None:
-    """Separating-functional certificate for pointed cones; None = undecided.
-
-    For a valid pair the rays of each cone inside the other generate the common
-    face, and some nonnegative combination of tight facets separates the two
-    cones with equality exactly on that face.  Only accepts with a verified
-    separator; anything unclear falls back to the exact check.
-    """
-    if a.lineality or b.lineality:
-        return None
-    sa = frozenset(r for r in a.rays if b.contains_point(r))
-    sb = frozenset(r for r in b.rays if a.contains_point(r))
-    if sa != sb:
-        return None
-    face_rays = sa
-    tight_a = [g for g in a.facets if all(vec_dot(g, r) == 0 for r in face_rays)]
-    tight_b = [g for g in b.facets if all(vec_dot(g, r) == 0 for r in face_rays)]
-    cut_a = {r for r in a.rays if all(vec_dot(g, r) == 0 for g in tight_a)}
-    cut_b = {r for r in b.rays if all(vec_dot(g, r) == 0 for g in tight_b)}
-    if cut_a != face_rays or cut_b != face_rays:
-        return None
-    candidates = []
-    if tight_a:
-        candidates.append(tuple(sum(g[t] for g in tight_a) for t in range(a.ambient_rank)))
-    candidates.extend(tight_a)
-    for ell in candidates:
-        if all(vec_dot(ell, r) <= 0 for r in b.rays):
-            tight_rays_b = {r for r in b.rays if vec_dot(ell, r) == 0}
-            tight_rays_a = {r for r in a.rays if vec_dot(ell, r) == 0}
-            if tight_rays_a == face_rays and tight_rays_b == face_rays:
-                return True
-    return None
+def _dots(rows, vectors) -> list[list[int]]:
+    """The table of row . vector: one list per row, one entry per vector."""
+    return [[sum(map(mul, h, v)) for v in vectors] for h in rows]
 
 
-def _check_pair(fan: Fan, i: int, j: int):
-    a, b = fan.cones[i], fan.cones[j]
-    fast = _pair_is_common_face_fast(a, b)
-    if fast:
-        return None
-    cap = intersect(a, b)
-    if not is_face_of(cap, a) or not is_face_of(cap, b):
-        return (fan.label_of(i), fan.label_of(j), "intersection is not a common face")
-    return None
+def _inside(cross, equations, rays) -> list[int]:
+    """Indices of the rays where all rows of cross are >= 0 and all equations vanish."""
+    return [k for k, (r, col) in enumerate(zip(rays, zip(*cross)))
+            if min(col) >= 0 and not any(sum(map(mul, e, r)) for e in equations)]
+
+
+def _separated(a: RationalCone, b: RationalCone, own_a, own_b) -> bool:
+    """Some candidate of fan_check separates the pointed cones a and b (see there)."""
+    ab, ba, m = _dots(a.facets, b.rays), _dots(b.facets, a.rays), len(a.rays)
+    in_b, in_a = _inside(ba, b.equations, a.rays), _inside(ab, a.equations, b.rays)
+    if {a.rays[k] for k in in_b} != {b.rays[k] for k in in_a}:
+        return False
+    t_a = [g + list(map(neg, h)) for g, h in zip(own_a, ab) if not any(g[k] for k in in_b)]
+    t_b = [list(map(neg, h)) + g for g, h in zip(own_b, ba) if not any(g[k] for k in in_a)]
+    sum_a, sum_b = ([*map(sum, zip(*t))] if t else [0] * (m + len(b.rays)) for t in (t_a, t_b))
+    return any(min(w, default=0) >= 0 and {r for r, x in zip(a.rays, w) if not x}
+               == {r for r, x in zip(b.rays, w[m:]) if not x}
+               for w in (sum_a, [*map(add, sum_a, sum_b)], sum_b, *t_a, *t_b))
 
 
 def fan_check(fan: Fan) -> FanReport:
@@ -408,10 +391,27 @@ def fan_check(fan: Fan) -> FanReport:
     Quadratic in the number of cones.  It serves fans that need not be
     complete, where is_complete does not apply, and it is the oracle the
     degree certificate of is_complete is tested against.
+
+    Lemma (separating hyperplane; De Loera, Rambau and Santos, Triangulations,
+    2010): if A, B are pointed, l >= 0 on the rays of A, l <= 0 on those of B,
+    and the rays of A and of B with l = 0 are the same vectors Z, then A cap B
+    lies in {l = 0}, which meets A and B in cone(Z); so A cap B = cone(Z), a
+    face of both.  Candidates only propose l; only a verified l proves.  With
+    F the rays of A in B (they must be those of B in A) and T_A, T_B the facets
+    of A, B vanishing on F, they are sum T_A, sum T_A - sum T_B, -sum T_B, each
+    g in T_A and each -h for h in T_B, held as w = (l on A's rays, -l on B's),
+    sums of rows of facet.ray tables (per cone once per call, two per pair): l
+    separates when w >= 0.  Lineal cones, and pairs no candidate separates,
+    get intersect and is_face_of on both.
     """
-    n = len(fan.cones)
-    results = (_check_pair(fan, i, j) for i in range(n) for j in range(i + 1, n))
-    violations = [r for r in results if r is not None]
+    own = [_dots(c.facets, c.rays) for c in fan.cones]
+    violations = []
+    for (i, a), (j, b) in combinations(enumerate(fan.cones), 2):
+        if a.lineality or b.lineality or not _separated(a, b, own[i], own[j]):
+            cap = intersect(a, b)
+            if not is_face_of(cap, a) or not is_face_of(cap, b):
+                violations.append((fan.label_of(i), fan.label_of(j),
+                                   "intersection is not a common face"))
     return FanReport(is_fan=not violations, violations=violations)
 
 

@@ -8,9 +8,21 @@ misses the subspace and failing when there are two.
 boundary_faces_by_facet_scan finds the faces on the boundary of Eff by
 testing every facet of every cone for full rank and for an Eff facet
 hyperplane holding it.
+fan_check_by_facet_sums is the earlier pairwise fan predicate: its only
+separator candidates are the sum of the facets of the first cone tight on the
+common rays and each such facet alone, and every other pair is intersected.
 """
 
-from secfan.cones import RationalCone, _facet_faces_key, cone_from_rays, intersect, zero_cone
+from secfan.cones import (
+    Fan,
+    FanReport,
+    RationalCone,
+    _facet_faces_key,
+    cone_from_rays,
+    intersect,
+    is_face_of,
+    zero_cone,
+)
 from secfan.errors import ValidationError
 from secfan.lattice import rank_of, vec_dot
 from secfan.toricstack import (
@@ -118,3 +130,55 @@ def boundary_faces_by_facet_scan(cones_list, eff: RationalCone, rank: int):
             if on_eff:
                 seen.setdefault(face_rays, face_rays)
     return sorted(seen)
+
+
+def _pair_is_common_face_fast(a: RationalCone, b: RationalCone) -> bool | None:
+    """Separating-functional certificate for pointed cones; None = undecided.
+
+    For a valid pair the rays of each cone inside the other generate the common
+    face, and some nonnegative combination of tight facets separates the two
+    cones with equality exactly on that face.  Only accepts with a verified
+    separator; anything unclear falls back to the exact check.
+    """
+    if a.lineality or b.lineality:
+        return None
+    sa = frozenset(r for r in a.rays if b.contains_point(r))
+    sb = frozenset(r for r in b.rays if a.contains_point(r))
+    if sa != sb:
+        return None
+    face_rays = sa
+    tight_a = [g for g in a.facets if all(vec_dot(g, r) == 0 for r in face_rays)]
+    tight_b = [g for g in b.facets if all(vec_dot(g, r) == 0 for r in face_rays)]
+    cut_a = {r for r in a.rays if all(vec_dot(g, r) == 0 for g in tight_a)}
+    cut_b = {r for r in b.rays if all(vec_dot(g, r) == 0 for g in tight_b)}
+    if cut_a != face_rays or cut_b != face_rays:
+        return None
+    candidates = []
+    if tight_a:
+        candidates.append(tuple(sum(g[t] for g in tight_a) for t in range(a.ambient_rank)))
+    candidates.extend(tight_a)
+    for ell in candidates:
+        if all(vec_dot(ell, r) <= 0 for r in b.rays):
+            tight_rays_b = {r for r in b.rays if vec_dot(ell, r) == 0}
+            tight_rays_a = {r for r in a.rays if vec_dot(ell, r) == 0}
+            if tight_rays_a == face_rays and tight_rays_b == face_rays:
+                return True
+    return None
+
+
+def _check_pair(fan: Fan, i: int, j: int):
+    a, b = fan.cones[i], fan.cones[j]
+    fast = _pair_is_common_face_fast(a, b)
+    if fast:
+        return None
+    cap = intersect(a, b)
+    if not is_face_of(cap, a) or not is_face_of(cap, b):
+        return (fan.label_of(i), fan.label_of(j), "intersection is not a common face")
+    return None
+
+
+def fan_check_by_facet_sums(fan: Fan) -> FanReport:
+    n = len(fan.cones)
+    results = (_check_pair(fan, i, j) for i in range(n) for j in range(i + 1, n))
+    violations = [r for r in results if r is not None]
+    return FanReport(is_fan=not violations, violations=violations)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from face_oracles import fan_check_by_facet_sums
 from secfan import cones
 from secfan.cones import (
     Fan,
+    FanReport,
     _tiling_defect,
     adjacency_pairs,
     cone_from_inequalities,
@@ -255,6 +257,52 @@ def test_fan_check_overlap_violation():
     assert rep.violations
 
 
+@pytest.fixture
+def intersect_calls(monkeypatch):
+    """The operand pairs of every intersect call made through secfan.cones."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr(cones, "intersect", counted)
+    return calls
+
+
+def test_fan_check_sends_a_cone_nested_on_a_facet_to_the_exact_check(intersect_calls):
+    # B lies in A and shares the ray (1,0): the rays of A in B are {(1,0)}, the
+    # rays of B in A are both of B's, so no separator is tried and B is no face of A
+    a, b = cone_from_rays([(1, 0), (0, 1)]), cone_from_rays([(1, 0), (1, 1)])
+    rep = fan_check(Fan(2, (a, b), ("A", "B")))
+    assert rep.violations == [("A", "B", "intersection is not a common face")]
+    assert intersect_calls == [(a, b)]
+
+
+def test_fan_check_refuses_a_separator_whose_zero_sets_differ(intersect_calls):
+    # two triangles crossing like a star of David in {x4 = 0}, with apexes on
+    # opposite sides: neither holds a ray of the other, and x4 >= 0 on A and
+    # <= 0 on B, but its zero sets are the two triangles, whose cones overlap
+    a = cone_from_rays([(0, 2, 1, 0), (-2, -1, 1, 0), (2, -1, 1, 0), (0, 0, 0, 1)])
+    b = cone_from_rays([(0, -2, 1, 0), (2, 1, 1, 0), (-2, 1, 1, 0), (0, 0, 0, -1)])
+    assert (0, 0, 0, 1) in a.facets
+    rep = fan_check(Fan(4, (a, b), ("A", "B")))
+    assert rep.violations == [("A", "B", "intersection is not a common face")]
+    assert intersect_calls == [(a, b)]
+
+
+def test_fan_check_certifies_equal_cones(intersect_calls):
+    # A cap A = A: the zero functional separates, with all rays as zero sets
+    a = cone_from_rays([(1, 0, 0), (1, 1, 0), (0, 1, 1)])
+    assert fan_check(Fan(3, (a, a))) == FanReport(True)
+    assert intersect_calls == []
+
+
+def test_fan_check_sends_lineal_cones_to_the_exact_check(intersect_calls):
+    assert fan_check(Fan(2, (_half_plane(1), _half_plane(-1)))) == FanReport(True)
+    assert len(intersect_calls) == 1
+
+
 def test_single_quadrant_incomplete():
     f = Fan(2, (cone_from_rays([(1, 0), (0, 1)]),))
     assert not is_complete(f)
@@ -379,8 +427,11 @@ def test_is_complete_agrees_with_the_pairwise_oracle(case, data):
     assert is_complete(fan)
     assert fan_check(fan).is_fan
     i = data.draw(st.integers(0, len(cones) - 1))
-    assert not is_complete(Fan(n, cones[:i] + cones[i + 1:]))
-    assert not is_complete(Fan(n, cones + (cones[i],)))
+    dropped, doubled = Fan(n, cones[:i] + cones[i + 1:]), Fan(n, cones + (cones[i],))
+    assert not is_complete(dropped)
+    assert not is_complete(doubled)
+    for f in (fan, dropped, doubled):
+        assert fan_check(f) == fan_check_by_facet_sums(f)
 
 
 def quadric_mori_fan():

@@ -1,10 +1,30 @@
-"""The incidence-based faces, decompose and rank_of against the kernels they replaced."""
+"""The incidence-based faces, decompose and rank_of, and the pairwise fan
+predicate, against the kernels they replaced."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from face_oracles import boundary_faces_by_facet_scan, decompose_by_face_walk, faces_by_recursion
-from secfan.cones import Fan, boundary_walls, cone_from_rays, faces
+from face_oracles import (
+    boundary_faces_by_facet_scan,
+    decompose_by_face_walk,
+    faces_by_recursion,
+    fan_check_by_facet_sums,
+)
+from secfan.cones import (
+    Fan,
+    FanReport,
+    _dots,
+    _separated,
+    boundary_walls,
+    cone_from_rays,
+    faces,
+    fan_check,
+    intersect,
+    is_face_of,
+)
 from secfan.delpezzo import (
     TORIC_NAMES,
     PicLattice,
@@ -176,3 +196,51 @@ def test_boundary_walls_match_the_facet_scan():
         assert faces == want, name
         names.append(name)
     assert len(names) == 1 + len(TORIC_NAMES) + 12 + 3
+
+
+@st.composite
+def cone_collections(draw):
+    """Pointed, lineal and lower-dimensional cones of one rank 2-4, with some
+    faces of the first cone, so that pairs both are and are not common faces."""
+    n = draw(st.integers(2, 4))
+    cs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lin = draw(_vectors(n, 1, 1)) if draw(st.integers(0, 3)) == 0 else []
+        cs.append(cone_from_rays(draw(_vectors(n, 1, n + 1)), n, lineality=lin))
+    fs = [f for codim in range(1, cs[0].dim + 1) for f in faces(cs[0], codim)]
+    cs += draw(st.lists(st.sampled_from(fs), max_size=2)) if fs else []
+    return Fan(n, tuple(draw(st.permutations(cs))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_collections())
+def test_fan_check_matches_the_facet_sums_on_random_cones(fan):
+    assert fan_check(fan) == fan_check_by_facet_sums(fan)
+
+
+def test_fan_check_matches_the_facet_sums_on_the_criterion_11_fans():
+    for name, (lat, cycle) in _criterion_11_inputs():
+        full = _moving_fans(lat, cycle)[2]
+        assert fan_check(full) == fan_check_by_facet_sums(full) == FanReport(True), name
+        # every pair the separator certifies is a common face by the exact check too
+        own = [_dots(c.facets, c.rays) for c in full.cones]
+        for i, j in itertools.combinations(range(len(full.cones)), 2):
+            a, b = full.cones[i], full.cones[j]
+            if _separated(a, b, own[i], own[j]):
+                cap = intersect(a, b)
+                assert is_face_of(cap, a) and is_face_of(cap, b), (name, i, j)
+
+
+@pytest.mark.parametrize("name, exact", [("hexagon", 30), ("pentagon", 60)])
+def test_fan_check_intersects_only_the_pairs_no_candidate_separates(monkeypatch, name, exact):
+    lat, cycle = dict(_criterion_11_inputs())[name]
+    full = _moving_fans(lat, cycle)[2]
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr("secfan.cones.intersect", counted)
+    assert fan_check(full).is_fan
+    assert len(calls) == exact
