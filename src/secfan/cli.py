@@ -102,6 +102,8 @@ def load_config(path: str) -> dict:
             k = 9 - _json_int(data["degree"], f"config {path}: 'degree'")
     else:
         k = _json_int(data["k"], f"config {path}: 'k'")
+        if model == "quadric" and k != 2:
+            raise ValidationError(f"config {path}: 'k' is {k}, but the quadric model has k = 2")
     lat = quadric() if model == "quadric" else PicLattice(k)
     classes = data.get("cycle")
     if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):

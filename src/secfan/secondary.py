@@ -5,9 +5,12 @@ The fans live on the Picard lattice of the surface.  The Mori fan (the Mori
 chambers, one per orthogonal set of (-1)-classes, and the bogus cones
 gamma + R>=0.K over the faces gamma on the boundary of the effective cone)
 depends on the lattice alone: it is built and proved once per lattice and
-process.  A boundary only annotates the chambers; grouping those whose
-contracted set meets it in the same components, and completing the groups by
-bogus cones, gives the secondary fan.  Each fan's walls are built once, as data
+process.  It is W(E_k)-invariant, so one chamber and one bogus cone per Weyl
+orbit are built and the rest are moved to their places by simple reflections
+(_orbit_cones); where there are no simple roots, every cone is built.  A
+boundary only annotates the chambers; grouping those whose contracted set
+meets it in the same components, and completing the groups by bogus cones,
+gives the secondary fan.  Each fan's walls are built once, as data
 of the Fan: the faces gamma are the walls met by one cone, the bogus cones add
 only their own walls, and the degree certificate, movsec, the cocycle battery,
 the one-strata and the DOT export read that one map.  secondary_fan always
@@ -41,10 +44,13 @@ from .delpezzo import (
     BoundaryCycle,
     Contraction,
     PicLattice,
+    WeylElement,
     contractions,
     effective_cone,
     mori_chamber,
+    orbit_tree,
     validate_boundary,
+    weyl_generators,
 )
 from .disk import (
     DiskTriangulation,
@@ -75,18 +81,65 @@ class Chamber:
     triangulation: DiskTriangulation
 
 
-def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone,
+def _orbit_cones(keys, build, gens, what: str) -> list[RationalCone]:
+    """build(key) for every key, in keys order, with one build per orbit of gens.
+
+    keys are sorted tuples of vectors and gens are simple reflections, each
+    acting on every vector of a key.  The first key of an orbit, in keys
+    order, is built; every other key q = s.p of the orbit's Schreier tree
+    gets its parent p's cone moved by s: rays go to s.r and facet normals to
+    s^T.f (the inverse transpose, s being an involution), both then sorted.
+    s is unimodular, so both stay primitive and irredundant, and a moved cone
+    equals its direct build field for field when that is pointed and
+    full-dimensional; the stored bases of equations and lineality are not
+    canonical under moves.  With no gens every key is its own orbit and is
+    built.  InternalInvariantError names a key moved outside keys and an
+    orbit whose first cone is lineal or lower-dimensional.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    moves = [lambda p, a=g.act: tuple(sorted(map(a, p))) for g in gens]
+    transposes = [WeylElement(g.matrix.transpose()) for g in gens]
+    cones: list = [None] * len(keys)
+    for key in keys:
+        if cones[index[key]] is not None:
+            continue
+        # breadth-first: a parent's cone is in place before its children's
+        for q, edge in orbit_tree(key, moves).items():
+            if edge is None:
+                cone = build(q)
+                if cone.lineality or cone.equations:
+                    raise InternalInvariantError(
+                        f"the cone of {what} {list(q)} is lineal or lower-dimensional,"
+                        " so its orbit cannot be moved")
+            elif q not in index:
+                raise InternalInvariantError(
+                    f"{what} {list(edge[0])} moves by simple reflection {edge[1]}"
+                    f" to {list(q)}, which is no {what}")
+            else:
+                p, i = edge
+                c = cones[index[p]]
+                cone = RationalCone(c.ambient_rank, tuple(sorted(map(gens[i].act, c.rays))),
+                                    tuple(sorted(map(transposes[i].act, c.facets))))
+            cones[index[q]] = cone
+    return cones
+
+
+def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
                          what: str) -> tuple[Fan, list[tuple]]:
     """The members, then the bogus cone face + R>=0.K over each face on the
     boundary of eff, proved a complete fan; also returns those faces.
 
     The faces are the member walls met by one member (boundary_walls raises on
-    one off eff).  The bogus cones add their own walls to the members' map,
-    and is_complete reads the whole map: True proves a complete fan at every
-    rank (see its lemma).  A failure raises InternalInvariantError naming what.
+    one off eff).  gens permute the faces and fix K, so cone(w.F + K) =
+    w.cone(F + K) and _orbit_cones builds one bogus cone per orbit; the
+    secondary fan is not W-invariant and passes no gens.  The bogus cones add
+    their own walls to the members' map, and is_complete reads the whole map:
+    True proves a complete fan at every rank (see its lemma).  A failure
+    raises InternalInvariantError naming what.
     """
     faces = boundary_walls(members, eff)
-    bogus = [cone_from_rays(list(face) + [lat.canonical], lat.rank) for face in faces]
+    bogus = _orbit_cones(faces, lambda face: cone_from_rays(list(face) + [lat.canonical], lat.rank),
+                         gens, f"{what} face")
     fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces])
     if not is_complete(fan):
         raise InternalInvariantError(
@@ -99,11 +152,23 @@ def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone,
 def mori_fan_K(lat: PicLattice) -> Fan:
     """The Mori chambers in contractions(lat) order, then the bogus cones over
     the faces on the boundary of Eff: a complete fan on Pic, proved by the
-    degree certificate (hence a fan), built once per lattice and process."""
-    cons = contractions(lat)
-    members = Fan(lat.rank, tuple(mori_chamber(lat, c) for c in cons),
-                  tuple(c.label() for c in cons))
-    return _complete_with_bogus(members, lat, effective_cone(lat), "Mori fan")[0]
+    degree certificate (hence a fan), built once per lattice and process.
+
+    Lemma (Humphreys, Reflection Groups and Coxeter Groups, 1990): W(E_k) acts
+    by isometries of Pic that fix K and permute the (-1)-classes, so it
+    permutes the contractions and fixes Nef and Eff; hence
+    mori_chamber(w.c) = w.mori_chamber(c), and W permutes the faces on the
+    boundary of Eff and their bogus cones.  So _orbit_cones builds one chamber
+    and one bogus cone per orbit of the simple reflections and moves the
+    rest.  The lemma only saves builds: the proof of the whole fan, with
+    is_complete reading every cone, is unchanged.
+    """
+    cons, gens = contractions(lat), weyl_generators(lat)
+    chambers = _orbit_cones([c.classes for c in cons],
+                            lambda classes: mori_chamber(lat, Contraction(classes)),
+                            gens, "contraction")
+    members = Fan(lat.rank, tuple(chambers), tuple(c.label() for c in cons))
+    return _complete_with_bogus(members, lat, effective_cone(lat), gens, "Mori fan")[0]
 
 
 def build_chambers(lat: PicLattice, boundary: BoundaryCycle) -> list[Chamber]:
@@ -213,7 +278,7 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     groups = movsec(mori, chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     eff = effective_cone(lat)
-    fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, "secondary fan")
+    fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, (), "secondary fan")
     rep = fan_check(fan)
     if not rep.is_fan:
         raise InternalInvariantError(

@@ -73,6 +73,10 @@ def test_load_config_quadric_degree(tmp_path):
     )
     cfg = load_config(str(good))
     assert cfg["lat"].model_tag == "quadric"
+    by_k = tmp_path / "qk.json"
+    by_k.write_text(json.dumps({"k": 2, "model_tag": "quadric",
+                                "cycle": [[1, 0], [0, 1], [1, 0], [0, 1]]}))
+    assert load_config(str(by_k))["lat"] == cfg["lat"]
     bad = tmp_path / "qbad.json"
     bad.write_text(json.dumps({"degree": 7, "model_tag": "quadric", "cycle": []}))
     with pytest.raises(ValidationError):
@@ -105,6 +109,8 @@ BAD_CONFIGS = {
     "k_bool.json": '{"k": true, "cycle": [[1, 0], [2, -1]]}',
     "quadric_float.json": '{"degree": 8.0, "model_tag": "quadric",'
                           ' "cycle": [[1, 0], [0, 1], [1, 0], [0, 1]]}',
+    # the quadric's 'k' is 2, as its 'degree' is 8: any other value is refused, not ignored
+    "quadric_k.json": '{"k": 7, "model_tag": "quadric", "cycle": [[1, 0], [0, 1], [1, 0], [0, 1]]}',
 }
 # a straight hexagon spine in chart 1
 SPINE = {
@@ -127,7 +133,8 @@ BAD_SPINES = {
 # by the last argument, the key or option a bad input must name in its error;
 # a named key comes with the name of its file
 NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_bool.json": "'k'",
-              "quadric_float.json": "'degree'", "chart_float.json": "'vertex_chart'",
+              "quadric_float.json": "'degree'", "quadric_k.json": "'k' is 7",
+              "chart_float.json": "'vertex_chart'",
               "direction_float.json": "'direction' entry", "weight_float.json": "'weight'",
               "weight_bool.json": "'weight'", "1,0": "--L", "0": "--L"}
 

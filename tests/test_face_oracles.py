@@ -154,7 +154,7 @@ def _moving_fans(lat, cycle):
     mori, chambers = mori_fan_K(lat), build_chambers(lat, cycle)
     groups = movsec(mori, chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
-    full, faces = _complete_with_bogus(mov, lat, effective_cone(lat), "secondary fan")
+    full, faces = _complete_with_bogus(mov, lat, effective_cone(lat), (), "secondary fan")
     return Fan(lat.rank, tuple(c.cone for c in chambers)), mov, full, faces
 
 

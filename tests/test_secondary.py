@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from fractions import Fraction
@@ -9,7 +10,9 @@ from secfan import secondary
 from secfan.cones import (
     Fan,
     FanReport,
+    boundary_walls,
     cone_from_inequalities,
+    cone_from_rays,
     cones_tile,
     fan_check,
     fan_from_json,
@@ -26,8 +29,10 @@ from secfan.delpezzo import (
     effective_cone,
     hexagon_boundary,
     minus_one_cycles,
+    mori_chamber,
     quadric,
     toric_boundary,
+    weyl_generators,
 )
 from secfan.disk import fan_point, fan_triangulation, gamma_complex
 from secfan.errors import InternalInvariantError, ValidationError
@@ -129,6 +134,9 @@ def test_a_missing_chamber_leaves_a_wall_off_eff(monkeypatch, cold_mori_fan):
 def test_a_missing_bogus_cone_leaves_the_mori_fan_incomplete(monkeypatch, cold_mori_fan):
     lat, cycle = hexagon_boundary()
     real = secondary.boundary_walls
+    # with no generators every face is its own orbit, so the gap reaches is_complete
+    # (test_a_face_moved_outside_the_faces_is_named covers the orbit walk)
+    monkeypatch.setattr(secondary, "weyl_generators", lambda _: [])
     monkeypatch.setattr(secondary, "boundary_walls", lambda fan, support: real(fan, support)[:-1])
     with pytest.raises(InternalInvariantError,
                        match=r"^Mori fan is not a complete fan: wall \[.*is met by no other cone"):
@@ -157,6 +165,74 @@ def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch, co
         secondary_fan(lat, cycle)
 
 
+# W(E_k)-orbits of contractions: mori_fan_K builds one chamber per orbit
+MORI_ORBITS = {2: 4, 3: 5, 4: 6, 5: 7, 6: 8}
+
+
+def _fields(cone):
+    return cone.rays, cone.facets, cone.equations, cone.lineality
+
+
+@pytest.mark.parametrize("lat", [PicLattice(k) for k in range(7)] + [quadric()], ids=str)
+def test_moved_mori_cones_equal_their_direct_builds(lat, monkeypatch, cold_mori_fan):
+    built = []
+    monkeypatch.setattr(secondary, "mori_chamber", lambda *a: built.append(a) or mori_chamber(*a))
+    fan, cons = mori_fan_K(lat), contractions(lat)
+    # no simple roots on the quadric and below k = 2: every chamber is built
+    assert len(built) == (MORI_ORBITS[lat.k] if weyl_generators(lat) else len(cons))
+    assert [_fields(c) for c in fan.cones[:len(cons)]] == \
+        [_fields(mori_chamber(lat, c)) for c in cons]
+    faces = boundary_walls(Fan(lat.rank, fan.cones[:len(cons)]), effective_cone(lat))
+    assert [_fields(c) for c in fan.cones[len(cons):]] == \
+        [_fields(cone_from_rays(list(face) + [lat.canonical], lat.rank)) for face in faces]
+
+
+def _moved_out(lat, message, what):
+    """The key a message names and its image under the generator it names."""
+    m = re.fullmatch(rf"{what} (\[.*\]) moves by simple reflection (\d+) to (\[.*\]), "
+                     rf"which is no {what}", message)
+    assert m, message
+    key, i, image = ast.literal_eval(m[1]), int(m[2]), ast.literal_eval(m[3])
+    g = weyl_generators(lat)[i]
+    assert sorted(map(g.act, key)) == image
+    return image
+
+
+def test_a_contraction_moved_outside_the_contractions_is_named(monkeypatch, cold_mori_fan):
+    lat = PicLattice(4)
+    cons = contractions(lat)
+    drop = cons[1]  # one (-1)-class: W moves it to each of the 10
+    monkeypatch.setattr(secondary, "contractions", lambda _: tuple(c for c in cons if c != drop))
+    with pytest.raises(InternalInvariantError) as err:
+        mori_fan_K(lat)
+    assert _moved_out(lat, str(err.value), "contraction") == list(drop.classes)
+
+
+def test_a_face_moved_outside_the_faces_is_named(monkeypatch, cold_mori_fan):
+    lat = PicLattice(4)
+    real = secondary.boundary_walls
+    dropped = []
+
+    def walls(fan, support):
+        faces = real(fan, support)
+        dropped.append(faces[-1])
+        return faces[:-1]
+
+    monkeypatch.setattr(secondary, "boundary_walls", walls)
+    with pytest.raises(InternalInvariantError) as err:
+        mori_fan_K(lat)
+    assert _moved_out(lat, str(err.value), "Mori fan face") == list(dropped[0])
+
+
+def test_an_orbit_is_moved_only_from_a_pointed_full_dimensional_cone():
+    lat = PicLattice(3)
+    h = (1, 0, 0, 0)  # the simple reflections at k = 3 move the ray of H
+    with pytest.raises(InternalInvariantError,
+                       match=r"the cone of ray \[\(1, 0, 0, 0\)\] is lineal or lower-dim"):
+        secondary._orbit_cones([(h,)], lambda key: cone_from_rays(key, lat.rank),
+                               weyl_generators(lat), "ray")
+
+
 def test_a_second_boundary_reuses_the_proved_mori_fan(monkeypatch, cold_mori_fan):
     lat = PicLattice(4)
     first, second = minus_one_cycles(lat, 5)[:2]
@@ -166,7 +242,7 @@ def test_a_second_boundary_reuses_the_proved_mori_fan(monkeypatch, cold_mori_fan
     monkeypatch.setattr(secondary, "is_complete",
                         lambda fan: proved.append(fan) or real_complete(fan))
     secondary_fan(lat, first)
-    assert len(built) == len(contractions(lat)) and len(proved) == 2
+    assert len(built) == MORI_ORBITS[4] and len(proved) == 2
     built.clear()
     proved.clear()
     sec = secondary_fan(lat, second)
