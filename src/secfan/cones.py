@@ -18,8 +18,9 @@ intersect resumes its first operand's double description and inserts only the
 second operand's constraints: any constraint set defining a cone, with each
 extreme ray's zero set taken over it, is a valid start (see dual_description).
 
-fan_check proves most pairs of pointed cones by a separating functional read
-off facet.ray tables, and sends the rest to the exact intersect and is_face_of.
+fan_check proves most pairs of pointed cones by a separating functional,
+tested on bitmasks read off one facet.ray sign table per call, and sends the
+rest to the exact intersect and is_face_of.
 
 Callers need no edge cases: an empty hull in a given rank is zero_cone, and
 image(m, c) is the one rule for the image of a cone under an integer map.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, islice
-from operator import add, and_, mul, neg
+from operator import and_, mul, sub
 
 from .errors import InternalInvariantError, ValidationError
 from .lattice import (
@@ -153,12 +154,7 @@ class RationalCone:
 
     def interior_point(self) -> IntVec:
         """A point of the relative interior (sum of rays, or 0 for the zero cone)."""
-        if not self.rays:
-            return tuple(0 for _ in range(self.ambient_rank))
-        s = self.rays[0]
-        for r in self.rays[1:]:
-            s = tuple(a + b for a, b in zip(s, r))
-        return s
+        return tuple(map(sum, zip((0,) * self.ambient_rank, *self.rays)))
 
     def contains_cone(self, other: "RationalCone") -> bool:
         gens = list(other.rays) + list(other.lineality) + [vec_scale(-1, l) for l in other.lineality]
@@ -246,11 +242,6 @@ def cone_from_inequalities(facets, equations=(), ambient_rank: int | None = None
 def zero_cone(ambient_rank: int) -> RationalCone:
     eqs = tuple(_unit(ambient_rank, i) for i in range(ambient_rank))
     return RationalCone(ambient_rank, (), (), eqs, ())
-
-
-def dual_cone(c: RationalCone) -> RationalCone:
-    """Polar dual: rays of the output are the facets of the input and vice versa."""
-    return cone_from_rays(c.facets, c.ambient_rank, lineality=c.equations)
 
 
 def image(m: IntMat, c: RationalCone) -> RationalCone:
@@ -360,54 +351,65 @@ class FanReport:
     violations: list = field(default_factory=list)
 
 
-def _dots(rows, vectors) -> list[list[int]]:
-    """The table of row . vector: one list per row, one entry per vector."""
-    return [[sum(map(mul, h, v)) for v in vectors] for h in rows]
-
-
-def _inside(cross, equations, rays) -> list[int]:
-    """Indices of the rays where all rows of cross are >= 0 and all equations vanish."""
-    return [k for k, (r, col) in enumerate(zip(rays, zip(*cross)))
-            if min(col) >= 0 and not any(sum(map(mul, e, r)) for e in equations)]
-
-
-def _separated(a: RationalCone, b: RationalCone, own_a, own_b) -> bool:
-    """Some candidate of fan_check separates the pointed cones a and b (see there)."""
-    ab, ba, m = _dots(a.facets, b.rays), _dots(b.facets, a.rays), len(a.rays)
-    in_b, in_a = _inside(ba, b.equations, a.rays), _inside(ab, a.equations, b.rays)
-    if {a.rays[k] for k in in_b} != {b.rays[k] for k in in_a}:
-        return False
-    t_a = [g + list(map(neg, h)) for g, h in zip(own_a, ab) if not any(g[k] for k in in_b)]
-    t_b = [list(map(neg, h)) + g for g, h in zip(own_b, ba) if not any(g[k] for k in in_a)]
-    sum_a, sum_b = ([*map(sum, zip(*t))] if t else [0] * (m + len(b.rays)) for t in (t_a, t_b))
-    return any(min(w, default=0) >= 0 and {r for r, x in zip(a.rays, w) if not x}
-               == {r for r, x in zip(b.rays, w[m:]) if not x}
-               for w in (sum_a, [*map(add, sum_a, sum_b)], sum_b, *t_a, *t_b))
-
-
 def fan_check(fan: Fan) -> FanReport:
     """Verify every pairwise intersection of maximal cones is a face of both.
 
     Quadratic in the number of cones.  It serves fans that need not be
-    complete, where is_complete does not apply, and it is the oracle the
-    degree certificate of is_complete is tested against.
+    complete, and is the oracle is_complete's degree certificate is tested on.
 
     Lemma (separating hyperplane; De Loera, Rambau and Santos, Triangulations,
     2010): if A, B are pointed, l >= 0 on the rays of A, l <= 0 on those of B,
     and the rays of A and of B with l = 0 are the same vectors Z, then A cap B
     lies in {l = 0}, which meets A and B in cone(Z); so A cap B = cone(Z), a
     face of both.  Candidates only propose l; only a verified l proves.  With
-    F the rays of A in B (they must be those of B in A) and T_A, T_B the facets
-    of A, B vanishing on F, they are sum T_A, sum T_A - sum T_B, -sum T_B, each
-    g in T_A and each -h for h in T_B, held as w = (l on A's rays, -l on B's),
-    sums of rows of facet.ray tables (per cone once per call, two per pair): l
-    separates when w >= 0.  Lineal cones, and pairs no candidate separates,
-    get intersect and is_face_of on both.
+    F the rays of A in B (they must be those of B in A, so F holds every ray
+    A and B share) and T_A, T_B the facets of A, B vanishing on F, they are
+    sum T_A, sum T_A - sum T_B, -sum T_B, each g in T_A and each -h for h in
+    T_B.  All vanish on F, so l proves when > 0 on A's other rays, < 0 on B's.
+
+    One table per call: each distinct facet or equation vector is dotted once
+    with each distinct ray, kept as the bitmasks of the rays where it is = 0
+    and >= 0.  F, its test, T_A and the single facets are then mask tests; sum
+    T_A is > 0 on a ray of A where one of T_A is, and the sums' signs on the
+    other cone's rays are exact dots.  Lineal cones, and pairs no candidate
+    separates, get intersect and is_face_of on both.
     """
-    own = [_dots(c.facets, c.rays) for c in fan.cones]
+    cones, n = fan.cones, fan.ambient_rank
+    bit = {r: 1 << k for k, r in enumerate(dict.fromkeys(r for c in cones for r in c.rays))}
+    everyone = (1 << len(bit)) - 1
+    signs = {}  # distinct normal -> bits of the rays where it is = 0, and >= 0
+    for h in {h for c in cones for h in c.facets + c.equations}:
+        dots = [(sum(map(mul, h, r)), b) for r, b in bit.items()]
+        signs[h] = sum(b for d, b in dots if not d), sum(b for d, b in dots if d >= 0)
+    own = [sum(map(bit.get, c.rays)) for c in cones]
+    held = [reduce(and_, [signs[g][1] for g in c.facets] + [signs[e][0] for e in c.equations],
+                   everyone) for c in cones]  # the rays each cone contains
+    rows = [[(g, *signs[g]) for g in c.facets] for c in cones]
+    rays = [[(r, bit[r]) for r in c.rays] for c in cones]
+
+    def separated(i, j) -> bool:
+        ra, rb = own[i], own[j]
+        common = ra & held[j]
+        if common != rb & held[i]:
+            return False
+        t_a, t_b = ([row for row in rows[k] if row[1] & common == common] for k in (i, j))
+        # g > 0 on A's rays off F, and < 0 on B's: zero on A, and >= 0 on B, only at F
+        if (any(ra & z == common and rb & nonneg == common for _, z, nonneg in t_a)
+                or any(ra & nonneg == common and rb & z == common for _, z, nonneg in t_b)):
+            return True
+        # each of T_A is >= 0 on A, so sum T_A = 0 on a ray of A where all of T_A are
+        cut_a, cut_b = (reduce(and_, (z for _, z, _ in t), everyone) for t in (t_a, t_b))
+        sum_a, sum_b = (tuple(map(sum, zip((0,) * n, *(g for g, _, _ in t)))) for t in (t_a, t_b))
+        out_a, out_b = ([r for r, b in rays[k] if not b & common] for k in (i, j))
+        diff = tuple(map(sub, sum_a, sum_b))
+        return (ra & cut_a == common and all(sum(map(mul, sum_a, r)) < 0 for r in out_b)
+                or rb & cut_b == common and all(sum(map(mul, sum_b, r)) < 0 for r in out_a)
+                or all(sum(map(mul, diff, r)) > 0 for r in out_a)
+                and all(sum(map(mul, diff, r)) < 0 for r in out_b))
+
     violations = []
-    for (i, a), (j, b) in combinations(enumerate(fan.cones), 2):
-        if a.lineality or b.lineality or not _separated(a, b, own[i], own[j]):
+    for (i, a), (j, b) in combinations(enumerate(cones), 2):
+        if a.lineality or b.lineality or not separated(i, j):
             cap = intersect(a, b)
             if not is_face_of(cap, a) or not is_face_of(cap, b):
                 violations.append((fan.label_of(i), fan.label_of(j),

@@ -815,10 +815,6 @@ def secondary_cone(points, triangulation) -> RationalCone:
     return cone_from_inequalities(ineqs, ambient_rank=s)
 
 
-def is_regular(points, triangulation) -> bool:
-    return secondary_cone(points, triangulation).dim == len(points)
-
-
 def regular_subdivision(points, heights, tie_break=None):
     """Cells of the lower-hull subdivision (lexicographic tie-break heights optional).
 

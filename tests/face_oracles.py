@@ -11,7 +11,14 @@ hyperplane holding it.
 fan_check_by_facet_sums is the earlier pairwise fan predicate: its only
 separator candidates are the sum of the facets of the first cone tight on the
 common rays and each such facet alone, and every other pair is intersected.
+_separated is the earlier separator test of fan_check, with the candidates
+secfan.cones.fan_check still tries: it rebuilds two facet.ray dot tables per
+pair, where fan_check reads sign bitmasks off one table per call.
+pairs_left_by_dot_tables lists the pairs it leaves to the exact check.
 """
+
+from itertools import combinations
+from operator import add, mul, neg
 
 from secfan.cones import (
     Fan,
@@ -182,3 +189,35 @@ def fan_check_by_facet_sums(fan: Fan) -> FanReport:
     results = (_check_pair(fan, i, j) for i in range(n) for j in range(i + 1, n))
     violations = [r for r in results if r is not None]
     return FanReport(is_fan=not violations, violations=violations)
+
+
+def _dots(rows, vectors) -> list[list[int]]:
+    """The table of row . vector: one list per row, one entry per vector."""
+    return [[sum(map(mul, h, v)) for v in vectors] for h in rows]
+
+
+def _inside(cross, equations, rays) -> list[int]:
+    """Indices of the rays where all rows of cross are >= 0 and all equations vanish."""
+    return [k for k, (r, col) in enumerate(zip(rays, zip(*cross)))
+            if min(col) >= 0 and not any(sum(map(mul, e, r)) for e in equations)]
+
+
+def _separated(a: RationalCone, b: RationalCone, own_a, own_b) -> bool:
+    """Some candidate of fan_check separates the pointed cones a and b (see there)."""
+    ab, ba, m = _dots(a.facets, b.rays), _dots(b.facets, a.rays), len(a.rays)
+    in_b, in_a = _inside(ba, b.equations, a.rays), _inside(ab, a.equations, b.rays)
+    if {a.rays[k] for k in in_b} != {b.rays[k] for k in in_a}:
+        return False
+    t_a = [g + list(map(neg, h)) for g, h in zip(own_a, ab) if not any(g[k] for k in in_b)]
+    t_b = [list(map(neg, h)) + g for g, h in zip(own_b, ba) if not any(g[k] for k in in_a)]
+    sum_a, sum_b = ([*map(sum, zip(*t))] if t else [0] * (m + len(b.rays)) for t in (t_a, t_b))
+    return any(min(w, default=0) >= 0 and {r for r, x in zip(a.rays, w) if not x}
+               == {r for r, x in zip(b.rays, w[m:]) if not x}
+               for w in (sum_a, [*map(add, sum_a, sum_b)], sum_b, *t_a, *t_b))
+
+
+def pairs_left_by_dot_tables(fan: Fan) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, that fan_check by _separated sends to intersect."""
+    own = [_dots(c.facets, c.rays) for c in fan.cones]
+    return [(i, j) for (i, a), (j, b) in combinations(enumerate(fan.cones), 2)
+            if a.lineality or b.lineality or not _separated(a, b, own[i], own[j])]

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from face_oracles import fan_check_by_facet_sums
+from face_oracles import fan_check_by_facet_sums, pairs_left_by_dot_tables
 from secfan import cones
 from secfan.cones import (
     Fan,
     FanReport,
+    RationalCone,
     _tiling_defect,
     adjacency_pairs,
     cone_from_inequalities,
     cone_from_rays,
     cones_tile,
-    dual_cone,
     faces,
     fan_check,
     fan_from_json,
@@ -91,6 +91,11 @@ def test_image_keeps_lineality_and_drops_zero_images():
     # a ray mapped to 0 leaves the zero cone
     onto_y = IntMat.from_rows([(0, 1, 0)])
     assert image(onto_y, cone_from_rays([(1, 0, 0)])) == zero_cone(1)
+
+
+def dual_cone(c: RationalCone) -> RationalCone:
+    """Polar dual: rays of the output are the facets of the input and vice versa."""
+    return cone_from_rays(c.facets, c.ambient_rank, lineality=c.equations)
 
 
 def test_dual_quadrant_self_dual():
@@ -301,6 +306,76 @@ def test_fan_check_certifies_equal_cones(intersect_calls):
 def test_fan_check_sends_lineal_cones_to_the_exact_check(intersect_calls):
     assert fan_check(Fan(2, (_half_plane(1), _half_plane(-1)))) == FanReport(True)
     assert len(intersect_calls) == 1
+
+
+def _left_by_dot_tables(fan):
+    """The operand pairs the dot-table oracle leaves to intersect."""
+    return [(fan.cones[i], fan.cones[j]) for i, j in pairs_left_by_dot_tables(fan)]
+
+
+def test_fan_check_with_the_zero_cone(intersect_calls):
+    # no rays and no facets: the zero cone is a face of every cone, proved
+    # against a quadrant by minus the sum of the quadrant's facets
+    right, left = cone_from_rays([(1, 0), (0, 1)]), cone_from_rays([(0, 1), (-1, 0)])
+    fan = Fan(2, (zero_cone(2), right, left, zero_cone(2)))
+    assert fan_check(fan) == FanReport(True)
+    assert intersect_calls == _left_by_dot_tables(fan) == []
+    tilted = cone_from_rays([(1, 1), (-1, 1)])
+    fan = Fan(2, (zero_cone(2), right, tilted), ("0", "R", "T"))
+    assert fan_check(fan).violations == [("R", "T", "intersection is not a common face")]
+    assert intersect_calls == _left_by_dot_tables(fan) == [(right, tilted)]
+    assert fan_check(Fan(3, (zero_cone(3),) * 2)) == FanReport(True)
+
+
+def test_fan_check_in_rank_1(intersect_calls):
+    up, down = cone_from_rays([(1,)]), cone_from_rays([(-1,)])
+    fan = Fan(1, (up, down, up, zero_cone(1)))
+    assert fan_check(fan) == FanReport(True)
+    assert intersect_calls == _left_by_dot_tables(fan) == []
+    line = cone_from_rays([], 1, lineality=[(1,)])
+    fan = Fan(1, (up, line), ("up", "line"))
+    assert fan_check(fan).violations == [("up", "line", "intersection is not a common face")]
+    assert intersect_calls == _left_by_dot_tables(fan) == [(up, line)]
+
+
+def test_fan_check_reads_the_equations_of_lower_dimensional_cones(intersect_calls):
+    # e3 is on both facets of cone(e1, e2) but off its plane z = 0; counted as
+    # inside it, the rays of each cone in the other would differ, and the
+    # octant and the floor would go to intersect
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    octant = cone_from_rays([e1, e2, e3])
+    floor, wall = cone_from_rays([e1, e2]), cone_from_rays([e1, e3])
+    assert floor.equations and wall.equations
+    fan = Fan(3, (octant, floor, wall))
+    assert fan_check(fan) == FanReport(True)
+    assert intersect_calls == _left_by_dot_tables(fan) == []
+    # a cone in the floor that is no face of the octant
+    inner = cone_from_rays([e1, (1, 1, 0)])
+    fan = Fan(3, (octant, inner), ("O", "I"))
+    assert fan_check(fan).violations == [("O", "I", "intersection is not a common face")]
+    assert intersect_calls == _left_by_dot_tables(fan) == [(octant, inner)]
+
+
+def test_fan_check_refuses_a_facet_sum_that_vanishes_off_the_common_rays(intersect_calls):
+    # the diagonal slice meets the square cone in two opposite rays; no facet of
+    # the square vanishes on both, so sum T = 0 for both cones, which is zero
+    # on the square's other two rays: the slice is no face of the square
+    square = cone_from_rays([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
+    diagonal = cone_from_rays([(1, 0, 1), (-1, 0, 1)])
+    for pair in ((square, diagonal), (diagonal, square)):
+        intersect_calls.clear()
+        assert not fan_check(Fan(3, pair)).is_fan
+        assert intersect_calls == [pair]
+
+
+def test_fan_check_keeps_a_facet_and_its_negative_apart(intersect_calls):
+    # the quadrants have the facets x >= 0 and x <= 0, y >= 0 and y <= 0: read
+    # off one table row, each quadrant would hold the other's rays
+    quadrants = [cone_from_rays([(sx, 0), (0, sy)]) for sx in (1, -1) for sy in (1, -1)]
+    assert (1, 0) in quadrants[0].facets and (-1, 0) in quadrants[2].facets
+    fan = Fan(2, tuple(quadrants))
+    assert fan_check(fan) == FanReport(True)
+    assert intersect_calls == _left_by_dot_tables(fan) == []
 
 
 def test_single_quadrant_incomplete():

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from secfan import delpezzo
-from secfan.cones import cones_tile, dual_cone
+from secfan.cones import cones_tile
 from secfan.delpezzo import (
     BoundaryCycle,
     Contraction,

@@ -2,22 +2,24 @@
 predicate, against the kernels they replaced."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from face_oracles import (
+    _dots,
+    _separated,
     boundary_faces_by_facet_scan,
     decompose_by_face_walk,
     faces_by_recursion,
     fan_check_by_facet_sums,
+    pairs_left_by_dot_tables,
 )
 from secfan.cones import (
     Fan,
     FanReport,
-    _dots,
-    _separated,
     boundary_walls,
     cone_from_rays,
     faces,
@@ -229,6 +231,40 @@ def test_fan_check_matches_the_facet_sums_on_the_criterion_11_fans():
             if _separated(a, b, own[i], own[j]):
                 cap = intersect(a, b)
                 assert is_face_of(cap, a) and is_face_of(cap, b), (name, i, j)
+
+
+def _intersected(fan):
+    """fan_check's report, and the operand pairs it sent to intersect as object ids."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((id(a), id(b)))
+        return intersect(a, b)
+
+    with mock.patch("secfan.cones.intersect", counted):
+        report = fan_check(fan)
+    return report, calls
+
+
+def _left_by_dot_tables(fan):
+    return [(id(fan.cones[i]), id(fan.cones[j])) for i, j in pairs_left_by_dot_tables(fan)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_collections())
+def test_fan_check_intersects_the_pairs_the_dot_tables_leave_on_random_cones(fan):
+    assert _intersected(fan)[1] == _left_by_dot_tables(fan)
+
+
+def test_fan_check_intersects_the_pairs_the_dot_tables_leave_on_the_criterion_11_fans():
+    exact = {}
+    for name, (lat, cycle) in _criterion_11_inputs():
+        full = _moving_fans(lat, cycle)[2]
+        report, calls = _intersected(full)
+        assert report == FanReport(True) and calls == _left_by_dot_tables(full), name
+        exact[name] = len(calls)
+    assert exact == {"p2": 0, "quadric": 0, "f1": 0, "dp7": 2,
+                     "hexagon": 30, "pentagon": 60, "square": 93}
 
 
 @pytest.mark.parametrize("name, exact", [("hexagon", 30), ("pentagon", 60)])

@@ -42,7 +42,6 @@ from secfan.secondary import (
     cocycle_battery,
     gkz_secondary_fan,
     grouping_by_triangulation,
-    is_regular,
     mori_fan_K,
     movsec,
     one_stratum_report,
@@ -365,6 +364,10 @@ def test_one_stratum_report_degree6():
 
 # ---------------------------------------------------------------------------
 # GKZ
+
+
+def is_regular(points, triangulation) -> bool:
+    return secondary.secondary_cone(points, triangulation).dim == len(points)
 
 
 def test_gkz_triangle_center():
