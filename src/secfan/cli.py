@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .delpezzo import (
     PicLattice,
     TORIC_NAMES,
     WeylElement,
+    contractions,
     minus_one_classes,
     normalized_cycle,
     orbit_tree,
@@ -268,35 +270,25 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
 def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     """W(E_k) data from the simple reflections alone; no element list is built.
 
-    W permutes the contractions, so a chamber orbit is the closure of one
-    contracted-class set under the generators.  |W| = k! |W E| for the
-    contraction E = {E_1, ..., E_k}: W fixes K, and K with the E_i spans
-    Pic (x) Q since H = (sum E_i - K) / 3, so only the identity fixes every
-    E_i; an element mapping E onto itself permutes the E_i, and the
-    reflections in E_i - E_{i+1} give every permutation, so Stab(E) = S_k;
-    orbit-stabilizer does the rest.  With u_p the element along the Schreier
-    tree from the sorted boundary multiset to p, the u_q^-1 s u_p (s a
-    generator, q = s p) generate its stabilizer, of order |W| / |orbit|
-    (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4).  A
-    group maps a finite set of cones onto itself iff each generator does.
+    The chamber orbits are the Mori fan's orbits: mori_fan_K walked them once,
+    along Schreier trees of the generators, and proved every image a chamber.
+    |W| = k! |W E| for the contraction E = {E_1, ..., E_k}: W fixes K, and K
+    with the E_i spans Pic (x) Q since H = (sum E_i - K) / 3, so only the
+    identity fixes every E_i; an element mapping E onto itself permutes the
+    E_i, and the reflections in E_i - E_{i+1} give every permutation, so
+    Stab(E) = S_k; orbit-stabilizer does the rest.  With u_p the element
+    along the Schreier tree from the sorted boundary multiset to p, the
+    u_q^-1 s u_p (s a generator, q = s p) generate its stabilizer, of order
+    |W| / |orbit| (Schreier's lemma; Seress, Permutation Group Algorithms,
+    2003, ch. 4).  A group maps a finite set of cones onto itself iff each
+    generator does.
     """
-    gens = weyl_generators(lat)
-    acts = [g.act for g in gens]
-    set_moves = [lambda s, a=a: frozenset(map(a, s)) for a in acts]
-    left, orbits = {frozenset(c.contraction.classes) for c in sec.chambers}, []
-    while left:
-        start = next(iter(left))
-        orbit = orbit_tree(start, set_moves).keys()
-        if not orbit <= left:
-            raise InternalInvariantError(f"a Weyl image of chamber {sorted(start)} is no chamber")
-        left -= orbit
-        orbits.append(orbit)
-    e = frozenset(tuple(int(i == j) for i in range(lat.rank)) for j in range(1, lat.rank))
-    e_orbit = next((o for o in orbits if e in o), None)
-    if e_orbit is None:
-        raise InternalInvariantError(f"no chamber orbit holds the contraction E = {sorted(e)}")
-    order = factorial(lat.k) * len(e_orbit)
-    moves = [lambda m, a=a: tuple(sorted(map(a, m))) for a in acts]
+    gens, roots = weyl_generators(lat), sec.mori_fan.orbits
+    sizes = Counter(roots)  # orbit root -> orbit size
+    e = tuple(sorted(tuple(int(i == j) for i in range(lat.rank)) for j in range(1, lat.rank)))
+    e_index = [c.classes for c in contractions(lat)].index(e)
+    order = factorial(lat.k) * sizes[roots[e_index]]
+    moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
     start = tuple(sorted(sec.boundary.classes))
     tree = orbit_tree(start, moves)
     ident = WeylElement(IntMat.identity(lat.rank))
@@ -309,7 +301,7 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     cones = sec.full_fan.cones
     fixes = all({(tuple(sorted(map(w.act, c.rays))), tuple(sorted(map(w.act, c.lineality))))
                  for c in cones} == {c.key() for c in cones} for w in stab_gens)
-    return {"group_order": order, "orbit_sizes": sorted(map(len, orbits)),
+    return {"group_order": order, "orbit_sizes": sorted(sizes.values()),
             "stabilizer_order": order // len(tree), "stabilizer_fixes_secondary_fan": fixes}
 
 
@@ -484,7 +476,7 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
     key = config_hash(lat, cycle)
     cached = cache_get(cache_dir, key, kind)
     if cached is not None and outdir is None:
-        return cached, True
+        return cached
     if kind == "mori":
         fan = mori_fan_K(lat)
     else:
@@ -506,7 +498,7 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
         ]
         with open(base / f"fan_{kind}.md", "w", encoding="utf-8") as fh:
             fh.write("\n".join(md) + "\n")
-    return payload, False
+    return payload
 
 
 @fan_group.command("mori")
@@ -515,7 +507,7 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_mori(config, cache_dir, outdir):
     """Mori fan of the canonical bundle (complete, with bogus cones)."""
-    payload, hit = _fan_command_common(config, cache_dir, "mori", outdir)
+    payload = _fan_command_common(config, cache_dir, "mori", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
 
 
@@ -525,7 +517,7 @@ def fan_mori(config, cache_dir, outdir):
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_movsec(config, cache_dir, outdir):
     """Moving part of the secondary fan (grouped chambers)."""
-    payload, hit = _fan_command_common(config, cache_dir, "movsec", outdir)
+    payload = _fan_command_common(config, cache_dir, "movsec", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
 
 
@@ -535,7 +527,7 @@ def fan_movsec(config, cache_dir, outdir):
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_secondary(config, cache_dir, outdir):
     """Full secondary fan (moving groups plus bogus completion)."""
-    payload, hit = _fan_command_common(config, cache_dir, "secondary", outdir)
+    payload = _fan_command_common(config, cache_dir, "secondary", outdir)
     click.echo(json.dumps(payload, sort_keys=True))
 
 

@@ -317,12 +317,16 @@ class Fan:
     """Finite collection of maximal cones with provenance labels.
 
     The wall map of the cones is built on first use of walls and kept:
-    is_complete, adjacency_pairs and boundary_walls all read it.
+    is_complete, adjacency_pairs and boundary_walls all read it.  orbits[i]
+    is the index of the first cone of cone i's orbit under a group that
+    permutes the first len(orbits) cones (the chambers of mori_fan_K under
+    W(E_k)); it is not compared, so equality and JSON see the cones alone.
     """
 
     ambient_rank: int
     cones: tuple[RationalCone, ...]
     labels: tuple[str, ...] = ()
+    orbits: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.labels and len(self.labels) != len(self.cones):
@@ -339,7 +343,7 @@ class Fan:
     def extended(self, cones, labels) -> "Fan":
         """This fan followed by more labelled cones; walls are built for the new cones only."""
         cones = tuple(cones)
-        out = Fan(self.ambient_rank, self.cones + cones, self.labels + tuple(labels))
+        out = Fan(self.ambient_rank, self.cones + cones, self.labels + tuple(labels), self.orbits)
         walls = {key: list(incident) for key, incident in self.walls.items()}
         out.__dict__["walls"] = _wall_map(cones, len(self.cones), walls)  # fills the cache
         return out

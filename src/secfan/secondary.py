@@ -81,8 +81,9 @@ class Chamber:
     triangulation: DiskTriangulation
 
 
-def _orbit_cones(keys, build, gens, what: str) -> list[RationalCone]:
-    """build(key) for every key, in keys order, with one build per orbit of gens.
+def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list[int]]:
+    """build(key) for every key, in keys order, with one build per orbit of gens;
+    also, for every key, the index of the first key of its orbit.
 
     keys are sorted tuples of vectors and gens are simple reflections, each
     acting on every vector of a key.  The first key of an orbit, in keys
@@ -100,8 +101,10 @@ def _orbit_cones(keys, build, gens, what: str) -> list[RationalCone]:
     moves = [lambda p, a=g.act: tuple(sorted(map(a, p))) for g in gens]
     transposes = [WeylElement(g.matrix.transpose()) for g in gens]
     cones: list = [None] * len(keys)
+    roots = [0] * len(keys)
     for key in keys:
-        if cones[index[key]] is not None:
+        root = index[key]
+        if cones[root] is not None:
             continue
         # breadth-first: a parent's cone is in place before its children's
         for q, edge in orbit_tree(key, moves).items():
@@ -120,8 +123,8 @@ def _orbit_cones(keys, build, gens, what: str) -> list[RationalCone]:
                 c = cones[index[p]]
                 cone = RationalCone(c.ambient_rank, tuple(sorted(map(gens[i].act, c.rays))),
                                     tuple(sorted(map(transposes[i].act, c.facets))))
-            cones[index[q]] = cone
-    return cones
+            cones[index[q]], roots[index[q]] = cone, root
+    return cones, roots
 
 
 def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
@@ -139,7 +142,7 @@ def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
     """
     faces = boundary_walls(members, eff)
     bogus = _orbit_cones(faces, lambda face: cone_from_rays(list(face) + [lat.canonical], lat.rank),
-                         gens, f"{what} face")
+                         gens, f"{what} face")[0]
     fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces])
     if not is_complete(fan):
         raise InternalInvariantError(
@@ -161,13 +164,15 @@ def mori_fan_K(lat: PicLattice) -> Fan:
     boundary of Eff and their bogus cones.  So _orbit_cones builds one chamber
     and one bogus cone per orbit of the simple reflections and moves the
     rest.  The lemma only saves builds: the proof of the whole fan, with
-    is_complete reading every cone, is unchanged.
+    is_complete reading every cone, is unchanged.  The walk is kept as data:
+    the fan's orbits give each chamber the index of the first chamber of its
+    W-orbit, which the report's Weyl section reads.
     """
     cons, gens = contractions(lat), weyl_generators(lat)
-    chambers = _orbit_cones([c.classes for c in cons],
-                            lambda classes: mori_chamber(lat, Contraction(classes)),
-                            gens, "contraction")
-    members = Fan(lat.rank, tuple(chambers), tuple(c.label() for c in cons))
+    chambers, roots = _orbit_cones([c.classes for c in cons],
+                                   lambda classes: mori_chamber(lat, Contraction(classes)),
+                                   gens, "contraction")
+    members = Fan(lat.rank, tuple(chambers), tuple(c.label() for c in cons), tuple(roots))
     return _complete_with_bogus(members, lat, effective_cone(lat), gens, "Mori fan")[0]
 
 
@@ -755,15 +760,11 @@ def all_triangulations(points) -> list[frozenset]:
         for i in range(1, len(corners) - 1)
     )
     optional = [i for i in range(len(points)) if i not in corners]
-    seen = set()
-    out = []
+    out = []  # the triangulations of used have vertex set used, so none repeats
     for r in range(len(optional) + 1):
         for extra in itertools.combinations(optional, r):
             used = tuple(sorted(set(corners) | set(extra)))
-            for tri in _triangulations_of_subset(points, used, hull_area):
-                if tri not in seen:
-                    seen.add(tri)
-                    out.append(tri)
+            out += _triangulations_of_subset(points, used, hull_area)
     return sorted(out, key=sorted)
 
 

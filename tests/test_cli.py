@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import subprocess
@@ -26,8 +25,9 @@ from secfan.delpezzo import (
     weyl_generators,
 )
 from secfan.disk import fan_triangulation, gamma_complex, triangulation_with_flips
-from secfan.errors import InternalInvariantError, ValidationError
+from secfan.errors import ValidationError
 from secfan.lattice import rank_of
+from secfan.secondary import mori_fan_K
 from secfan.thetaalg import UmbrellaRing
 
 HEXAGON = {
@@ -684,25 +684,14 @@ def test_a_warm_mori_fan_gives_the_cold_report(cold_mori_fan):
     assert build_report(lat, second)[0] == warm
 
 
-def test_weyl_data_names_a_broken_invariant():
-    lat, cycle = hexagon_boundary()
-    sec = secondary.secondary_fan(lat, cycle)
-    # a chamber set that W does not preserve: the last chamber's orbit is not a point
-    missing = dataclasses.replace(sec, chambers=sec.chambers[:-1])
-    with pytest.raises(InternalInvariantError, match="is no chamber"):
-        cli_module.weyl_orbit_decomposition(lat, missing)
-
-
-def _weyl_stub(k, chambers=None):
-    """A boundary at k and a secondary-fan stand-in: every contraction, no cones."""
+def _weyl_stub(k):
+    """A boundary at k and a secondary-fan stand-in: the Mori fan, no secondary cones."""
     if k == 2:
         lat, cycle, _ = toric_boundary("dp7")
     else:
         lat = PicLattice(k)
         cycle = minus_one_cycles(lat, 9 - k)[0]
-    chambers = contractions(lat) if chambers is None else chambers
-    sec = SimpleNamespace(chambers=[SimpleNamespace(contraction=c) for c in chambers],
-                          boundary=cycle, full_fan=Fan(lat.rank, ()))
+    sec = SimpleNamespace(boundary=cycle, full_fan=Fan(lat.rank, ()), mori_fan=mori_fan_K(lat))
     return lat, sec
 
 
@@ -725,15 +714,33 @@ def test_weyl_section_at_k6():
         "stabilizer_order": 1152, "stabilizer_fixes_secondary_fan": True}
 
 
-def test_weyl_data_names_a_missing_orbit_of_e():
+def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
+    # mori_fan_K walks each chamber orbit once per lattice, from its first
+    # chamber; the Weyl section reads those orbits and walks the boundary's alone
     lat = PicLattice(4)
-    e = frozenset([(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
-    moves = [lambda s, a=g.act: frozenset(map(a, s)) for g in weyl_generators(lat)]
-    e_orbit = orbit_tree(e, moves)
-    kept = [c for c in contractions(lat) if frozenset(c.classes) not in e_orbit]
-    assert 0 < len(kept) < len(contractions(lat))
-    with pytest.raises(InternalInvariantError, match=r"contraction E = \[\(0, 0, 0, 0, 1\), "):
-        cli_module.weyl_orbit_decomposition(*_weyl_stub(4, kept))
+    keys = [c.classes for c in contractions(lat)]
+    walks = []
+
+    def counted(module):
+        real = module.orbit_tree
+
+        def walk(start, moves):
+            if moves:  # a walk under W, not the one-point orbit of a cone with no generators
+                walks.append((module, start))
+            return real(start, moves)
+        return walk
+
+    for module in (secondary, cli_module):
+        monkeypatch.setattr(module, "orbit_tree", counted(module))
+    for i, cycle in enumerate(minus_one_cycles(lat, 5)[:2]):
+        walks.clear()
+        sec = secondary.secondary_fan(lat, cycle)
+        roots = sorted(set(sec.mori_fan.orbits))
+        # the chambers' orbits, then the bogus faces' orbits; none on a second boundary
+        assert walks[:len(roots)] == ([] if i else [(secondary, keys[r]) for r in roots])
+        walks.clear()
+        cli_module.weyl_orbit_decomposition(lat, sec)
+        assert walks == [(cli_module, tuple(sorted(cycle.classes)))]
 
 
 def test_cocycle_battery_computes_each_value_once(monkeypatch):

@@ -30,6 +30,7 @@ from secfan.delpezzo import (
     hexagon_boundary,
     minus_one_cycles,
     mori_chamber,
+    orbit_tree,
     quadric,
     toric_boundary,
     weyl_generators,
@@ -184,6 +185,31 @@ def test_moved_mori_cones_equal_their_direct_builds(lat, monkeypatch, cold_mori_
     faces = boundary_walls(Fan(lat.rank, fan.cones[:len(cons)]), effective_cone(lat))
     assert [_fields(c) for c in fan.cones[len(cons):]] == \
         [_fields(cone_from_rays(list(face) + [lat.canonical], lat.rank)) for face in faces]
+
+
+def _chamber_orbits(lat):
+    """The replaced kernel as the oracle: the closure of each contracted-class
+    set under the simple reflections, walked on frozensets."""
+    moves = [lambda s, a=g.act: frozenset(map(a, s)) for g in weyl_generators(lat)]
+    left, orbits = {frozenset(c.classes) for c in contractions(lat)}, set()
+    while left:
+        orbit = frozenset(orbit_tree(next(iter(left)), moves))
+        assert orbit <= left
+        left -= orbit
+        orbits.add(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("lat", [PicLattice(k) for k in range(2, 7)] + [quadric()], ids=str)
+def test_mori_fan_orbits_are_the_chamber_orbits(lat):
+    cons, roots = contractions(lat), mori_fan_K(lat).orbits
+    assert len(roots) == len(cons)
+    # each chamber names the first chamber of its orbit
+    assert all(roots[r] == r <= i for i, r in enumerate(roots))
+    got: dict = {}
+    for c, r in zip(cons, roots):
+        got.setdefault(r, set()).add(frozenset(c.classes))
+    assert set(map(frozenset, got.values())) == _chamber_orbits(lat)
 
 
 def _moved_out(lat, message, what):
