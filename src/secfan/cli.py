@@ -26,20 +26,18 @@ from .delpezzo import (
     BoundaryCycle,
     PicLattice,
     TORIC_NAMES,
-    WeylElement,
+    boundary_stabilizer,
     contractions,
     minus_one_classes,
     normalized_cycle,
-    orbit_tree,
     quadric,
     roots,
     toric_boundary,
     validate_boundary,
-    weyl_generators,
 )
 from .disk import fan_triangulation, triangulation_with_flips
 from .errors import InternalInvariantError, ValidationError
-from .lattice import IntMat, rank_of
+from .lattice import rank_of
 from .secondary import (
     cocycle_battery,
     gkz_secondary_fan,
@@ -47,6 +45,7 @@ from .secondary import (
     mori_fan_K,
     one_stratum_report,
     secondary_fan,
+    stabilizer_orbits,
     toric_compare,
 )
 from .thetaalg import (
@@ -199,6 +198,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     Blowups with k >= 2 get a "weyl" section.  workers has no effect.
     """
     sec = secondary_fan(lat, cycle)
+    sec.full_fan = stabilizer_orbits(sec)  # decompose and stabilizers read its orbits
     grouping_by_triangulation(sec.chambers)
     battery = cocycle_battery(sec) \
         if cycle.n >= 3 else {"ok": True, "pairs": 0, "loops": 0, "points": 0, "failures": []}
@@ -276,33 +276,22 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     with the E_i spans Pic (x) Q since H = (sum E_i - K) / 3, so only the
     identity fixes every E_i; an element mapping E onto itself permutes the
     E_i, and the reflections in E_i - E_{i+1} give every permutation, so
-    Stab(E) = S_k; orbit-stabilizer does the rest.  With u_p the element
-    along the Schreier tree from the sorted boundary multiset to p, the
-    u_q^-1 s u_p (s a generator, q = s p) generate its stabilizer, of order
-    |W| / |orbit| (Schreier's lemma; Seress, Permutation Group Algorithms,
-    2003, ch. 4).  A group maps a finite set of cones onto itself iff each
-    generator does.
+    Stab(E) = S_k; orbit-stabilizer does the rest.  The boundary stabilizer
+    has order |W| / |W B| (boundary_stabilizer).  A group maps a finite set
+    of cones onto itself iff each generator does, which stabilizer_orbits
+    proves, or raises; a fan the report walked is not walked again.
     """
-    gens, roots = weyl_generators(lat), sec.mori_fan.orbits
+    roots = sec.mori_fan.orbits
     sizes = Counter(roots)  # orbit root -> orbit size
     e = tuple(sorted(tuple(int(i == j) for i in range(lat.rank)) for j in range(1, lat.rank)))
-    e_index = [c.classes for c in contractions(lat)].index(e)
-    order = factorial(lat.k) * sizes[roots[e_index]]
-    moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
-    start = tuple(sorted(sec.boundary.classes))
-    tree = orbit_tree(start, moves)
-    ident = WeylElement(IntMat.identity(lat.rank))
-    word = {start: (ident, ident)}  # p -> (u_p, u_p^-1)
-    for p, (parent, i) in list(tree.items())[1:]:
-        u, v = word[parent]
-        word[p] = (gens[i].compose(u), v.compose(gens[i]))
-    stab_gens = {word[move(p)][1].compose(g.compose(word[p][0]))
-                 for p in tree for g, move in zip(gens, moves)} - {ident}
-    cones = sec.full_fan.cones
-    fixes = all({(tuple(sorted(map(w.act, c.rays))), tuple(sorted(map(w.act, c.lineality))))
-                 for c in cones} == {c.key() for c in cones} for w in stab_gens)
+    keys = [c.classes for c in contractions(lat)]
+    if e not in keys:
+        raise InternalInvariantError(f"the contraction E = {list(e)} is not in contractions(lat)")
+    order = factorial(lat.k) * sizes[roots[keys.index(e)]]
+    stabilizer_orbits(sec)
     return {"group_order": order, "orbit_sizes": sorted(sizes.values()),
-            "stabilizer_order": order // len(tree), "stabilizer_fixes_secondary_fan": fixes}
+            "stabilizer_order": order // boundary_stabilizer(lat, sec.boundary)[1],
+            "stabilizer_fixes_secondary_fan": True}  # stabilizer_orbits raised otherwise
 
 
 def report_markdown(report: dict) -> str:

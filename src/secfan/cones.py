@@ -320,7 +320,8 @@ class Fan:
     is_complete, adjacency_pairs and boundary_walls all read it.  orbits[i]
     is the index of the first cone of cone i's orbit under a group that
     permutes the first len(orbits) cones (the chambers of mori_fan_K under
-    W(E_k)); it is not compared, so equality and JSON see the cones alone.
+    W(E_k), every cone of a report's secondary fan under the boundary
+    stabilizer); it is not compared, so equality and JSON see the cones alone.
     """
 
     ambient_rank: int
@@ -339,6 +340,13 @@ class Fan:
     def walls(self) -> dict[tuple, list[tuple[int, IntVec]]]:
         """The wall map of the cones (see _wall_map), built on first use."""
         return _wall_map(self.cones)
+
+    def with_orbits(self, orbits) -> "Fan":
+        """This fan with the given orbits; a wall map already built is kept."""
+        out = Fan(self.ambient_rank, self.cones, self.labels, tuple(orbits))
+        if "walls" in self.__dict__:
+            out.__dict__["walls"] = self.walls
+        return out
 
     def extended(self, cones, labels) -> "Fan":
         """This fan followed by more labelled cones; walls are built for the new cones only."""

@@ -293,6 +293,38 @@ def orbit_tree(start, moves) -> dict:
     return tree
 
 
+@lru_cache(maxsize=None)
+def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple, int]:
+    """Generators of Stab(B) in W(E_k), B the sorted boundary multiset, each as
+    (w, w^-1), and the orbit size |W B|; walked once per boundary and process.
+
+    With u_p the element along the Schreier tree of the simple reflections
+    from B to p, the u_q^-1 s u_p (s a generator, q = s p) generate Stab(B)
+    (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4);
+    the inverse is u_p^-1 s u_q, s being an involution.  A tree edge, read
+    either way, gives the identity, so it is skipped, as are repeats.  With
+    no simple roots B is its own orbit and there are no generators.
+    """
+    gens = weyl_generators(lat)
+    moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
+    start = tuple(sorted(boundary.classes))
+    tree = orbit_tree(start, moves)
+    ident = WeylElement(IntMat.identity(lat.rank))
+    word = {start: (ident, ident)}  # p -> (u_p, u_p^-1)
+    for p, (parent, i) in list(tree.items())[1:]:
+        u, v = word[parent]
+        word[p] = (gens[i].compose(u), v.compose(gens[i]))
+    stab = {}
+    for p in tree:
+        for i, (g, move) in enumerate(zip(gens, moves)):
+            q = move(p)
+            if tree[q] != (p, i) and tree[p] != (q, i):
+                w = word[q][1].compose(g.compose(word[p][0]))
+                if w != ident and w not in stab:
+                    stab[w] = word[p][1].compose(g.compose(word[q][0]))
+    return tuple(stab.items()), len(tree)
+
+
 def weyl_group(lat: PicLattice) -> list[WeylElement]:
     """The full group, by closure of the generators (orders 1, 1, 2, 12, 120, 1920, ...)."""
     ident = WeylElement(IntMat.identity(lat.rank))

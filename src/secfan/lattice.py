@@ -100,8 +100,8 @@ class IntMat:
     def mul(self, other: "IntMat") -> "IntMat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = [other.col(j) for j in range(other.cols)]
-        return IntMat.from_rows([[vec_dot(self.row(i), c) for c in cols] for i in range(self.rows)])
+        rows, cols = self.row_list(), [other.col(j) for j in range(other.cols)]
+        return IntMat(self.rows, other.cols, tuple(sum(map(mul, r, c)) for r in rows for c in cols))
 
     def apply(self, v: IntVec) -> IntVec:
         if len(v) != self.cols:

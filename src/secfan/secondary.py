@@ -45,6 +45,7 @@ from .delpezzo import (
     Contraction,
     PicLattice,
     WeylElement,
+    boundary_stabilizer,
     contractions,
     effective_cone,
     mori_chamber,
@@ -308,17 +309,42 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     return SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori, mov)
 
 
-def movsec_is_single_group(lat: PicLattice, boundary: BoundaryCycle) -> bool:
-    """Lazy grouping predicate: no cone enumeration.
+def stabilizer_orbits(sec: SecondaryFan) -> Fan:
+    """sec.full_fan with its orbits under the boundary stabilizer Stab(B): each
+    cone's orbit root, the first cone of its orbit in fan order.
 
-    When no boundary component is a (-1)-class, every contraction meets the
-    boundary trivially, so the exceptional grouping has one class and the
-    moving part of the secondary fan is the whole effective cone.
+    One walk with orbit_tree over the cone keys, under the generators of
+    boundary_stabilizer, proves two facts: every image of a cone is a cone of
+    the fan, and every cone of an orbit is in the movsec subfan exactly when
+    the orbit's root is.  So each generator maps the finite cone set into,
+    hence onto, itself and the subfan onto itself, and so does Stab(B).
+    Otherwise InternalInvariantError names the cone, the generator and the
+    image.  A fan whose orbits are already set is returned as it is; with no
+    generators every cone is its own root.
     """
-    rep = validate_boundary(lat, boundary)
-    if not rep.valid:
-        raise ValidationError("; ".join(rep.diagnostics))
-    return not any(rep.minus_one_flags)
+    fan = sec.full_fan
+    if len(fan.orbits) == len(fan.cones):
+        return fan
+    index = {c.key(): i for i, c in enumerate(fan.cones)}
+    moving = {c.key() for c in sec.movsec_fan.cones}
+    moves = []
+    for w, _ in boundary_stabilizer(sec.lat, sec.boundary)[0]:
+        act = lru_cache(maxsize=None)(w.act)  # each vector moved once per generator
+        moves.append(lambda key, a=act: (tuple(sorted(map(a, key[0]))), tuple(sorted(map(a, key[1])))))
+    roots: list = [None] * len(fan.cones)
+    for i, cone in enumerate(fan.cones):
+        if roots[i] is not None:
+            continue
+        for q, edge in orbit_tree(cone.key(), moves).items():
+            j = index.get(q)
+            if edge is not None and (j is None or (q in moving) != (cone.key() in moving)):
+                where = "no cone of the secondary fan" if j is None else (
+                    f"cone {fan.label_of(j)}, on the other side of the movsec subfan")
+                raise InternalInvariantError(
+                    f"secondary fan cone {fan.label_of(index[edge[0]])} moves by boundary"
+                    f" stabilizer generator {edge[1]} to {list(q[0])}, which is {where}")
+            roots[j] = i
+    return fan.with_orbits(roots)
 
 
 def grouping_by_triangulation(chambers: list[Chamber]) -> dict:

@@ -4,7 +4,9 @@ Each cone of the ambient fan must split as (piece inside the distinguished
 subspace) + (face from the subfan); the lifted fan lives in the direct sum and
 projects back by addition.  Stabilizers along lifted strata are the torsion of
 the lattice by the two sublattice factors, which is where the stack differs
-from its coarse space.
+from its coarse space.  Both are computed once per orbit of the ambient fan's
+orbits (a symmetry of both fans fixing the subspace's basis), and read off
+the orbit's first cone elsewhere.
 """
 
 from __future__ import annotations
@@ -16,22 +18,18 @@ from .cones import (
     RationalCone,
     _face_rays,
     cone_from_rays,
-    fan_check,
-    image,
     intersect,
     is_face_of,
     zero_cone,
 )
 from .errors import ValidationError
 from .lattice import (
-    IntMat,
     IntVec,
     TorsionGroup,
     primitive_coords,
     rank_of,
     saturate,
     torsion_quotient,
-    vec_dot,
 )
 
 
@@ -48,7 +46,8 @@ class BundleInput:
 
 @dataclass
 class DecompositionCert:
-    pieces: list[tuple[RationalCone, RationalCone]]  # (sigma_1, sigma_2) per maximal cone
+    # (sigma_1, sigma_2) per maximal cone; None for a cone that read its orbit root's outcome
+    pieces: list[tuple[RationalCone, RationalCone] | None]
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -66,6 +65,11 @@ def _cone_in_fan(c: RationalCone, fan: Fan) -> bool:
     return any(is_face_of(c, top) for top in fan.cones) or c.dim == 0
 
 
+def _orbit_roots(fan: Fan) -> tuple[int, ...]:
+    """Each cone's orbit root: fan.orbits, then each further cone its own root."""
+    return fan.orbits + tuple(range(len(fan.orbits), len(fan.cones)))
+
+
 def decompose(inp: BundleInput) -> DecompositionCert:
     """Split every maximal ambient cone as sigma_1 + sigma_2 per the hypothesis.
 
@@ -80,77 +84,51 @@ def decompose(inp: BundleInput) -> DecompositionCert:
     no sum of a point of sigma_1 and a point of a face without r.  C is a
     face exactly when the rays of sigma tight on every facet tight on C's
     rays are C's rays.
+
+    The work runs once per orbit root of the ambient fan (Fan.orbits); every
+    other cone gets its root's outcome under its own label.  Lemma: let w
+    map the ambient fan and the subfan onto themselves, unimodular and fixing
+    each vector of the basis of L (for the secondary fan, w in the boundary
+    stabilizer: it fixes K, and stabilizer_orbits proved the rest).  Then w
+    carries span(L), the rays outside it, faces, spans and sums of sigma onto
+    those of w.sigma, and the subfan's cones and faces onto themselves, so it
+    carries sigma_1 and sigma_2 of sigma onto those of w.sigma and each test
+    has the same outcome on both.
     """
     rank = inp.rank
     sub_cone = cone_from_rays([], rank, lineality=inp.sub_lattice)  # span(L)
     sub_rank = rank_of(list(inp.sub_lattice))
     sub_keys = {c.key() for c in inp.subfan.cones}
-    pieces = []
-    failures = []
-    for idx, sigma in enumerate(inp.ambient.cones):
-        label = inp.ambient.label_of(idx)
+
+    def split(sigma):
+        """(sigma_1, sigma_2), or the reason sigma does not split."""
         if sigma.key() in sub_keys:
-            pieces.append((zero_cone(rank), sigma))
-            continue
+            return zero_cone(rank), sigma
         sigma1 = intersect(sigma, sub_cone)
         outside = [r for r in sigma.rays if rank_of([r, *inp.sub_lattice]) > sub_rank]
         if _face_rays(sigma, outside) != set(outside):
-            failures.append(f"{label}: the rays outside the subspace span no face")
-            continue
+            return "the rays outside the subspace span no face"
         sigma2 = cone_from_rays(outside, rank, lineality=sigma.lineality)
         if not _span_meets_trivially(sigma2, inp.sub_lattice):
-            failures.append(f"{label}: subspace meets the span of sigma_2")
-            continue
+            return "subspace meets the span of sigma_2"
         recomposed = cone_from_rays(sigma1.rays + sigma2.rays, rank, lineality=sigma2.lineality)
         if recomposed != sigma:
-            failures.append(f"{label}: sigma_1 + sigma_2 does not recompose the cone")
-            continue
+            return "sigma_1 + sigma_2 does not recompose the cone"
         if not _cone_in_fan(sigma2, inp.subfan):
-            failures.append(f"{label}: sigma_2 is not a cone of the subfan")
-            continue
-        pieces.append((sigma1, sigma2))
+            return "sigma_2 is not a cone of the subfan"
+        return sigma1, sigma2
+
+    outcome: dict[int, str | tuple] = {}
+    pieces = []
+    failures = []
+    for idx, root in enumerate(_orbit_roots(inp.ambient)):
+        if root == idx:
+            outcome[idx] = split(inp.ambient.cones[idx])
+        if isinstance(outcome[root], str):
+            failures.append(f"{inp.ambient.label_of(idx)}: {outcome[root]}")
+        else:
+            pieces.append(outcome[root] if root == idx else None)
     return DecompositionCert(pieces, failures)
-
-
-@dataclass
-class TildeFan:
-    fan: Fan                      # in L (+) N, coordinates (L-basis coords, N coords)
-    projection: IntMat            # b(l, n) = l + n
-    pairs: list[tuple[RationalCone, RationalCone]]
-
-
-def build_tilde(inp: BundleInput) -> TildeFan:
-    cert = decompose(inp)
-    if not cert.ok:
-        raise ValidationError("decomposition failed: " + "; ".join(cert.failures))
-    rank = inp.rank
-    r = len(inp.sub_lattice)
-    total = r + rank
-
-    cones = []
-    labels = []
-    for idx, (s1, s2) in enumerate(cert.pieces):
-        gens = []
-        for ray in s1.rays:
-            coords = primitive_coords(inp.sub_lattice, ray)
-            if coords is None:
-                raise ValidationError("sigma_1 generator outside the subspace")
-            gens.append(coords + tuple(0 for _ in range(rank)))
-        pad = (0,) * r
-        gens += [pad + tuple(ray) for ray in s2.rays]
-        cones.append(cone_from_rays(gens, total, lineality=[pad + tuple(l) for l in s2.lineality]))
-        labels.append(inp.ambient.label_of(idx))
-    proj_rows = []
-    for i in range(rank):
-        row = [inp.sub_lattice[j][i] for j in range(r)] + [
-            1 if t == i else 0 for t in range(rank)
-        ]
-        proj_rows.append(tuple(row))
-    tilde = Fan(total, tuple(cones), tuple(labels))
-    rep = fan_check(tilde)
-    if not rep.is_fan:
-        raise ValidationError(f"lifted cones do not form a fan: {rep.violations[:3]}")
-    return TildeFan(tilde, IntMat.from_rows(proj_rows), cert.pieces)
 
 
 @dataclass
@@ -166,16 +144,22 @@ def stabilizers(inp: BundleInput, cert: DecompositionCert) -> StabilizerReport:
 
     cert is decompose(inp), computed once by the caller.  N_1 is generated by
     the sigma_1 lattice points inside L (not its saturation in N): refining L
-    changes the answer while the coarse fan stays put.
+    changes the answer while the coarse fan stays put.  As in decompose, only
+    orbit roots are computed: w as there is unimodular and fixes L, so it
+    maps N_1 and N_2 of sigma onto those of w.sigma, and N/(N_1 + N_2) onto
+    the quotient of w.sigma, with the same invariant factors.
     """
     if not cert.ok:
         raise ValidationError("decomposition failed: " + "; ".join(cert.failures))
     rank = inp.rank
     out = []
-    for idx, (s1, s2) in enumerate(cert.pieces):
-        n1 = _cone_lattice_gens_in(s1, inp.sub_lattice, rank)
-        n2 = saturate(s2.rays + s2.lineality)
-        tg = torsion_quotient(n1 + n2, rank)
+    for idx, (root, piece) in enumerate(zip(_orbit_roots(inp.ambient), cert.pieces)):
+        if root == idx:
+            s1, s2 = piece
+            n1 = _cone_lattice_gens_in(s1, inp.sub_lattice, rank)
+            tg = torsion_quotient(n1 + saturate(s2.rays + s2.lineality), rank)
+        else:
+            tg = out[root][1]
         out.append((inp.ambient.label_of(idx), tg))
     return StabilizerReport(out)
 
@@ -192,46 +176,3 @@ def _cone_lattice_gens_in(s1: RationalCone, sub_basis, rank: int):
             for i in range(rank)
         ))
     return gens
-
-
-@dataclass
-class BundleCheck:
-    ok: bool
-    diagnostics: list[str]
-
-
-def check_bundle(inp: BundleInput, quotient_fan: Fan, quotient_map: IntMat) -> BundleCheck:
-    """Hypothesis check for the fiber-bundle corollary.
-
-    Every ambient cone must decompose with sigma_1 inside the subspace fan and
-    sigma_2 in the lift, and the lift must map cone-for-cone onto the quotient
-    fan under the projection N -> N/L.
-    """
-    diags: list[str] = []
-    cert = decompose(inp)
-    if not cert.ok:
-        diags.extend(cert.failures)
-    quotient_keys = {c.key() for c in quotient_fan.cones}
-    image_keys = {image(quotient_map, c).key() for c in inp.subfan.cones}
-    if image_keys != quotient_keys:
-        missing = quotient_keys - image_keys
-        extra = image_keys - quotient_keys
-        if missing:
-            diags.append(f"{len(missing)} quotient cone(s) have no lift")
-        if extra:
-            diags.append(f"{len(extra)} lifted cone(s) project outside the quotient fan")
-    for idx, c in enumerate(inp.subfan.cones):
-        if not _span_meets_trivially(c, inp.sub_lattice):
-            diags.append(f"lift cone {inp.subfan.label_of(idx)} meets the subspace")
-    return BundleCheck(not diags, diags)
-
-
-def character_extends(chi: IntVec, fiber_fan: Fan) -> bool:
-    """Monomial-membership test: the character extends over the fiber toric
-    variety exactly when it is nonnegative on every cone of its fan."""
-    return all(
-        vec_dot(chi, r) >= 0 for c in fiber_fan.cones for r in c.rays
-    ) and all(
-        vec_dot(chi, l) == 0 for c in fiber_fan.cones for l in c.lineality
-    )
-

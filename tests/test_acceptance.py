@@ -32,6 +32,7 @@ from secfan.delpezzo import (
     weyl_group,
 )
 from secfan.disk import fan_point, fan_triangulation, gamma_complex
+from secfan.errors import InternalInvariantError, ValidationError
 from secfan.secondary import (
     build_chambers,
     cocycle_battery,
@@ -39,7 +40,6 @@ from secfan.secondary import (
     grouping_by_triangulation,
     mori_fan_K,
     movsec,
-    movsec_is_single_group,
     secondary_fan,
     toric_compare,
 )
@@ -60,6 +60,19 @@ from secfan.thetaalg import (
     theta_divisor_checks,
 )
 from secfan.toricstack import BundleInput, decompose, stabilizers
+
+
+def movsec_is_single_group(lat: PicLattice, boundary: BoundaryCycle) -> bool:
+    """Lazy grouping predicate: no cone enumeration.
+
+    When no boundary component is a (-1)-class, every contraction meets the
+    boundary trivially, so the exceptional grouping has one class and the
+    moving part of the secondary fan is the whole effective cone.
+    """
+    rep = validate_boundary(lat, boundary)
+    if not rep.valid:
+        raise ValidationError("; ".join(rep.diagnostics))
+    return not any(rep.minus_one_flags)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -475,9 +488,10 @@ def test_weyl_data_sees_a_fan_the_stabilizer_does_not_fix():
     kept = tuple(c for c in cones if c is not drop)
     doctored = dataclasses.replace(sec, full_fan=Fan(sec.full_fan.ambient_rank, kept))
     oracle = all({_moved_key(w, c) for c in kept} == {c.key() for c in kept} for w in stab)
-    got = weyl_orbit_decomposition(lat, doctored)
-    assert got["stabilizer_fixes_secondary_fan"] is oracle is False
-    assert got["stabilizer_order"] == len(stab) == 10
+    assert oracle is False and len(stab) == 10
+    # the report reads a proved fact: a fan the stabilizer does not fix raises
+    with pytest.raises(InternalInvariantError, match="which is no cone of the secondary fan"):
+        weyl_orbit_decomposition(lat, doctored)
 
 
 def _chamber_orbits(lat, group, chambers):

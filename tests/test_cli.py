@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,12 +12,13 @@ from click.testing import CliRunner
 
 from cocycle_oracle import chamber_adjacency
 from secfan import cli as cli_module
-from secfan import cones, secondary, toricstack
+from secfan import cones, delpezzo, secondary, toricstack
 from secfan.cli import build_report, cache_put, cli, config_hash, load_config, write_bundle
-from secfan.cones import Fan
+from secfan.cones import Fan, cone_from_rays
 from secfan.delpezzo import (
     BoundaryCycle,
     PicLattice,
+    boundary_stabilizer,
     contractions,
     hexagon_boundary,
     minus_one_cycles,
@@ -25,7 +28,7 @@ from secfan.delpezzo import (
     weyl_generators,
 )
 from secfan.disk import fan_triangulation, gamma_complex, triangulation_with_flips
-from secfan.errors import ValidationError
+from secfan.errors import InternalInvariantError, ValidationError
 from secfan.lattice import rank_of
 from secfan.secondary import mori_fan_K
 from secfan.thetaalg import UmbrellaRing
@@ -716,7 +719,8 @@ def test_weyl_section_at_k6():
 
 def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
     # mori_fan_K walks each chamber orbit once per lattice, from its first
-    # chamber; the Weyl section reads those orbits and walks the boundary's alone
+    # chamber; the Weyl section reads those orbits and walks no chamber orbit:
+    # only the boundary's W-orbit and the secondary fan's Stab(B)-orbits
     lat = PicLattice(4)
     keys = [c.classes for c in contractions(lat)]
     walks = []
@@ -725,13 +729,14 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
         real = module.orbit_tree
 
         def walk(start, moves):
-            if moves:  # a walk under W, not the one-point orbit of a cone with no generators
+            if moves:  # a walk under a group, not the one-point orbit of a point with no generators
                 walks.append((module, start))
             return real(start, moves)
         return walk
 
-    for module in (secondary, cli_module):
+    for module in (secondary, delpezzo):
         monkeypatch.setattr(module, "orbit_tree", counted(module))
+    boundary_stabilizer.cache_clear()
     for i, cycle in enumerate(minus_one_cycles(lat, 5)[:2]):
         walks.clear()
         sec = secondary.secondary_fan(lat, cycle)
@@ -740,7 +745,158 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
         assert walks[:len(roots)] == ([] if i else [(secondary, keys[r]) for r in roots])
         walks.clear()
         cli_module.weyl_orbit_decomposition(lat, sec)
-        assert walks == [(cli_module, tuple(sorted(cycle.classes)))]
+        fan = secondary.stabilizer_orbits(sec)  # the walk is not cached: this one walks again
+        cone_roots = [(secondary, fan.cones[r].key()) for r in sorted(set(fan.orbits))]
+        assert walks == [(delpezzo, tuple(sorted(cycle.classes)))] + cone_roots * 2
+    boundary_stabilizer.cache_clear()
+
+
+def test_weyl_data_names_a_missing_contraction_e(monkeypatch):
+    lat, sec = _weyl_stub(4)
+    e = tuple(sorted(tuple(int(i == j) for i in range(lat.rank)) for j in range(1, lat.rank)))
+    monkeypatch.setattr(cli_module, "contractions",
+                        lambda lat: tuple(c for c in contractions(lat) if c.classes != e))
+    with pytest.raises(InternalInvariantError, match=re.escape(f"E = {list(e)}")):
+        cli_module.weyl_orbit_decomposition(lat, sec)
+
+
+ORBIT_CASES = {
+    "k2": lambda: toric_boundary("dp7")[:2],  # no cycle of (-1)-curves at k = 2
+    **{f"k{k}": (lambda k=k: (PicLattice(k), minus_one_cycles(PicLattice(k), 9 - k)[0]))
+       for k in range(3, 7)},
+    "quadric": lambda: toric_boundary("quadric")[:2],
+    "hexagon": hexagon_boundary,
+    "p2": lambda: toric_boundary("p2")[:2],
+}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_orbit_read_bundle_stage_matches_the_per_cone_run(name):
+    lat, cycle = ORBIT_CASES[name]()
+    sec = secondary.secondary_fan(lat, cycle)
+    walked = secondary.stabilizer_orbits(sec)
+    per_cone = Fan(walked.ambient_rank, walked.cones, walked.labels)
+
+    def run(fan, subfan):
+        inp = toricstack.BundleInput(fan, subfan, (lat.canonical,))
+        cert = toricstack.decompose(inp)
+        stab = toricstack.stabilizers(inp, cert) if cert.ok else None
+        return cert.failures, stab and [(lbl, t.invariant_factors, t.free_rank)
+                                        for lbl, t in stab.entries]
+
+    assert run(walked, sec.movsec_fan) == run(per_cone, sec.movsec_fan)
+    assert run(walked, sec.movsec_fan)[0] == []
+    # with an empty subfan, which every generator fixes, every cone fails
+    no_subfan = Fan(lat.rank, ())
+    failures = run(walked, no_subfan)
+    assert failures == run(per_cone, no_subfan)
+    assert failures[0] or lat.rank == 1  # on p2, span(K) is the whole line
+    # the orbits are nontrivial wherever Stab(B) moves a cone
+    roots = set(walked.orbits)
+    assert len(walked.orbits) == len(walked.cones)
+    assert (len(roots) < len(walked.cones)) == (name not in ("quadric", "p2"))
+
+
+def test_bundle_stage_runs_once_per_stabilizer_orbit(monkeypatch):
+    lat, cycle = BOUNDARIES["pentagon"]()
+    walks, intersects = [], []
+    real_walk, real_intersect = secondary.orbit_tree, toricstack.intersect
+    monkeypatch.setattr(secondary, "orbit_tree",
+                        lambda start, moves: walks.append(start) or real_walk(start, moves))
+    monkeypatch.setattr(toricstack, "intersect",
+                        lambda a, b: intersects.append(a) or real_intersect(a, b))
+    report, sec = build_report(lat, cycle)
+    fan = sec.full_fan
+    roots = sorted(set(fan.orbits))
+    assert (len(fan.cones), len(roots), sec.bogus_count) == (36, 6, 25)
+    # one walk per orbit, from its root; the Weyl section reads the walked fan
+    keys = {c.key() for c in fan.cones}
+    assert [start for start in walks if start in keys] == [fan.cones[r].key() for r in roots]
+    # intersect runs once per orbit root outside the movsec subfan, not once per bogus cone
+    moving = {c.key() for c in sec.movsec_fan.cones}
+    assert intersects == [fan.cones[r] for r in roots if fan.cones[r].key() not in moving]
+    assert len(intersects) == 3
+    assert report["weyl"]["stabilizer_fixes_secondary_fan"] is True
+
+
+def _doctored(sec, how):
+    """sec with one cone of a nontrivial Stab(B)-orbit dropped from the fan
+    ("drop"), dropped from the movsec subfan ("bogus"), or, for the first
+    cone of a bogus orbit, replaced by a cone on another ray ("bend");
+    returns it, the doctored cone and the cones of its orbit."""
+    fan = secondary.stabilizer_orbits(sec)
+    moving = sec.movsec_fan.cones
+    i = next(i for i, r in enumerate(fan.orbits)
+             if r != i and (how == "bogus") == (fan.cones[i] in moving))
+    orbit = [c for c, r in zip(fan.cones, fan.orbits) if r == fan.orbits[i]]
+    cones = list(fan.cones)
+    if how == "bend":  # the root's first ray r0 becomes r0 + r1, a ray of no cone
+        i = fan.orbits[i]
+        r0, r1, *rest = cones[i].rays
+        cones[i] = cone_from_rays([tuple(map(add, r0, r1)), r1, *rest], fan.ambient_rank)
+    kept = [j for j in range(len(cones)) if how != "drop" or j != i]
+    sec.full_fan = Fan(fan.ambient_rank, tuple(cones[j] for j in kept),
+                       tuple(fan.labels[j] for j in kept))
+    if how == "bogus":
+        sec.movsec_fan = Fan(fan.ambient_rank, tuple(c for c in moving if c != cones[i]))
+    return sec, cones[i], orbit
+
+
+@pytest.mark.parametrize("how, where", [("drop", "no cone of the secondary fan"),
+                                        ("bogus", "on the other side of the movsec subfan"),
+                                        ("bend", "no cone of the secondary fan")])
+def test_a_fan_the_boundary_stabilizer_does_not_fix_is_named(how, where):
+    lat, cycle = BOUNDARIES["pentagon"]()
+    sec, cone, orbit = _doctored(secondary.secondary_fan(lat, cycle), how)
+    assert len(orbit) > 1
+    with pytest.raises(InternalInvariantError) as exc:
+        secondary.stabilizer_orbits(sec)
+    named, gen, image, which = re.fullmatch(
+        r"secondary fan cone (.+) moves by boundary stabilizer generator (\d+)"
+        r" to (\[.*\]), which is (.*)", str(exc.value)).groups()
+    fan = sec.full_fan
+    assert int(gen) < len(boundary_stabilizer(lat, cycle)[0])
+    assert where in which
+    if how == "bend":  # the bent cone is named, and its image is no cone
+        assert fan.cones[fan.labels.index(named)] == cone
+        assert image not in [str(list(c.rays)) for c in fan.cones]
+        return
+    # the named cone and its image lie in the doctored cone's orbit
+    assert fan.cones[fan.labels.index(named)] in orbit
+    assert image in [str(list(c.rays)) for c in orbit]
+    if how == "drop":  # the image is the dropped cone
+        assert image == str(list(cone.rays))
+
+
+@pytest.mark.parametrize("how", ["drop", "bogus", "no_e"])
+def test_pipeline_exits_3_on_a_broken_weyl_invariant(tmp_path, how):
+    lat, cycle = BOUNDARIES["pentagon"]()
+    cfg = tmp_path / "pentagon.json"
+    cfg.write_text(json.dumps({"k": lat.k, "cycle": [list(c) for c in cycle.classes]}))
+    if how == "no_e":  # contractions(lat) without E = {E_1, ..., E_4}
+        patch = (
+            "real = c.contractions\n"
+            "e = tuple(sorted(tuple(int(i == j) for i in range(5)) for j in range(1, 5)))\n"
+            "c.contractions = lambda lat: tuple(x for x in real(lat) if x.classes != e)\n"
+        )
+    else:
+        patch = (
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_cli import _doctored\n"
+            "real = c.secondary_fan\n"
+            f"c.secondary_fan = lambda lat, cycle: _doctored(real(lat, cycle), {how!r})[0]\n"
+        )
+    stub = (
+        "import sys\n"
+        "import secfan.cli as c\n"
+        + patch
+        + f"sys.argv = ['secfan', 'pipeline', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "c.main()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", stub], capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal invariant violated: ")
+    assert ("E = " if how == "no_e" else "boundary stabilizer generator") in proc.stderr
 
 
 def test_cocycle_battery_computes_each_value_once(monkeypatch):

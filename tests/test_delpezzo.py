@@ -14,6 +14,7 @@ from secfan.delpezzo import (
     effective_cone,
     hexagon_boundary,
     minus_one_classes,
+    minus_one_cycles,
     mori_chamber,
     ne_generators,
     nef_cone,
@@ -29,6 +30,7 @@ from secfan.delpezzo import (
     weyl_group,
 )
 from secfan.errors import InternalInvariantError, ValidationError
+from secfan.lattice import IntMat
 
 MINUS_ONE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
@@ -209,6 +211,44 @@ def test_weyl_act_equals_the_full_matrix_product():
     assert [len(g._moved_rows) for g in weyl_generators(lat)] == [4, 2, 2, 2]
     with pytest.raises(ValueError):
         weyl_generators(lat)[1].act((0, 1, 0))
+
+
+def _all_schreier_generators(lat, boundary):
+    """Every u_q^-1 s u_p over the Schreier tree of the sorted boundary, tree
+    edges included, less the identity: the set the report read before the
+    tree edges were skipped."""
+    gens = weyl_generators(lat)
+    moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
+    start = tuple(sorted(boundary.classes))
+    tree = orbit_tree(start, moves)
+    ident = delpezzo.WeylElement(IntMat.identity(lat.rank))
+    word = {start: (ident, ident)}
+    for p, (parent, i) in list(tree.items())[1:]:
+        word[p] = (gens[i].compose(word[parent][0]), word[parent][1].compose(gens[i]))
+    return {word[move(p)][1].compose(g.compose(word[p][0]))
+            for p in tree for g, move in zip(gens, moves)} - {ident}, len(tree)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_boundary_stabilizer_skips_only_identities(k):
+    if k == 2:
+        lat, cycle, _ = toric_boundary("dp7")
+    else:
+        lat = PicLattice(k)
+        cycle = minus_one_cycles(lat, 9 - k)[0]
+    pairs, orbit_size = delpezzo.boundary_stabilizer(lat, cycle)
+    assert ({w for w, _ in pairs}, orbit_size) == _all_schreier_generators(lat, cycle)
+    ident = IntMat.identity(lat.rank)
+    boundary = sorted(cycle.classes)
+    for w, inverse in pairs:
+        assert w.compose(inverse).matrix == ident
+        assert sorted(map(w.act, cycle.classes)) == boundary
+    assert len(pairs) == len({w for w, _ in pairs})
+
+
+def test_boundary_stabilizer_without_simple_roots():
+    for lat, cycle, _ in (toric_boundary("quadric"), toric_boundary("p2")):
+        assert delpezzo.boundary_stabilizer(lat, cycle) == ((), 1)
 
 
 def test_validate_boundary_hexagon():

@@ -1,17 +1,100 @@
+"""decompose and stabilizers, and the bundle constructions that only tests
+use: the lifted fan (build_tilde), the fiber-bundle hypothesis check
+(check_bundle) and the character extension test (character_extends)."""
+
+from dataclasses import dataclass
+
 import pytest
 
-from secfan.cones import Fan, cone_from_rays, image, zero_cone
+from secfan.cones import Fan, RationalCone, cone_from_rays, fan_check, image, zero_cone
 from secfan.delpezzo import PicLattice, hexagon_boundary, toric_boundary
 from secfan.errors import ValidationError
-from secfan.lattice import IntMat, quotient_lattice_map
+from secfan.lattice import IntMat, IntVec, primitive_coords, quotient_lattice_map, vec_dot
 from secfan.secondary import secondary_fan
-from secfan.toricstack import (
-    BundleInput,
-    build_tilde,
-    check_bundle,
-    decompose,
-    stabilizers,
-)
+from secfan.toricstack import BundleInput, _span_meets_trivially, decompose, stabilizers
+
+
+@dataclass
+class TildeFan:
+    fan: Fan                      # in L (+) N, coordinates (L-basis coords, N coords)
+    projection: IntMat            # b(l, n) = l + n
+    pairs: list[tuple[RationalCone, RationalCone]]
+
+
+def build_tilde(inp: BundleInput) -> TildeFan:
+    cert = decompose(inp)
+    if not cert.ok:
+        raise ValidationError("decomposition failed: " + "; ".join(cert.failures))
+    rank = inp.rank
+    r = len(inp.sub_lattice)
+    total = r + rank
+
+    cones = []
+    labels = []
+    for idx, (s1, s2) in enumerate(cert.pieces):
+        gens = []
+        for ray in s1.rays:
+            coords = primitive_coords(inp.sub_lattice, ray)
+            if coords is None:
+                raise ValidationError("sigma_1 generator outside the subspace")
+            gens.append(coords + tuple(0 for _ in range(rank)))
+        pad = (0,) * r
+        gens += [pad + tuple(ray) for ray in s2.rays]
+        cones.append(cone_from_rays(gens, total, lineality=[pad + tuple(l) for l in s2.lineality]))
+        labels.append(inp.ambient.label_of(idx))
+    proj_rows = []
+    for i in range(rank):
+        row = [inp.sub_lattice[j][i] for j in range(r)] + [
+            1 if t == i else 0 for t in range(rank)
+        ]
+        proj_rows.append(tuple(row))
+    tilde = Fan(total, tuple(cones), tuple(labels))
+    rep = fan_check(tilde)
+    if not rep.is_fan:
+        raise ValidationError(f"lifted cones do not form a fan: {rep.violations[:3]}")
+    return TildeFan(tilde, IntMat.from_rows(proj_rows), cert.pieces)
+
+
+@dataclass
+class BundleCheck:
+    ok: bool
+    diagnostics: list[str]
+
+
+def check_bundle(inp: BundleInput, quotient_fan: Fan, quotient_map: IntMat) -> BundleCheck:
+    """Hypothesis check for the fiber-bundle corollary.
+
+    Every ambient cone must decompose with sigma_1 inside the subspace fan and
+    sigma_2 in the lift, and the lift must map cone-for-cone onto the quotient
+    fan under the projection N -> N/L.
+    """
+    diags: list[str] = []
+    cert = decompose(inp)
+    if not cert.ok:
+        diags.extend(cert.failures)
+    quotient_keys = {c.key() for c in quotient_fan.cones}
+    image_keys = {image(quotient_map, c).key() for c in inp.subfan.cones}
+    if image_keys != quotient_keys:
+        missing = quotient_keys - image_keys
+        extra = image_keys - quotient_keys
+        if missing:
+            diags.append(f"{len(missing)} quotient cone(s) have no lift")
+        if extra:
+            diags.append(f"{len(extra)} lifted cone(s) project outside the quotient fan")
+    for idx, c in enumerate(inp.subfan.cones):
+        if not _span_meets_trivially(c, inp.sub_lattice):
+            diags.append(f"lift cone {inp.subfan.label_of(idx)} meets the subspace")
+    return BundleCheck(not diags, diags)
+
+
+def character_extends(chi: IntVec, fiber_fan: Fan) -> bool:
+    """Monomial-membership test: the character extends over the fiber toric
+    variety exactly when it is nonnegative on every cone of its fan."""
+    return all(
+        vec_dot(chi, r) >= 0 for c in fiber_fan.cones for r in c.rays
+    ) and all(
+        vec_dot(chi, l) == 0 for c in fiber_fan.cones for l in c.lineality
+    )
 
 
 def simple_input():
@@ -237,8 +320,6 @@ def test_build_tilde_lifts_the_lineality_of_sigma_2():
 
 
 def test_character_extends():
-    from secfan.toricstack import character_extends
-
     fiber = Fan(1, (cone_from_rays([(1,)]),), ("a1",))
     assert character_extends((1,), fiber)  # monomial regular on the affine line
     assert not character_extends((-1,), fiber)
