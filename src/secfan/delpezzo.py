@@ -304,25 +304,55 @@ def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple
     the inverse is u_p^-1 s u_q, s being an involution.  A tree edge, read
     either way, gives the identity, so it is skipped, as are repeats.  With
     no simple roots B is its own orbit and there are no generators.
+
+    Products are told apart by their images of rho = (0, 1, ..., k), a vector
+    on no root hyperplane (checked against roots(lat)).  W fixes K and acts on
+    K-perp, where the form is definite, as a finite reflection group whose
+    reflections are s_a for roots a.  The stabilizer of a vector in such a
+    group is generated by the reflections that fix it (Steinberg, 1964), and
+    s_a fixes rho only if rho.a = 0, so only the identity fixes rho and two
+    products are equal exactly when their images of rho are.  Only the
+    distinct products other than the identity are multiplied out, as the
+    images of a basis.
     """
     gens = weyl_generators(lat)
     moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
     start = tuple(sorted(boundary.classes))
     tree = orbit_tree(start, moves)
-    ident = WeylElement(IntMat.identity(lat.rank))
-    word = {start: (ident, ident)}  # p -> (u_p, u_p^-1)
+    rho = tuple(range(lat.rank))
+    if any(lat.dot(rho, a) == 0 for a in roots(lat)):
+        raise InternalInvariantError(f"{list(rho)} lies on a root hyperplane")
+
+    def path(p) -> list[int]:  # generator indices from B down to p
+        out = []
+        while tree[p] is not None:
+            p, i = tree[p]
+            out.append(i)
+        return out[::-1]
+
+    def apply(word, x: IntVec) -> IntVec:
+        for i in word:
+            x = gens[i].act(x)
+        return x
+
+    img = {start: rho}  # p -> u_p rho
     for p, (parent, i) in list(tree.items())[1:]:
-        u, v = word[parent]
-        word[p] = (gens[i].compose(u), v.compose(gens[i]))
-    stab = {}
+        img[p] = gens[i].act(img[parent])
+    seen, words = {rho}, []  # the images of rho so far; words of u_q^-1 s u_p
     for p in tree:
-        for i, (g, move) in enumerate(zip(gens, moves)):
+        for i, move in enumerate(moves):
             q = move(p)
             if tree[q] != (p, i) and tree[p] != (q, i):
-                w = word[q][1].compose(g.compose(word[p][0]))
-                if w != ident and w not in stab:
-                    stab[w] = word[p][1].compose(g.compose(word[q][0]))
-    return tuple(stab.items()), len(tree)
+                image = apply(path(q)[::-1], gens[i].act(img[p]))
+                if image not in seen:
+                    seen.add(image)
+                    words.append(path(p) + [i] + path(q)[::-1])
+    basis = IntMat.identity(lat.rank).row_list()
+
+    def element(word) -> WeylElement:
+        return WeylElement(IntMat.from_rows(list(zip(*(apply(word, e) for e in basis)))))
+
+    return tuple((element(w), element(w[::-1])) for w in words), len(tree)
 
 
 def weyl_group(lat: PicLattice) -> list[WeylElement]:

@@ -17,8 +17,10 @@ v_{i-1} + v_{i+1} = v_i + v_0, so flipped charts convert exactly.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import ValidationError
 
@@ -260,8 +262,10 @@ def gamma_complex(tri: DiskTriangulation) -> GammaComplex:
     return _complex_cache(tri.n, tri.flips)
 
 
-def fan_chart_data(p: GammaPoint) -> tuple[int, dict[int, int]]:
-    """(center coordinate, boundary coordinates) of a fan-triangulation point."""
+@lru_cache(maxsize=None)
+def fan_chart_data(p: GammaPoint) -> tuple[int, Mapping[int, int]]:
+    """(center coordinate, boundary coordinates) of a fan-triangulation point;
+    read once per point and process, the coordinates as a read-only map."""
     if p.cell[0] != "T":
         raise ValidationError("fan chart data needs a fan-triangulation point")
     comp = gamma_complex(fan_triangulation(p.n))
@@ -275,7 +279,7 @@ def fan_chart_data(p: GammaPoint) -> tuple[int, dict[int, int]]:
             a += p.coords[slot]
         else:
             b[labels[slot]] = b.get(labels[slot], 0) + p.coords[slot]
-    return a, b
+    return a, MappingProxyType(b)
 
 
 def fan_point(n: int, a: int, b: dict[int, int]) -> GammaPoint:

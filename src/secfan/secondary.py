@@ -462,7 +462,18 @@ def cocycle_battery(sec: SecondaryFan) -> dict:
     along one breadth-first tree, phi_p(0) = 0 and
     phi_p(w) = phi_p(u) - c_p(u, w), gives the only candidate, so c_p is
     additive on loops if and only if every chord (a, b) off the tree has
-    c_p(a, b) = phi_p(a) - phi_p(b).
+    c_p(a, b) = phi_p(a) - phi_p(b).  phi holds each chamber's potential at
+    all points as one flat tuple, so a chord is one comparison.
+
+    Memo lemma: a pass's verdict at a pair and point depends only on the
+    pair's tables (and, for the nef pass, the pair's rays) and on the value
+    there, so it is computed once per distinct table object, or once per
+    distinct value of a table, and read for every pair and point that share
+    it.  Tables are keyed by identity: a table built for one pair alone gets
+    its own entry.  The first failing point of a pair in the nef pass is the
+    first point holding the first failing value, taking the values in order of
+    first occurrence.  The failures come out as the per-pair loops would list
+    them, in the same order.
     """
     lat, boundary, chambers = sec.lat, sec.boundary, sec.chambers
     comp = gamma_complex(fan_triangulation(boundary.n))
@@ -477,48 +488,74 @@ def cocycle_battery(sec: SecondaryFan) -> dict:
 
     fwd, back = _crossing_cochain(points, edges, chambers, boundary)
     failures = []
-    for (a, b) in adj:
-        for p, cab, cba in zip(points, fwd[(a, b)], back[(a, b)]):
-            if cab != vec_scale(-1, cba):
-                failures.append(("antisymmetry", a, b, p))
+    flipped = {}  # (id fwd, id back) -> points where c(a, b) != -c(b, a)
+    for e in adj:
+        key = (id(fwd[e]), id(back[e]))
+        if key not in flipped:
+            flipped[key] = [p for p, cab, cba in zip(points, fwd[e], back[e])
+                            if cab != vec_scale(-1, cba)]
+        failures += [("antisymmetry", *e, p) for p in flipped[key]]
     # integrate along the tree, then test every chord as a coboundary
+    flat = {}  # id table -> the table as one tuple, points x rank
+
+    def flat_of(table):
+        if id(table) not in flat:
+            flat[id(table)] = tuple(itertools.chain.from_iterable(table))
+        return flat[id(table)]
+
+    rank = lat.rank
     tree = _bfs_tree(adj)
-    phi = {0: [tuple(0 for _ in range(lat.rank))] * len(points)}
+    phi = {0: (0,) * (len(points) * rank)}
+    potentials = {phi[0]: phi[0]}  # each distinct potential as one object
     for u, w in tree:
         step = fwd[(u, w)] if u < w else back[(w, u)]
-        phi[w] = [vec_sub(x, c) for x, c in zip(phi[u], step)]
+        pot = tuple(map(operator.sub, phi[u], flat_of(step)))
+        phi[w] = potentials.setdefault(pot, pot)
     if len(phi) != len(chambers):
         raise InternalInvariantError("chamber adjacency graph is not connected")
     tree_pairs = {(min(u, w), max(u, w)) for u, w in tree}
     chords = [e for e in adj if e not in tree_pairs]
+    first_miss = {}  # (id phi a, id phi b, id table) -> first failing point index or None
     for a, b in chords:
-        for p, cab, pa, pb in zip(points, fwd[(a, b)], phi[a], phi[b]):
-            if cab != vec_sub(pa, pb):
-                failures.append(("loop", a, b, p))
-                break
+        table = fwd[(a, b)]
+        key = (id(phi[a]), id(phi[b]), id(table))
+        if key not in first_miss:
+            diff = tuple(map(operator.sub, phi[a], phi[b]))
+            first_miss[key] = None if flat_of(table) == diff else next(
+                i for i, c in enumerate(table) if c != diff[i * rank:i * rank + rank])
+        if first_miss[key] is not None:
+            failures.append(("loop", a, b, points[first_miss[key]]))
     # boundary and center vanishing
-    for i, p in enumerate(points):
-        if comp.is_boundary(p) or comp.on_center_ray(p):
-            for a, b in adj:
-                if any(fwd[(a, b)][i]):
-                    failures.append(("vanishing", a, b, p))
+    ends = [i for i, p in enumerate(points) if comp.is_boundary(p) or comp.on_center_ray(p)]
+    nonzero = {}  # id fwd table -> its boundary and center points where it is nonzero
+    for table in fwd.values():
+        if id(table) not in nonzero:
+            nonzero[id(table)] = {i for i in ends if any(table[i])}
+    if any(nonzero.values()):
+        for i in ends:
+            failures += [("vanishing", *e, points[i]) for e in adj if i in nonzero[id(fwd[e])]]
     # pairing with the non-contracting chamber's rays is nonnegative,
     # and the value kills every class on the shared face
-    gram = lat.form.gram
+    dual_of = lru_cache(maxsize=None)(lat.form.gram.apply)  # once per distinct ray
+    distinct = {}  # id table -> its values in order of first occurrence
     for (a, b), wall in adj.items():
         i = edges[(a, b)]
         if i == 0:
             continue
         lo, hi, vals = (a, b, fwd[(a, b)]) if i in chambers[b].boundary_exc \
             else (b, a, back[(a, b)])
-        lo_duals = [gram.apply(r) for r in chambers[lo].cone.rays]
-        wall_duals = [gram.apply(r) for r in wall]
-        for p, c in zip(points, vals):
+        if id(vals) not in distinct:
+            distinct[id(vals)] = list(dict.fromkeys(vals))
+        lo_duals = [dual_of(r) for r in chambers[lo].cone.rays]
+        wall_duals = [dual_of(r) for r in wall]
+        for c in distinct[id(vals)]:
+            if not any(c):  # zero pairs to zero with every ray
+                continue
             if any(vec_dot(c, r) < 0 for r in lo_duals):
-                failures.append(("nef-pairing", lo, hi, p))
+                failures.append(("nef-pairing", lo, hi, points[vals.index(c)]))
                 break
             if any(vec_dot(c, r) != 0 for r in wall_duals):
-                failures.append(("shared-face", lo, hi, p))
+                failures.append(("shared-face", lo, hi, points[vals.index(c)]))
                 break
     return {"pairs": len(adj), "points": len(points), "loops": len(chords),
             "failures": failures, "ok": not failures}

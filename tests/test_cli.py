@@ -27,9 +27,9 @@ from secfan.delpezzo import (
     toric_boundary,
     weyl_generators,
 )
-from secfan.disk import fan_triangulation, gamma_complex, triangulation_with_flips
+from secfan.disk import fan_chart_data, fan_triangulation, gamma_complex, triangulation_with_flips
 from secfan.errors import InternalInvariantError, ValidationError
-from secfan.lattice import rank_of
+from secfan.lattice import IntMat, rank_of
 from secfan.secondary import mori_fan_K
 from secfan.thetaalg import UmbrellaRing
 
@@ -911,7 +911,14 @@ def test_cocycle_battery_computes_each_value_once(monkeypatch):
     monkeypatch.setattr(secondary, "theta_cocycle", None)
     sec = secondary.secondary_fan(*hexagon_boundary())
     chambers = sec.chambers
-    rep = secondary.cocycle_battery(sec)
+    fan_chart_data.cache_clear()
+    try:
+        rep = secondary.cocycle_battery(sec)
+        charts = fan_chart_data.cache_info()
+    finally:
+        fan_chart_data.cache_clear()
+    # the fan chart is read once per point, not once per table and point
+    assert charts.misses == rep["points"] < charts.hits
     # a crossing's values depend on its flop index and on whether the chamber
     # it enters contracts that boundary curve: one value per such key and point
     keys = set()
@@ -921,3 +928,20 @@ def test_cocycle_battery_computes_each_value_once(monkeypatch):
             keys.add((idx, idx in chambers[b].boundary_exc))
     assert len(keys) == 12 < 2 * rep["pairs"]
     assert len(calls) == len(set(calls)) == len(keys) * rep["points"]
+
+
+def test_cocycle_battery_pairs_each_ray_once(monkeypatch):
+    """The nef and shared-face pass applies the Gram matrix once per distinct
+    ray, not once per ray of every adjacent pair."""
+    sec = secondary.secondary_fan(*hexagon_boundary())
+    rays = {r for ch in sec.chambers for r in ch.cone.rays}
+    applied = []
+    real_apply = IntMat.apply
+
+    def counted(self, v):
+        applied.append(v)
+        return real_apply(self, v)
+
+    monkeypatch.setattr(IntMat, "apply", counted)
+    assert secondary.cocycle_battery(sec)["ok"]
+    assert len(applied) == len(set(applied)) and set(applied) <= rays

@@ -215,8 +215,10 @@ def test_weyl_act_equals_the_full_matrix_product():
 
 def _all_schreier_generators(lat, boundary):
     """Every u_q^-1 s u_p over the Schreier tree of the sorted boundary, tree
-    edges included, less the identity: the set the report read before the
-    tree edges were skipped."""
+    edges included, multiplied out as matrices, less the identity and in
+    order of first appearance: the generators the report read before the
+    tree edges were skipped and before the products were told apart by
+    their images of one vector."""
     gens = weyl_generators(lat)
     moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
     start = tuple(sorted(boundary.classes))
@@ -225,8 +227,9 @@ def _all_schreier_generators(lat, boundary):
     word = {start: (ident, ident)}
     for p, (parent, i) in list(tree.items())[1:]:
         word[p] = (gens[i].compose(word[parent][0]), word[parent][1].compose(gens[i]))
-    return {word[move(p)][1].compose(g.compose(word[p][0]))
-            for p in tree for g, move in zip(gens, moves)} - {ident}, len(tree)
+    products = dict.fromkeys(word[move(p)][1].compose(g.compose(word[p][0]))
+                             for p in tree for g, move in zip(gens, moves))
+    return [w for w in products if w != ident], len(tree)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -237,13 +240,25 @@ def test_boundary_stabilizer_skips_only_identities(k):
         lat = PicLattice(k)
         cycle = minus_one_cycles(lat, 9 - k)[0]
     pairs, orbit_size = delpezzo.boundary_stabilizer(lat, cycle)
-    assert ({w for w, _ in pairs}, orbit_size) == _all_schreier_generators(lat, cycle)
+    # the same generators in the same order, so orbit roots and digests hold
+    assert ([w for w, _ in pairs], orbit_size) == _all_schreier_generators(lat, cycle)
     ident = IntMat.identity(lat.rank)
     boundary = sorted(cycle.classes)
     for w, inverse in pairs:
         assert w.compose(inverse).matrix == ident
         assert sorted(map(w.act, cycle.classes)) == boundary
     assert len(pairs) == len({w for w, _ in pairs})
+
+
+def test_boundary_stabilizer_refuses_a_rho_on_a_root_hyperplane(monkeypatch):
+    lat, cycle = hexagon_boundary()
+    monkeypatch.setattr(delpezzo, "roots", lambda lat: [(1, 0, 0, 0), (2, 1, 1, -2)])
+    delpezzo.boundary_stabilizer.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="root hyperplane"):
+            delpezzo.boundary_stabilizer(lat, cycle)
+    finally:
+        delpezzo.boundary_stabilizer.cache_clear()
 
 
 def test_boundary_stabilizer_without_simple_roots():
