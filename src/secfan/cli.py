@@ -141,6 +141,49 @@ def config_hash(lat: PicLattice, cycle: BoundaryCycle) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1), character for character.
+
+    With indent set, CPython's json runs its pure-Python encoder.  Here dict
+    keys are sorted before they become strings, as there, a list of strings
+    is one join over encode_basestring_ascii, and every other scalar goes
+    through the stdlib encoder.
+    """
+    out: list[str] = []
+
+    def write(x, nl):
+        if isinstance(x, str):
+            out.append(_quote(x))
+        elif isinstance(x, (list, tuple, dict)) and not x:
+            out.append("{}" if isinstance(x, dict) else "[]")
+        elif isinstance(x, dict):
+            inner, sep = nl + " ", "{"
+            for key, value in sorted(x.items()):
+                out.append(f"{sep}{inner}{_quote(key if isinstance(key, str) else json.dumps(key))}: ")
+                write(value, inner)
+                sep = ","
+            out.append(nl + "}")
+        elif isinstance(x, (list, tuple)):
+            inner = nl + " "
+            if all(type(v) is str for v in x):
+                out.append(f"[{inner}{(',' + inner).join(map(_quote, x))}{nl}]")
+                return
+            sep = "["
+            for value in x:
+                out.append(sep + inner)
+                write(value, inner)
+                sep = ","
+            out.append(nl + "]")
+        else:
+            out.append(json.dumps(x))
+
+    write(obj, "\n")
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # cache
 
@@ -180,7 +223,7 @@ def cache_put(cache_dir, key: str, kind: str, payload: dict):
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write(json_text(payload))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -197,8 +240,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
 
     Blowups with k >= 2 get a "weyl" section.  workers has no effect.
     """
-    sec = secondary_fan(lat, cycle)
-    sec.full_fan = stabilizer_orbits(sec)  # decompose and stabilizers read its orbits
+    sec = secondary_fan(lat, cycle)  # its full fan carries the proved Stab(B)-orbits
     grouping_by_triangulation(sec.chambers)
     battery = cocycle_battery(sec) \
         if cycle.n >= 3 else {"ok": True, "pairs": 0, "loops": 0, "points": 0, "failures": []}
@@ -278,8 +320,9 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     E_i, and the reflections in E_i - E_{i+1} give every permutation, so
     Stab(E) = S_k; orbit-stabilizer does the rest.  The boundary stabilizer
     has order |W| / |W B| (boundary_stabilizer).  A group maps a finite set
-    of cones onto itself iff each generator does, which stabilizer_orbits
-    proves, or raises; a fan the report walked is not walked again.
+    of cones onto itself iff each generator does, which secondary_fan proved
+    with stabilizer_orbits; that call returns the walked fan as it is, and
+    walks, or raises on, a fan set in its place.
     """
     roots = sec.mori_fan.orbits
     sizes = Counter(roots)  # orbit root -> orbit size
@@ -374,21 +417,17 @@ def theta_table_csv(n: int, flips, level: int) -> str:
 def write_bundle(outdir: Path, report: dict, sec) -> list[str]:
     outdir.mkdir(parents=True, exist_ok=True)
     files = {}
-    files["fan_mori.json"] = json.dumps(
-        fan_to_json(sec.mori_fan, metadata={"kind": "mori", "input_hash": report["input_hash"]}),
-        sort_keys=True, indent=1,
-    )
-    files["fan_secondary.json"] = json.dumps(
-        fan_to_json(sec.full_fan, metadata={"kind": "secondary", "input_hash": report["input_hash"]}),
-        sort_keys=True, indent=1,
-    )
+    files["fan_mori.json"] = json_text(
+        fan_to_json(sec.mori_fan, metadata={"kind": "mori", "input_hash": report["input_hash"]}))
+    files["fan_secondary.json"] = json_text(
+        fan_to_json(sec.full_fan, metadata={"kind": "secondary", "input_hash": report["input_hash"]}))
     # adjacency of the full secondary fan, nodes colored by moving group
     groups = {gi: g.label() for gi, g in enumerate(sec.groups)}
     for bi in range(len(sec.bogus_cones)):
         groups[len(sec.groups) + bi] = "bogus"
     files["chambers.dot"] = fan_to_dot(sec.full_fan, groups)
     files["theta_table.csv"] = theta_table_csv(sec.boundary.n, (), 2)
-    files["report.json"] = json.dumps(report, sort_keys=True, indent=1)
+    files["report.json"] = json_text(report)
     files["report.md"] = report_markdown(report)
     for name, text in sorted(files.items()):
         with open(outdir / name, "w", encoding="utf-8") as fh:
@@ -477,7 +516,7 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
         base = Path(outdir)
         base.mkdir(parents=True, exist_ok=True)
         with open(base / f"fan_{kind}.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write(json_text(payload))
         md = [
             f"# {kind} fan",
             "",

@@ -18,9 +18,10 @@ intersect resumes its first operand's double description and inserts only the
 second operand's constraints: any constraint set defining a cone, with each
 extreme ray's zero set taken over it, is a valid start (see dual_description).
 
-fan_check proves most pairs of pointed cones by a separating functional,
-tested on bitmasks read off one facet.ray sign table per call, and sends the
-rest to the exact intersect and is_face_of.
+fan_check tests only the pairs with an orbit root of the fan's orbits, proves
+most of them by a separating functional, tested on bitmasks read off one
+facet.ray sign table per call, and sends the rest to the exact intersect and
+is_face_of.
 
 Callers need no edge cases: an empty hull in a given rank is zero_cone, and
 image(m, c) is the one rule for the image of a cone under an integer map.
@@ -318,10 +319,11 @@ class Fan:
 
     The wall map of the cones is built on first use of walls and kept:
     is_complete, adjacency_pairs and boundary_walls all read it.  orbits[i]
-    is the index of the first cone of cone i's orbit under a group that
-    permutes the first len(orbits) cones (the chambers of mori_fan_K under
-    W(E_k), every cone of a report's secondary fan under the boundary
-    stabilizer); it is not compared, so equality and JSON see the cones alone.
+    is the index of the first cone of cone i's orbit under a group of linear
+    automorphisms that permutes the first len(orbits) cones (the chambers of
+    mori_fan_K under W(E_k), every cone of secondary_fan's full fan under the
+    boundary stabilizer); it is not compared, so equality and JSON see the
+    cones alone.
     """
 
     ambient_rank: int
@@ -335,6 +337,11 @@ class Fan:
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels else f"cone{i}"
+
+    @property
+    def orbit_roots(self) -> tuple[int, ...]:
+        """Each cone's orbit root: orbits, then each further cone its own root."""
+        return self.orbits + tuple(range(len(self.orbits), len(self.cones)))
 
     @cached_property
     def walls(self) -> dict[tuple, list[tuple[int, IntVec]]]:
@@ -385,6 +392,14 @@ def fan_check(fan: Fan) -> FanReport:
     T_A is > 0 on a ray of A where one of T_A is, and the sums' signs on the
     other cone's rays are exact dots.  Lineal cones, and pairs no candidate
     separates, get intersect and is_face_of on both.
+
+    Only the pairs in which one cone is an orbit root (Fan.orbit_roots) are
+    tested.  Lemma: the orbits come from a group of linear automorphisms that
+    maps the set of orbited cones onto itself.  So for any pair {A, B} of
+    them some w in the group has w.A = root(A), w.B is a cone of the fan, and
+    A cap B is a face of both cones exactly when w.A cap w.B is; a pair with
+    a cone outside the orbited ones has a root already.  With no orbits
+    every cone is its own root and every pair is tested, on the same path.
     """
     cones, n = fan.cones, fan.ambient_rank
     bit = {r: 1 << k for k, r in enumerate(dict.fromkeys(r for c in cones for r in c.rays))}
@@ -419,8 +434,11 @@ def fan_check(fan: Fan) -> FanReport:
                 or all(sum(map(mul, diff, r)) > 0 for r in out_a)
                 and all(sum(map(mul, diff, r)) < 0 for r in out_b))
 
+    roots = fan.orbit_roots
     violations = []
     for (i, a), (j, b) in combinations(enumerate(cones), 2):
+        if roots[i] != i and roots[j] != j:
+            continue  # w.(a, b) with w.a = root(a) is tested in its place
         if a.lineality or b.lineality or not separated(i, j):
             cap = intersect(a, b)
             if not is_face_of(cap, a) or not is_face_of(cap, b):

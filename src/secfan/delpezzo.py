@@ -303,7 +303,8 @@ def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple
     (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4);
     the inverse is u_p^-1 s u_q, s being an involution.  A tree edge, read
     either way, gives the identity, so it is skipped, as are repeats.  With
-    no simple roots B is its own orbit and there are no generators.
+    no simple roots (p2, f1, the quadric) B is its own orbit and there are no
+    generators: that returns before any walk or root is listed.
 
     Products are told apart by their images of rho = (0, 1, ..., k), a vector
     on no root hyperplane (checked against roots(lat)).  W fixes K and acts on
@@ -316,6 +317,8 @@ def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple
     images of a basis.
     """
     gens = weyl_generators(lat)
+    if not gens:
+        return (), 1
     moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
     start = tuple(sorted(boundary.classes))
     tree = orbit_tree(start, moves)

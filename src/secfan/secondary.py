@@ -16,8 +16,9 @@ only their own walls, and the degree certificate, movsec, the cocycle battery,
 the one-strata and the DOT export read that one map.  secondary_fan always
 proves what it returns: the Mori fan and the full fan pass the linear degree
 certificate of a complete fan, group hulls equal the union of their members,
-the full fan passes the pairwise fan predicate and holds every Mori cone, so
-coarsens the Mori fan.  In the toric cases the whole object must agree with an
+the boundary stabilizer permutes the full fan's cones, which pass the pairwise
+fan predicate on the pairs with an orbit root and hold every Mori cone, so
+coarsen the Mori fan.  In the toric cases the whole object must agree with an
 independently computed GKZ secondary fan of the reflexive polygon.
 """
 from __future__ import annotations
@@ -271,13 +272,16 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     fan's walls are built once: the Mori fan and the moving groups each get
     their bogus cones from the walls met by one cone, is_complete reads the
     same map to prove each a complete fan, and movsec reads the Mori walls
-    too.  The smaller secondary fan also passes the pairwise fan predicate.
-    Coarsening is containment: movsec proved each chamber lies in its group's
-    hull, and each Mori bogus cone must lie in a secondary bogus cone.  That
-    proves it, as the two fans are complete: a point x inside a cone C of the
-    secondary fan lies in some Mori cone f, and f in some secondary C'; C cap
-    C' is a face of both with x inside, so full-dimensional, so C = C'.  The
-    Mori cones in C cover it.
+    too.  Right after its completion the full fan's Stab(B)-orbits are walked
+    and proved (stabilizer_orbits), so the returned full_fan carries them in
+    Fan.orbits for the bundle stage and the Weyl section, and the smaller
+    secondary fan passes the pairwise fan predicate on the pairs with an
+    orbit root (fan_check's lemma).  Coarsening is containment: movsec
+    proved each chamber lies in its group's hull, and each Mori bogus cone
+    must lie in a secondary bogus cone.  That proves it, as the two fans are
+    complete: a point x inside a cone C of the secondary fan lies in some
+    Mori cone f, and f in some secondary C'; C cap C' is a face of both with
+    x inside, so full-dimensional, so C = C'.  The Mori cones in C cover it.
     """
     chambers = build_chambers(lat, boundary)
     mori = mori_fan_K(lat)
@@ -285,12 +289,14 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     eff = effective_cone(lat)
     fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, (), "secondary fan")
-    rep = fan_check(fan)
+    bogus = list(fan.cones[len(groups):])
+    sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori, mov)
+    sec.full_fan = stabilizer_orbits(sec)
+    rep = fan_check(sec.full_fan)
     if not rep.is_fan:
         raise InternalInvariantError(
             f"secondary fan fails the fan predicate: {rep.violations[:3]}"
         )
-    bogus = list(fan.cones[len(groups):])
     for i in range(len(chambers), len(mori.cones)):
         # a host of the Mori cone holds its interior point: test that first
         c = mori.cones[i]
@@ -306,7 +312,7 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
             raise InternalInvariantError("bogus cone misses the canonical ray")
         if eff.contains_point(lat.canonical) or b.contains_point(anti):
             raise InternalInvariantError("canonical class misplaced relative to Eff")
-    return SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori, mov)
+    return sec
 
 
 def stabilizer_orbits(sec: SecondaryFan) -> Fan:
@@ -317,10 +323,14 @@ def stabilizer_orbits(sec: SecondaryFan) -> Fan:
     boundary_stabilizer, proves two facts: every image of a cone is a cone of
     the fan, and every cone of an orbit is in the movsec subfan exactly when
     the orbit's root is.  So each generator maps the finite cone set into,
-    hence onto, itself and the subfan onto itself, and so does Stab(B).
-    Otherwise InternalInvariantError names the cone, the generator and the
-    image.  A fan whose orbits are already set is returned as it is; with no
-    generators every cone is its own root.
+    hence onto, itself and the subfan onto itself, and so does Stab(B), a
+    group of unimodular maps fixing K.  Otherwise InternalInvariantError
+    names the cone, the generator and the image.  secondary_fan runs the walk
+    before its fan predicate, which then tests only the pairs with an orbit
+    root: for any pair {A, B} some w in Stab(B) has w.A = root(A), and A cap
+    B is a face of both cones exactly when w.A cap w.B is.  A fan whose
+    orbits are already set is returned as it is, so the Weyl section reads
+    that walk; with no generators every cone is its own root.
     """
     fan = sec.full_fan
     if len(fan.orbits) == len(fan.cones):

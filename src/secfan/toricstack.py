@@ -65,11 +65,6 @@ def _cone_in_fan(c: RationalCone, fan: Fan) -> bool:
     return any(is_face_of(c, top) for top in fan.cones) or c.dim == 0
 
 
-def _orbit_roots(fan: Fan) -> tuple[int, ...]:
-    """Each cone's orbit root: fan.orbits, then each further cone its own root."""
-    return fan.orbits + tuple(range(len(fan.orbits), len(fan.cones)))
-
-
 def decompose(inp: BundleInput) -> DecompositionCert:
     """Split every maximal ambient cone as sigma_1 + sigma_2 per the hypothesis.
 
@@ -85,11 +80,11 @@ def decompose(inp: BundleInput) -> DecompositionCert:
     face exactly when the rays of sigma tight on every facet tight on C's
     rays are C's rays.
 
-    The work runs once per orbit root of the ambient fan (Fan.orbits); every
-    other cone gets its root's outcome under its own label.  Lemma: let w
+    The work runs once per orbit root of the ambient fan (Fan.orbit_roots);
+    every other cone gets its root's outcome under its own label.  Lemma: let w
     map the ambient fan and the subfan onto themselves, unimodular and fixing
     each vector of the basis of L (for the secondary fan, w in the boundary
-    stabilizer: it fixes K, and stabilizer_orbits proved the rest).  Then w
+    stabilizer: it fixes K, and secondary_fan proved the rest).  Then w
     carries span(L), the rays outside it, faces, spans and sums of sigma onto
     those of w.sigma, and the subfan's cones and faces onto themselves, so it
     carries sigma_1 and sigma_2 of sigma onto those of w.sigma and each test
@@ -121,7 +116,7 @@ def decompose(inp: BundleInput) -> DecompositionCert:
     outcome: dict[int, str | tuple] = {}
     pieces = []
     failures = []
-    for idx, root in enumerate(_orbit_roots(inp.ambient)):
+    for idx, root in enumerate(inp.ambient.orbit_roots):
         if root == idx:
             outcome[idx] = split(inp.ambient.cones[idx])
         if isinstance(outcome[root], str):
@@ -153,7 +148,7 @@ def stabilizers(inp: BundleInput, cert: DecompositionCert) -> StabilizerReport:
         raise ValidationError("decomposition failed: " + "; ".join(cert.failures))
     rank = inp.rank
     out = []
-    for idx, (root, piece) in enumerate(zip(_orbit_roots(inp.ambient), cert.pieces)):
+    for idx, (root, piece) in enumerate(zip(inp.ambient.orbit_roots, cert.pieces)):
         if root == idx:
             s1, s2 = piece
             n1 = _cone_lattice_gens_in(s1, inp.sub_lattice, rank)

@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocycle_oracle import chamber_adjacency
 from secfan import cli as cli_module
@@ -500,17 +502,29 @@ def test_pipeline_is_byte_deterministic(tmp_path, p2_config):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+_json_scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
+_json_values = st.recursive(_json_scalars, lambda inner: st.one_of(
+    st.lists(inner), st.lists(st.text()),
+    st.dictionaries(st.text(), inner), st.dictionaries(st.integers(), inner)), max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_json_text_matches_the_stdlib_indented_dump(value):
+    assert cli_module.json_text(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
 def test_cache_put_reentrant_writer_publishes_whole_payloads(tmp_path, monkeypatch):
     # a second writer of the same key starts while the first is mid-write
     outer, inner = {"writer": "outer"}, {"writer": "inner"}
-    real_dump = json.dump
+    real_text = cli_module.json_text
 
-    def dump(obj, fh, **kwargs):
+    def text(obj):
         if obj is outer:
             cache_put(str(tmp_path), "k", "report", inner)
-        real_dump(obj, fh, **kwargs)
+        return real_text(obj)
 
-    monkeypatch.setattr(json, "dump", dump)
+    monkeypatch.setattr(cli_module, "json_text", text)
     cache_put(str(tmp_path), "k", "report", outer)
     monkeypatch.undo()
     assert json.loads((tmp_path / "report" / "k.json").read_text()) == outer
@@ -518,10 +532,10 @@ def test_cache_put_reentrant_writer_publishes_whole_payloads(tmp_path, monkeypat
 
 
 def test_cache_put_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
-    def dump(obj, fh, **kwargs):
+    def text(obj):
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", dump)
+    monkeypatch.setattr(cli_module, "json_text", text)
     with pytest.raises(OSError):
         cache_put(str(tmp_path), "k", "report", {})
     assert list((tmp_path / "report").iterdir()) == []
@@ -719,8 +733,8 @@ def test_weyl_section_at_k6():
 
 def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
     # mori_fan_K walks each chamber orbit once per lattice, from its first
-    # chamber; the Weyl section reads those orbits and walks no chamber orbit:
-    # only the boundary's W-orbit and the secondary fan's Stab(B)-orbits
+    # chamber; secondary_fan walks the boundary's W-orbit and the secondary
+    # fan's Stab(B)-orbits once, and the Weyl section walks nothing
     lat = PicLattice(4)
     keys = [c.classes for c in contractions(lat)]
     walks = []
@@ -741,13 +755,19 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
         walks.clear()
         sec = secondary.secondary_fan(lat, cycle)
         roots = sorted(set(sec.mori_fan.orbits))
-        # the chambers' orbits, then the bogus faces' orbits; none on a second boundary
-        assert walks[:len(roots)] == ([] if i else [(secondary, keys[r]) for r in roots])
+        fan = sec.full_fan
+        cone_roots = [(secondary, fan.cones[r].key()) for r in sorted(set(fan.orbits))]
+        assert len(fan.orbits) == len(fan.cones) and len(cone_roots) == 6
+        # the chambers' orbits, then the bogus faces' orbits; none on a second
+        # boundary; then the boundary's orbit and the cone orbits
+        mori, rest = walks[:-1 - len(cone_roots)], walks[-1 - len(cone_roots):]
+        assert mori[:len(roots)] == ([] if i else [(secondary, keys[r]) for r in roots])
+        assert (mori == []) == (i == 1)
+        assert rest == [(delpezzo, tuple(sorted(cycle.classes)))] + cone_roots
         walks.clear()
         cli_module.weyl_orbit_decomposition(lat, sec)
-        fan = secondary.stabilizer_orbits(sec)  # the walk is not cached: this one walks again
-        cone_roots = [(secondary, fan.cones[r].key()) for r in sorted(set(fan.orbits))]
-        assert walks == [(delpezzo, tuple(sorted(cycle.classes)))] + cone_roots * 2
+        assert secondary.stabilizer_orbits(sec) is fan  # the walked fan is read, not walked
+        assert walks == []
     boundary_stabilizer.cache_clear()
 
 
@@ -824,7 +844,7 @@ def _doctored(sec, how):
     ("drop"), dropped from the movsec subfan ("bogus"), or, for the first
     cone of a bogus orbit, replaced by a cone on another ray ("bend");
     returns it, the doctored cone and the cones of its orbit."""
-    fan = secondary.stabilizer_orbits(sec)
+    fan = sec.full_fan  # secondary_fan walked its orbits
     moving = sec.movsec_fan.cones
     i = next(i for i, r in enumerate(fan.orbits)
              if r != i and (how == "bogus") == (fan.cones[i] in moving))
@@ -880,11 +900,16 @@ def test_pipeline_exits_3_on_a_broken_weyl_invariant(tmp_path, how):
             "c.contractions = lambda lat: tuple(x for x in real(lat) if x.classes != e)\n"
         )
     else:
+        # secondary_fan walks the true fan's orbits, doctors it, and walks it again
         patch = (
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from test_cli import _doctored\n"
-            "real = c.secondary_fan\n"
-            f"c.secondary_fan = lambda lat, cycle: _doctored(real(lat, cycle), {how!r})[0]\n"
+            "import secfan.secondary as s\n"
+            "real = s.stabilizer_orbits\n"
+            "def walk(sec):\n"
+            "    sec.full_fan = real(sec)\n"
+            f"    return real(_doctored(sec, {how!r})[0])\n"
+            "s.stabilizer_orbits = walk\n"
         )
     stub = (
         "import sys\n"

@@ -378,6 +378,24 @@ def test_fan_check_keeps_a_facet_and_its_negative_apart(intersect_calls):
     assert intersect_calls == _left_by_dot_tables(fan) == []
 
 
+def test_fan_check_names_a_bad_pair_of_a_rotation_invariant_fan_by_its_orbit_root():
+    # the quadrants and the cone((1,0),(1,1)) inside the first, each rotated by
+    # quarter turns: the rotation permutes the cones, in two orbits
+    quarter = IntMat.from_rows([[0, -1], [1, 0]])
+    quadrants, slivers = [[(1, 0), (0, 1)]], [[(1, 0), (1, 1)]]
+    for orbit in (quadrants, slivers):
+        while len(orbit) < 4:
+            orbit.append([quarter.apply(r) for r in orbit[-1]])
+    fan = Fan(2, tuple(cone_from_rays(rays) for rays in quadrants + slivers), (),
+              (0, 0, 0, 0, 4, 4, 4, 4))
+    assert fan.orbit_roots == fan.orbits
+    rep = fan_check(fan)
+    assert rep.violations == [("cone0", "cone4", "intersection is not a common face")]
+    # with no orbits every pair is checked: each quadrant holds its sliver
+    assert fan_check(fan.with_orbits(())).violations == [
+        (f"cone{i}", f"cone{i + 4}", "intersection is not a common face") for i in range(4)]
+
+
 def test_single_quadrant_incomplete():
     f = Fan(2, (cone_from_rays([(1, 0), (0, 1)]),))
     assert not is_complete(f)

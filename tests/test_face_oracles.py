@@ -36,7 +36,13 @@ from secfan.delpezzo import (
     toric_boundary,
 )
 from secfan.lattice import IntMat, invariant_factors, primitive, rank_of
-from secfan.secondary import _complete_with_bogus, build_chambers, mori_fan_K, movsec
+from secfan.secondary import (
+    _complete_with_bogus,
+    build_chambers,
+    mori_fan_K,
+    movsec,
+    secondary_fan,
+)
 from secfan.toricstack import BundleInput, decompose
 
 
@@ -265,6 +271,23 @@ def test_fan_check_intersects_the_pairs_the_dot_tables_leave_on_the_criterion_11
         exact[name] = len(calls)
     assert exact == {"p2": 0, "quadric": 0, "f1": 0, "dp7": 2,
                      "hexagon": 30, "pentagon": 60, "square": 93}
+
+
+def test_fan_check_on_the_stabilizer_orbit_roots_agrees_on_the_criterion_11_fans():
+    # secondary_fan's full fan carries its Stab(B)-orbits: the pairs with an
+    # orbit root give the per-pair report, with fewer exact checks
+    exact = {}
+    for name, (lat, cycle) in _criterion_11_inputs():
+        full = secondary_fan(lat, cycle).full_fan
+        assert len(full.orbits) == len(full.cones), name
+        report, calls = _intersected(full)
+        assert report == fan_check(full.with_orbits(())) == FanReport(True), name
+        index, roots = {id(c): i for i, c in enumerate(full.cones)}, full.orbit_roots
+        assert all(roots[index[a]] == index[a] or roots[index[b]] == index[b]
+                   for a, b in calls), name
+        exact[name] = len(calls)
+    assert exact == {"p2": 0, "quadric": 0, "f1": 0, "dp7": 2,
+                     "hexagon": 17, "pentagon": 28, "square": 36}
 
 
 @pytest.mark.parametrize("name, exact", [("hexagon", 30), ("pentagon", 60)])

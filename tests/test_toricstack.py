@@ -168,7 +168,8 @@ def _sec_bundle_input(lat, cycle):
         tuple(g.cone for g in sec.groups),
         tuple(g.label() for g in sec.groups),
     )
-    return sec, BundleInput(sec.full_fan, mov, (lat.canonical,))
+    # per-cone pieces: every cone its own orbit root
+    return sec, BundleInput(sec.full_fan.with_orbits(()), mov, (lat.canonical,))
 
 
 @pytest.mark.parametrize("name", ["p2", "quadric", "f1", "dp7", "dp6"])
@@ -213,7 +214,7 @@ def test_build_tilde_hexagon_secondary():
         tuple(g.cone for g in sec.groups),
         tuple(g.label() for g in sec.groups),
     )
-    tf = build_tilde(BundleInput(sec.full_fan, mov, (lat.canonical,)))
+    tf = build_tilde(BundleInput(sec.full_fan.with_orbits(()), mov, (lat.canonical,)))
     assert len(tf.fan.cones) == sec.maximal_count
     # the addition map sends every lifted cone into a cone of the base fan
     for c in tf.fan.cones:
