@@ -12,7 +12,9 @@ lexicographic order.
 A pointed cone given by generators needs one sweep, not two: with its facets
 known, a generator is an extreme ray exactly when no other generator is tight
 on every facet it is tight on (the zero-set redundancy lemma in
-cone_from_rays), so the rays are read off the generators by bitset tests.
+_extreme_generators), so the rays are read off the generators by bitset
+tests.  Dually, a full-dimensional cone given by inequalities reads its facets
+off them once one sweep has found its rays (cone_from_inequalities).
 
 intersect resumes its first operand's double description and inserts only the
 second operand's constraints: any constraint set defining a cone, with each
@@ -177,18 +179,9 @@ def cone_from_rays(rays, ambient_rank: int | None = None, lineality=()) -> Ratio
     """Irredundant double description of the conic hull of the given generators.
 
     One sweep (V to H) gives the facets and span equations.  A pointed cone
-    then takes its rays from the generators, by the zero-set redundancy lemma:
-    after deduplicating primitive generators, the cone is pointed if and only
-    if no generator is tight on every facet, and then a generator g is an
-    extreme ray if and only if no other generator is tight on every facet g
-    is tight on.  Proof sketch: a face is cut out by the facets containing it,
-    and every face is generated by the generators lying in it.  The smallest
-    face containing g is cut out by the facets tight on g; it is the ray of g
-    exactly when no other primitive generator lies in it.  Likewise the
-    lineality space is the face cut out by all facets, nonzero exactly when
-    some generator lies in it.  A cone that is not pointed takes a second
-    sweep (H to V), whose lineality basis and rays modulo it are the stored
-    ones.
+    then takes its rays from the generators (_extreme_generators).  A cone
+    that is not pointed takes a second sweep (H to V), whose lineality basis
+    and rays modulo it are the stored ones.
 
     No rays and no lineality give zero_cone(ambient_rank), field for field, or
     ValidationError without ambient_rank.  A zero ray is refused (fan files too).
@@ -210,14 +203,8 @@ def cone_from_rays(rays, ambient_rank: int | None = None, lineality=()) -> Ratio
     dual_lin, dual_rays = dual_description(rays, lineality, n)
     equations, facets = tuple(dual_lin), tuple(dual_rays)
     if not any(any(l) for l in lineality):
-        gens = sorted(set(primitive(r) for r in rays))
-        # per facet, the bitset of generators tight on it
-        tight = [sum(1 << i for i, g in enumerate(gens) if vec_dot(f, g) == 0) for f in facets]
-        everyone = (1 << len(gens)) - 1
-        if not reduce(and_, tight, everyone):
-            # g is extreme when the generators tight on all of g's facets are g alone
-            extreme = tuple(g for i, g in enumerate(gens)
-                            if reduce(and_, (t for t in tight if t >> i & 1), everyone) == 1 << i)
+        extreme = _extreme_generators(rays, facets)
+        if extreme is not None:
             return RationalCone(n, extreme, facets, equations)
     lin2, rays2 = dual_description(facets, equations, n)
     return RationalCone(
@@ -229,7 +216,43 @@ def cone_from_rays(rays, ambient_rank: int | None = None, lineality=()) -> Ratio
     )
 
 
+def _extreme_generators(gens, facets) -> tuple[IntVec, ...] | None:
+    """The extreme rays among the nonzero generators of a cone with the given
+    facets, primitive and lex-sorted, or None when the cone is not pointed.
+
+    Zero-set redundancy lemma: after deduplicating primitive generators, the
+    cone is pointed if and only if no generator is tight on every facet, and
+    then a generator g is an extreme ray if and only if no other generator is
+    tight on every facet g is tight on.  Proof sketch: a face is cut out by
+    the facets containing it, and every face is generated by the generators
+    lying in it.  The smallest face containing g is cut out by the facets
+    tight on g; it is the ray of g exactly when no other primitive generator
+    lies in it.  Likewise the lineality space is the face cut out by all
+    facets, nonzero exactly when some generator lies in it.  Any constraints
+    defining the cone will do for facets, redundant ones included.
+    """
+    gens = sorted(set(primitive(g) for g in gens if any(g)))
+    # per facet, the bitset of generators tight on it
+    tight = [sum(1 << i for i, g in enumerate(gens) if vec_dot(f, g) == 0) for f in facets]
+    everyone = (1 << len(gens)) - 1
+    if reduce(and_, tight, everyone):
+        return None
+    # g is extreme when the generators tight on all of g's facets are g alone
+    return tuple(g for i, g in enumerate(gens)
+                 if reduce(and_, (t for t in tight if t >> i & 1), everyone) == 1 << i)
+
+
 def cone_from_inequalities(facets, equations=(), ambient_rank: int | None = None) -> RationalCone:
+    """The cone {x : f.x >= 0 for f in facets, e.x = 0 for e in equations}.
+
+    One sweep (H to V) gives the lineality and rays.  Without equations, the
+    result's facets are the extreme rays of its dual cone, the conic hull of
+    the given facets, whose constraints are the result's rays and lineality;
+    so when that dual is pointed (the result is full-dimensional) they are
+    read off the given facets (_extreme_generators).  A pointed result is then
+    complete, and a lineal one takes the same second sweep as cone_from_rays.
+    Otherwise the rays go through cone_from_rays.
+    """
     facets = [vec(f) for f in facets]
     equations = [vec(e) for e in equations]
     if ambient_rank is None:
@@ -237,7 +260,13 @@ def cone_from_inequalities(facets, equations=(), ambient_rank: int | None = None
             raise ValidationError("ambient rank required for the unconstrained cone")
         ambient_rank = len((facets + equations)[0])
     lin, rays = dual_description(facets, equations, ambient_rank)
-    return cone_from_rays(rays, ambient_rank, lineality=lin)
+    # the dual's constraints are the rays and +-lineality, tight on every facet
+    outer = None if equations or not rays else _extreme_generators(facets, rays)
+    if outer is None:
+        return cone_from_rays(rays, ambient_rank, lineality=lin)
+    if lin:
+        lin, rays = dual_description(outer, (), ambient_rank)
+    return RationalCone(ambient_rank, tuple(rays), outer, (), tuple(lin))
 
 
 def zero_cone(ambient_rank: int) -> RationalCone:

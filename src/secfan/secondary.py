@@ -676,40 +676,6 @@ def _orient(a, b, c) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _on_segment(p, a, b) -> bool:
-    if _orient(a, b, p) != 0:
-        return False
-    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-
-
-def _segments_cross(a, b, c, d) -> bool:
-    """Segments ab and cd intersect at a point that is not a common endpoint."""
-    shared = {a, b} & {c, d}
-    if len(shared) == 2:
-        return True
-    if len(shared) == 1:
-        s = next(iter(shared))
-        p = a if b == s else b
-        q = c if d == s else d
-        if _orient(s, p, q) == 0:
-            # colinear from the shared endpoint: overlap iff same direction
-            return (p[0] - s[0]) * (q[0] - s[0]) + (p[1] - s[1]) * (q[1] - s[1]) > 0
-        return False
-    o1, o2 = _orient(a, b, c), _orient(a, b, d)
-    o3, o4 = _orient(c, d, a), _orient(c, d, b)
-    if o1 == 0 and o2 == 0:
-        # colinear segments: cross iff they overlap in more than a point
-        lo1, hi1 = sorted((a, b))
-        lo2, hi2 = sorted((c, d))
-        return max(lo1, lo2) < min(hi1, hi2)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        return True
-    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-        if p not in (u, v) and _on_segment(p, u, v):
-            return True
-    return False
-
-
 def _hull_vertices(points) -> list[int]:
     """Indices of the convex hull corners (strict vertices), counterclockwise."""
     idx = sorted(range(len(points)), key=lambda i: points[i])
@@ -741,85 +707,65 @@ def _point_in_triangle(p, a, b, c) -> bool:
 def _triangulations_of_subset(points, used: tuple[int, ...], hull_area: int) -> list[frozenset]:
     """All triangulations with vertex set exactly `used`, as sets of triangles.
 
-    A triangulation of a planar point set is a maximal set of pairwise
-    non-crossing edges (De Loera-Rambau-Santos, *Triangulations*, ch. 2), so
-    this lists the maximal independent sets of the crossing graph on the
-    candidate edges: the segments between used points that pass through no
-    other used point.  Edge t carries the bitmask cross[t] of the edges it
-    crosses.  A partial set is a pair of bitmasks (chosen, blocked), blocked
-    being the union of cross over chosen: edge t extends it when bit t of
-    blocked is clear, and it is maximal when chosen | blocked covers every
-    edge.  The triangles of a maximal set (edge triples with no used point
-    inside) must tile the hull, of doubled area `hull_area`; a set that does
-    not is a broken invariant, not a skipped candidate.
+    Triangles are placed one at a time (De Loera-Rambau-Santos,
+    *Triangulations*, ch. 3).  The front holds directed edges with placed
+    triangles (or the outside) on their right and uncovered hull on their
+    left; it starts as the hull boundary, counterclockwise through every used
+    point on it.  The least front edge (a, b) gets abc for each used c
+    strictly on its left whose closed triangle holds no other used point and
+    whose new sides properly cross no placed edge (once triangles are empty,
+    sides overlapping in more than a point are equal, so orientation signs
+    decide).  abc removes (a, b) and each side on the front the other way
+    round; its other sides join the front reversed.  An empty front is a
+    triangulation; one that does not tile the hull (doubled area `hull_area`)
+    is a broken invariant.
+
+    Lemma: the two tests keep placed interiors disjoint (empty triangles whose
+    interiors meet are equal or have crossing sides, and ab crosses no placed
+    edge), so neither (c, b) nor (a, c) is ever on the front.  A triangulation
+    holding the placed triangles has each front edge as an edge and exactly
+    one unplaced triangle on its left, which passes both tests: each step
+    extends towards it in one way, so each triangulation is reached once.
     """
     pts = points
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(used, 2)
-        if not any(c != a and c != b and _on_segment(pts[c], pts[a], pts[b]) for c in used)
-    ]
-    m = len(edges)
-    cross = [0] * m
-    for i, j in itertools.combinations(range(m), 2):
-        (a, b), (c, d) = edges[i], edges[j]
-        if _segments_cross(pts[a], pts[b], pts[c], pts[d]):
-            cross[i] |= 1 << j
-            cross[j] |= 1 << i
-    full = (1 << m) - 1
-    results = []
-
-    def grow(chosen, blocked, start):
-        free = (~blocked >> start << start) & full
-        if not free:
-            # maximal among edges with index >= start; confirm global maximality
-            if chosen | blocked == full:
-                results.append(chosen)
-            return
-        while free:
-            bit = free & -free
-            t = bit.bit_length() - 1
-            grow(chosen | bit, blocked | cross[t], t + 1)
-            free ^= bit
-
-    grow(0, 0, 0)
+    corners = _hull_vertices(pts)  # used holds them: its hull is the configuration's
+    ring = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        (px, py), (qx, qy) = pts[p], pts[q]
+        ring += sorted((u for u in used if u != q and _orient(pts[p], pts[q], pts[u]) == 0),
+                       key=lambda u: (pts[u][0] - px) * (qx - px) + (pts[u][1] - py) * (qy - py))
     out = []
-    for chosen in results:
-        edge_set = {edges[t] for t in range(m) if chosen >> t & 1}
-        tris = _faces_of_edge_set(pts, used, edge_set)
-        # a maximal non-crossing edge set is a triangulation: its triangles tile the hull
-        if sum(_triangle_area2(pts[a], pts[b], pts[c]) for a, b, c in tris) != hull_area:
-            raise InternalInvariantError(
-                f"maximal non-crossing edge set {sorted(edge_set)} does not tile the hull"
-            )
-        out.append(frozenset(tris))
+
+    def crosses(p, q, r, s):
+        return (_orient(p, q, r) * _orient(p, q, s) < 0
+                and _orient(r, s, p) * _orient(r, s, q) < 0)
+
+    def place(front, edges, tris):
+        if not front:
+            if sum(_triangle_area2(*(pts[v] for v in t)) for t in tris) != hull_area:
+                raise InternalInvariantError(f"triangles {sorted(tris)} do not tile the hull")
+            out.append(frozenset(tris))
+            return
+        a, b = min(front)
+        pa, pb = pts[a], pts[b]
+        for c in used:
+            pc = pts[c]
+            if (_orient(pa, pb, pc) <= 0
+                    or any(_point_in_triangle(pts[d], pa, pb, pc) for d in used if d not in (a, b, c))
+                    or any(crosses(pts[x], pts[y], pts[u], pts[v])
+                           for x, y in ((b, c), (c, a)) for u, v in edges)):
+                continue
+            sides = ((b, c), (c, a))
+            place((front - {(a, b), *sides}) | {(y, x) for x, y in sides if (x, y) not in front},
+                  edges + list(sides), tris + [tuple(sorted((a, b, c)))])
+
+    place(set(zip(ring, ring[1:] + ring[:1])), [], [])
     return out
 
 
-def _faces_of_edge_set(points, used, edges) -> list[tuple[int, int, int]]:
-    """Triangles of a non-crossing edge set with no used point inside them."""
-    # no three collinear used points are pairwise joined: the outer segment holds the middle one
-    tris = []
-    for tri in itertools.combinations(sorted(used), 3):
-        a, b, c = tri
-        if not ((a, b) in edges and (b, c) in edges and (a, c) in edges):
-            continue
-        if any(d not in tri and _strictly_inside(points[d], points[a], points[b], points[c])
-               for d in used):
-            continue
-        tris.append(tri)
-    return tris
-
-
-def _strictly_inside(p, a, b, c) -> bool:
-    s1, s2, s3 = _orient(a, b, p), _orient(b, c, p), _orient(c, a, p)
-    if _orient(a, b, c) < 0:
-        s1, s2, s3 = -s1, -s2, -s3
-    return s1 > 0 and s2 > 0 and s3 > 0
-
-
 def all_triangulations(points) -> list[frozenset]:
-    """Every triangulation of the configuration (unused points allowed)."""
+    """Every triangulation of the configuration (unused points allowed), sorted:
+    per set of used points holding the hull corners, those placed on it."""
     points = [tuple(p) for p in points]
     if len(set(points)) != len(points):
         raise ValidationError("configuration points must be distinct")

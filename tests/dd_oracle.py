@@ -11,6 +11,11 @@ generators to facets and back (V to H to V) with two double-description
 sweeps, where secfan.cones.cone_from_rays reads a pointed cone's rays off the
 generators after the first.
 
+cone_from_inequalities_by_three_sweeps is the earlier cone_from_inequalities:
+it passes the rays of its H to V sweep to cone_from_rays (V to H, and H to V
+again when the result is lineal), where secfan.cones.cone_from_inequalities
+reads a full-dimensional result's facets off the given inequalities.
+
 intersect_from_facets is the earlier intersect: it sweeps the equations and
 facets of both cones from scratch, where secfan.cones.intersect resumes the
 first cone's double description and inserts only the second cone's.
@@ -125,6 +130,11 @@ def cone_from_rays_two_sweeps(rays, ambient_rank: int | None = None, lineality=(
         equations=equations,
         lineality=tuple(sorted(set(sign_normalized(l) for l in lin2))),
     )
+
+
+def cone_from_inequalities_by_three_sweeps(facets, equations, ambient_rank: int) -> RationalCone:
+    lin, rays = cones.dual_description(facets, equations, ambient_rank)
+    return cones.cone_from_rays(rays, ambient_rank, lineality=lin)
 
 
 def intersect_from_facets(a: RationalCone, b: RationalCone) -> RationalCone:

@@ -1,4 +1,4 @@
-"""Earlier GKZ kernels, kept as test oracles for the integer and bitset ones.
+"""Earlier GKZ kernels, kept as test oracles for the integer and placing ones.
 
 regular_subdivision_by_fractions evaluates every point's lexicographic height
 key against the affine interpolation on each triangle in Fraction arithmetic.
@@ -6,9 +6,16 @@ triangulations_of_subset_by_edge_lists grows every non-crossing edge list one
 edge at a time and tests extendability and global maximality by scanning the
 set of crossing pairs.  all_triangulations_by_edge_lists runs it over every
 set of used points, as secfan.secondary.all_triangulations does.
+triangulations_of_subset_by_bitsets lists the maximal independent sets of
+the crossing graph with one bitmask per edge; all_triangulations_by_bitsets
+is secfan.secondary.all_triangulations with it in place of the placing
+kernel.  The segment helpers _on_segment, _segments_cross and
+_strictly_inside serve these kernels alone.
 
-These are the earlier code verbatim but for one fix: the hull area that
-_faces_of_edge_set compares against.  The earlier code summed a fan of
+These are the earlier code verbatim but for a rename and one fix.  The
+bitset kernel's _faces_of_edge_set is _faces_of_bitset_edge_set here, beside
+the edge-list kernel's own.  The fix is to the hull area that the edge-list
+kernel's _faces_of_edge_set compares against.  The earlier code summed a fan of
 triangles over the hull corners in index order, which is not the cyclic
 order in general: for the unit square listed as (0,0), (1,1), (1,0), (0,1)
 that sum is 0, so no triangulation was found.  _hull_area2 here sums the
@@ -18,17 +25,45 @@ every point on their left or on them.
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
-from secfan.errors import ValidationError
-from secfan.secondary import (
-    _hull_vertices,
-    _on_segment,
-    _orient,
-    _point_in_triangle,
-    _segments_cross,
-    _strictly_inside,
-    _triangle_area2,
-)
+from secfan import secondary
+from secfan.errors import InternalInvariantError, ValidationError
+from secfan.secondary import _hull_vertices, _orient, _point_in_triangle, _triangle_area2
+
+
+def _on_segment(p, a, b) -> bool:
+    if _orient(a, b, p) != 0:
+        return False
+    return min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def _segments_cross(a, b, c, d) -> bool:
+    """Segments ab and cd intersect at a point that is not a common endpoint."""
+    shared = {a, b} & {c, d}
+    if len(shared) == 2:
+        return True
+    if len(shared) == 1:
+        s = next(iter(shared))
+        p = a if b == s else b
+        q = c if d == s else d
+        if _orient(s, p, q) == 0:
+            # colinear from the shared endpoint: overlap iff same direction
+            return (p[0] - s[0]) * (q[0] - s[0]) + (p[1] - s[1]) * (q[1] - s[1]) > 0
+        return False
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
+    if o1 == 0 and o2 == 0:
+        # colinear segments: cross iff they overlap in more than a point
+        lo1, hi1 = sorted((a, b))
+        lo2, hi2 = sorted((c, d))
+        return max(lo1, lo2) < min(hi1, hi2)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
+        if p not in (u, v) and _on_segment(p, u, v):
+            return True
+    return False
 
 
 def regular_subdivision_by_fractions(points, heights, tie_break=None):
@@ -175,3 +210,90 @@ def all_triangulations_by_edge_lists(points) -> list[frozenset]:
                     seen.add(tri)
                     out.append(tri)
     return sorted(out, key=sorted)
+
+
+def triangulations_of_subset_by_bitsets(points, used: tuple[int, ...], hull_area: int) -> list[frozenset]:
+    """All triangulations with vertex set exactly `used`, as sets of triangles.
+
+    A triangulation of a planar point set is a maximal set of pairwise
+    non-crossing edges (De Loera-Rambau-Santos, *Triangulations*, ch. 2), so
+    this lists the maximal independent sets of the crossing graph on the
+    candidate edges: the segments between used points that pass through no
+    other used point.  Edge t carries the bitmask cross[t] of the edges it
+    crosses.  A partial set is a pair of bitmasks (chosen, blocked), blocked
+    being the union of cross over chosen: edge t extends it when bit t of
+    blocked is clear, and it is maximal when chosen | blocked covers every
+    edge.  The triangles of a maximal set (edge triples with no used point
+    inside) must tile the hull, of doubled area `hull_area`; a set that does
+    not is a broken invariant, not a skipped candidate.
+    """
+    pts = points
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(used, 2)
+        if not any(c != a and c != b and _on_segment(pts[c], pts[a], pts[b]) for c in used)
+    ]
+    m = len(edges)
+    cross = [0] * m
+    for i, j in itertools.combinations(range(m), 2):
+        (a, b), (c, d) = edges[i], edges[j]
+        if _segments_cross(pts[a], pts[b], pts[c], pts[d]):
+            cross[i] |= 1 << j
+            cross[j] |= 1 << i
+    full = (1 << m) - 1
+    results = []
+
+    def grow(chosen, blocked, start):
+        free = (~blocked >> start << start) & full
+        if not free:
+            # maximal among edges with index >= start; confirm global maximality
+            if chosen | blocked == full:
+                results.append(chosen)
+            return
+        while free:
+            bit = free & -free
+            t = bit.bit_length() - 1
+            grow(chosen | bit, blocked | cross[t], t + 1)
+            free ^= bit
+
+    grow(0, 0, 0)
+    out = []
+    for chosen in results:
+        edge_set = {edges[t] for t in range(m) if chosen >> t & 1}
+        tris = _faces_of_bitset_edge_set(pts, used, edge_set)
+        # a maximal non-crossing edge set is a triangulation: its triangles tile the hull
+        if sum(_triangle_area2(pts[a], pts[b], pts[c]) for a, b, c in tris) != hull_area:
+            raise InternalInvariantError(
+                f"maximal non-crossing edge set {sorted(edge_set)} does not tile the hull"
+            )
+        out.append(frozenset(tris))
+    return out
+
+
+def _faces_of_bitset_edge_set(points, used, edges) -> list[tuple[int, int, int]]:
+    """Triangles of a non-crossing edge set with no used point inside them."""
+    # no three collinear used points are pairwise joined: the outer segment holds the middle one
+    tris = []
+    for tri in itertools.combinations(sorted(used), 3):
+        a, b, c = tri
+        if not ((a, b) in edges and (b, c) in edges and (a, c) in edges):
+            continue
+        if any(d not in tri and _strictly_inside(points[d], points[a], points[b], points[c])
+               for d in used):
+            continue
+        tris.append(tri)
+    return tris
+
+
+def _strictly_inside(p, a, b, c) -> bool:
+    s1, s2, s3 = _orient(a, b, p), _orient(b, c, p), _orient(c, a, p)
+    if _orient(a, b, c) < 0:
+        s1, s2, s3 = -s1, -s2, -s3
+    return s1 > 0 and s2 > 0 and s3 > 0
+
+
+def all_triangulations_by_bitsets(points) -> list[frozenset]:
+    """secfan.secondary.all_triangulations, run with the bitset kernel."""
+    with mock.patch.object(secondary, "_triangulations_of_subset",
+                           triangulations_of_subset_by_bitsets):
+        return secondary.all_triangulations(points)

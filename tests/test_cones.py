@@ -710,3 +710,17 @@ def test_mori_chamber_runs_two_sweeps(sweeps):
 
     lat = PicLattice(4)
     assert [sweeps(mori_chamber, lat, c) for c in contractions(lat)[:6]] == [2] * 6
+
+
+def test_full_dimensional_cone_from_inequalities_reads_its_facets_off_them(sweeps):
+    from secfan.secondary import all_triangulations, secondary_cone
+
+    # pointed: the H-to-V sweep alone; lineal: the second sweep of cone_from_rays
+    assert sweeps(cone_from_inequalities, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]) == 1
+    assert sweeps(cone_from_inequalities, [(1, 0)], ambient_rank=2) == 2
+    # equations, given or implied, go through cone_from_rays as before
+    assert sweeps(cone_from_inequalities, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)]) == 2
+    assert sweeps(cone_from_inequalities, [(1, 0), (-1, 0)], ambient_rank=2) == 3
+    # a GKZ secondary cone holds the affine functions as lineality
+    square = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]
+    assert [sweeps(secondary_cone, square, t) for t in all_triangulations(square)] == [2] * 4

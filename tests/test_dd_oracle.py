@@ -1,6 +1,7 @@
 """The adjacency-tested double-description kernel against the rank-filter kernel it
-replaced, the resumed intersect against the from-scratch one, and
-RationalCone.dim against the rank of the generators."""
+replaced, the resumed intersect against the from-scratch one,
+cone_from_inequalities against its three-sweep form, and RationalCone.dim
+against the rank of the generators."""
 
 from unittest import mock
 
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dd_oracle import cone_from_rays_two_sweeps, dual_description_by_rank_filter, intersect_from_facets
+from dd_oracle import (
+    cone_from_inequalities_by_three_sweeps,
+    cone_from_rays_two_sweeps,
+    dual_description_by_rank_filter,
+    intersect_from_facets,
+)
 from secfan import cones
 from secfan.cones import cone_from_inequalities, cone_from_rays, dual_description, faces, intersect, zero_cone
 from secfan.lattice import rank_of
@@ -71,6 +77,15 @@ def test_one_sweep_cone_from_rays_matches_two_sweeps(v):
     rays, lin, n = v
     new = cone_from_rays(rays, n, lineality=lin)
     assert _four_tuples(new) == _four_tuples(cone_from_rays_two_sweeps(rays, n, lineality=lin))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h_descriptions())
+def test_cone_from_inequalities_matches_three_sweeps(h):
+    ineqs, eqs, n = h
+    for e in (eqs, ()):  # without equations, a full-dimensional result skips a sweep
+        new = cone_from_inequalities(ineqs, e, n)
+        assert _four_tuples(new) == _four_tuples(cone_from_inequalities_by_three_sweeps(ineqs, e, n))
 
 
 @st.composite
