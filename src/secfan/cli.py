@@ -35,7 +35,7 @@ from .delpezzo import (
     toric_boundary,
     validate_boundary,
 )
-from .disk import fan_triangulation, triangulation_with_flips
+from .disk import triangulation_with_flips
 from .errors import InternalInvariantError, ValidationError
 from .lattice import rank_of
 from .secondary import (
@@ -241,7 +241,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     Blowups with k >= 2 get a "weyl" section.  workers has no effect.
     """
     sec = secondary_fan(lat, cycle)  # its full fan carries the proved Stab(B)-orbits
-    grouping_by_triangulation(sec.chambers)
+    grouping_by_triangulation(sec)
     battery = cocycle_battery(sec) \
         if cycle.n >= 3 else {"ok": True, "pairs": 0, "loops": 0, "points": 0, "failures": []}
     strata = one_stratum_report(sec)
@@ -395,7 +395,7 @@ def report_markdown(report: dict) -> str:
 
 def theta_table_csv(n: int, flips, level: int) -> str:
     """One row per level basis point with the degree-one products landing on it."""
-    ring = UmbrellaRing(n, triangulation_with_flips(n, flips) if flips else fan_triangulation(n))
+    ring = UmbrellaRing(n, triangulation_with_flips(n, flips))
     comp = ring.complex
     basis = comp.points_at_level(level)
     lower = comp.points_at_level(level - 1) if level >= 1 else []

@@ -220,15 +220,15 @@ class GammaComplex:
                     seen[(p.cell, p.coords)] = p
         return sorted(seen.values(), key=lambda p: (p.cell, p.coords))
 
-    def vertex_point(self, label: int, value: int = 1) -> GammaPoint:
-        reps = self._ray_reps(label, value)
+    def vertex_point(self, label: int) -> GammaPoint:
+        reps = self._ray_reps(label, 1)
         if not reps:
             raise ValidationError(f"no vertex labeled {label}")
         best = min(reps)
         return GammaPoint(self.n, best[0], best[1])
 
-    def center_point(self, value: int = 1) -> GammaPoint:
-        return self.vertex_point(0, value)
+    def center_point(self) -> GammaPoint:
+        return self.vertex_point(0)
 
     def is_boundary(self, p: GammaPoint) -> bool:
         """True when the point lies in the cone over the boundary circle."""

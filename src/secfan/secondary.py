@@ -55,7 +55,6 @@ from .delpezzo import (
     weyl_generators,
 )
 from .disk import (
-    DiskTriangulation,
     GammaPoint,
     fan_chart_data,
     fan_triangulation,
@@ -80,7 +79,6 @@ class Chamber:
     contraction: Contraction
     cone: RationalCone
     boundary_exc: frozenset[int]  # 1-based boundary indices
-    triangulation: DiskTriangulation
 
 
 def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list[int]]:
@@ -180,14 +178,14 @@ def mori_fan_K(lat: PicLattice) -> Fan:
 
 def build_chambers(lat: PicLattice, boundary: BoundaryCycle) -> list[Chamber]:
     """The chambers of mori_fan_K(lat), in its order, each with the boundary
-    components its contraction contracts and the triangulation flipped at them."""
+    components its contraction contracts."""
     rep = validate_boundary(lat, boundary)
     if not rep.valid:
         raise ValidationError("; ".join(rep.diagnostics))
     out = []
     for con, cone in zip(contractions(lat), mori_fan_K(lat).cones):
         exc = frozenset(i + 1 for i, cls in enumerate(boundary.classes) if cls in con.classes)
-        out.append(Chamber(con, cone, exc, triangulation_with_flips(boundary.n, exc)))
+        out.append(Chamber(con, cone, exc))
     return out
 
 
@@ -306,11 +304,13 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
                 f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
             )
     # bogus cones contain K and touch Eff only along their base face
+    if eff.contains_point(lat.canonical):
+        raise InternalInvariantError("canonical class misplaced relative to Eff")
     anti = vec_scale(-1, lat.canonical)
     for b in bogus:
         if not b.contains_point(lat.canonical):
             raise InternalInvariantError("bogus cone misses the canonical ray")
-        if eff.contains_point(lat.canonical) or b.contains_point(anti):
+        if b.contains_point(anti):
             raise InternalInvariantError("canonical class misplaced relative to Eff")
     return sec
 
@@ -357,21 +357,19 @@ def stabilizer_orbits(sec: SecondaryFan) -> Fan:
     return fan.with_orbits(roots)
 
 
-def grouping_by_triangulation(chambers: list[Chamber]) -> dict:
-    """Partition of chamber ids by triangulation; must match the exceptional grouping."""
-    by_tri: dict = {}
-    for i, ch in enumerate(chambers):
-        by_tri.setdefault(ch.triangulation.canonical_key(), []).append(i)
-    by_exc: dict = {}
-    for i, ch in enumerate(chambers):
-        by_exc.setdefault(ch.boundary_exc, []).append(i)
-    tri_parts = sorted(tuple(v) for v in by_tri.values())
-    exc_parts = sorted(tuple(v) for v in by_exc.values())
-    if tri_parts != exc_parts:
-        raise InternalInvariantError(
-            "triangulation grouping disagrees with the boundary-exceptional grouping"
-        )
-    return by_tri
+def grouping_by_triangulation(sec: SecondaryFan) -> dict:
+    """Disk triangulation's canonical key -> chamber ids, one triangulation per
+    moving group: a chamber's is the fan triangulation flipped at its
+    boundary_exc, the key movsec groups by, so this partition is the exceptional
+    one exactly when no two groups share a key.  InternalInvariantError names two that do."""
+    first: dict = {}  # canonical key -> index of the first group with it
+    for i, g in enumerate(sec.groups):
+        j = first.setdefault(triangulation_with_flips(sec.boundary.n, g.key).canonical_key(), i)
+        if j != i:
+            raise InternalInvariantError(
+                f"moving groups {sec.groups[j].label()} (group {j}) and {g.label()} (group {i})"
+                " have the same disk triangulation")
+    return {key: sec.groups[i].member_ids for key, i in first.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +648,7 @@ def one_stratum_report(sec: SecondaryFan) -> list[dict]:
         if ids[0] < n_mov <= ids[-1]:
             owner[rays] = sec.groups[ids[0]]
     shadows = [("moving", tuple(sorted(g.key)),
-                sec.chambers[g.member_ids[0]].triangulation.canonical_key()) for g in sec.groups]
+                triangulation_with_flips(sec.boundary.n, g.key).canonical_key()) for g in sec.groups]
     shadows += [("bogus", face, (tuple(sorted(owner[face].key)),), "theta-drop-center")
                 for face in sec.bogus_faces]
 

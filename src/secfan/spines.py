@@ -203,11 +203,11 @@ def crossing_class(aff: AffineStructure, s: Spine, classes=None):
     return tuple(out)
 
 
-def count(aff: AffineStructure, s: Spine, gamma, classes=None) -> int:
+def count(aff: AffineStructure, s: Spine, gamma) -> int:
     """1 when the spine is balanced and gamma is its crossing class, else 0."""
     if not is_balanced(aff, s):
         return 0
-    return 1 if tuple(gamma) == crossing_class(aff, s, classes) else 0
+    return 1 if tuple(gamma) == crossing_class(aff, s) else 0
 
 
 # ---------------------------------------------------------------------------

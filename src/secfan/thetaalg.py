@@ -206,15 +206,14 @@ def weight(p: GammaPoint) -> tuple[int, ...]:
 # theta divisor checks
 
 
-def theta_divisor_checks(n: int, tri: DiskTriangulation | None = None) -> dict:
+def theta_divisor_checks(n: int) -> dict:
     """Evaluate Theta = sum of degree-one thetas at the nodes and the cone point.
 
     At the node over boundary vertex v_i only theta_{v_i} survives; at the cone
     point only the center theta survives.  Dropping the center theta breaks the
     cone-point check, as the degenerate-stratum variant should.
     """
-    tri = tri or fan_triangulation(n)
-    comp = gamma_complex(tri)
+    comp = gamma_complex(fan_triangulation(n))
     level1 = comp.points_at_level(1)
 
     def survives_on_ray(p: GammaPoint, label: int) -> bool:

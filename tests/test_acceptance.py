@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from wall_map_oracles import grouping_by_chamber_triangulations
 from secfan.cli import weyl_orbit_decomposition
 from secfan.cones import Fan, cone_from_rays, cones_tile, fan_check, is_coarsening, is_complete
 from secfan.delpezzo import (
@@ -241,9 +242,10 @@ def test_criterion_06_triangulation_grouping_exhaustive_deg5_deg6():
     checked = 0
     for lat, cycles in ((lat6, hexes), (lat5, pentagons)):
         for cycle in cycles:
-            chambers = build_chambers(lat, cycle)
-            grouping_by_triangulation(chambers)  # hard failure on mismatch
-            checked += 1
+            sec = secondary_fan(lat, cycle)
+            # hard failure on mismatch; the per-chamber oracle gives the same partition
+            if grouping_by_triangulation(sec) == grouping_by_chamber_triangulations(sec.chambers, cycle.n):
+                checked += 1
     report(
         "criterion 6: triangulation grouping = exceptional grouping, degrees 5 and 6",
         checked == len(hexes) + len(pentagons) and len(hexes) == 1 and len(pentagons) == 12,

@@ -597,6 +597,45 @@ def test_build_report_verifies_each_fact_once(monkeypatch, cold_mori_fan):
         "mori_is_fan", "secondary_is_fan", "secondary_complete", "coarsens_mori"))
 
 
+def test_disk_triangulations_are_built_per_moving_group(monkeypatch):
+    built = []
+    real = secondary.triangulation_with_flips
+
+    def counted(n, flips):
+        built.append(frozenset(flips))
+        return real(n, flips)
+
+    monkeypatch.setattr(secondary, "triangulation_with_flips", counted)
+    lat = PicLattice(4)
+    cycle = minus_one_cycles(lat, 5)[0]
+    secondary.secondary_fan(lat, cycle)
+    assert built == []
+    _, sec = build_report(lat, cycle)
+    assert (len(sec.chambers), sec.moving_count) == (76, 11)
+    # one for the grouping proof, one for the moving shadows of the one-stratum report
+    assert sorted(built, key=sorted) == sorted([g.key for g in sec.groups] * 2, key=sorted)
+
+
+# {E_4, -K-E_4}: a two-component cycle, where the disk has no flips
+TWO_CYCLE = {"k": 4, "cycle": [[0, 0, 0, 0, 1], [3, -1, -1, -1, -2]]}
+
+
+def test_a_two_cycle_gets_a_proved_secondary_fan_and_pipeline_exits_2(tmp_path):
+    lat = PicLattice(4)
+    sec = secondary.secondary_fan(lat, BoundaryCycle(tuple(map(tuple, TWO_CYCLE["cycle"]))))
+    assert (len(sec.chambers), sec.moving_count, sec.bogus_count) == (76, 2, 13)
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps(TWO_CYCLE))
+    res = CliRunner().invoke(cli, ["fan", "secondary", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["cones"]) == 15
+    # the grouping builds the flipped disk of group mov[1], which needs n >= 3
+    proc = subprocess.run([sys.executable, "-m", "secfan.cli", "pipeline", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "flips need at least three boundary vertices" in proc.stderr
+
+
 BOUNDARIES = {
     "hexagon": hexagon_boundary,
     "pentagon": lambda: (PicLattice(4), minus_one_cycles(PicLattice(4), 5)[0]),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cocycle_oracle import chamber_adjacency
+from wall_map_oracles import grouping_by_chamber_triangulations
 from secfan import secondary
 from secfan.cones import (
     Fan,
@@ -35,7 +37,7 @@ from secfan.delpezzo import (
     toric_boundary,
     weyl_generators,
 )
-from secfan.disk import fan_point, fan_triangulation, gamma_complex
+from secfan.disk import fan_point, fan_triangulation, gamma_complex, triangulation_with_flips
 from secfan.errors import InternalInvariantError, ValidationError
 from secfan.secondary import (
     all_triangulations,
@@ -290,19 +292,31 @@ def test_secondary_fan_degree5_strictly_coarser():
 
 def test_grouping_by_triangulation_matches():
     lat, cycle = hexagon_boundary()
-    chambers = build_chambers(lat, cycle)
-    parts = grouping_by_triangulation(chambers)
+    sec = secondary_fan(lat, cycle)
+    parts = grouping_by_triangulation(sec)
     assert len(parts) == 18
+    assert parts == grouping_by_chamber_triangulations(sec.chambers, cycle.n)
 
 
 def test_chambers_same_triangulation_iff_same_exc():
     lat = PicLattice(4)
     cycle = minus_one_cycles(lat, 5)[0]
     chambers = build_chambers(lat, cycle)
-    for a in chambers:
-        for b in chambers:
-            same_tri = a.triangulation.canonical_key() == b.triangulation.canonical_key()
-            assert same_tri == (a.boundary_exc == b.boundary_exc)
+    keys = [triangulation_with_flips(cycle.n, ch.boundary_exc).canonical_key() for ch in chambers]
+    for a, ka in zip(chambers, keys):
+        for b, kb in zip(chambers, keys):
+            assert (ka == kb) == (a.boundary_exc == b.boundary_exc)
+
+
+def test_grouping_names_both_groups_with_one_triangulation():
+    lat = PicLattice(4)
+    sec = secondary_fan(lat, minus_one_cycles(lat, 5)[0])
+    g = sec.groups[3]
+    doctored = dataclasses.replace(sec, groups=[*sec.groups, g])
+    last = len(sec.groups)
+    named = rf"moving groups {re.escape(g.label())} \(group 3\) and {re.escape(g.label())} \(group {last}\)"
+    with pytest.raises(InternalInvariantError, match=named + " have the same disk triangulation"):
+        grouping_by_triangulation(doctored)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ fan's wall map.  movsec_by_tiling is the earlier movsec: one cones_tile per
 group, which builds a fresh wall map of the group's chambers and runs its own
 dimension, containment, opposite-side and probe checks.
 one_stratum_report_by_containment is the earlier report: it scans every group
-for one containing the bogus cone's base face.  The chamber adjacency oracle
-is cocycle_oracle.chamber_adjacency.
+for one containing the bogus cone's base face.  grouping_by_chamber_triangulations
+is the earlier grouping_by_triangulation, which read the moving groups: it
+builds one disk triangulation per chamber.  The chamber adjacency oracle is
+cocycle_oracle.chamber_adjacency.
 """
 
 from secfan.cones import _tiling_defect, adjacency_pairs, cone_from_rays, cones_tile
+from secfan.disk import triangulation_with_flips
 from secfan.errors import InternalInvariantError
 from secfan.secondary import Chamber, MovSecGroup, SecondaryFan
 
@@ -37,6 +40,22 @@ def movsec_by_tiling(chambers: list[Chamber]) -> list[MovSecGroup]:
     return groups
 
 
+def grouping_by_chamber_triangulations(chambers: list[Chamber], n: int) -> dict:
+    """Partition of chamber ids by the triangulation flipped at each chamber's
+    boundary-exceptional set, as canonical key -> ids; it must equal the
+    partition by boundary-exceptional set."""
+    by_tri: dict = {}
+    by_exc: dict = {}
+    for i, ch in enumerate(chambers):
+        by_tri.setdefault(triangulation_with_flips(n, ch.boundary_exc).canonical_key(), []).append(i)
+        by_exc.setdefault(ch.boundary_exc, []).append(i)
+    if sorted(by_tri.values()) != sorted(by_exc.values()):
+        raise InternalInvariantError(
+            "triangulation grouping disagrees with the boundary-exceptional grouping"
+        )
+    return {key: tuple(ids) for key, ids in by_tri.items()}
+
+
 def incident_groups_by_containment(sec: SecondaryFan, face) -> tuple:
     """Sorted keys of the groups whose cone holds every ray of the face."""
     return tuple(sorted(
@@ -53,7 +72,8 @@ def one_stratum_report_by_containment(sec: SecondaryFan) -> list[dict]:
     def shadow(idx: int):
         if idx < n_mov:
             g = sec.groups[idx]
-            tri = sec.chambers[g.member_ids[0]].triangulation.canonical_key()
+            exc = sec.chambers[g.member_ids[0]].boundary_exc
+            tri = triangulation_with_flips(sec.boundary.n, exc).canonical_key()
             return ("moving", tuple(sorted(g.key)), tri)
         face = sec.bogus_faces[idx - n_mov]
         return ("bogus", face, incident_groups_by_containment(sec, face), "theta-drop-center")
