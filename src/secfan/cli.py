@@ -45,7 +45,6 @@ from .secondary import (
     mori_fan_K,
     one_stratum_report,
     secondary_fan,
-    stabilizer_orbits,
     toric_compare,
 )
 from .thetaalg import (
@@ -241,10 +240,10 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     Blowups with k >= 2 get a "weyl" section.  workers has no effect.
     """
     sec = secondary_fan(lat, cycle)  # its full fan carries the proved Stab(B)-orbits
-    grouping_by_triangulation(sec)
+    keys = grouping_by_triangulation(sec)
     battery = cocycle_battery(sec) \
         if cycle.n >= 3 else {"ok": True, "pairs": 0, "loops": 0, "points": 0, "failures": []}
-    strata = one_stratum_report(sec)
+    strata = one_stratum_report(sec, keys)
     theta = theta_divisor_checks(cycle.n)
     halg = boundary_algebra(cycle.n)
     binput = BundleInput(sec.full_fan, sec.movsec_fan, (lat.canonical,))
@@ -321,8 +320,8 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     Stab(E) = S_k; orbit-stabilizer does the rest.  The boundary stabilizer
     has order |W| / |W B| (boundary_stabilizer).  A group maps a finite set
     of cones onto itself iff each generator does, which secondary_fan proved
-    with stabilizer_orbits; that call returns the walked fan as it is, and
-    walks, or raises on, a fan set in its place.
+    with stabilizer_orbits before it returned sec, so that fact is read here,
+    not walked again.
     """
     roots = sec.mori_fan.orbits
     sizes = Counter(roots)  # orbit root -> orbit size
@@ -331,10 +330,9 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     if e not in keys:
         raise InternalInvariantError(f"the contraction E = {list(e)} is not in contractions(lat)")
     order = factorial(lat.k) * sizes[roots[keys.index(e)]]
-    stabilizer_orbits(sec)
     return {"group_order": order, "orbit_sizes": sorted(sizes.values()),
             "stabilizer_order": order // boundary_stabilizer(lat, sec.boundary)[1],
-            "stabilizer_fixes_secondary_fan": True}  # stabilizer_orbits raised otherwise
+            "stabilizer_fixes_secondary_fan": True}  # secondary_fan raised otherwise
 
 
 def report_markdown(report: dict) -> str:

@@ -260,13 +260,18 @@ def cone_from_inequalities(facets, equations=(), ambient_rank: int | None = None
             raise ValidationError("ambient rank required for the unconstrained cone")
         ambient_rank = len((facets + equations)[0])
     lin, rays = dual_description(facets, equations, ambient_rank)
+    return _swept_cone(facets, equations, lin, rays, ambient_rank)
+
+
+def _swept_cone(facets, equations, lin, rays, n: int) -> RationalCone:
+    """The canonical cone that a sweep of facets and equations found as lin and rays."""
     # the dual's constraints are the rays and +-lineality, tight on every facet
     outer = None if equations or not rays else _extreme_generators(facets, rays)
     if outer is None:
-        return cone_from_rays(rays, ambient_rank, lineality=lin)
+        return cone_from_rays(rays, n, lineality=lin)
     if lin:
-        lin, rays = dual_description(outer, (), ambient_rank)
-    return RationalCone(ambient_rank, tuple(rays), outer, (), tuple(lin))
+        lin, rays = dual_description(outer, (), n)
+    return RationalCone(n, tuple(rays), outer, (), tuple(lin))
 
 
 def zero_cone(ambient_rank: int) -> RationalCone:
@@ -284,7 +289,8 @@ def image(m: IntMat, c: RationalCone) -> RationalCone:
 def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
     """a cut by b: the sweep resumes from a's lineality and rays, with zero sets
     over a's equations and facets (a valid start, see dual_description), and
-    inserts only b's constraints; cone_from_rays puts the result in canonical form.
+    inserts only b's constraints.  Those and a's cut out the result, which is
+    finished from them as cone_from_inequalities finishes (_swept_cone).
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValidationError("ambient rank mismatch")
@@ -293,7 +299,7 @@ def intersect(a: RationalCone, b: RationalCone) -> RationalCone:
                  for r in a.rays}
     n = a.ambient_rank
     lin, rays = dual_description(b.facets, b.equations, n, start=(a.lineality, zero_sets, len(own)))
-    return cone_from_rays(rays, n, lineality=lin)
+    return _swept_cone(a.facets + b.facets, a.equations + b.equations, lin, rays, n)
 
 
 def faces(c: RationalCone, codim: int) -> list[RationalCone]:

@@ -295,16 +295,16 @@ def orbit_tree(start, moves) -> dict:
 
 @lru_cache(maxsize=None)
 def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple, int]:
-    """Generators of Stab(B) in W(E_k), B the sorted boundary multiset, each as
-    (w, w^-1), and the orbit size |W B|; walked once per boundary and process.
+    """Generators of Stab(B) in W(E_k), B the sorted boundary multiset, and the
+    orbit size |W B|; walked once per boundary and process.
 
     With u_p the element along the Schreier tree of the simple reflections
     from B to p, the u_q^-1 s u_p (s a generator, q = s p) generate Stab(B)
-    (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4);
-    the inverse is u_p^-1 s u_q, s being an involution.  A tree edge, read
-    either way, gives the identity, so it is skipped, as are repeats.  With
-    no simple roots (p2, f1, the quadric) B is its own orbit and there are no
-    generators: that returns before any walk or root is listed.
+    (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4).
+    A tree edge, read either way, gives the identity, so it is skipped, as
+    are repeats.  With no simple roots (p2, f1, the quadric) B is its own
+    orbit and there are no generators: that returns before any walk or root
+    is listed.
 
     Products are told apart by their images of rho = (0, 1, ..., k), a vector
     on no root hyperplane (checked against roots(lat)).  W fixes K and acts on
@@ -355,7 +355,7 @@ def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple
     def element(word) -> WeylElement:
         return WeylElement(IntMat.from_rows(list(zip(*(apply(word, e) for e in basis)))))
 
-    return tuple((element(w), element(w[::-1])) for w in words), len(tree)
+    return tuple(map(element, words)), len(tree)
 
 
 def weyl_group(lat: PicLattice) -> list[WeylElement]:

@@ -139,6 +139,7 @@ class GammaComplex:
         for cid, _, eids in self._cells:
             for k, eid in enumerate(eids):
                 self.edge_sides.setdefault(eid, []).append((cid, k))
+        self._levels: dict[int, tuple[GammaPoint, ...]] = {}  # level -> its points, enumerated once
 
     def cell_ids(self) -> list[CellId]:
         return [cid for cid, _, _ in self._cells]
@@ -208,17 +209,18 @@ class GammaComplex:
     def same_point(self, p: GammaPoint, q: GammaPoint) -> bool:
         return self.canonical(p.cell, p.coords) == self.canonical(q.cell, q.coords)
 
-    def points_at_level(self, m: int) -> list[GammaPoint]:
+    def points_at_level(self, m: int) -> tuple[GammaPoint, ...]:
         if m < 0:
             raise ValidationError("level must be nonnegative")
-        seen = {}
-        for cid in self.cell_ids():
-            for a in range(m + 1):
-                for b in range(m + 1 - a):
-                    c = m - a - b
-                    p = self.canonical(cid, (a, b, c))
-                    seen[(p.cell, p.coords)] = p
-        return sorted(seen.values(), key=lambda p: (p.cell, p.coords))
+        if m not in self._levels:
+            seen = {}
+            for cid in self.cell_ids():
+                for a in range(m + 1):
+                    for b in range(m + 1 - a):
+                        p = self.canonical(cid, (a, b, m - a - b))
+                        seen[(p.cell, p.coords)] = p
+            self._levels[m] = tuple(sorted(seen.values(), key=lambda p: (p.cell, p.coords)))
+        return self._levels[m]
 
     def vertex_point(self, label: int) -> GammaPoint:
         reps = self._ray_reps(label, 1)

@@ -328,17 +328,15 @@ def stabilizer_orbits(sec: SecondaryFan) -> Fan:
     names the cone, the generator and the image.  secondary_fan runs the walk
     before its fan predicate, which then tests only the pairs with an orbit
     root: for any pair {A, B} some w in Stab(B) has w.A = root(A), and A cap
-    B is a face of both cones exactly when w.A cap w.B is.  A fan whose
-    orbits are already set is returned as it is, so the Weyl section reads
-    that walk; with no generators every cone is its own root.
+    B is a face of both cones exactly when w.A cap w.B is.  The bundle stage
+    and the Weyl section read this walk in full_fan.orbits; with no
+    generators every cone is its own root.
     """
     fan = sec.full_fan
-    if len(fan.orbits) == len(fan.cones):
-        return fan
     index = {c.key(): i for i, c in enumerate(fan.cones)}
     moving = {c.key() for c in sec.movsec_fan.cones}
     moves = []
-    for w, _ in boundary_stabilizer(sec.lat, sec.boundary)[0]:
+    for w in boundary_stabilizer(sec.lat, sec.boundary)[0]:
         act = lru_cache(maxsize=None)(w.act)  # each vector moved once per generator
         moves.append(lambda key, a=act: (tuple(sorted(map(a, key[0]))), tuple(sorted(map(a, key[1])))))
     roots: list = [None] * len(fan.cones)
@@ -357,19 +355,26 @@ def stabilizer_orbits(sec: SecondaryFan) -> Fan:
     return fan.with_orbits(roots)
 
 
-def grouping_by_triangulation(sec: SecondaryFan) -> dict:
-    """Disk triangulation's canonical key -> chamber ids, one triangulation per
-    moving group: a chamber's is the fan triangulation flipped at its
-    boundary_exc, the key movsec groups by, so this partition is the exceptional
-    one exactly when no two groups share a key.  InternalInvariantError names two that do."""
+def grouping_by_triangulation(sec: SecondaryFan) -> list:
+    """Each moving group's disk triangulation key, in sec.groups order: a
+    chamber's is the fan triangulation flipped at its boundary_exc, the key
+    movsec groups by, so this partition is the exceptional one exactly when no
+    two groups share a key.  InternalInvariantError names two that do.  A
+    disk with n < 3 boundary vertices has no flips, so ValidationError
+    refuses a group that flips one before any triangulation is built."""
+    n = sec.boundary.n
+    flipped = next((g for g in sec.groups if g.key), None)
+    if n < 3 and flipped is not None:
+        raise ValidationError(f"triangulation grouping: moving group {flipped.label()} flips the"
+                              f" disk, which needs a boundary cycle of length at least 3, not {n}")
     first: dict = {}  # canonical key -> index of the first group with it
     for i, g in enumerate(sec.groups):
-        j = first.setdefault(triangulation_with_flips(sec.boundary.n, g.key).canonical_key(), i)
+        j = first.setdefault(triangulation_with_flips(n, g.key).canonical_key(), i)
         if j != i:
             raise InternalInvariantError(
                 f"moving groups {sec.groups[j].label()} (group {j}) and {g.label()} (group {i})"
                 " have the same disk triangulation")
-    return {key: sec.groups[i].member_ids for key, i in first.items()}
+    return list(first)  # no key repeats: one per group, in order
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +636,16 @@ def _wall_degree(lat: PicLattice, c: IntVec, wall: RationalCone, far: RationalCo
 # one-stratum change report
 
 
-def one_stratum_report(sec: SecondaryFan) -> list[dict]:
+def one_stratum_report(sec: SecondaryFan, keys: list) -> list[dict]:
     """For each wall of the full fan, whether the combinatorial family data changes.
 
-    Moving cones carry (exceptional set, triangulation), bogus cones carry
+    Moving cones carry (exceptional set, triangulation key), the key being
+    the group's entry in keys (grouping_by_triangulation); bogus cones carry
     (base face, the group sharing it as a wall, dropped-center theta pattern).
     Walls whose two sides carry identical data are flagged: they would
-    correspond to a contracted stratum.
+    correspond to a contracted stratum.  Each shadow holds its own cone's
+    group key or base face, and those are distinct per cone, so no wall is
+    flagged: changes is true on every wall by construction.
     """
     fan = sec.full_fan
     n_mov = len(sec.groups)
@@ -647,8 +655,8 @@ def one_stratum_report(sec: SecondaryFan) -> list[dict]:
         ids = sorted(mi for mi, _ in incident)
         if ids[0] < n_mov <= ids[-1]:
             owner[rays] = sec.groups[ids[0]]
-    shadows = [("moving", tuple(sorted(g.key)),
-                triangulation_with_flips(sec.boundary.n, g.key).canonical_key()) for g in sec.groups]
+    shadows = [("moving", tuple(sorted(g.key)), key)
+               for g, key in zip(sec.groups, keys, strict=True)]
     shadows += [("bogus", face, (tuple(sorted(owner[face].key)),), "theta-drop-center")
                 for face in sec.bogus_faces]
 

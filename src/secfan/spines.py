@@ -180,12 +180,9 @@ def is_balanced(aff: AffineStructure, s: Spine) -> bool:
     return total == (0, 0)
 
 
-def crossing_class(aff: AffineStructure, s: Spine, classes=None):
-    """Accumulated boundary multiplicities over every leg crossing.
-
-    With `classes` (one curve-class vector per boundary index) the result is
-    their weighted sum; otherwise a multiplicity tuple indexed by boundary ray.
-    """
+def crossing_class(aff: AffineStructure, s: Spine) -> tuple[int, ...]:
+    """Accumulated boundary multiplicities over every leg crossing, a tuple
+    indexed by boundary ray."""
     mults = [0] * aff.n
     for leg in s.legs:
         crossings, _, _ = trace_leg(
@@ -193,14 +190,7 @@ def crossing_class(aff: AffineStructure, s: Spine, classes=None):
         )
         for ray, m in crossings:
             mults[ray - 1] += leg.weight * m
-    if classes is None:
-        return tuple(mults)
-    rank = len(classes[0])
-    out = [0] * rank
-    for i, m in enumerate(mults):
-        for t in range(rank):
-            out[t] += m * classes[i][t]
-    return tuple(out)
+    return tuple(mults)
 
 
 def count(aff: AffineStructure, s: Spine, gamma) -> int:

@@ -76,14 +76,8 @@ class ThetaElement:
 # gamma points and the umbrella ring
 
 
-def gamma_points(n: int, tri: DiskTriangulation | None = None, level: int = 0) -> list[GammaPoint]:
-    """All integer points of the cone complex at the given level, deduplicated."""
-    tri = tri or fan_triangulation(n)
-    return gamma_complex(tri).points_at_level(level)
-
-
 def hilbert(n: int, m: int) -> int:
-    return len(gamma_points(n, None, m))
+    return len(gamma_complex(fan_triangulation(n)).points_at_level(m))
 
 
 def proj_degree(n: int) -> int:
@@ -108,7 +102,7 @@ class UmbrellaRing:
         self.tri = tri or fan_triangulation(n)
         self.complex = gamma_complex(self.tri)
 
-    def basis(self, level: int) -> list[GammaPoint]:
+    def basis(self, level: int) -> tuple[GammaPoint, ...]:
         return self.complex.points_at_level(level)
 
     def product(self, p: GammaPoint, q: GammaPoint) -> ThetaElement:

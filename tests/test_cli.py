@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cocycle_oracle import chamber_adjacency
 from secfan import cli as cli_module
-from secfan import cones, delpezzo, secondary, toricstack
+from secfan import cones, delpezzo, disk, secondary, toricstack
 from secfan.cli import build_report, cache_put, cli, config_hash, load_config, write_bundle
 from secfan.cones import Fan, cone_from_rays
 from secfan.delpezzo import (
@@ -597,7 +597,7 @@ def test_build_report_verifies_each_fact_once(monkeypatch, cold_mori_fan):
         "mori_is_fan", "secondary_is_fan", "secondary_complete", "coarsens_mori"))
 
 
-def test_disk_triangulations_are_built_per_moving_group(monkeypatch):
+def test_disk_triangulations_are_built_per_moving_group(tmp_path, monkeypatch):
     built = []
     real = secondary.triangulation_with_flips
 
@@ -610,10 +610,35 @@ def test_disk_triangulations_are_built_per_moving_group(monkeypatch):
     cycle = minus_one_cycles(lat, 5)[0]
     secondary.secondary_fan(lat, cycle)
     assert built == []
-    _, sec = build_report(lat, cycle)
+    report, sec = build_report(lat, cycle)
+    write_bundle(tmp_path, report, sec)
     assert (len(sec.chambers), sec.moving_count) == (76, 11)
-    # one for the grouping proof, one for the moving shadows of the one-stratum report
-    assert sorted(built, key=sorted) == sorted([g.key for g in sec.groups] * 2, key=sorted)
+    # one per group, for the grouping proof; the one-stratum report reads its keys
+    assert built == [g.key for g in sec.groups]
+
+
+def test_pipeline_enumerates_each_level_once_and_walks_stab_b_once(tmp_path, monkeypatch):
+    enumerated, walks = [], []
+    real_level, real_walk = disk.GammaComplex.points_at_level, secondary.stabilizer_orbits
+
+    def level(comp, m):
+        if m not in comp._levels:
+            enumerated.append((comp.tri, m))
+        return real_level(comp, m)
+
+    monkeypatch.setattr(disk.GammaComplex, "points_at_level", level)
+    monkeypatch.setattr(secondary, "stabilizer_orbits",
+                        lambda sec: walks.append(sec) or real_walk(sec))
+    disk._complex_cache.cache_clear()  # fresh complexes, so no level is kept yet
+    lat = PicLattice(4)
+    report, sec = build_report(lat, minus_one_cycles(lat, 5)[0])
+    write_bundle(tmp_path, report, sec)
+    # Hilbert data, the battery, the theta checks, the boundary algebra and
+    # the theta table all read the fan triangulation's levels 0 to 5
+    assert enumerated == [(fan_triangulation(5), m) for m in range(6)]
+    # the Weyl section reads the walk secondary_fan proved
+    assert walks == [sec]
+    assert report["weyl"]["stabilizer_fixes_secondary_fan"] is True
 
 
 # {E_4, -K-E_4}: a two-component cycle, where the disk has no flips
@@ -629,11 +654,16 @@ def test_a_two_cycle_gets_a_proved_secondary_fan_and_pipeline_exits_2(tmp_path):
     res = CliRunner().invoke(cli, ["fan", "secondary", str(cfg)])
     assert res.exit_code == 0, res.output
     assert len(json.loads(res.output)["cones"]) == 15
-    # the grouping builds the flipped disk of group mov[1], which needs n >= 3
+    # a disk with two boundary vertices has no flips: the grouping refuses
+    # group mov[1], which contracts E_4, before it builds any triangulation
     proc = subprocess.run([sys.executable, "-m", "secfan.cli", "pipeline", str(cfg),
                            "--out", str(tmp_path / "out")], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
-    assert "flips need at least three boundary vertices" in proc.stderr
+    assert proc.stderr == ("validation error: triangulation grouping: moving group mov[1] flips"
+                           " the disk, which needs a boundary cycle of length at least 3, not 2\n")
+    # a 2-cycle that contracts no boundary component keeps its one fan triangulation
+    report, _ = build_report(PicLattice(1), BoundaryCycle(((1, 0), (2, -1))))
+    assert (report["n"], report["counts"]["moving_cones"]) == (2, 1)
 
 
 BOUNDARIES = {
@@ -805,7 +835,6 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
         assert rest == [(delpezzo, tuple(sorted(cycle.classes)))] + cone_roots
         walks.clear()
         cli_module.weyl_orbit_decomposition(lat, sec)
-        assert secondary.stabilizer_orbits(sec) is fan  # the walked fan is read, not walked
         assert walks == []
     boundary_stabilizer.cache_clear()
 
@@ -833,7 +862,7 @@ ORBIT_CASES = {
 def test_orbit_read_bundle_stage_matches_the_per_cone_run(name):
     lat, cycle = ORBIT_CASES[name]()
     sec = secondary.secondary_fan(lat, cycle)
-    walked = secondary.stabilizer_orbits(sec)
+    walked = sec.full_fan  # secondary_fan walked its orbits
     per_cone = Fan(walked.ambient_rank, walked.cones, walked.labels)
 
     def run(fan, subfan):

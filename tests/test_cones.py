@@ -686,18 +686,24 @@ def test_pointed_cone_from_rays_runs_one_sweep(sweeps):
     assert sweeps(cone_from_rays, [(0, 1)], 2, [(1, 0)]) == 2
 
 
-def test_intersect_of_pointed_cones_runs_two_sweeps(sweeps):
+def test_intersect_of_full_dimensional_cones_runs_one_sweep(sweeps):
+    # a pointed full-dimensional result reads its facets off both operands' facets
     a = cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     b = cone_from_rays([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
-    assert sweeps(intersect, a, b) == 2
+    assert sweeps(intersect, a, b) == 1
+    # a lineal first operand: its rays and lineality start the sweep
+    half_space = cone_from_rays([(1, 0, 0)], 3, lineality=[(0, 1, 0), (0, 0, 1)])
+    assert intersect(half_space, b).is_pointed()
+    assert sweeps(intersect, a=half_space, b=b) == 1
 
 
 def test_intersect_of_lineal_or_lower_dimensional_cones_runs_two_sweeps(sweeps):
-    # a lineal first operand: its rays and lineality start the sweep
+    # a lineal result: its rays modulo the lineality take the second sweep
     half_space = cone_from_rays([(1, 0, 0)], 3, lineality=[(0, 1, 0), (0, 0, 1)])
-    tilted = cone_from_rays([(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, -1)])
-    assert intersect(half_space, tilted).is_pointed()
-    assert sweeps(intersect, a=half_space, b=tilted) == 2
+    other_half = cone_from_rays([(0, 1, 0)], 3, lineality=[(1, 0, 0), (0, 0, 1)])
+    quadrant = intersect(half_space, other_half)
+    assert (quadrant.rays, quadrant.lineality) == (((0, 1, 0), (1, 0, 0)), ((0, 0, 1),))
+    assert sweeps(intersect, half_space, other_half) == 2
     # two planes meeting in a ray
     plane = cone_from_rays([(1, 0, 0), (0, 1, 0)])
     other = cone_from_rays([(1, 0, 0), (0, 0, 1)])

@@ -293,8 +293,9 @@ def test_secondary_fan_degree5_strictly_coarser():
 def test_grouping_by_triangulation_matches():
     lat, cycle = hexagon_boundary()
     sec = secondary_fan(lat, cycle)
-    parts = grouping_by_triangulation(sec)
-    assert len(parts) == 18
+    keys = grouping_by_triangulation(sec)
+    parts = {key: g.member_ids for key, g in zip(keys, sec.groups)}
+    assert len(keys) == len(parts) == 18
     assert parts == grouping_by_chamber_triangulations(sec.chambers, cycle.n)
 
 
@@ -401,7 +402,7 @@ def test_theta_line_bundle_wall_degree_rank2():
 def test_one_stratum_report_degree6():
     lat, cycle = hexagon_boundary()
     sec = secondary_fan(lat, cycle)
-    strata = one_stratum_report(sec)
+    strata = one_stratum_report(sec, grouping_by_triangulation(sec))
     assert strata
     assert all(s["changes"] for s in strata)
 

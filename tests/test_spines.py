@@ -108,7 +108,9 @@ def test_crossing_class_with_classes():
     aff = hex_aff()
     classes = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 2)]
     s = spine(1, (2, 1), [((1, 0), 1), ((-1, 1), 1)])
-    assert crossing_class(aff, s, classes) == (0, 1)
+    # the curve class is the multiplicities' weighted sum of the boundary classes
+    weighted = [sum(m * c[t] for m, c in zip(crossing_class(aff, s), classes)) for t in range(2)]
+    assert weighted == [0, 1]
 
 
 def test_count_rules():

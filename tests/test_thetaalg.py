@@ -11,7 +11,6 @@ from secfan.thetaalg import (
     boundary_algebra,
     central_product,
     flop_stratum_product,
-    gamma_points,
     hilbert,
     proj_degree,
     theta_divisor_checks,
@@ -22,9 +21,12 @@ from secfan.thetaalg import (
 
 
 def test_gamma_points_levels():
-    assert len(gamma_points(6, None, 0)) == 1
-    assert len(gamma_points(6, None, 1)) == 7
-    assert len(gamma_points(6, None, 3)) == 37  # (6*9 + 6*3 + 2) / 2
+    comp = gamma_complex(fan_triangulation(6))
+    assert len(comp.points_at_level(0)) == 1
+    assert len(comp.points_at_level(1)) == 7
+    assert len(comp.points_at_level(3)) == 37  # (6*9 + 6*3 + 2) / 2
+    # each level is enumerated once per complex, and the complex is shared
+    assert gamma_complex(fan_triangulation(6)).points_at_level(3) is comp.points_at_level(3)
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -37,7 +39,7 @@ def test_hilbert_triangulation_independent():
     for flips in ([1], [1, 3], [2, 5]):
         tri = triangulation_with_flips(6, flips)
         for m in range(0, 5):
-            assert len(gamma_points(6, tri, m)) == hilbert(6, m)
+            assert len(gamma_complex(tri).points_at_level(m)) == hilbert(6, m)
 
 
 @pytest.mark.parametrize("n", range(1, 10))

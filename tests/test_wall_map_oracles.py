@@ -18,6 +18,7 @@ from secfan.delpezzo import TORIC_NAMES, PicLattice, minus_one_cycles, toric_bou
 from secfan.errors import InternalInvariantError
 from secfan.secondary import (
     build_chambers,
+    grouping_by_triangulation,
     mori_fan_K,
     movsec,
     one_stratum_report,
@@ -36,7 +37,7 @@ def test_wall_map_readers_match_the_map_building_oracles():
         assert _group_rows(sec.groups) == _group_rows(movsec_by_tiling(sec.chambers))
         adj = secondary._chamber_adjacency(sec)
         assert list(adj.items()) == list(chamber_adjacency(sec.chambers).items())
-        strata = one_stratum_report(sec)
+        strata = one_stratum_report(sec, grouping_by_triangulation(sec))
         assert strata == one_stratum_report_by_containment(sec)
         # each bogus face has one incident group, the one the wall map names
         bogus = [s["right"] for s in strata if s["right"][0] == "bogus"]
