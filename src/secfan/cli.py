@@ -74,7 +74,7 @@ def _read_json(path: str, what: str, parse=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # broken JSON or broken UTF-8
+        except (ValueError, RecursionError) as exc:  # broken JSON or UTF-8, or nested too deep
             raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
     try:
         return data if parse is None else parse(data)
@@ -187,42 +187,43 @@ def json_text(obj) -> str:
 # cache
 
 
-def cache_paths(cache_dir: str | None):
+def cache_entry(cache_dir: str | None, key: str, kind: str) -> Path | None:
     d = cache_dir or os.environ.get(CACHE_ENV)
-    return Path(d) if d else None
+    return Path(d) / kind / f"{key}.json" if d else None
 
 
-def cache_get(cache_dir, key: str, kind: str):
-    base = cache_paths(cache_dir)
-    if base is None:
-        return None
-    path = base / kind / f"{key}.json"
-    if not path.exists():
+def cache_get(cache_dir, key: str, kind: str) -> str | None:
+    """The entry's text, if it is one line of a JSON object whose metadata.kind is kind."""
+    path = cache_entry(cache_dir, key, kind)
+    if path is None or not path.exists():
         return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, OSError):
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+    except (ValueError, RecursionError, OSError):  # broken JSON or UTF-8, or nested too deep
         click.echo(f"warning: corrupt cache entry {path}, recomputing", err=True)
         return None
     meta = payload.get("metadata") if isinstance(payload, dict) else None
     if not isinstance(meta, dict) or meta.get("kind") != kind:
         click.echo(f"warning: cache entry {path} is not a {kind} payload, recomputing", err=True)
         return None
-    return payload
+    if "\n" in text:  # the old indented layout: served as is, it would change stdout
+        click.echo(f"warning: cache entry {path} is not a single line, recomputing", err=True)
+        return None
+    return text
 
 
-def cache_put(cache_dir, key: str, kind: str, payload: dict):
-    base = cache_paths(cache_dir)
-    if base is None:
+def cache_put(cache_dir, key: str, kind: str, payload: dict | str):
+    """Publish the entry whole: text is written as is, a dict as json_text."""
+    path = cache_entry(cache_dir, key, kind)
+    if path is None:
         return
-    path = base / kind / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     # a temp file per writer: concurrent runs never share a half-written file
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(json_text(payload))
+            fh.write(payload if isinstance(payload, str) else json_text(payload))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
@@ -496,12 +497,12 @@ def fan_group():
     """Fan computations."""
 
 
-def _fan_command_common(config, cache_dir, kind, outdir=None):
+def _fan_command_common(config, cache_dir, kind, outdir=None) -> str:
+    """The line the fan command prints; a cache hit is the entry's own text."""
     cfg = load_config(config)
     lat, cycle = cfg["lat"], cfg["cycle"]
     key = config_hash(lat, cycle)
-    cached = cache_get(cache_dir, key, kind)
-    if cached is not None and outdir is None:
+    if outdir is None and (cached := cache_get(cache_dir, key, kind)) is not None:
         return cached
     if kind == "mori":
         fan = mori_fan_K(lat)
@@ -509,7 +510,8 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
         sec = secondary_fan(lat, cycle)
         fan = sec.movsec_fan if kind == "movsec" else sec.full_fan
     payload = fan_to_json(fan, metadata={"input_hash": key, "kind": kind})
-    cache_put(cache_dir, key, kind, payload)
+    line = json.dumps(payload, sort_keys=True)
+    cache_put(cache_dir, key, kind, line)
     if outdir is not None:
         base = Path(outdir)
         base.mkdir(parents=True, exist_ok=True)
@@ -524,7 +526,7 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
         ]
         with open(base / f"fan_{kind}.md", "w", encoding="utf-8") as fh:
             fh.write("\n".join(md) + "\n")
-    return payload
+    return line
 
 
 @fan_group.command("mori")
@@ -533,8 +535,7 @@ def _fan_command_common(config, cache_dir, kind, outdir=None):
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_mori(config, cache_dir, outdir):
     """Mori fan of the canonical bundle (complete, with bogus cones)."""
-    payload = _fan_command_common(config, cache_dir, "mori", outdir)
-    click.echo(json.dumps(payload, sort_keys=True))
+    click.echo(_fan_command_common(config, cache_dir, "mori", outdir))
 
 
 @fan_group.command("movsec")
@@ -543,8 +544,7 @@ def fan_mori(config, cache_dir, outdir):
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_movsec(config, cache_dir, outdir):
     """Moving part of the secondary fan (grouped chambers)."""
-    payload = _fan_command_common(config, cache_dir, "movsec", outdir)
-    click.echo(json.dumps(payload, sort_keys=True))
+    click.echo(_fan_command_common(config, cache_dir, "movsec", outdir))
 
 
 @fan_group.command("secondary")
@@ -553,8 +553,7 @@ def fan_movsec(config, cache_dir, outdir):
 @click.option("--out", "outdir", default=None, type=click.Path())
 def fan_secondary(config, cache_dir, outdir):
     """Full secondary fan (moving groups plus bogus completion)."""
-    payload = _fan_command_common(config, cache_dir, "secondary", outdir)
-    click.echo(json.dumps(payload, sort_keys=True))
+    click.echo(_fan_command_common(config, cache_dir, "secondary", outdir))
 
 
 @fan_group.command("gkz")

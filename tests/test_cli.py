@@ -116,6 +116,8 @@ BAD_CONFIGS = {
                           ' "cycle": [[1, 0], [0, 1], [1, 0], [0, 1]]}',
     # the quadric's 'k' is 2, as its 'degree' is 8: any other value is refused, not ignored
     "quadric_k.json": '{"k": 7, "model_tag": "quadric", "cycle": [[1, 0], [0, 1], [1, 0], [0, 1]]}',
+    # nested past the interpreter's recursion limit: bad JSON, not a crash
+    "deep.json": "[" * 100_000,
 }
 # a straight hexagon spine in chart 1
 SPINE = {
@@ -141,7 +143,8 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
               "quadric_float.json": "'degree'", "quadric_k.json": "'k' is 7",
               "chart_float.json": "'vertex_chart'",
               "direction_float.json": "'direction' entry", "weight_float.json": "'weight'",
-              "weight_bool.json": "'weight'", "1,0": "--L", "0": "--L"}
+              "weight_bool.json": "'weight'", "1,0": "--L", "0": "--L",
+              "deep.json": "is not valid JSON"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -162,6 +165,7 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
     ["theta", "table", "--n", "6", "--triangulation", "a"],
     ["theta", "hilbert", "--n", "3", "--max-level", "-1"],
     ["fan", "mori", "no_cycle.json", "--workers", "1"],
+    ["fan", "mori", "deep.json"],
     *[["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", name]
       for name in BAD_SPINES],
 ], ids=lambda argv: " ".join(argv))
@@ -292,6 +296,48 @@ def test_corrupt_cache_recomputes_with_warning(tmp_path, p2_config):
     assert json.loads(payload_line) == data
     # the entry was rewritten with a clean payload
     assert json.loads(entry.read_text()) == data
+
+
+FAN_KINDS = ("mori", "movsec", "secondary")
+
+
+@pytest.mark.parametrize("kind", FAN_KINDS)
+def test_fan_cache_hit_prints_the_entry_it_read(tmp_path, hexagon_config, monkeypatch, kind):
+    runner = CliRunner()
+    args = ["fan", kind, hexagon_config, "--cache-dir", str(tmp_path / "cache")]
+    miss = runner.invoke(cli, args).output
+    entry = next((tmp_path / "cache" / kind).glob("*.json"))
+    assert entry.read_bytes() + b"\n" == miss.encode()
+
+    # a hit builds no fan and encodes no payload
+    def boom(*args, **kwargs):
+        raise AssertionError("a cache hit computed its payload")
+
+    with monkeypatch.context() as m:
+        for name in ("fan_to_json", "mori_fan_K", "secondary_fan"):
+            m.setattr(cli_module, name, boom)
+        assert runner.invoke(cli, args).output == miss
+
+    # an entry in the old indented layout is recomputed once, back to one line
+    entry.write_text(cli_module.json_text(json.loads(miss)), encoding="utf-8")
+    res = runner.invoke(cli, args)
+    assert res.output == f"warning: cache entry {entry} is not a single line, recomputing\n{miss}"
+    assert entry.read_bytes() + b"\n" == miss.encode()
+
+
+@pytest.mark.parametrize("kind", FAN_KINDS)
+@pytest.mark.parametrize("junk", [b"{ not json", b"\xff\xfe{", b"[" * 100_000],
+                         ids=["broken", "not_utf8", "deep"])
+def test_corrupt_fan_cache_entry_recomputes_with_warning(tmp_path, hexagon_config, kind, junk):
+    runner = CliRunner()
+    args = ["fan", kind, hexagon_config, "--cache-dir", str(tmp_path / "cache")]
+    miss = runner.invoke(cli, args).output
+    entry = next((tmp_path / "cache" / kind).glob("*.json"))
+    entry.write_bytes(junk)
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 0, res.output
+    assert res.output == f"warning: corrupt cache entry {entry}, recomputing\n{miss}"
+    assert entry.read_bytes() + b"\n" == miss.encode()
 
 
 def test_fan_gkz_points():
