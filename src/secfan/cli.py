@@ -4,6 +4,10 @@ Subcommands mirror the pipeline stages (delpezzo, fan, theta, spine, bundle,
 pipeline).  Reports are the acceptance substrate: they embed the input hash,
 library version and seeds, never wall-clock data, so runs are byte-stable
 across repetitions; every blowup report with k >= 2 carries Weyl data.
+A fan has one text, fan_line: the line `secfan fan` prints is the cache
+entry and the bundle's fan_*.json file (older indented fan files still
+load).  A report is encoded once, as json_text, for report.json and its
+cache entry.
 Exit codes: 0 success, 2 validation problem, 3 broken invariant.
 """
 
@@ -140,47 +144,15 @@ def config_hash(lat: PicLattice, cycle: BoundaryCycle) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-_quote = json.encoder.encode_basestring_ascii
-
-
 def json_text(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=1), character for character.
+    """The report format: sorted keys, one-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=1)
 
-    With indent set, CPython's json runs its pure-Python encoder.  Here dict
-    keys are sorted before they become strings, as there, a list of strings
-    is one join over encode_basestring_ascii, and every other scalar goes
-    through the stdlib encoder.
-    """
-    out: list[str] = []
 
-    def write(x, nl):
-        if isinstance(x, str):
-            out.append(_quote(x))
-        elif isinstance(x, (list, tuple, dict)) and not x:
-            out.append("{}" if isinstance(x, dict) else "[]")
-        elif isinstance(x, dict):
-            inner, sep = nl + " ", "{"
-            for key, value in sorted(x.items()):
-                out.append(f"{sep}{inner}{_quote(key if isinstance(key, str) else json.dumps(key))}: ")
-                write(value, inner)
-                sep = ","
-            out.append(nl + "}")
-        elif isinstance(x, (list, tuple)):
-            inner = nl + " "
-            if all(type(v) is str for v in x):
-                out.append(f"[{inner}{(',' + inner).join(map(_quote, x))}{nl}]")
-                return
-            sep = "["
-            for value in x:
-                out.append(sep + inner)
-                write(value, inner)
-                sep = ","
-            out.append(nl + "]")
-        else:
-            out.append(json.dumps(x))
-
-    write(obj, "\n")
-    return "".join(out)
+def fan_line(fan, input_hash: str, kind: str) -> str:
+    """The one text of a fan: what `secfan fan` prints, caches and writes to files."""
+    return json.dumps(fan_to_json(fan, metadata={"input_hash": input_hash, "kind": kind}),
+                      sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +214,9 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     """
     sec = secondary_fan(lat, cycle)  # its full fan carries the proved Stab(B)-orbits
     keys = grouping_by_triangulation(sec)
+    # not run below n = 3: ok is null, not a proof
     battery = cocycle_battery(sec) \
-        if cycle.n >= 3 else {"ok": True, "pairs": 0, "loops": 0, "points": 0, "failures": []}
+        if cycle.n >= 3 else {"ok": None, "pairs": 0, "loops": 0, "points": 0, "failures": []}
     strata = one_stratum_report(sec, keys)
     theta = theta_divisor_checks(cycle.n)
     halg = boundary_algebra(cycle.n)
@@ -358,6 +331,7 @@ def report_markdown(report: dict) -> str:
         f"- secondary complete: {report['fan_checks']['secondary_complete']}",
         f"- coarsens mori fan: {report['fan_checks']['coarsens_mori']}",
         f"- triangulation grouping equals exceptional grouping: {report['grouping_equality']}",
+        "- cocycle battery: not run (n < 3)" if report["cocycle_battery"]["ok"] is None else
         f"- cocycle battery: {report['cocycle_battery']['ok']} "
         f"(pairs={report['cocycle_battery']['pairs']}, loops={report['cocycle_battery']['loops']})",
         f"- theta misses all nodes: {report['theta_checks']['all_nodes_missed']}",
@@ -413,13 +387,12 @@ def theta_table_csv(n: int, flips, level: int) -> str:
     return "\n".join(rows) + "\n"
 
 
-def write_bundle(outdir: Path, report: dict, sec) -> list[str]:
+def write_bundle(outdir: Path, report: dict, sec) -> dict[str, str]:
+    """Write the bundle; each file's text by name.  A fan file is its command's line."""
     outdir.mkdir(parents=True, exist_ok=True)
     files = {}
-    files["fan_mori.json"] = json_text(
-        fan_to_json(sec.mori_fan, metadata={"kind": "mori", "input_hash": report["input_hash"]}))
-    files["fan_secondary.json"] = json_text(
-        fan_to_json(sec.full_fan, metadata={"kind": "secondary", "input_hash": report["input_hash"]}))
+    files["fan_mori.json"] = fan_line(sec.mori_fan, report["input_hash"], "mori")
+    files["fan_secondary.json"] = fan_line(sec.full_fan, report["input_hash"], "secondary")
     # adjacency of the full secondary fan, nodes colored by moving group
     groups = {gi: g.label() for gi, g in enumerate(sec.groups)}
     for bi in range(len(sec.bogus_cones)):
@@ -431,7 +404,7 @@ def write_bundle(outdir: Path, report: dict, sec) -> list[str]:
     for name, text in sorted(files.items()):
         with open(outdir / name, "w", encoding="utf-8") as fh:
             fh.write(text)
-    return sorted(files)
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -509,20 +482,19 @@ def _fan_command_common(config, cache_dir, kind, outdir=None) -> str:
     else:
         sec = secondary_fan(lat, cycle)
         fan = sec.movsec_fan if kind == "movsec" else sec.full_fan
-    payload = fan_to_json(fan, metadata={"input_hash": key, "kind": kind})
-    line = json.dumps(payload, sort_keys=True)
+    line = fan_line(fan, key, kind)
     cache_put(cache_dir, key, kind, line)
     if outdir is not None:
         base = Path(outdir)
         base.mkdir(parents=True, exist_ok=True)
         with open(base / f"fan_{kind}.json", "w", encoding="utf-8") as fh:
-            fh.write(json_text(payload))
+            fh.write(line)
         md = [
             f"# {kind} fan",
             "",
             f"- input hash: {key}",
-            f"- maximal cones: {len(payload['cones'])}",
-            f"- labels: {sorted(c['label'] for c in payload['cones'])}",
+            f"- maximal cones: {len(fan.cones)}",
+            f"- labels: {sorted(fan.label_of(i) for i in range(len(fan.cones)))}",
         ]
         with open(base / f"fan_{kind}.md", "w", encoding="utf-8") as fh:
             fh.write("\n".join(md) + "\n")
@@ -715,9 +687,9 @@ def pipeline(config, outdir, cache_dir, as_json):
     cfg = load_config(config)
     lat, cycle = cfg["lat"], cfg["cycle"]
     report, sec = build_report(lat, cycle, seed=cfg["seed"])
-    files = write_bundle(Path(outdir), report, sec)
-    key = config_hash(lat, cycle)
-    cache_put(cache_dir, key, "report", report)
+    texts = write_bundle(Path(outdir), report, sec)
+    cache_put(cache_dir, report["input_hash"], "report", texts["report.json"])
+    files = sorted(texts)
     if as_json:
         click.echo(json.dumps({"files": files, "report": report}, sort_keys=True))
     else:

@@ -340,6 +340,11 @@ def _face_rays(c: RationalCone, rays) -> frozenset:
     return frozenset(r for r in c.rays if all(vec_dot(g, r) == 0 for g in tight))
 
 
+def on_facet(rays, c: RationalCone) -> bool:
+    """The vectors all lie on the hyperplane of one facet of c."""
+    return any(all(vec_dot(g, r) == 0 for r in rays) for g in c.facets)
+
+
 def is_face_of(face: RationalCone, c: RationalCone) -> bool:
     """face lies in c and contains the smallest face of c around it."""
     if not c.contains_cone(face):
@@ -583,10 +588,7 @@ def _tiling_defect(members, target: RationalCone | None = None, walls=None) -> s
         if len(incident) > 2:
             return f"wall {list(key)} is shared by cones {[mi for mi, _ in incident]}"
         if len(incident) == 1:
-            on_boundary = any(
-                all(vec_dot(g, r) == 0 for r in key) for g in target.facets
-            )
-            if not on_boundary:
+            if not on_facet(key, target):
                 return f"wall {list(key)} of cone {incident[0][0]} is met by no other cone"
         else:
             (ma, ga), (mb, gb) = incident
@@ -678,7 +680,7 @@ def boundary_walls(fan: Fan, support: RationalCone) -> list[tuple[IntVec, ...]]:
     """
     out = sorted(rays for (rays, _), incident in fan.walls.items() if len(incident) == 1)
     for rays in out:
-        if not any(all(vec_dot(h, r) == 0 for r in rays) for h in support.facets):
+        if not on_facet(rays, support):
             raise InternalInvariantError(
                 f"wall {list(rays)} is met by one cone and lies on no facet of the support")
     return out

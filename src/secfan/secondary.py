@@ -40,6 +40,7 @@ from .cones import (
     image,
     intersect,
     is_complete,
+    on_facet,
 )
 from .delpezzo import (
     BoundaryCycle,
@@ -227,7 +228,7 @@ def movsec(mori: Fan, chambers: list[Chamber]) -> list[MovSecGroup]:
         if all(g is touched[0] for g in touched):
             continue
         for g in filter(None, touched):
-            if not any(all(vec_dot(h, r) == 0 for r in rays) for h in g.cone.facets):
+            if not on_facet(rays, g.cone):
                 raise InternalInvariantError(
                     f"moving group {sorted(g.key)} is not convex: wall {list(rays)} of cones"
                     f" {[mori.label_of(mi) for mi, _ in incident]} lies on no facet of its hull"

@@ -9,8 +9,6 @@ from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cocycle_oracle import chamber_adjacency
 from secfan import cli as cli_module
@@ -356,18 +354,52 @@ def test_fan_gkz_of_one_triangle_is_the_rank_0_fan():
     assert data["fan"]["ambient_rank"] == 0 and len(data["fan"]["cones"]) == 1
 
 
-def test_fan_mori_builds_no_secondary_fan(tmp_path, hexagon_config, monkeypatch):
-    report, sec = build_report(*hexagon_boundary())
-    write_bundle(tmp_path / "bundle", report, sec)
-
+def test_fan_mori_builds_no_secondary_fan(tmp_path, monkeypatch):
     def boom(*_):
         raise AssertionError("fan mori built the secondary fan")
 
-    monkeypatch.setattr(cli_module, "secondary_fan", boom)
-    res = CliRunner().invoke(cli, ["fan", "mori", hexagon_config])
+    # each bundle fan file is its command's stdout without the newline
+    for name in ("hexagon", "pentagon"):
+        lat, cycle = BOUNDARIES[name]()
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"k": lat.k, "cycle": [list(c) for c in cycle.classes]}))
+        config = str(config)
+        write_bundle(tmp_path / name, *build_report(lat, cycle))
+        with monkeypatch.context() as m:
+            m.setattr(cli_module, "secondary_fan", boom)
+            res = CliRunner().invoke(cli, ["fan", "mori", config])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / name / "fan_mori.json").read_bytes() + b"\n" == res.output.encode()
+        res = CliRunner().invoke(cli, ["fan", "secondary", config])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / name / "fan_secondary.json").read_bytes() + b"\n" == res.output.encode()
+
+
+def test_fan_out_file_is_the_printed_line(tmp_path, hexagon_config):
+    res = CliRunner().invoke(cli, ["fan", "mori", hexagon_config, "--out", str(tmp_path / "out")])
     assert res.exit_code == 0, res.output
-    bundle = json.loads((tmp_path / "bundle" / "fan_mori.json").read_text())
-    assert json.loads(res.output)["cones"] == bundle["cones"]
+    assert (tmp_path / "out" / "fan_mori.json").read_bytes() + b"\n" == res.output.encode()
+    md = (tmp_path / "out" / "fan_mori.md").read_text()
+    assert f"- maximal cones: {len(json.loads(res.output)['cones'])}\n" in md
+
+
+def test_bundle_check_reads_an_old_indented_fan_file(tmp_path, hexagon_config):
+    runner = CliRunner()
+    for kind in ("secondary", "movsec"):
+        line = runner.invoke(cli, ["fan", kind, hexagon_config]).output
+        (tmp_path / f"{kind}.json").write_text(line)
+        (tmp_path / f"{kind}_indented.json").write_text(cli_module.json_text(json.loads(line)))
+
+    def check(suffix):
+        res = runner.invoke(cli, ["bundle", "check", "--fan", str(tmp_path / f"secondary{suffix}.json"),
+                                  "--subfan", str(tmp_path / f"movsec{suffix}.json"),
+                                  "--l", "K", "--config", hexagon_config])
+        assert res.exit_code == 0, res.output
+        return res.output
+
+    cert = check("")
+    assert json.loads(cert)["ok"] and json.loads(cert)["stabilizers"]
+    assert check("_indented") == cert
 
 
 # sha256 of the printed `fan gkz` payload, taken before the integer and bitset
@@ -548,18 +580,6 @@ def test_pipeline_is_byte_deterministic(tmp_path, p2_config):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-_json_scalars = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
-_json_values = st.recursive(_json_scalars, lambda inner: st.one_of(
-    st.lists(inner), st.lists(st.text()),
-    st.dictionaries(st.text(), inner), st.dictionaries(st.integers(), inner)), max_leaves=30)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_json_values)
-def test_json_text_matches_the_stdlib_indented_dump(value):
-    assert cli_module.json_text(value) == json.dumps(value, sort_keys=True, indent=1)
-
-
 def test_cache_put_reentrant_writer_publishes_whole_payloads(tmp_path, monkeypatch):
     # a second writer of the same key starts while the first is mid-write
     outer, inner = {"writer": "outer"}, {"writer": "inner"}
@@ -575,6 +595,18 @@ def test_cache_put_reentrant_writer_publishes_whole_payloads(tmp_path, monkeypat
     monkeypatch.undo()
     assert json.loads((tmp_path / "report" / "k.json").read_text()) == outer
     assert [p.name for p in (tmp_path / "report").iterdir()] == ["k.json"]
+
+
+def test_pipeline_encodes_the_report_once(tmp_path, p2_config, monkeypatch):
+    encoded = []
+    real_text = cli_module.json_text
+    monkeypatch.setattr(cli_module, "json_text", lambda obj: encoded.append(obj) or real_text(obj))
+    res = CliRunner().invoke(cli, ["pipeline", p2_config, "--out", str(tmp_path / "out"),
+                                   "--cache-dir", str(tmp_path / "cache")])
+    assert res.exit_code == 0, res.output
+    assert len(encoded) == 1
+    entry = next((tmp_path / "cache" / "report").glob("*.json"))
+    assert entry.read_bytes() == (tmp_path / "out" / "report.json").read_bytes()
 
 
 def test_cache_put_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
@@ -710,6 +742,10 @@ def test_a_two_cycle_gets_a_proved_secondary_fan_and_pipeline_exits_2(tmp_path):
     # a 2-cycle that contracts no boundary component keeps its one fan triangulation
     report, _ = build_report(PicLattice(1), BoundaryCycle(((1, 0), (2, -1))))
     assert (report["n"], report["counts"]["moving_cones"]) == (2, 1)
+    # the cocycle battery needs n >= 3: not run, so not true
+    assert report["cocycle_battery"]["ok"] is None
+    assert report["cocycle_battery"]["pairs"] == 0
+    assert "- cocycle battery: not run (n < 3)\n" in cli_module.report_markdown(report)
 
 
 BOUNDARIES = {
@@ -724,32 +760,32 @@ BOUNDARIES = {
 BUNDLE_DIGESTS = {
     "hexagon": {
         "chambers.dot": "8e069ffdd595381e6ec2a12fb3e91039f4a4fe2009d6767ab7e0616bf508c01a",
-        "fan_mori.json": "b865d641cfd4885b0f44f9b00968e3c61776cb034093bcd380ae1395d962a823",
-        "fan_secondary.json": "97817589d669a4507df1c3b03cc8a8671f15dc8377ba21172f6b03f092b664db",
+        "fan_mori.json": "5aa8d30b30ad93bdf1f05df8e3c3b2447fcc9ae8fed37f5f818cc68c28801f77",
+        "fan_secondary.json": "5f60c70a19d6e5cdae6ae1b74a07ea4783d336c10a389ec8b367dc9757e7ae4d",
         "report.json": "2ed15f08e4e9876910d71e190c57d917ad689adf902ce846ae647b49296b29d6",
         "report.md": "20e4118cca86cf8ed72b7124c5cc5ddc295b2a5a9aebdf3bb902f8cbd4878886",
         "theta_table.csv": "985af5adf02f8280444b30586ae0f69b11841cf8c2571ede86d935c11dff1753",
     },
     "p2": {
         "chambers.dot": "d86096bc8a1aa83f822f0e1c00ab31af96bebf04709cd65b9329321b5915179e",
-        "fan_mori.json": "11ea6e5725af330797e001d05ae83f0290e315a91609396a6b9c17ebe179b245",
-        "fan_secondary.json": "34ce240415f4e92d38a436234b0666946565509ae59f12fa0e00c770c1168003",
+        "fan_mori.json": "620d407d740099f2772a21373ae11ebd03a0ff8e2346a0424e0b875d17b37072",
+        "fan_secondary.json": "d0304b7ecf1cd44ae693005310f73b3eea6df9ba6532524be6013f8163ca4138",
         "report.json": "9b268e26c236bd1c519d124fdf771812766522d61b8e8ab413ae5e55362daffe",
         "report.md": "fb1db9dddb5b180ac102365fbc80f635d84c757b784222e82efa1381eef2a722",
         "theta_table.csv": "41fe46231cf966b8fafd195d89b2f819ecba64c233a9b4481f8f4a0afdc337bb",
     },
     "pentagon": {
         "chambers.dot": "cd501872d66c0b4af73e8eea5ca42cc534a26215b535e5a6e9485b12dcfd107a",
-        "fan_mori.json": "b10ec9e606f87ce2fee91a5cd93c6b7fe987e9d875d3167609ed946b99aa912d",
-        "fan_secondary.json": "5b216c92ad67e2f4e62c6c23d2e32d03eee568878df4a940c8696e74f8f3fdb4",
+        "fan_mori.json": "c81da80756e0d9895a8f4c25e6d44ae38bb7a2b3d720fe745bd07e4398f2dfbc",
+        "fan_secondary.json": "7867413e2254ea41a1a95f3059fecd1a96ebc7eb6bbd0e6de434cf594a76039f",
         "report.json": "29ac8b665f8b16cbbbbb6fcb6845cb2f86c3a8efea74f8c04bc80a29928f6368",
         "report.md": "db9097c04c63c491b52c5a5a9180f9ad817d924ba1044685329ab54f531244df",
         "theta_table.csv": "176eb7f0ed8fa40360dfe1a902fb7ff78047c472353cf64d8af02701ef1a9cc2",
     },
     "square": {
         "chambers.dot": "6198881952ce705377e3aa4e1d51d9a9be113add26269037e17ac4fe4a17b1e0",
-        "fan_mori.json": "87c313c5ac92551ee61276f25f63f960a549bfa4ab462e5078be1369b5de5f09",
-        "fan_secondary.json": "5599f6d471dfaccd8f4951072e085def658e5e692d9a40534702b13eb60d93a1",
+        "fan_mori.json": "23552d914957dba7e05beda27812ab1ceaf428cdc79118284600692c2ef781d3",
+        "fan_secondary.json": "609fc2bb81ad331cac4e5ad78321a1e02cdf0e992509785abfe7042f7242d54b",
         "report.json": "837891267dc98da590ab78a0dce8a8d46764eeb45a2c4611eb6a1002c31b9554",
         "report.md": "4d18aef92a44a3ef19ba2bfe47494d19635bcdafeee920bf09a45544db0414d0",
         "theta_table.csv": "d2a64fe38db2c7f666e8afe2292eaf4291864029476657c5d304a7c5f9f6ad99",
