@@ -676,14 +676,16 @@ def boundary_walls(fan: Fan, support: RationalCone) -> list[tuple[IntVec, ...]]:
 
     When the cones tile support, those are its walls on the boundary of
     support, so each must lie in a facet hyperplane of support; one that does
-    not is a gap in the tiling and raises InternalInvariantError naming it.
+    not is a gap in the tiling and raises InternalInvariantError naming it
+    and its cone.
     """
-    out = sorted(rays for (rays, _), incident in fan.walls.items() if len(incident) == 1)
-    for rays in out:
+    out = sorted((rays, incident[0][0]) for (rays, _), incident in fan.walls.items()
+                 if len(incident) == 1)
+    for rays, mi in out:
         if not on_facet(rays, support):
-            raise InternalInvariantError(
-                f"wall {list(rays)} is met by one cone and lies on no facet of the support")
-    return out
+            raise InternalInvariantError(f"wall {list(rays)} of cone {fan.label_of(mi)} is met"
+                                         " by one cone and lies on no facet of the support")
+    return [rays for rays, _ in out]
 
 
 def fan_to_dot(fan: Fan, groups: dict[int, str] | None = None) -> str:

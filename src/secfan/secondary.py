@@ -10,15 +10,16 @@ orbit are built and the rest are moved to their places by simple reflections
 (_orbit_cones); where there are no simple roots, every cone is built.  A
 boundary only annotates the chambers; grouping those whose contracted set
 meets it in the same components, and completing the groups by bogus cones,
-gives the secondary fan.  Each fan's walls are built once, as data
-of the Fan: the faces gamma are the walls met by one cone, the bogus cones add
-only their own walls, and the degree certificate, movsec, the cocycle battery,
-the one-strata and the DOT export read that one map.  secondary_fan always
-proves what it returns: the Mori fan and the full fan pass the linear degree
-certificate of a complete fan, group hulls equal the union of their members,
-the boundary stabilizer permutes the full fan's cones, which pass the pairwise
-fan predicate on the pairs with an orbit root and hold every Mori cone, so
-coarsen the Mori fan.  In the toric cases the whole object must agree with an
+gives the secondary fan.  Each fan's walls are built once, as data of the
+Fan: the faces gamma are the walls met by one cone, the bogus cones add only
+their own walls, and the degree certificate, the coarsening pass, the cocycle
+battery, the one-strata and the DOT export read that one map.  secondary_fan
+always proves what it returns: the Mori fan and the full fan pass the linear
+degree certificate of a complete fan, the boundary stabilizer permutes the
+full fan's cones, which pass the pairwise fan predicate on the pairs with an
+orbit root, and each Mori cone lies in the one cone its chamber names; so the
+full fan coarsens the Mori fan and each group hull is the union of its
+chambers.  In the toric cases the whole object must agree with an
 independently computed GKZ secondary fan of the reflexive polygon.
 """
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .cones import (
     image,
     intersect,
     is_complete,
-    on_facet,
 )
 from .delpezzo import (
     BoundaryCycle,
@@ -66,6 +66,7 @@ from .errors import InternalInvariantError, ValidationError
 from .lattice import (
     IntMat,
     IntVec,
+    primitive,
     quotient_lattice_map,
     rank_of,
     solve_integral,
@@ -200,39 +201,22 @@ class MovSecGroup:
         return "mov[" + ",".join(str(i) for i in sorted(self.key)) + "]"
 
 
-def movsec(mori: Fan, chambers: list[Chamber]) -> list[MovSecGroup]:
-    """Group chambers by boundary-exceptional set; hulls proved convex off the
-    walls of mori, the proven fan mori_fan_K(lat) whose chambers build_chambers
-    annotated (its bogus cones are in no group): every wall whose cones are not
-    all in one group must lie in a facet hyperplane of the hull of each group
-    it touches, or InternalInvariantError (CLI exit 3) names the group and the
-    wall.
+def movsec(chambers: list[Chamber]) -> list[MovSecGroup]:
+    """Group chambers by boundary-exceptional set, each group with the hull of
+    its chambers' rays.
 
-    Lemma: then the hull H of a group is the union U of its chambers.  The
-    Mori proof gives each wall at most two cones, on opposite sides, so a
-    boundary point of U off the codimension-2 skeleton lies inside a wall
-    between a member and a non-member: on a facet hyperplane of H, not in
-    int H.  So in int H the boundary of U has codimension >= 2 and does not
-    disconnect int H, which meets the interior of U; hence U = H.
+    Nothing is proved here: secondary_fan proves the hulls and their bogus
+    cones a complete fan that holds every Mori cone, and by its lemma each
+    hull is then the union of its group's chambers.
     """
     by_key: dict[frozenset[int], list[int]] = {}
     for i, ch in enumerate(chambers):
         by_key.setdefault(ch.boundary_exc, []).append(i)
+    rank = chambers[0].cone.ambient_rank
     groups = []
     for key in sorted(by_key, key=sorted):
         rays = sorted({r for i in by_key[key] for r in chambers[i].cone.rays})
-        groups.append(MovSecGroup(key, cone_from_rays(rays, mori.ambient_rank), tuple(by_key[key])))
-    group_of = {i: g for g in groups for i in g.member_ids}
-    for (rays, _), incident in mori.walls.items():
-        touched = [group_of.get(mi) for mi, _ in incident]  # None for a bogus cone
-        if all(g is touched[0] for g in touched):
-            continue
-        for g in filter(None, touched):
-            if not on_facet(rays, g.cone):
-                raise InternalInvariantError(
-                    f"moving group {sorted(g.key)} is not convex: wall {list(rays)} of cones"
-                    f" {[mori.label_of(mi) for mi, _ in incident]} lies on no facet of its hull"
-                )
+        groups.append(MovSecGroup(key, cone_from_rays(rays, rank), tuple(by_key[key])))
     return groups
 
 
@@ -270,21 +254,30 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     its chambers, so a second boundary on the same lattice reuses it.  Each
     fan's walls are built once: the Mori fan and the moving groups each get
     their bogus cones from the walls met by one cone, is_complete reads the
-    same map to prove each a complete fan, and movsec reads the Mori walls
-    too.  Right after its completion the full fan's Stab(B)-orbits are walked
-    and proved (stabilizer_orbits), so the returned full_fan carries them in
-    Fan.orbits for the bundle stage and the Weyl section, and the smaller
-    secondary fan passes the pairwise fan predicate on the pairs with an
-    orbit root (fan_check's lemma).  Coarsening is containment: movsec
-    proved each chamber lies in its group's hull, and each Mori bogus cone
-    must lie in a secondary bogus cone.  That proves it, as the two fans are
-    complete: a point x inside a cone C of the secondary fan lies in some
-    Mori cone f, and f in some secondary C'; C cap C' is a face of both with
-    x inside, so full-dimensional, so C = C'.  The Mori cones in C cover it.
+    same map to prove each a complete fan, and the coarsening pass reads the
+    Mori walls.  Right after its completion the full fan's Stab(B)-orbits are
+    walked and proved (stabilizer_orbits), so the returned full_fan carries
+    them in Fan.orbits for the bundle stage and the Weyl section, and the
+    smaller secondary fan passes the pairwise fan predicate on the pairs with
+    an orbit root (fan_check's lemma).
+
+    Coarsening is containment, proved once.  Each chamber lies in its group's
+    hull by construction.  A Mori bogus cone cone(F + K) is tested against one
+    host: mori.walls gives the chamber c on its base face F (its rays other
+    than primitive(K)) and c's inward normal g there; F spans g's hyperplane
+    and the hull H of c's group lies in Eff, on g's side, so g is a facet of
+    H, and the host is the secondary bogus cone over H's rays tight on g.
+    Lemma (the tiling lemma of is_complete): both fans are complete and every
+    Mori cone lies in a named secondary cone.  A Mori cone whose interior
+    meets int C lies in its named C', and C cap C' is a common face with
+    interior points, so C' = C.  So each secondary cone is the union of the
+    Mori cones that name it, and each hull the union of its group's chambers:
+    a grouping that is not convex fails in boundary_walls, is_complete or the
+    host test.
     """
     chambers = build_chambers(lat, boundary)
     mori = mori_fan_K(lat)
-    groups = movsec(mori, chambers)
+    groups = movsec(chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     eff = effective_cone(lat)
     fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, (), "secondary fan")
@@ -296,11 +289,16 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
         raise InternalInvariantError(
             f"secondary fan fails the fan predicate: {rep.violations[:3]}"
         )
+    group_of = {i: g for g in groups for i in g.member_ids}
+    host_of, k_ray = dict(zip(faces_on_eff, bogus)), primitive(lat.canonical)
     for i in range(len(chambers), len(mori.cones)):
-        # a host of the Mori cone holds its interior point: test that first
         c = mori.cones[i]
-        x = c.interior_point()
-        if not any(host.contains_cone(c) for host in bogus if host.contains_point(x)):
+        face = tuple(r for r in c.rays if r != k_ray)
+        # the chamber on the base face and its inward normal g there name the
+        # host: the bogus cone over the rays of the group's hull tight on g
+        host = next((host_of.get(tuple(r for r in group_of[mi].cone.rays if vec_dot(g, r) == 0))
+                     for mi, g in mori.walls.get((face, ()), ()) if mi < len(chambers)), None)
+        if host is None or not host.contains_cone(c):
             raise InternalInvariantError(
                 f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
             )

@@ -166,26 +166,18 @@ def boundary_algebra(n: int) -> dict:
 
     The per-component dimension counts lattice points of that component's own
     edge cone (the chain copy before the cyclic gluing), which is where the
-    degree-one polarization shows; the total counts glued points, so each of
-    the n vertices is shared once and the level-m total is n*m.
+    degree-one polarization shows: edge ("bd", i) is one side of one fan
+    cell, whose level-m points split m over its two slots, so m + 1 of them.
+    The total counts glued points, so each of the n vertices is shared once
+    and the level-m total is n*m.
     """
     comp = gamma_complex(fan_triangulation(n))
     out = {"n": n, "levels": {}}
     for m in range(1, 5):
         pts = [p for p in comp.points_at_level(m) if comp.is_boundary(p)]
-        per_component = {}
-        for i in range(1, n + 1):
-            cnt = 0
-            for cid, labels, eids in comp.tri.cells():
-                for slot in range(3):
-                    if eids[slot] == ("bd", i):
-                        # side points: zero at the opposite slot, split m over
-                        # the side's two slots
-                        cnt += sum(1 for p in range(m + 1))
-            per_component[i] = cnt
         out["levels"][m] = {
             "total": len(pts),
-            "per_component": per_component,
+            "per_component": {i: m + 1 for i in range(1, n + 1)},
         }
     return out
 

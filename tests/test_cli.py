@@ -665,7 +665,8 @@ def test_build_report_verifies_each_fact_once(monkeypatch, cold_mori_fan):
     assert mori != full
     assert checked_fans["fan_check"] == [full]
     assert sorted(checked_fans["is_complete"]) == sorted([mori, full])
-    # coarsening is read off movsec and the bogus-cone containment, not re-proved
+    # coarsening is secondary_fan's one containment pass (each Mori bogus cone
+    # in the host its chamber names), not re-proved by is_coarsening
     assert "is_coarsening" not in calls
     assert calls["decompose"] == 1
     assert "faces" not in calls  # decompose reads faces off the incidences

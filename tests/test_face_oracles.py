@@ -39,7 +39,6 @@ from secfan.lattice import IntMat, invariant_factors, primitive, rank_of
 from secfan.secondary import (
     _complete_with_bogus,
     build_chambers,
-    mori_fan_K,
     movsec,
     secondary_fan,
 )
@@ -159,8 +158,8 @@ def test_rays_outside_the_subspace_that_span_no_face_fail_in_both():
 def _moving_fans(lat, cycle):
     """The chambers' fan, the groups' fan, and the full fan over the groups with
     its bogus faces; the pairwise fan predicate is skipped."""
-    mori, chambers = mori_fan_K(lat), build_chambers(lat, cycle)
-    groups = movsec(mori, chambers)
+    chambers = build_chambers(lat, cycle)
+    groups = movsec(chambers)
     mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
     full, faces = _complete_with_bogus(mov, lat, effective_cone(lat), (), "secondary fan")
     return Fan(lat.rank, tuple(c.cone for c in chambers)), mov, full, faces

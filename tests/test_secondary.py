@@ -80,7 +80,7 @@ def test_mori_fan_degree6():
 
 def test_movsec_hexagon_all_singletons():
     lat, cycle = hexagon_boundary()
-    groups = movsec(mori_fan_K(lat), build_chambers(lat, cycle))
+    groups = movsec(build_chambers(lat, cycle))
     assert len(groups) == 18
     assert all(len(g.member_ids) == 1 for g in groups)
 
@@ -88,7 +88,7 @@ def test_movsec_hexagon_all_singletons():
 def test_movsec_no_minus_one_boundary_single_group():
     # degree 9: triangle of lines, no (-1)-components anywhere
     lat, cycle, _ = toric_boundary("p2")
-    groups = movsec(mori_fan_K(lat), build_chambers(lat, cycle))
+    groups = movsec(build_chambers(lat, cycle))
     assert len(groups) == 1
     assert groups[0].cone == effective_cone(lat)
 
@@ -96,8 +96,8 @@ def test_movsec_no_minus_one_boundary_single_group():
 def test_movsec_degree5_intermediate():
     lat = PicLattice(4)
     cycle = minus_one_cycles(lat, 5)[0]
-    mori, chambers = mori_fan_K(lat), build_chambers(lat, cycle)
-    groups = movsec(mori, chambers)
+    chambers = build_chambers(lat, cycle)
+    groups = movsec(chambers)
     # 1 empty + 5 singletons + 5 non-adjacent pairs
     assert len(groups) == 11
     assert 1 < len(groups) < len(chambers)

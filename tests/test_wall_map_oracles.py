@@ -1,26 +1,33 @@
-"""movsec, the chamber adjacency and the one-stratum report read the proven
-Mori and secondary wall maps; here they meet the oracles that built their own."""
+"""The coarsening pass, the chamber adjacency and the one-stratum report read
+the proven Mori and secondary wall maps; here they meet the oracles that built
+their own."""
 
 import dataclasses
-import re
 
 import pytest
 
 from cocycle_oracle import chamber_adjacency
 from test_acceptance import _boundary_suite_k_le_5
 from wall_map_oracles import (
+    bogus_hosts_by_scan,
     incident_groups_by_containment,
     movsec_by_tiling,
     one_stratum_report_by_containment,
 )
 from secfan import secondary
-from secfan.delpezzo import TORIC_NAMES, PicLattice, minus_one_cycles, toric_boundary
+from secfan.cones import RationalCone
+from secfan.delpezzo import (
+    TORIC_NAMES,
+    BoundaryCycle,
+    PicLattice,
+    minus_one_cycles,
+    toric_boundary,
+)
 from secfan.errors import InternalInvariantError
+from secfan.lattice import vec_scale
 from secfan.secondary import (
     build_chambers,
     grouping_by_triangulation,
-    mori_fan_K,
-    movsec,
     one_stratum_report,
     secondary_fan,
 )
@@ -47,16 +54,63 @@ def test_wall_map_readers_match_the_map_building_oracles():
     assert len(suite) == 20
 
 
-def test_a_group_with_a_stray_chamber_is_not_convex():
-    """Move chamber 0 of the pentagon into a group with no member adjacent to it."""
-    lat = PicLattice(4)
-    mori, chambers = mori_fan_K(lat), build_chambers(lat, minus_one_cycles(lat, 5)[0])
+def _two_cycle(k):
+    """{E_k, -K - E_k}: a boundary of two components on PicLattice(k)."""
+    return PicLattice(k), BoundaryCycle(((0,) * k + (1,), (3,) + (-1,) * (k - 1) + (-2,)))
+
+
+def test_each_mori_bogus_cone_is_tested_once_against_the_one_host_the_scan_finds(monkeypatch):
+    """After the fan predicate, secondary_fan tests on a secondary bogus cone
+    only K, -K and, once for each Mori bogus cone, that cone's rays, in the
+    one host that the all-hosts scan finds."""
+    probes, armed = [], []
+    real_point, real_check = RationalCone.contains_point, secondary.fan_check
+
+    def contains_point(cone, x):
+        if armed:
+            probes.append((cone, x))
+        return real_point(cone, x)
+
+    def fan_check(fan):
+        rep = real_check(fan)
+        armed.append(fan)
+        return rep
+
+    monkeypatch.setattr(RationalCone, "contains_point", contains_point)
+    monkeypatch.setattr(secondary, "fan_check", fan_check)
+    suite = (_boundary_suite_k_le_5() + [toric_boundary(name)[:2] for name in TORIC_NAMES]
+             + [_two_cycle(k) for k in (3, 4, 5)])
+    for lat, cycle in suite:
+        sec = secondary_fan(lat, cycle)
+        armed.clear()
+        hosts = {id(host): j for j, host in enumerate(sec.bogus_cones)}
+        k_line = {lat.canonical, vec_scale(-1, lat.canonical)}
+        read = [(hosts[id(c)], x) for c, x in probes if id(c) in hosts and x not in k_line]
+        probes.clear()
+        scan = bogus_hosts_by_scan(sec)
+        assert all(len(found) == 1 for found in scan)
+        mori_bogus = sec.mori_fan.cones[len(sec.chambers):]
+        assert read == [(found[0], r) for found, c in zip(scan, mori_bogus)
+                        for r in c.rays if r not in k_line]
+        if (lat, cycle) == (PicLattice(4), minus_one_cycles(PicLattice(4), 5)[0]):
+            # the pentagon: its 45 Mori bogus cones fall in its 25 bogus cones
+            assert (len(mori_bogus), len(sec.bogus_cones), len({j for j, _ in read})) == (45, 25, 25)
+    assert len(suite) == 23
+
+
+def test_a_group_with_a_stray_chamber_is_not_convex(monkeypatch):
+    """Move chamber 0 of the pentagon into a group with no member adjacent to
+    it: secondary_fan's coarsening proof refuses the grouping at a wall of
+    a moving group, naming the wall and the group."""
+    lat, cycle = PicLattice(4), minus_one_cycles(PicLattice(4), 5)[0]
+    chambers = build_chambers(lat, cycle)
     near = {i for e in chamber_adjacency(chambers) if 0 in e for i in e}
     keys = sorted({c.boundary_exc for c in chambers} - {chambers[0].boundary_exc}, key=sorted)
     far = next(k for k in keys if all(chambers[i].boundary_exc != k for i in near))
     doctored = [dataclasses.replace(chambers[0], boundary_exc=far), *chambers[1:]]
-    named = rf"moving group {re.escape(str(sorted(far)))} is not convex: wall \[\(.*\)\]"
-    with pytest.raises(InternalInvariantError, match=named + r" of cones \[.*\] lies on no facet"):
-        movsec(mori, doctored)
+    monkeypatch.setattr(secondary, "build_chambers", lambda lat, boundary: doctored)
+    named = r"wall \[\(.*\)\] of cone mov\[[0-9,]*\] is met by one cone and lies on no facet"
+    with pytest.raises(InternalInvariantError, match=named):
+        secondary_fan(lat, cycle)
     with pytest.raises(InternalInvariantError, match=r"is not convex"):
         movsec_by_tiling(doctored)

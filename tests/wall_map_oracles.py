@@ -1,10 +1,15 @@
-"""The grouping and one-stratum code that built its own maps, kept as test oracles.
+"""The grouping, coarsening and one-stratum code that built its own maps, kept
+as test oracles.
 
-secfan.secondary.movsec proves each group convex from the Mori fan's wall
-map, and one_stratum_report reads a bogus cone's incident group off the full
-fan's wall map.  movsec_by_tiling is the earlier movsec: one cones_tile per
-group, which builds a fresh wall map of the group's chambers and runs its own
-dimension, containment, opposite-side and probe checks.
+secfan.secondary.secondary_fan tests each Mori bogus cone against the one
+secondary bogus cone read off the Mori fan's wall map, and its coarsening
+lemma makes each group hull the union of the group's chambers.
+one_stratum_report reads a bogus cone's incident group off the full fan's
+wall map.  movsec_by_tiling is an earlier movsec: one cones_tile per group,
+which builds a fresh wall map of the group's chambers and runs its own
+dimension, containment, opposite-side and probe checks.  bogus_hosts_by_scan
+is the earlier coarsening pass: it tests each Mori bogus cone against every
+secondary bogus cone.
 one_stratum_report_by_containment is the earlier report: it scans every group
 for one containing the bogus cone's base face.  grouping_by_chamber_triangulations
 is the earlier grouping_by_triangulation, which read the moving groups: it
@@ -38,6 +43,14 @@ def movsec_by_tiling(chambers: list[Chamber]) -> list[MovSecGroup]:
             )
         groups.append(MovSecGroup(key, hull, tuple(ids)))
     return groups
+
+
+def bogus_hosts_by_scan(sec: SecondaryFan) -> list[list[int]]:
+    """For each Mori bogus cone, in Mori fan order, the indices in
+    sec.bogus_cones of the secondary bogus cones that contain it."""
+    mori_bogus = sec.mori_fan.cones[len(sec.chambers):]
+    return [[j for j, host in enumerate(sec.bogus_cones) if host.contains_cone(c)]
+            for c in mori_bogus]
 
 
 def grouping_by_chamber_triangulations(chambers: list[Chamber], n: int) -> dict:
