@@ -566,11 +566,12 @@ def _wall_map(members, start: int = 0, walls=None) -> dict[tuple, list[tuple[int
     return walls
 
 
-def _tiling_defect(members, target: RationalCone | None = None, walls=None) -> str | None:
+def _tiling_defect(members, target: RationalCone | None = None, walls=None,
+                   label_of=str) -> str | None:
     """The first way the members fail the tiling certificate, or None if they pass.
 
-    target None is the whole space.  Members are named by their index.  walls
-    is the members' wall map, built here when not given.
+    target None is the whole space.  Member i is named label_of(i), by default
+    its index.  walls is the members' wall map, built here when not given.
     """
     if not members:
         return "no members"
@@ -579,33 +580,36 @@ def _tiling_defect(members, target: RationalCone | None = None, walls=None) -> s
         target = RationalCone(n, (), (), (), tuple(_unit(n, i) for i in range(n)))
     for mi, m in enumerate(members):
         if m.dim != target.dim:
-            return f"cone {mi} has dimension {m.dim}, not {target.dim}"
+            return f"cone {label_of(mi)} has dimension {m.dim}, not {target.dim}"
         if not target.contains_cone(m):
-            return f"cone {mi} leaves the target"
+            return f"cone {label_of(mi)} leaves the target"
     if walls is None:
         walls = _wall_map(members)
     for (key, _), incident in walls.items():
         if len(incident) > 2:
-            return f"wall {list(key)} is shared by cones {[mi for mi, _ in incident]}"
+            cones = ", ".join(label_of(mi) for mi, _ in incident)
+            return f"wall {list(key)} is shared by cones [{cones}]"
         if len(incident) == 1:
             if not on_facet(key, target):
-                return f"wall {list(key)} of cone {incident[0][0]} is met by no other cone"
+                return f"wall {list(key)} of cone {label_of(incident[0][0])} is met by no other cone"
         else:
             (ma, ga), (mb, gb) = incident
             if ma == mb:
-                return f"wall {list(key)} is two facets of cone {ma}"
+                return f"wall {list(key)} is two facets of cone {label_of(ma)}"
             # opposite sides of the wall hyperplane
             if not all(vec_dot(ga, r) <= 0 for r in members[mb].rays) or not all(
                 vec_dot(gb, r) <= 0 for r in members[ma].rays
             ):
-                return f"wall {list(key)}: cones {ma} and {mb} are not on opposite sides"
+                return (f"wall {list(key)}: cones {label_of(ma)} and {label_of(mb)}"
+                        " are not on opposite sides")
     probe = members[0].interior_point()
     hits = [mi for mi, m in enumerate(members) if m.contains_point(probe)]
     if len(hits) != 1:
-        return f"interior point {list(probe)} of cone 0 lies in {len(hits)} cones {hits}"
+        return (f"interior point {list(probe)} of cone {label_of(0)} lies in {len(hits)}"
+                f" cones [{', '.join(map(label_of, hits))}]")
     # the probe must also witness the target's interior side
     if not target.contains_point(probe):
-        return f"interior point {list(probe)} of cone 0 lies outside the target"
+        return f"interior point {list(probe)} of cone {label_of(0)} lies outside the target"
     return None
 
 

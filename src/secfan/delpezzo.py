@@ -435,14 +435,12 @@ def minus_one_cycles(lat: PicLattice, n: int) -> list[BoundaryCycle]:
     classes = minus_one_classes(lat)
     anti = tuple(-x for x in lat.canonical)
     found = set()
+    meet = 2 if n == 2 else 1  # the two components of a 2-cycle meet twice
 
     def ok_next(path, c, closing):
-        if lat.dot(path[-1], c) != 1:
-            return False
-        body = path[1:-1] if closing else path[:-1]
-        if closing and lat.dot(path[0], c) != 1:
-            return False
-        return all(lat.dot(p, c) == 0 for p in body)
+        # c meets its neighbours in meet and the other components not at all
+        ends, body = ((path[-1], path[0]), path[1:-1]) if closing else ((path[-1],), path[:-1])
+        return all(lat.dot(p, c) == meet for p in ends) and all(lat.dot(p, c) == 0 for p in body)
 
     def dfs(path, remaining_sum):
         if len(path) == n:

@@ -17,10 +17,11 @@ battery, the one-strata and the DOT export read that one map.  secondary_fan
 always proves what it returns: the Mori fan and the full fan pass the linear
 degree certificate of a complete fan, the boundary stabilizer permutes the
 full fan's cones, which pass the pairwise fan predicate on the pairs with an
-orbit root, and each Mori cone lies in the one cone its chamber names; so the
-full fan coarsens the Mori fan and each group hull is the union of its
-chambers.  In the toric cases the whole object must agree with an
-independently computed GKZ secondary fan of the reflexive polygon.
+orbit root, and each Mori bogus cone's base wall is, by one set lookup, a
+hull wall that a secondary bogus cone was built over; so the full fan
+coarsens the Mori fan and each group hull is the union of its chambers.  In
+the toric cases the whole object must agree with an independently computed
+GKZ secondary fan of the reflexive polygon.
 """
 from __future__ import annotations
 
@@ -148,7 +149,8 @@ def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
     fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces])
     if not is_complete(fan):
         raise InternalInvariantError(
-            f"{what} is not a complete fan: {_tiling_defect(fan.cones, walls=fan.walls)}"
+            f"{what} is not a complete fan:"
+            f" {_tiling_defect(fan.cones, walls=fan.walls, label_of=fan.label_of)}"
         )
     return fan, faces
 
@@ -261,19 +263,23 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     smaller secondary fan passes the pairwise fan predicate on the pairs with
     an orbit root (fan_check's lemma).
 
-    Coarsening is containment, proved once.  Each chamber lies in its group's
-    hull by construction.  A Mori bogus cone cone(F + K) is tested against one
-    host: mori.walls gives the chamber c on its base face F (its rays other
-    than primitive(K)) and c's inward normal g there; F spans g's hyperplane
-    and the hull H of c's group lies in Eff, on g's side, so g is a facet of
-    H, and the host is the secondary bogus cone over H's rays tight on g.
-    Lemma (the tiling lemma of is_complete): both fans are complete and every
-    Mori cone lies in a named secondary cone.  A Mori cone whose interior
-    meets int C lies in its named C', and C cap C' is a common face with
-    interior points, so C' = C.  So each secondary cone is the union of the
-    Mori cones that name it, and each hull the union of its group's chambers:
-    a grouping that is not convex fails in boundary_walls, is_complete or the
-    host test.
+    Coarsening is one set lookup per Mori bogus cone cone(F + K), F its rays
+    other than primitive(K): mori.walls names the chamber c on F and c's
+    inward normal g there, and (group of c, g) must be the incidence of a
+    hull wall W that a secondary bogus cone was built over.  Lookup lemma:
+    then g is a facet normal of c's group hull H, and W = H cap g-perp.  The
+    rays of c are among H's generators and g = 0 on F, so F lies in
+    H cap g-perp = cone(W), H being pointed (W is keyed with no lineality),
+    and cone(F + K) lies in cone(W + K), the bogus cone built over W.
+    K lemma: K generates each bogus cone b = cone(W + K), which is_complete
+    proved full-dimensional, so g.K != 0; b lies in {x : sign(g.K) g.x >= 0}
+    and -K does not.  Tiling lemma (of is_complete): both fans are complete
+    and every Mori cone lies in a named secondary cone, a chamber in its
+    group's hull by construction.  A Mori cone whose interior meets int C
+    lies in its named C', and C cap C' is a common face with interior points,
+    so C' = C.  So each secondary cone is the union of the Mori cones that
+    name it, and each hull the union of its group's chambers: a grouping that
+    is not convex fails in boundary_walls, is_complete or the lookup.
     """
     chambers = build_chambers(lat, boundary)
     mori = mori_fan_K(lat)
@@ -289,28 +295,18 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
         raise InternalInvariantError(
             f"secondary fan fails the fan predicate: {rep.violations[:3]}"
         )
-    group_of = {i: g for g in groups for i in g.member_ids}
-    host_of, k_ray = dict(zip(faces_on_eff, bogus)), primitive(lat.canonical)
+    # (group index, inward facet) of each hull wall a bogus cone was built over
+    on_eff = {inc for face in faces_on_eff for inc in mov.walls.get((face, ()), ())}
+    group_of = {i: gi for gi, g in enumerate(groups) for i in g.member_ids}
+    k_ray = primitive(lat.canonical)
     for i in range(len(chambers), len(mori.cones)):
-        c = mori.cones[i]
-        face = tuple(r for r in c.rays if r != k_ray)
-        # the chamber on the base face and its inward normal g there name the
-        # host: the bogus cone over the rays of the group's hull tight on g
-        host = next((host_of.get(tuple(r for r in group_of[mi].cone.rays if vec_dot(g, r) == 0))
-                     for mi, g in mori.walls.get((face, ()), ()) if mi < len(chambers)), None)
-        if host is None or not host.contains_cone(c):
+        face = tuple(r for r in mori.cones[i].rays if r != k_ray)
+        if not any((group_of.get(mi), g) in on_eff for mi, g in mori.walls.get((face, ()), ())):
             raise InternalInvariantError(
                 f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
             )
-    # bogus cones contain K and touch Eff only along their base face
     if eff.contains_point(lat.canonical):
         raise InternalInvariantError("canonical class misplaced relative to Eff")
-    anti = vec_scale(-1, lat.canonical)
-    for b in bogus:
-        if not b.contains_point(lat.canonical):
-            raise InternalInvariantError("bogus cone misses the canonical ray")
-        if b.contains_point(anti):
-            raise InternalInvariantError("canonical class misplaced relative to Eff")
     return sec
 
 
@@ -931,7 +927,8 @@ def gkz_secondary_fan(points) -> GkzFan:
     # the degree certificate proves "complete fan" on its own (see is_complete)
     if not is_complete(fan):
         raise InternalInvariantError(
-            f"GKZ secondary fan is not a complete fan: {_tiling_defect(list(fan.cones))}"
+            "GKZ secondary fan is not a complete fan:"
+            f" {_tiling_defect(fan.cones, walls=fan.walls, label_of=fan.label_of)}"
         )
     flip_reached = _flip_graph_triangulations(points, regular, raw)
     if flip_reached != {t for t in regular}:

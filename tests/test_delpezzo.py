@@ -337,6 +337,24 @@ def test_toric_boundaries_valid():
             assert tuple(p + q for p, q in zip(prev, nxt)) == tuple(-d2 * u for u in cur)
 
 
+@pytest.mark.parametrize("k, count", [(3, 1), (4, 12), (5, 40), (6, 45), (7, 28)])
+def test_minus_one_cycle_counts(k, count):
+    """Anticanonical (9 - k)-cycles of (-1)-classes, up to rotation and reflection."""
+    assert len(minus_one_cycles(PicLattice(k), 9 - k)) == count
+
+
+def test_minus_one_two_cycles_meet_twice():
+    # the two components of a 2-cycle meet in 2: each is {E, -K - E}, and the
+    # 28 of them use each of the 56 (-1)-classes once
+    lat = PicLattice(7)
+    cycles = minus_one_cycles(lat, 2)
+    anti = tuple(-x for x in lat.canonical)
+    assert cycles[0].classes == ((0,) * 7 + (1,), (3,) + (-1,) * 6 + (-2,))
+    assert all(tuple(map(sum, zip(*c.classes))) == anti for c in cycles)
+    assert all(lat.dot(*c.classes) == 2 for c in cycles)
+    assert len({cls for c in cycles for cls in c.classes}) == 56
+
+
 def test_normalized_cycle_rotation_invariant():
     lat, cycle = hexagon_boundary()
     rot = BoundaryCycle(cycle.classes[2:] + cycle.classes[:2])

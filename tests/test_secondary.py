@@ -145,6 +145,17 @@ def test_a_missing_bogus_cone_leaves_the_mori_fan_incomplete(monkeypatch, cold_m
         secondary_fan(lat, cycle)
 
 
+def test_a_mori_fan_gap_names_the_cone_by_its_label(monkeypatch, cold_mori_fan):
+    lat, cycle = hexagon_boundary()
+    real = secondary.boundary_walls
+    monkeypatch.setattr(secondary, "weyl_generators", lambda _: [])
+    monkeypatch.setattr(secondary, "boundary_walls", lambda fan, support: real(fan, support)[1:])
+    # the chamber whose wall lost its bogus cone is named by its label, not its index
+    with pytest.raises(InternalInvariantError,
+                       match=r"wall \[.*\] of cone (c|bogus)\[[^]]*\] is met by no other cone$"):
+        secondary_fan(lat, cycle)
+
+
 def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch, cold_mori_fan):
     lat, cycle = hexagon_boundary()
     # drop the last group face, and pass the two checks that would see the gap

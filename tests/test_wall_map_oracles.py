@@ -1,4 +1,4 @@
-"""The coarsening pass, the chamber adjacency and the one-stratum report read
+"""The coarsening lookup, the chamber adjacency and the one-stratum report read
 the proven Mori and secondary wall maps; here they meet the oracles that built
 their own."""
 
@@ -24,7 +24,7 @@ from secfan.delpezzo import (
     toric_boundary,
 )
 from secfan.errors import InternalInvariantError
-from secfan.lattice import vec_scale
+from secfan.lattice import primitive
 from secfan.secondary import (
     build_chambers,
     grouping_by_triangulation,
@@ -59,17 +59,24 @@ def _two_cycle(k):
     return PicLattice(k), BoundaryCycle(((0,) * k + (1,), (3,) + (-1,) * (k - 1) + (-2,)))
 
 
-def test_each_mori_bogus_cone_is_tested_once_against_the_one_host_the_scan_finds(monkeypatch):
-    """After the fan predicate, secondary_fan tests on a secondary bogus cone
-    only K, -K and, once for each Mori bogus cone, that cone's rays, in the
-    one host that the all-hosts scan finds."""
-    probes, armed = [], []
-    real_point, real_check = RationalCone.contains_point, secondary.fan_check
+def test_each_mori_bogus_cone_is_looked_up_in_the_one_host_the_scan_finds(monkeypatch):
+    """After the fan predicate, secondary_fan tests no point or cone against a
+    secondary bogus cone; the bogus cone built over the (group, inward facet)
+    wall of each Mori bogus cone's base face is the one host that the
+    all-hosts scan finds."""
+    probed, armed = [], []
+    real_point, real_cone = RationalCone.contains_point, RationalCone.contains_cone
+    real_check = secondary.fan_check
 
     def contains_point(cone, x):
         if armed:
-            probes.append((cone, x))
+            probed.append(cone)
         return real_point(cone, x)
+
+    def contains_cone(cone, other):
+        if armed:
+            probed.append(cone)
+        return real_cone(cone, other)
 
     def fan_check(fan):
         rep = real_check(fan)
@@ -77,24 +84,27 @@ def test_each_mori_bogus_cone_is_tested_once_against_the_one_host_the_scan_finds
         return rep
 
     monkeypatch.setattr(RationalCone, "contains_point", contains_point)
+    monkeypatch.setattr(RationalCone, "contains_cone", contains_cone)
     monkeypatch.setattr(secondary, "fan_check", fan_check)
     suite = (_boundary_suite_k_le_5() + [toric_boundary(name)[:2] for name in TORIC_NAMES]
              + [_two_cycle(k) for k in (3, 4, 5)])
     for lat, cycle in suite:
         sec = secondary_fan(lat, cycle)
         armed.clear()
-        hosts = {id(host): j for j, host in enumerate(sec.bogus_cones)}
-        k_line = {lat.canonical, vec_scale(-1, lat.canonical)}
-        read = [(hosts[id(c)], x) for c, x in probes if id(c) in hosts and x not in k_line]
-        probes.clear()
-        scan = bogus_hosts_by_scan(sec)
-        assert all(len(found) == 1 for found in scan)
-        mori_bogus = sec.mori_fan.cones[len(sec.chambers):]
-        assert read == [(found[0], r) for found, c in zip(scan, mori_bogus)
-                        for r in c.rays if r not in k_line]
+        assert not {id(c) for c in probed} & {id(b) for b in sec.bogus_cones}
+        probed.clear()
+        over = {sec.movsec_fan.walls[(face, ())][0]: j for j, face in enumerate(sec.bogus_faces)}
+        group_of = {i: gi for gi, g in enumerate(sec.groups) for i in g.member_ids}
+        mori, n, k_ray = sec.mori_fan, len(sec.chambers), primitive(lat.canonical)
+        read = []
+        for c in mori.cones[n:]:
+            face = tuple(r for r in c.rays if r != k_ray)
+            [(mi, g)] = [(mi, g) for mi, g in mori.walls[(face, ())] if mi < n]
+            read.append([over[(group_of[mi], g)]])
+        assert read == bogus_hosts_by_scan(sec)
         if (lat, cycle) == (PicLattice(4), minus_one_cycles(PicLattice(4), 5)[0]):
             # the pentagon: its 45 Mori bogus cones fall in its 25 bogus cones
-            assert (len(mori_bogus), len(sec.bogus_cones), len({j for j, _ in read})) == (45, 25, 25)
+            assert (len(read), len(sec.bogus_cones), len({j for j, in read})) == (45, 25, 25)
     assert len(suite) == 23
 
 

@@ -1,15 +1,17 @@
 """The grouping, coarsening and one-stratum code that built its own maps, kept
 as test oracles.
 
-secfan.secondary.secondary_fan tests each Mori bogus cone against the one
-secondary bogus cone read off the Mori fan's wall map, and its coarsening
-lemma makes each group hull the union of the group's chambers.
+secfan.secondary.secondary_fan looks up, with no containment test, the
+(group, inward facet) of each Mori bogus cone's base wall, read off the Mori
+fan's wall map, among the hull walls its secondary bogus cones were built
+over; its coarsening lemmas make that bogus cone the Mori bogus cone's host
+and each group hull the union of the group's chambers.
 one_stratum_report reads a bogus cone's incident group off the full fan's
 wall map.  movsec_by_tiling is an earlier movsec: one cones_tile per group,
 which builds a fresh wall map of the group's chambers and runs its own
 dimension, containment, opposite-side and probe checks.  bogus_hosts_by_scan
-is the earlier coarsening pass: it tests each Mori bogus cone against every
-secondary bogus cone.
+is the earlier coarsening pass: it tests each Mori bogus cone for exact
+containment in every secondary bogus cone.
 one_stratum_report_by_containment is the earlier report: it scans every group
 for one containing the bogus cone's base face.  grouping_by_chamber_triangulations
 is the earlier grouping_by_triangulation, which read the moving groups: it
