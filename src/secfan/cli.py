@@ -285,8 +285,8 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
 def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     """W(E_k) data from the simple reflections alone; no element list is built.
 
-    The chamber orbits are the Mori fan's orbits: mori_fan_K walked them once,
-    along Schreier trees of the generators, and proved every image a chamber.
+    The chamber orbits are the Mori fan's first orbits: mori_fan_K walked them
+    once, along Schreier trees of the generators, and proved every image a chamber.
     |W| = k! |W E| for the contraction E = {E_1, ..., E_k}: W fixes K, and K
     with the E_i spans Pic (x) Q since H = (sum E_i - K) / 3, so only the
     identity fixes every E_i; an element mapping E onto itself permutes the
@@ -297,10 +297,10 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     with stabilizer_orbits before it returned sec, so that fact is read here,
     not walked again.
     """
-    roots = sec.mori_fan.orbits
+    keys = [c.classes for c in contractions(lat)]
+    roots = sec.mori_fan.orbits[:len(keys)]  # the chambers' roots; the bogus cones' follow
     sizes = Counter(roots)  # orbit root -> orbit size
     e = tuple(sorted(tuple(int(i == j) for i in range(lat.rank)) for j in range(1, lat.rank)))
-    keys = [c.classes for c in contractions(lat)]
     if e not in keys:
         raise InternalInvariantError(f"the contraction E = {list(e)} is not in contractions(lat)")
     order = factorial(lat.k) * sizes[roots[keys.index(e)]]

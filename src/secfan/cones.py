@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from operator import and_, mul, sub
 
 from .errors import InternalInvariantError, ValidationError
@@ -161,7 +161,7 @@ class RationalCone:
 
     def contains_cone(self, other: "RationalCone") -> bool:
         gens = list(other.rays) + list(other.lineality) + [vec_scale(-1, l) for l in other.lineality]
-        return all(self.contains_point(g) for g in gens)
+        return not (self.facets or self.equations) or all(map(self.contains_point, gens))
 
     def key(self):
         return (self.rays, self.lineality)
@@ -360,10 +360,14 @@ class Fan:
     The wall map of the cones is built on first use of walls and kept:
     is_complete, adjacency_pairs and boundary_walls all read it.  orbits[i]
     is the index of the first cone of cone i's orbit under a group of linear
-    automorphisms that permutes the first len(orbits) cones (the chambers of
-    mori_fan_K under W(E_k), every cone of secondary_fan's full fan under the
+    automorphisms that permutes the first len(orbits) cones (every cone of
+    mori_fan_K under W(E_k), and of secondary_fan's full fan under the
     boundary stabilizer); it is not compared, so equality and JSON see the
-    cones alone.
+    cones alone.  Orbit lemma: such a w maps rays by w and facets by w^-T,
+    so it permutes the walls with their incidences and the pairs of cones,
+    keeping each sign g.r = (w^-T g).(w r) and each face relation; and
+    w.C = root(C) for some w, so a test of every wall of C, or of every pair
+    {C, D}, holds if it holds at root(C).  A further cone is its own root.
     """
 
     ambient_rank: int
@@ -395,12 +399,14 @@ class Fan:
             out.__dict__["walls"] = self.walls
         return out
 
-    def extended(self, cones, labels) -> "Fan":
-        """This fan followed by more labelled cones; walls are built for the new cones only."""
+    def extended(self, cones, labels, keys=None, roots=()) -> "Fan":
+        """This fan followed by more labelled cones, with their facet keys
+        (_wall_map) and orbit roots when given; walls are built for them only."""
         cones = tuple(cones)
-        out = Fan(self.ambient_rank, self.cones + cones, self.labels + tuple(labels), self.orbits)
-        walls = {key: list(incident) for key, incident in self.walls.items()}
-        out.__dict__["walls"] = _wall_map(cones, len(self.cones), walls)  # fills the cache
+        orbits = self.orbit_roots + tuple(roots) if roots else self.orbits
+        out = Fan(self.ambient_rank, self.cones + cones, self.labels + tuple(labels), orbits)
+        # _wall_map rebinds the lists it adds to, so a shallow copy leaves self.walls as it is
+        out.__dict__["walls"] = _wall_map(cones, len(self.cones), dict(self.walls), keys)
         return out
 
 
@@ -433,13 +439,8 @@ def fan_check(fan: Fan) -> FanReport:
     other cone's rays are exact dots.  Lineal cones, and pairs no candidate
     separates, get intersect and is_face_of on both.
 
-    Only the pairs in which one cone is an orbit root (Fan.orbit_roots) are
-    tested.  Lemma: the orbits come from a group of linear automorphisms that
-    maps the set of orbited cones onto itself.  So for any pair {A, B} of
-    them some w in the group has w.A = root(A), w.B is a cone of the fan, and
-    A cap B is a face of both cones exactly when w.A cap w.B is; a pair with
-    a cone outside the orbited ones has a root already.  With no orbits
-    every cone is its own root and every pair is tested, on the same path.
+    Only the pairs in which one cone is an orbit root are tested (Fan's
+    orbit lemma); with no orbits every pair is tested, on the same path.
     """
     cones, n = fan.cones, fan.ambient_rank
     bit = {r: 1 << k for k, r in enumerate(dict.fromkeys(r for c in cones for r in c.rays))}
@@ -498,9 +499,8 @@ def is_complete(fan: Fan) -> bool:
     The whole space has no facets, so the certificate reads: every cone is
     full-dimensional, every wall of every cone is met by exactly one other
     cone on the opposite side, and one interior point of cone 0 lies in no
-    other cone.  The covering degree is
-    then 1 off a set of codimension 2: the support is all of R^n and the
-    interiors are pairwise disjoint.
+    other cone.  The covering degree is then 1 off a set of codimension 2:
+    the support is all of R^n and the interiors are pairwise disjoint.
 
     Lemma (compare De Loera, Rambau and Santos, Triangulations, ch. 4): a
     complete facet-to-facet tiling by convex cones is a fan, i.e. every two
@@ -514,8 +514,10 @@ def is_complete(fan: Fan) -> bool:
     of F_B (the span would drop there), so F_A = F_B; applied at a relative
     interior point of A cap B this gives A cap B = F_A, a face of both.
     Hence True means "complete fan", at every rank, with no sampling.
+    Opposite sides are tested only at walls with an orbit root on them (Fan's
+    orbit lemma); the multiplicities and the probe are checked everywhere.
     """
-    return _tiling_defect(fan.cones, walls=fan.walls) is None
+    return _tiling_defect(fan.cones, walls=fan.walls, roots=fan.orbit_roots) is None
 
 
 def is_coarsening(coarse: Fan, fine: Fan) -> bool:
@@ -551,27 +553,29 @@ def cones_tile(members: list[RationalCone], target: RationalCone) -> bool:
     return _tiling_defect(members, target) is None
 
 
-def _wall_map(members, start: int = 0, walls=None) -> dict[tuple, list[tuple[int, IntVec]]]:
+def _wall_map(members, start=0, walls=None, keys=None) -> dict[tuple, list[tuple[int, IntVec]]]:
     """Codimension-1 faces of the members: (rays, lineality) -> [(member index, inward facet)].
 
     A wall is keyed by its sorted rays and the member's lineality, which every
     face of the member shares, so that a lineal wall never matches another
     wall with the same rays.  Members are numbered from start and added to
-    walls, a map of the members before them, when given.
+    walls, a map of the members before them, when given, whose lists are
+    replaced, not appended to.  keys holds their _facet_faces_key if known.
     """
     walls = {} if walls is None else walls
-    for mi, m in enumerate(members, start):
-        for g, rays in zip(m.facets, _facet_faces_key(m)):
-            walls.setdefault((rays, m.lineality), []).append((mi, g))
+    for mi, m, tight in zip(count(start), members, keys or map(_facet_faces_key, members)):
+        for g, rays in zip(m.facets, tight):
+            walls[rays, m.lineality] = [*walls.get((rays, m.lineality), ()), (mi, g)]
     return walls
 
 
 def _tiling_defect(members, target: RationalCone | None = None, walls=None,
-                   label_of=str) -> str | None:
+                   label_of=str, roots=()) -> str | None:
     """The first way the members fail the tiling certificate, or None if they pass.
 
     target None is the whole space.  Member i is named label_of(i), by default
     its index.  walls is the members' wall map, built here when not given.
+    roots are their orbit roots, as in is_complete, or () for none.
     """
     if not members:
         return "no members"
@@ -597,9 +601,9 @@ def _tiling_defect(members, target: RationalCone | None = None, walls=None,
             if ma == mb:
                 return f"wall {list(key)} is two facets of cone {label_of(ma)}"
             # opposite sides of the wall hyperplane
-            if not all(vec_dot(ga, r) <= 0 for r in members[mb].rays) or not all(
-                vec_dot(gb, r) <= 0 for r in members[ma].rays
-            ):
+            if (not roots or roots[ma] == ma or roots[mb] == mb) and (
+                    not all(vec_dot(ga, r) <= 0 for r in members[mb].rays)
+                    or not all(vec_dot(gb, r) <= 0 for r in members[ma].rays)):
                 return (f"wall {list(key)}: cones {label_of(ma)} and {label_of(mb)}"
                         " are not on opposite sides")
     probe = members[0].interior_point()
@@ -681,12 +685,14 @@ def boundary_walls(fan: Fan, support: RationalCone) -> list[tuple[IntVec, ...]]:
     When the cones tile support, those are its walls on the boundary of
     support, so each must lie in a facet hyperplane of support; one that does
     not is a gap in the tiling and raises InternalInvariantError naming it
-    and its cone.
+    and its cone.  Only the walls of orbit roots are tested (Fan's orbit
+    lemma), so the group must fix support.
     """
     out = sorted((rays, incident[0][0]) for (rays, _), incident in fan.walls.items()
                  if len(incident) == 1)
+    roots = fan.orbit_roots
     for rays, mi in out:
-        if not on_facet(rays, support):
+        if roots[mi] == mi and not on_facet(rays, support):
             raise InternalInvariantError(f"wall {list(rays)} of cone {fan.label_of(mi)} is met"
                                          " by one cone and lies on no facet of the support")
     return [rays for rays, _ in out]

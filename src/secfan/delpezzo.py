@@ -236,7 +236,17 @@ class WeylElement:
         m, one = self.matrix, IntMat.identity(self.matrix.rows)
         return tuple((i, m.row(i)) for i in range(m.rows) if m.row(i) != one.row(i))
 
-    def act(self, v: IntVec) -> IntVec:
+    @cached_property
+    def act(self):
+        """v -> matrix.apply(v), each v moved once per element: its image table."""
+        return lru_cache(maxsize=None)(self._apply)
+
+    @cached_property
+    def transpose(self) -> "WeylElement":
+        """matrix^T, which moves facet normals: s^-T = s^T for an involution s."""
+        return WeylElement(self.matrix.transpose())
+
+    def _apply(self, v: IntVec) -> IntVec:
         """matrix.apply(v), computing only the moved rows (2 or 4 for a simple reflection)."""
         if len(v) != self.matrix.cols:
             raise ValueError("vector length mismatch")
@@ -254,31 +264,22 @@ def reflection(lat: PicLattice, alpha: IntVec) -> WeylElement:
     if lat.dot(alpha, alpha) != -2:
         raise ValidationError("reflections are defined for roots only")
     n = lat.rank
-    cols = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        img = tuple(e[t] + lat.dot(e, alpha) * alpha[t] for t in range(n))
-        cols.append(img)
-    rows = [tuple(cols[j][i] for j in range(n)) for i in range(n)]
-    return WeylElement(IntMat.from_rows(rows))
+    dots = [lat.dot(tuple(int(t == j) for t in range(n)), alpha) for j in range(n)]  # e_j.alpha
+    return WeylElement(IntMat.from_rows([[int(i == j) + dots[j] * alpha[i] for j in range(n)]
+                                         for i in range(n)]))
 
 
 def simple_roots(lat: PicLattice) -> list[IntVec]:
     if lat.model_tag == "quadric" or lat.k < 2:
         return []
-    out = []
-    if lat.k >= 3:
-        out.append(tuple([1, -1, -1, -1] + [0] * (lat.k - 3)))
-    for i in range(1, lat.k):
-        v = [0] * (lat.k + 1)
-        v[i] = 1
-        v[i + 1] = -1
-        out.append(tuple(v))
-    return out
+    out = [tuple([1, -1, -1, -1] + [0] * (lat.k - 3))] if lat.k >= 3 else []
+    return out + [tuple(int(j == i) - int(j == i + 1) for j in range(lat.k + 1))  # E_i - E_{i+1}
+                  for i in range(1, lat.k)]
 
 
-def weyl_generators(lat: PicLattice) -> list[WeylElement]:
-    return [reflection(lat, a) for a in simple_roots(lat)]
+@lru_cache(maxsize=None)
+def weyl_generators(lat: PicLattice) -> tuple[WeylElement, ...]:
+    return tuple(reflection(lat, a) for a in simple_roots(lat))
 
 
 def orbit_tree(start, moves) -> dict:

@@ -4,24 +4,15 @@ curves, bogus-cone completion, theta cocycles, and the GKZ oracle.
 The fans live on the Picard lattice of the surface.  The Mori fan (the Mori
 chambers, one per orthogonal set of (-1)-classes, and the bogus cones
 gamma + R>=0.K over the faces gamma on the boundary of the effective cone)
-depends on the lattice alone: it is built and proved once per lattice and
-process.  It is W(E_k)-invariant, so one chamber and one bogus cone per Weyl
-orbit are built and the rest are moved to their places by simple reflections
-(_orbit_cones); where there are no simple roots, every cone is built.  A
-boundary only annotates the chambers; grouping those whose contracted set
-meets it in the same components, and completing the groups by bogus cones,
-gives the secondary fan.  Each fan's walls are built once, as data of the
-Fan: the faces gamma are the walls met by one cone, the bogus cones add only
-their own walls, and the degree certificate, the coarsening pass, the cocycle
-battery, the one-strata and the DOT export read that one map.  secondary_fan
-always proves what it returns: the Mori fan and the full fan pass the linear
-degree certificate of a complete fan, the boundary stabilizer permutes the
-full fan's cones, which pass the pairwise fan predicate on the pairs with an
-orbit root, and each Mori bogus cone's base wall is, by one set lookup, a
-hull wall that a secondary bogus cone was built over; so the full fan
-coarsens the Mori fan and each group hull is the union of its chambers.  In
-the toric cases the whole object must agree with an independently computed
-GKZ secondary fan of the reflexive polygon.
+depends on the lattice alone: mori_fan_K builds and proves it once per
+lattice and process, one cone per Weyl orbit.  A boundary only annotates the
+chambers; grouping those whose contracted set meets it in the same
+components, and completing the groups by bogus cones, gives the secondary
+fan.  Each fan's walls are built once, as data of the Fan, and the degree
+certificate, the coarsening pass, the cocycle battery, the one-strata and
+the DOT export read that one map.  secondary_fan always proves what it
+returns (see its lemmas).  In the toric cases the whole object must agree
+with an independently computed GKZ secondary fan of the reflexive polygon.
 """
 from __future__ import annotations
 
@@ -33,6 +24,7 @@ from functools import lru_cache
 from .cones import (
     Fan,
     RationalCone,
+    _facet_faces_key,
     _tiling_defect,
     adjacency_pairs,
     boundary_walls,
@@ -47,7 +39,6 @@ from .delpezzo import (
     BoundaryCycle,
     Contraction,
     PicLattice,
-    WeylElement,
     boundary_stabilizer,
     contractions,
     effective_cone,
@@ -84,27 +75,27 @@ class Chamber:
     boundary_exc: frozenset[int]  # 1-based boundary indices
 
 
-def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list[int]]:
+def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list, list[int]]:
     """build(key) for every key, in keys order, with one build per orbit of gens;
-    also, for every key, the index of the first key of its orbit.
+    also, for every key, its cone's _facet_faces_key and the index of the
+    first key of its orbit.
 
     keys are sorted tuples of vectors and gens are simple reflections, each
     acting on every vector of a key.  The first key of an orbit, in keys
     order, is built; every other key q = s.p of the orbit's Schreier tree
-    gets its parent p's cone moved by s: rays go to s.r and facet normals to
-    s^T.f (the inverse transpose, s being an involution), both then sorted.
-    s is unimodular, so both stay primitive and irredundant, and a moved cone
-    equals its direct build field for field when that is pointed and
-    full-dimensional; the stored bases of equations and lineality are not
-    canonical under moves.  With no gens every key is its own orbit and is
-    built.  InternalInvariantError names a key moved outside keys and an
-    orbit whose first cone is lineal or lower-dimensional.
+    gets its parent p's cone moved by s, read off s's image tables: rays go
+    to s.r, facet normals to s^T.f (the inverse transpose, s being an
+    involution) and a facet's rays to the s.r, as r.f = (s.r).(s^-T.f).
+    s is unimodular, so rays and facets stay primitive and irredundant, and
+    a moved cone equals its direct build field for field when that is
+    pointed and full-dimensional.  With no gens every key is its own orbit.
+    InternalInvariantError names a key moved outside keys and an orbit whose
+    first cone is lineal or lower-dimensional.
     """
     index = {key: i for i, key in enumerate(keys)}
     moves = [lambda p, a=g.act: tuple(sorted(map(a, p))) for g in gens]
-    transposes = [WeylElement(g.matrix.transpose()) for g in gens]
     cones: list = [None] * len(keys)
-    roots = [0] * len(keys)
+    incidences, roots = list(cones), [0] * len(keys)
     for key in keys:
         root = index[key]
         if cones[root] is not None:
@@ -117,6 +108,7 @@ def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list
                     raise InternalInvariantError(
                         f"the cone of {what} {list(q)} is lineal or lower-dimensional,"
                         " so its orbit cannot be moved")
+                tight = _facet_faces_key(cone)
             elif q not in index:
                 raise InternalInvariantError(
                     f"{what} {list(edge[0])} moves by simple reflection {edge[1]}"
@@ -124,10 +116,11 @@ def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list
             else:
                 p, i = edge
                 c = cones[index[p]]
-                cone = RationalCone(c.ambient_rank, tuple(sorted(map(gens[i].act, c.rays))),
-                                    tuple(sorted(map(transposes[i].act, c.facets))))
-            cones[index[q]], roots[index[q]] = cone, root
-    return cones, roots
+                facets, tight = zip(*sorted(zip(map(gens[i].transpose.act, c.facets),
+                                                map(moves[i], incidences[index[p]]))))
+                cone = RationalCone(c.ambient_rank, moves[i](c.rays), facets)
+            cones[index[q]], incidences[index[q]], roots[index[q]] = cone, tight, root
+    return cones, incidences, roots
 
 
 def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
@@ -139,19 +132,19 @@ def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
     one off eff).  gens permute the faces and fix K, so cone(w.F + K) =
     w.cone(F + K) and _orbit_cones builds one bogus cone per orbit; the
     secondary fan is not W-invariant and passes no gens.  The bogus cones add
-    their own walls to the members' map, and is_complete reads the whole map:
-    True proves a complete fan at every rank (see its lemma).  A failure
-    raises InternalInvariantError naming what.
+    their own walls and orbit roots to the members', and is_complete reads
+    the whole map: True proves a complete fan at every rank (see its
+    lemmas).  A failure raises InternalInvariantError naming what.
     """
     faces = boundary_walls(members, eff)
-    bogus = _orbit_cones(faces, lambda face: cone_from_rays(list(face) + [lat.canonical], lat.rank),
-                         gens, f"{what} face")[0]
-    fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces])
+    bogus, keys, roots = _orbit_cones(faces, lambda face: cone_from_rays(
+        list(face) + [lat.canonical], lat.rank), gens, f"{what} face")
+    fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces],
+                           keys, [len(members.cones) + r for r in roots])
     if not is_complete(fan):
-        raise InternalInvariantError(
-            f"{what} is not a complete fan:"
-            f" {_tiling_defect(fan.cones, walls=fan.walls, label_of=fan.label_of)}"
-        )
+        defect = _tiling_defect(fan.cones, walls=fan.walls, label_of=fan.label_of,
+                                roots=fan.orbit_roots)
+        raise InternalInvariantError(f"{what} is not a complete fan: {defect}")
     return fan, faces
 
 
@@ -167,16 +160,18 @@ def mori_fan_K(lat: PicLattice) -> Fan:
     mori_chamber(w.c) = w.mori_chamber(c), and W permutes the faces on the
     boundary of Eff and their bogus cones.  So _orbit_cones builds one chamber
     and one bogus cone per orbit of the simple reflections and moves the
-    rest.  The lemma only saves builds: the proof of the whole fan, with
-    is_complete reading every cone, is unchanged.  The walk is kept as data:
-    the fan's orbits give each chamber the index of the first chamber of its
-    W-orbit, which the report's Weyl section reads.
+    rest with their walls' incidences; its walk proves that W maps the cone
+    set onto itself.  The fan's orbits keep the walk: each cone's W-orbit
+    root, the chambers' first (the Weyl section reads those).  So
+    boundary_walls and is_complete test facets of Eff and opposite sides
+    only at the walls of orbit roots (their orbit lemmas), which rests on
+    exact moves: tests compare the moved walls with dot products.
     """
     cons, gens = contractions(lat), weyl_generators(lat)
-    chambers, roots = _orbit_cones([c.classes for c in cons],
-                                   lambda classes: mori_chamber(lat, Contraction(classes)),
-                                   gens, "contraction")
-    members = Fan(lat.rank, tuple(chambers), tuple(c.label() for c in cons), tuple(roots))
+    chambers, keys, roots = _orbit_cones([c.classes for c in cons],
+                                         lambda classes: mori_chamber(lat, Contraction(classes)),
+                                         gens, "contraction")
+    members = Fan(lat.rank, ()).extended(chambers, [c.label() for c in cons], keys, roots)
     return _complete_with_bogus(members, lat, effective_cone(lat), gens, "Mori fan")[0]
 
 
@@ -322,18 +317,15 @@ def stabilizer_orbits(sec: SecondaryFan) -> Fan:
     group of unimodular maps fixing K.  Otherwise InternalInvariantError
     names the cone, the generator and the image.  secondary_fan runs the walk
     before its fan predicate, which then tests only the pairs with an orbit
-    root: for any pair {A, B} some w in Stab(B) has w.A = root(A), and A cap
-    B is a face of both cones exactly when w.A cap w.B is.  The bundle stage
+    root (Fan's orbit lemma).  The bundle stage
     and the Weyl section read this walk in full_fan.orbits; with no
     generators every cone is its own root.
     """
     fan = sec.full_fan
     index = {c.key(): i for i, c in enumerate(fan.cones)}
     moving = {c.key() for c in sec.movsec_fan.cones}
-    moves = []
-    for w in boundary_stabilizer(sec.lat, sec.boundary)[0]:
-        act = lru_cache(maxsize=None)(w.act)  # each vector moved once per generator
-        moves.append(lambda key, a=act: (tuple(sorted(map(a, key[0]))), tuple(sorted(map(a, key[1])))))
+    moves = [lambda key, a=w.act: tuple(tuple(sorted(map(a, part))) for part in key)
+             for w in boundary_stabilizer(sec.lat, sec.boundary)[0]]
     roots: list = [None] * len(fan.cones)
     for i, cone in enumerate(fan.cones):
         if roots[i] is not None:

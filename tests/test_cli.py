@@ -803,7 +803,7 @@ def test_bundle_bytes_are_pinned(tmp_path, name):
 
 
 # ids leave out the pinned counts, so a new pin does not rename the test
-@pytest.mark.parametrize("name, rows", [("hexagon", 64), ("pentagon", 157), ("square", 624)],
+@pytest.mark.parametrize("name, rows", [("hexagon", 40), ("pentagon", 45), ("square", 65)],
                          ids=["hexagon", "pentagon", "square"])
 def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, cold_mori_fan,
                                                  name, rows):
@@ -822,18 +822,20 @@ def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, cold_mo
         tilings.append(args)
         return real_tile(*args)
 
-    monkeypatch.setattr(cones, "_facet_faces_key", key)
     monkeypatch.setattr(cones, "_wall_map", wall_map)
     for mod in (cli_module, cones, secondary):
+        if getattr(mod, "_facet_faces_key", None) is real_key:
+            monkeypatch.setattr(mod, "_facet_faces_key", key)
         if getattr(mod, "cones_tile", None) is real_tile:
             monkeypatch.setattr(mod, "cones_tile", tile)
     report, sec = build_report(*BOUNDARIES[name]())
     write_bundle(tmp_path, report, sec)
     monkeypatch.undo()
     mori, full = sec.mori_fan, sec.full_fan
-    # a row per cone of the Mori and the full fan: movsec and the cocycle
-    # battery read the Mori walls, and no group is re-tiled
-    assert len(counted) == len(mori.cones) + len(full.cones) == rows
+    # a row per W-orbit root of the Mori fan, whose other cones are moved with
+    # their rows, and per cone of the full fan: movsec and the cocycle battery
+    # read the Mori walls, and no group is re-tiled
+    assert len(counted) == len(set(mori.orbits)) + len(full.cones) == rows
     assert tilings == []
     # is_complete, one_stratum_report and fan_to_dot build no map of their own
     assert mori.cones not in maps and full.cones not in maps
@@ -906,7 +908,7 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
     for i, cycle in enumerate(minus_one_cycles(lat, 5)[:2]):
         walks.clear()
         sec = secondary.secondary_fan(lat, cycle)
-        roots = sorted(set(sec.mori_fan.orbits))
+        roots = sorted(set(sec.mori_fan.orbits[:len(keys)]))  # the chambers' roots
         fan = sec.full_fan
         cone_roots = [(secondary, fan.cones[r].key()) for r in sorted(set(fan.orbits))]
         assert len(fan.orbits) == len(fan.cones) and len(cone_roots) == 6

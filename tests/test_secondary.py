@@ -12,6 +12,9 @@ from secfan import secondary
 from secfan.cones import (
     Fan,
     FanReport,
+    _tiling_defect,
+    _wall_map,
+    adjacency_pairs,
     boundary_walls,
     cone_from_inequalities,
     cone_from_rays,
@@ -27,6 +30,7 @@ from secfan.delpezzo import (
     BoundaryCycle,
     TORIC_NAMES,
     PicLattice,
+    WeylElement,
     contractions,
     effective_cone,
     hexagon_boundary,
@@ -203,6 +207,66 @@ def test_moved_mori_cones_equal_their_direct_builds(lat, monkeypatch, cold_mori_
         [_fields(cone_from_rays(list(face) + [lat.canonical], lat.rank)) for face in faces]
 
 
+@pytest.mark.parametrize("lat", [PicLattice(k) for k in range(7)] + [quadric()], ids=str)
+def test_moved_wall_map_and_per_orbit_certificate_match_the_dot_product_oracle(lat):
+    """mori_fan_K moves each cone's facet incidences with it and tests opposite
+    sides only at the walls of orbit roots.  The oracle is the earlier full
+    certificate: a wall map built by dot products, in the same key and
+    incidence order, and the opposite-sides test on every wall."""
+    fan = mori_fan_K(lat)
+    assert list(fan.walls.items()) == list(_wall_map(fan.cones).items())
+    assert _tiling_defect(fan.cones) is None
+
+
+@pytest.mark.parametrize("beside_root", [True, False], ids=["beside-a-root", "among-moved"])
+def test_a_mori_fan_missing_a_moved_chamber_is_named(monkeypatch, cold_mori_fan, beside_root):
+    """Drop one moved chamber from the members of the Mori fan: the last one,
+    next to the W-fixed nef cone, or one whose neighbours are all moved
+    cones, so that no orbit root's wall borders the gap.  The build raises
+    InternalInvariantError naming a wall of the dropped chamber."""
+    lat = PicLattice(4)
+    fan, n = mori_fan_K(lat), len(contractions(lat))
+    cold_mori_fan()
+    roots, near = fan.orbits, {i: set() for i in range(len(fan.cones))}
+    for a, b in adjacency_pairs(fan):
+        near[a].add(b)
+        near[b].add(a)
+    drop = n - 1 if beside_root else max(
+        i for i in range(n) if roots[i] != i and all(roots[j] != j for j in near[i]))
+    assert roots[drop] != drop and any(roots[j] == j for j in near[drop]) == beside_root
+    real = secondary._complete_with_bogus
+
+    def dropped(members, *args):
+        keep = [j for j in range(len(members.cones)) if j != drop]
+        orbits = [members.orbits[j] - (members.orbits[j] > drop) for j in keep]
+        return real(Fan(members.ambient_rank, tuple(members.cones[j] for j in keep),
+                        tuple(members.labels[j] for j in keep), tuple(orbits)), *args)
+
+    monkeypatch.setattr(secondary, "_complete_with_bogus", dropped)
+    with pytest.raises(InternalInvariantError, match=r"(wall|face) \[\(") as err:
+        mori_fan_K(lat)
+    named = ast.literal_eval(re.search(r"\[\(.*?\)\]", str(err.value))[0])
+    assert drop in {mi for mi, _ in fan.walls[tuple(named), ()]}
+
+
+def test_facets_moved_by_s_not_s_transpose_fail_the_full_oracle(monkeypatch, cold_mori_fan):
+    """The per-orbit certificate rests on the moves being exact: it tests
+    only the walls of orbit roots, and W carries that proof to the other
+    walls only if each moved cone is the true image.  Move facet normals by
+    s instead of s^T (they differ for the reflection in H - E_1 - E_2 - E_3):
+    the moved wall map then fails the dot-product oracle, and so does the
+    full certificate.  Here the per-orbit one fails too, at a root's wall."""
+    lat = PicLattice(4)
+    monkeypatch.setattr(WeylElement, "transpose", property(lambda w: w))
+    with pytest.raises(InternalInvariantError, match=r"Mori fan is not a complete fan: wall .*"
+                                                      r" are not on opposite sides"):
+        mori_fan_K(lat)
+    monkeypatch.setattr(secondary, "is_complete", lambda fan: True)
+    fan = mori_fan_K(lat)
+    assert list(fan.walls.items()) != list(_wall_map(fan.cones).items())
+    assert _tiling_defect(fan.cones) is not None
+
+
 def _chamber_orbits(lat):
     """The replaced kernel as the oracle: the closure of each contracted-class
     set under the simple reflections, walked on frozensets."""
@@ -218,8 +282,11 @@ def _chamber_orbits(lat):
 
 @pytest.mark.parametrize("lat", [PicLattice(k) for k in range(2, 7)] + [quadric()], ids=str)
 def test_mori_fan_orbits_are_the_chamber_orbits(lat):
-    cons, roots = contractions(lat), mori_fan_K(lat).orbits
-    assert len(roots) == len(cons)
+    fan, cons = mori_fan_K(lat), contractions(lat)
+    # every cone has a root, and the bogus cones' roots follow the chambers'
+    roots = fan.orbits[:len(cons)]
+    assert len(fan.orbits) == len(fan.cones)
+    assert all(len(cons) <= r <= i for i, r in enumerate(fan.orbits) if i >= len(cons))
     # each chamber names the first chamber of its orbit
     assert all(roots[r] == r <= i for i, r in enumerate(roots))
     got: dict = {}
