@@ -5,9 +5,9 @@ pipeline).  Reports are the acceptance substrate: they embed the input hash,
 library version and seeds, never wall-clock data, so runs are byte-stable
 across repetitions; every blowup report with k >= 2 carries Weyl data.
 A fan has one text, fan_line: the line `secfan fan` prints is the cache
-entry and the bundle's fan_*.json file (older indented fan files still
-load).  A report is encoded once, as json_text, for report.json and its
-cache entry.
+entry and the bundle's fan_*.json file (indented files in the same indexed
+layout still load; the per-cone layout of older versions is refused).  A
+report is encoded once, as json_text, for report.json and its cache entry.
 Exit codes: 0 success, 2 validation problem, 3 broken invariant.
 """
 
@@ -165,7 +165,8 @@ def cache_entry(cache_dir: str | None, key: str, kind: str) -> Path | None:
 
 
 def cache_get(cache_dir, key: str, kind: str) -> str | None:
-    """The entry's text, if it is one line of a JSON object whose metadata.kind is kind."""
+    """The entry's text, if it is one line of a JSON object whose metadata.kind is kind,
+    in the indexed fan layout (a top-level rays table)."""
     path = cache_entry(cache_dir, key, kind)
     if path is None or not path.exists():
         return None
@@ -178,6 +179,10 @@ def cache_get(cache_dir, key: str, kind: str) -> str | None:
     meta = payload.get("metadata") if isinstance(payload, dict) else None
     if not isinstance(meta, dict) or meta.get("kind") != kind:
         click.echo(f"warning: cache entry {path} is not a {kind} payload, recomputing", err=True)
+        return None
+    if not isinstance(payload.get("rays"), list):  # the per-cone layout of older versions
+        click.echo(f"warning: cache entry {path} is not in the indexed fan layout, recomputing",
+                   err=True)
         return None
     if "\n" in text:  # the old indented layout: served as is, it would change stdout
         click.echo(f"warning: cache entry {path} is not a single line, recomputing", err=True)

@@ -625,24 +625,27 @@ def _vec_to_json(v: IntVec) -> list[str]:
     return [str(x) for x in v]
 
 
-def cone_to_json(c: RationalCone, label: str = "") -> dict:
-    out = {
-        "rays": [_vec_to_json(r) for r in c.rays],
-        "facets": [_vec_to_json(f) for f in c.facets],
-        "label": label,
-        "provenance": "",
-    }
-    if c.equations:
-        out["equations"] = [_vec_to_json(e) for e in c.equations]
-    if c.lineality:
-        out["lineality"] = [_vec_to_json(l) for l in c.lineality]
-    return out
-
-
 def fan_to_json(fan: Fan, metadata: dict | None = None) -> dict:
+    """The indexed layout: the fan's sorted distinct rays and facets, once each,
+    and per cone its label, provenance and indices into those two tables."""
+    rays = sorted({r for c in fan.cones for r in c.rays})
+    facets = sorted({f for c in fan.cones for f in c.facets})
+    ray_at = {r: i for i, r in enumerate(rays)}
+    facet_at = {f: i for i, f in enumerate(facets)}
+    cones = []
+    for i, c in enumerate(fan.cones):
+        cd = {"rays": [ray_at[r] for r in c.rays], "facets": [facet_at[f] for f in c.facets],
+              "label": fan.label_of(i), "provenance": ""}
+        if c.equations:
+            cd["equations"] = [_vec_to_json(e) for e in c.equations]
+        if c.lineality:
+            cd["lineality"] = [_vec_to_json(l) for l in c.lineality]
+        cones.append(cd)
     return {
         "ambient_rank": fan.ambient_rank,
-        "cones": [cone_to_json(c, label=fan.label_of(i)) for i, c in enumerate(fan.cones)],
+        "rays": [_vec_to_json(r) for r in rays],
+        "facets": [_vec_to_json(f) for f in facets],
+        "cones": cones,
         "metadata": metadata or {},
     }
 
@@ -652,14 +655,24 @@ def _vec_from_json(v) -> IntVec:
 
 
 def fan_from_json(data: dict) -> Fan:
+    """The fan of fan_to_json's layout.  Facets are not trusted: each cone is
+    rebuilt from its rays and lineality, and a ray index that is not an int in
+    range of the ray table (a negative one would wrap) raises ValidationError."""
     n = int(data["ambient_rank"])
+    table = [_vec_from_json(r) for r in data["rays"]]
     cones = []
     labels = []
-    for cd in data["cones"]:
-        rays = [_vec_from_json(r) for r in cd["rays"]]
+    for j, cd in enumerate(data["cones"]):
+        label = cd.get("label", "")
+        rays = []
+        for pos, i in enumerate(cd["rays"]):
+            if type(i) is not int or not 0 <= i < len(table):
+                raise ValidationError(f"cone {j} ({label!r}): ray {pos} is {i!r}, "
+                                      f"not an index into the table of {len(table)} rays")
+            rays.append(table[i])
         lin = [_vec_from_json(l) for l in cd.get("lineality", [])]
         cones.append(cone_from_rays(rays, n, lineality=lin))
-        labels.append(cd.get("label", ""))
+        labels.append(label)
     return Fan(n, tuple(cones), tuple(labels))
 
 

@@ -135,6 +135,35 @@ BAD_SPINES = {
     "weight_bool.json": json.dumps(
         {**SPINE, "legs": [{"direction": [1, 1], "weight": True}, {"direction": [-1, -1]}]}),
 }
+
+
+def per_cone_layout(line: str) -> str:
+    """A fan line in the per-cone layout of older versions: each cone lists its
+    own rays and facets, and there are no ray and facet tables."""
+    data = json.loads(line)
+    rays, facets = data.pop("rays"), data.pop("facets")
+    for cd in data["cones"]:
+        cd["rays"], cd["facets"] = [rays[i] for i in cd["rays"]], [facets[i] for i in cd["facets"]]
+    return json.dumps(data, sort_keys=True)
+
+
+def with_ray_index(line: str, index) -> str:
+    """The fan line with cone 1's one ray index replaced."""
+    data = json.loads(line)
+    data["cones"][1]["rays"] = [index]
+    return json.dumps(data)
+
+
+# the fan {x >= 0, x <= 0} of the line; in the per-cone layout, and with cone
+# 1's ray index negative (it would wrap to cone 0's ray), past the table's end,
+# or not an int
+LINE_FAN = json.dumps(cones.fan_to_json(
+    Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))))
+BAD_FANS = {
+    "per_cone.json": per_cone_layout(LINE_FAN),
+    **{f"index_{name}.json": with_ray_index(LINE_FAN, i)
+       for name, i in [("negative", -1), ("past_end", 2), ("bool", True), ("text", "0")]},
+}
 # by the last argument, the key or option a bad input must name in its error;
 # a named key comes with the name of its file
 NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_bool.json": "'k'",
@@ -142,7 +171,8 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
               "chart_float.json": "'vertex_chart'",
               "direction_float.json": "'direction' entry", "weight_float.json": "'weight'",
               "weight_bool.json": "'weight'", "1,0": "--L", "0": "--L",
-              "deep.json": "is not valid JSON"}
+              "deep.json": "is not valid JSON", "per_cone.json": "'rays'",
+              **{name: "cone 1 ('cone1'): ray 0 is" for name in BAD_FANS if "index" in name}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -164,14 +194,13 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
     ["theta", "hilbert", "--n", "3", "--max-level", "-1"],
     ["fan", "mori", "no_cycle.json", "--workers", "1"],
     ["fan", "mori", "deep.json"],
+    *[["bundle", "check", "--L", "1", "--fan", "line.json", "--subfan", name] for name in BAD_FANS],
     *[["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", name]
       for name in BAD_SPINES],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
-    for name, text in {**BAD_CONFIGS, **BAD_SPINES}.items():
+    for name, text in {**BAD_CONFIGS, **BAD_SPINES, **BAD_FANS, "line.json": LINE_FAN}.items():
         (tmp_path / name).write_text(text)
-    line = Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))
-    (tmp_path / "line.json").write_text(json.dumps(cones.fan_to_json(line)))
     key = NAMED_KEYS.get(argv[-1], "")
     argv = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
     proc = subprocess.run(
@@ -324,6 +353,21 @@ def test_fan_cache_hit_prints_the_entry_it_read(tmp_path, hexagon_config, monkey
 
 
 @pytest.mark.parametrize("kind", FAN_KINDS)
+def test_fan_cache_entry_in_the_per_cone_layout_recomputes_with_warning(tmp_path, hexagon_config,
+                                                                        kind):
+    runner = CliRunner()
+    args = ["fan", kind, hexagon_config, "--cache-dir", str(tmp_path / "cache")]
+    miss = runner.invoke(cli, args).output
+    entry = next((tmp_path / "cache" / kind).glob("*.json"))
+    entry.write_text(per_cone_layout(miss), encoding="utf-8")
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 0, res.output
+    assert res.output == (f"warning: cache entry {entry} is not in the indexed fan layout,"
+                          f" recomputing\n{miss}")
+    assert entry.read_bytes() + b"\n" == miss.encode()
+
+
+@pytest.mark.parametrize("kind", FAN_KINDS)
 @pytest.mark.parametrize("junk", [b"{ not json", b"\xff\xfe{", b"[" * 100_000],
                          ids=["broken", "not_utf8", "deep"])
 def test_corrupt_fan_cache_entry_recomputes_with_warning(tmp_path, hexagon_config, kind, junk):
@@ -402,15 +446,16 @@ def test_bundle_check_reads_an_old_indented_fan_file(tmp_path, hexagon_config):
     assert check("_indented") == cert
 
 
-# sha256 of the printed `fan gkz` payload, taken before the integer and bitset
-# GKZ kernels replaced the Fraction and edge-list ones
+# sha256 of the printed `fan gkz` payload in the indexed fan layout; its fans
+# are those pinned before the integer and bitset GKZ kernels replaced the
+# Fraction and edge-list ones
 GKZ_DIGESTS = {
-    "p2": "7284ebd912a3103461597971b8065d6c804cbcff93576c99cc02552464b45c47",
-    "quadric": "5f414f98eea6597eb17f757c5594a62fd7feb25c3ded8beb71fe69b096340c0b",
-    "f1": "171a6311343e25f98d96a2b7f5e3cd0181e72cb2f761c0f1c16dcdb6ea0430b9",
-    "dp7": "fbd6ded74d0d9741fc589c98409e618d6b15c4416a08561a603c5808fc9b48c1",
-    "dp6": "474946fc63451fc1da1c0bc421e3c8e68576b8eadca747a4c4539757886502d5",
-    "0,0;4,0;0,4;1,1;2,1;1,2": "99953305c79b65925b99a91595cd2eb9439e21f1f23ef363273f2ac2dd200067",
+    "p2": "995d67e947e0f4f7cb03716888b81b3407a4f448b49b968fd6a53f766afe2155",
+    "quadric": "9f47a8123b6e3e2981869062c59e8a69dbf2b525ad98b8c517bc71b93da901f5",
+    "f1": "a9b768895125b9c04fb227be1849743210877cd828671add5dfb1046586c1849",
+    "dp7": "70f1516bc61f6e4d280feb67f210dddb5579267ce5d19a7ad4b2f1b572070021",
+    "dp6": "01e0f06298657a4d5d15298a191a60519b66d3242bc982760ae9b741d9021a6f",
+    "0,0;4,0;0,4;1,1;2,1;1,2": "b0b2a1f9df9242f8edabebbde1d7cc735c7a10d1f5f62b079c8c1ecf65f1be4c",
 }
 
 
@@ -761,32 +806,32 @@ BOUNDARIES = {
 BUNDLE_DIGESTS = {
     "hexagon": {
         "chambers.dot": "8e069ffdd595381e6ec2a12fb3e91039f4a4fe2009d6767ab7e0616bf508c01a",
-        "fan_mori.json": "5aa8d30b30ad93bdf1f05df8e3c3b2447fcc9ae8fed37f5f818cc68c28801f77",
-        "fan_secondary.json": "5f60c70a19d6e5cdae6ae1b74a07ea4783d336c10a389ec8b367dc9757e7ae4d",
+        "fan_mori.json": "7d08075c03809be388cab2d38de095aa256426086fe12b8c016c009562bb2561",
+        "fan_secondary.json": "ce4a61cd364c7970895d31949b4910fe1f1b4f6d0a24fb2f1b7d3e3ac76f539f",
         "report.json": "2ed15f08e4e9876910d71e190c57d917ad689adf902ce846ae647b49296b29d6",
         "report.md": "20e4118cca86cf8ed72b7124c5cc5ddc295b2a5a9aebdf3bb902f8cbd4878886",
         "theta_table.csv": "985af5adf02f8280444b30586ae0f69b11841cf8c2571ede86d935c11dff1753",
     },
     "p2": {
         "chambers.dot": "d86096bc8a1aa83f822f0e1c00ab31af96bebf04709cd65b9329321b5915179e",
-        "fan_mori.json": "620d407d740099f2772a21373ae11ebd03a0ff8e2346a0424e0b875d17b37072",
-        "fan_secondary.json": "d0304b7ecf1cd44ae693005310f73b3eea6df9ba6532524be6013f8163ca4138",
+        "fan_mori.json": "bcb04cf6477ee1d7ee66055eb8f68497fbc36047510128bfdaccbdc76cc48431",
+        "fan_secondary.json": "e241aa7539ceba9d7da93e1812b6203b25eab017e7b47cbfb02cf4646e637679",
         "report.json": "9b268e26c236bd1c519d124fdf771812766522d61b8e8ab413ae5e55362daffe",
         "report.md": "fb1db9dddb5b180ac102365fbc80f635d84c757b784222e82efa1381eef2a722",
         "theta_table.csv": "41fe46231cf966b8fafd195d89b2f819ecba64c233a9b4481f8f4a0afdc337bb",
     },
     "pentagon": {
         "chambers.dot": "cd501872d66c0b4af73e8eea5ca42cc534a26215b535e5a6e9485b12dcfd107a",
-        "fan_mori.json": "c81da80756e0d9895a8f4c25e6d44ae38bb7a2b3d720fe745bd07e4398f2dfbc",
-        "fan_secondary.json": "7867413e2254ea41a1a95f3059fecd1a96ebc7eb6bbd0e6de434cf594a76039f",
+        "fan_mori.json": "e070a718a9dd0b9a1e3f2f8128b71b4859a01940ad03d0c87091f80497d57ecd",
+        "fan_secondary.json": "3a22dd57a8466d65f76577103c7128feba3b98a5975bf0ec6d5e52ddbdc67a63",
         "report.json": "29ac8b665f8b16cbbbbb6fcb6845cb2f86c3a8efea74f8c04bc80a29928f6368",
         "report.md": "db9097c04c63c491b52c5a5a9180f9ad817d924ba1044685329ab54f531244df",
         "theta_table.csv": "176eb7f0ed8fa40360dfe1a902fb7ff78047c472353cf64d8af02701ef1a9cc2",
     },
     "square": {
         "chambers.dot": "6198881952ce705377e3aa4e1d51d9a9be113add26269037e17ac4fe4a17b1e0",
-        "fan_mori.json": "23552d914957dba7e05beda27812ab1ceaf428cdc79118284600692c2ef781d3",
-        "fan_secondary.json": "609fc2bb81ad331cac4e5ad78321a1e02cdf0e992509785abfe7042f7242d54b",
+        "fan_mori.json": "33b10f02636c373b99cf575486d6351a65769e4cce3fa857a5b5b9340a1b28a9",
+        "fan_secondary.json": "3a00f4498506aba0643013f2082d33c4aee8fd501ec9a071cdf1689f84cf3cf9",
         "report.json": "837891267dc98da590ab78a0dce8a8d46764eeb45a2c4611eb6a1002c31b9554",
         "report.md": "4d18aef92a44a3ef19ba2bfe47494d19635bcdafeee920bf09a45544db0414d0",
         "theta_table.csv": "d2a64fe38db2c7f666e8afe2292eaf4291864029476657c5d304a7c5f9f6ad99",

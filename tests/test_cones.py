@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from face_oracles import fan_check_by_facet_sums, pairs_left_by_dot_tables
 from secfan import cones
+from secfan.cli import fan_line
 from secfan.cones import (
     Fan,
     FanReport,
@@ -639,6 +641,35 @@ def test_fan_json_roundtrip():
     assert back.ambient_rank == f.ambient_rank
     assert [c.rays for c in back.cones] == [c.rays for c in f.cones]
     assert back.labels == f.labels
+
+
+@st.composite
+def labelled_fans(draw):
+    """Labelled fans in rank 2 to 4: a lower-dimensional cone, a lineal one and
+    the zero cone among cones of random integer rays, in a drawn order."""
+    n = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    rays = st.lists(vec, min_size=1, max_size=5)
+    cs = [cone_from_rays([draw(vec)], n), cone_from_rays(draw(rays), n, lineality=[draw(vec)]),
+          zero_cone(n)]
+    cs += [cone_from_rays(r, n, lineality=l) for r, l in
+           draw(st.lists(st.tuples(rays, st.lists(vec, max_size=1)), max_size=4))]
+    cs = draw(st.permutations(cs))
+    labels = draw(st.lists(st.text(max_size=4), min_size=len(cs), max_size=len(cs)))
+    return Fan(n, tuple(cs), tuple(labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_fans(), st.sampled_from(["mori", "movsec", "secondary"]))
+def test_fan_line_round_trips_random_fans(fan, kind):
+    assert any(c.equations and not c.lineality for c in fan.cones)
+    assert any(c.lineality for c in fan.cones)
+    line = fan_line(fan, "0" * 64, kind)
+    back = fan_from_json(json.loads(line))
+    assert back == fan and back.labels == fan.labels
+    assert [(c.facets, c.equations) for c in back.cones] == [
+        (c.facets, c.equations) for c in fan.cones]
+    assert fan_line(back, "0" * 64, kind) == line
 
 
 def test_adjacency_pairs_quadric():
