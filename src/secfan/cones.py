@@ -31,6 +31,7 @@ image(m, c) is the one rule for the image of a cone under an integer map.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, count, islice
@@ -650,16 +651,32 @@ def fan_to_json(fan: Fan, metadata: dict | None = None) -> dict:
     }
 
 
-def _vec_from_json(v) -> IntVec:
-    return tuple(int(x) for x in v)
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _vec_from_json(v, where: str) -> IntVec:
+    """A vector of decimal strings (what fan_to_json writes) or plain JSON ints;
+    any other entry (a float, a bool, other text) raises ValidationError, which
+    names it by `where` and its position, rather than being truncated by int()."""
+    out = []
+    for pos, x in enumerate(v):
+        if not (type(x) is int or (type(x) is str and _DECIMAL.fullmatch(x))):
+            raise ValidationError(f"{where}, entry {pos} is {x!r}, "
+                                  "not an integer or a decimal string")
+        out.append(int(x))
+    return tuple(out)
 
 
 def fan_from_json(data: dict) -> Fan:
     """The fan of fan_to_json's layout.  Facets are not trusted: each cone is
     rebuilt from its rays and lineality, and a ray index that is not an int in
-    range of the ray table (a negative one would wrap) raises ValidationError."""
-    n = int(data["ambient_rank"])
-    table = [_vec_from_json(r) for r in data["rays"]]
+    range of the ray table (a negative one would wrap) raises ValidationError,
+    as does an `ambient_rank` that is not an int or a vector entry that is not
+    an int or a decimal string."""
+    n = data["ambient_rank"]
+    if type(n) is not int:
+        raise ValidationError(f"'ambient_rank' is {n!r}, not an integer")
+    table = [_vec_from_json(r, f"ray table: ray {i}") for i, r in enumerate(data["rays"])]
     cones = []
     labels = []
     for j, cd in enumerate(data["cones"]):
@@ -670,7 +687,8 @@ def fan_from_json(data: dict) -> Fan:
                 raise ValidationError(f"cone {j} ({label!r}): ray {pos} is {i!r}, "
                                       f"not an index into the table of {len(table)} rays")
             rays.append(table[i])
-        lin = [_vec_from_json(l) for l in cd.get("lineality", [])]
+        lin = [_vec_from_json(l, f"cone {j} ({label!r}): lineality row {r}")
+               for r, l in enumerate(cd.get("lineality", []))]
         cones.append(cone_from_rays(rays, n, lineality=lin))
         labels.append(label)
     return Fan(n, tuple(cones), tuple(labels))

@@ -781,7 +781,15 @@ def all_triangulations(points) -> list[frozenset]:
 
 
 def secondary_cone(points, triangulation) -> RationalCone:
-    """Closed cone of height functions inducing the triangulation (with lineality)."""
+    """Closed cone of height functions inducing the triangulation (with lineality).
+
+    Lemma: w induces it iff the lift folds up strictly across each interior
+    edge (the far vertex of one triangle lies above the lift on the other) and
+    each unused point lies strictly above the lift on a triangle holding it: a
+    locally convex piecewise-affine function on a convex domain is convex.  No
+    row is zero (|det| at its target), so the triangulation is regular iff this
+    cone is full-dimensional (De Loera-Rambau-Santos, *Triangulations*, 2010).
+    """
     points = [tuple(p) for p in points]
     s = len(points)
     tris = sorted(triangulation)
@@ -828,64 +836,11 @@ def secondary_cone(points, triangulation) -> RationalCone:
     return cone_from_inequalities(ineqs, ambient_rank=s)
 
 
-def regular_subdivision(points, heights, tie_break=None):
-    """Cells of the lower-hull subdivision (lexicographic tie-break heights optional).
-
-    Heights and tie-breaks are integers.  A triangle abc spans a lower cell when
-    every point d has key (h_d - l0(d), t_d - l1(d)) >= (0, 0) lexicographically,
-    where l0 and l1 are the affine interpolations of the two height layers on
-    abc; the cell is the set of points whose key is (0, 0).  Both l0(d) and l1(d)
-    have denominator det = orient(a, b, c), so the key is multiplied through by
-    |det| > 0: multiplying each component by the same positive number keeps
-    its sign, hence the lexicographic sign of the key, and leaves two integer
-    expressions.  The tie-break layer is evaluated only where the first one is 0.
-    """
-    s = len(points)
-    try:
-        hs = [operator.index(heights[i]) for i in range(s)]
-        ts = [operator.index(tie_break[i]) for i in range(s)] if tie_break else [0] * s
-    except TypeError as exc:
-        raise ValidationError(f"heights and tie-breaks must be integers: {exc}") from None
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    cells = []
-    for a, b, c in itertools.combinations(range(s), 3):
-        xa, ya = xs[a], ys[a]
-        ux, uy, vx, vy = xs[b] - xa, ys[b] - ya, xs[c] - xa, ys[c] - ya
-        det = ux * vy - uy * vx
-        if det == 0:
-            continue
-        sign = 1 if det > 0 else -1
-        # |det| (h_d - l(d)) = sign (n . (p_d - p_a, h_d - h_a)) for the normal
-        # n = (p_b - p_a, h_b - h_a) x (p_c - p_a, h_c - h_a) of the lifted plane
-        ha, ta = hs[a], ts[a]
-        uh, vh, ut, vt = hs[b] - ha, hs[c] - ha, ts[b] - ta, ts[c] - ta
-        n0x, n0y = uy * vh - uh * vy, uh * vx - ux * vh
-        n1x, n1y = uy * vt - ut * vy, ut * vx - ux * vt
-        lower = True
-        tight = []
-        for d in range(s):
-            dx, dy = xs[d] - xa, ys[d] - ya
-            k = sign * (n0x * dx + n0y * dy + det * (hs[d] - ha))
-            if k == 0:
-                k = sign * (n1x * dx + n1y * dy + det * (ts[d] - ta))
-                if k == 0:
-                    tight.append(d)
-            if k < 0:
-                lower = False
-                break
-        if lower:
-            cells.append(tuple(tight))
-    out = sorted(set(cells))
-    return [c for c in out if not any(set(c) < set(o) for o in out)]
-
-
 @dataclass
 class GkzFan:
     points: list
     triangulations: list[frozenset]
     fan: Fan  # in the quotient by affine functions
-    projection: IntMat
     raw_cones: list[RationalCone]
     irregular: list[frozenset]
 
@@ -898,14 +853,15 @@ def _affine_functions(points) -> list[IntVec]:
 def gkz_secondary_fan(points) -> GkzFan:
     """Secondary fan modulo lineality, from all regular triangulations.
 
-    Two independent routes must agree: brute-force enumeration of every
-    triangulation with the regularity test, and a flip-graph walk crossing the
-    walls of the secondary cones with perturbed heights.
+    A triangulation is regular iff its secondary cone is full-dimensional
+    (secondary_cone's lemma); those cones are the secondary fan's maximal
+    cones (Gelfand-Kapranov-Zelevinsky, 1994, ch. 7).  The degree certificate
+    proves their images modulo the affine functions a complete fan (see
+    is_complete), so no regular triangulation is missing.
     """
     points = [tuple(p) for p in points]
-    tris = all_triangulations(points)
     regular, irregular, raw = [], [], []
-    for t in tris:
+    for t in all_triangulations(points):
         cone = secondary_cone(points, t)  # built once: it decides regularity and is kept
         if cone.dim == len(points):
             regular.append(t)
@@ -916,71 +872,12 @@ def gkz_secondary_fan(points) -> GkzFan:
     proj = quotient_lattice_map(_affine_functions(points), len(points))
     cones = tuple(image(proj, rc) for rc in raw)
     fan = Fan(proj.rows, cones, tuple(f"T{i}" for i in range(len(cones))))
-    # the degree certificate proves "complete fan" on its own (see is_complete)
     if not is_complete(fan):
         raise InternalInvariantError(
             "GKZ secondary fan is not a complete fan:"
             f" {_tiling_defect(fan.cones, walls=fan.walls, label_of=fan.label_of)}"
         )
-    flip_reached = _flip_graph_triangulations(points, regular, raw)
-    if flip_reached != {t for t in regular}:
-        raise InternalInvariantError(
-            "flip-graph exploration disagrees with brute-force enumeration"
-        )
-    return GkzFan(points, regular, fan, proj, raw, irregular)
-
-
-def _flip_graph_triangulations(points, regular, raw_cones) -> set:
-    """Reachable set by crossing secondary-cone walls with perturbed lifts.
-
-    The fan is complete, so every facet g of a cone is a wall shared with the
-    cone on its far side, which has the facet -g; each wall is crossed once,
-    from the side reached first.
-    """
-    if not regular:
-        return set()
-    index = {t: i for i, t in enumerate(regular)}
-    start = regular[0]
-    seen = {start}
-    frontier = [start]
-    crossed: set[tuple] = set()  # (triangulation, facet) walls already crossed
-    while frontier:
-        t = frontier.pop()
-        rc = raw_cones[index[t]]
-        for g in rc.facets:
-            if (t, g) in crossed:
-                continue
-            wall_pt = [0] * len(points)
-            for r in rc.rays:
-                if vec_dot(g, r) == 0:
-                    wall_pt = [x + y for x, y in zip(wall_pt, r)]
-            # lineality directions (affine heights) do not affect the subdivision,
-            # so a zero wall point is legitimate: the tie-break does the crossing
-            # step across the wall: heights on the wall, tie-break by -g
-            back = tuple(-x for x in g)
-            cells = regular_subdivision(points, wall_pt, tie_break=back)
-            tri = _cells_to_triangulation(points, cells)
-            if tri not in index or back not in raw_cones[index[tri]].facets:
-                raise InternalInvariantError(
-                    f"crossing facet {list(g)} of triangulation {sorted(t)} lands on "
-                    f"no regular triangulation whose cone has the facet {list(back)}"
-                )
-            crossed.add((tri, back))
-            if tri not in seen:
-                seen.add(tri)
-                frontier.append(tri)
-    return seen
-
-
-def _cells_to_triangulation(points, cells):
-    tris = []
-    for c in cells:
-        if len(c) != 3:
-            return None
-        if _triangle_area2(points[c[0]], points[c[1]], points[c[2]]) == 0:
-            return None
-        tris.append(tuple(sorted(c)))
-    return frozenset(tris)
+    return GkzFan(points, regular, fan, raw, irregular)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Earlier GKZ kernels, kept as test oracles for the integer and placing ones.
+"""Earlier GKZ kernels and the flip-graph walk, kept as test oracles.
 
 regular_subdivision_by_fractions evaluates every point's lexicographic height
 key against the affine interpolation on each triangle in Fraction arithmetic.
@@ -21,6 +21,15 @@ order in general: for the unit square listed as (0,0), (1,1), (1,0), (0,1)
 that sum is 0, so no triangulation was found.  _hull_area2 here sums the
 shoelace terms of the hull edges instead, found as the corner pairs with
 every point on their left or on them.
+
+flip_graph_triangulations and _cells_to_triangulation are the flip-graph
+walk that secfan.secondary.gkz_secondary_fan ran after its degree
+certificate, verbatim but for the kernel: regular_subdivision_by_fractions
+in place of the integer lower-hull kernel deleted with the walk.  It crosses
+each wall of the secondary cones once, lifting the points to a point of the
+wall with the far side's direction as tie-break, and asserts that the lower
+hull is the triangulation beyond the wall: a check of secondary_cone against
+the lifting construction.
 """
 
 import itertools
@@ -29,6 +38,7 @@ from unittest import mock
 
 from secfan import secondary
 from secfan.errors import InternalInvariantError, ValidationError
+from secfan.lattice import vec_dot
 from secfan.secondary import _hull_vertices, _orient, _point_in_triangle, _triangle_area2
 
 
@@ -102,6 +112,59 @@ def regular_subdivision_by_fractions(points, heights, tie_break=None):
             cells.append(tuple(sorted(tight)))
     out = sorted(set(cells))
     return [c for c in out if not any(set(c) < set(o) for o in out)]
+
+
+def flip_graph_triangulations(points, regular, raw_cones) -> set:
+    """Reachable set by crossing secondary-cone walls with perturbed lifts.
+
+    The fan is complete, so every facet g of a cone is a wall shared with the
+    cone on its far side, which has the facet -g; each wall is crossed once,
+    from the side reached first.
+    """
+    if not regular:
+        return set()
+    index = {t: i for i, t in enumerate(regular)}
+    start = regular[0]
+    seen = {start}
+    frontier = [start]
+    crossed: set[tuple] = set()  # (triangulation, facet) walls already crossed
+    while frontier:
+        t = frontier.pop()
+        rc = raw_cones[index[t]]
+        for g in rc.facets:
+            if (t, g) in crossed:
+                continue
+            wall_pt = [0] * len(points)
+            for r in rc.rays:
+                if vec_dot(g, r) == 0:
+                    wall_pt = [x + y for x, y in zip(wall_pt, r)]
+            # lineality directions (affine heights) do not affect the subdivision,
+            # so a zero wall point is legitimate: the tie-break does the crossing
+            # step across the wall: heights on the wall, tie-break by -g
+            back = tuple(-x for x in g)
+            cells = regular_subdivision_by_fractions(points, wall_pt, tie_break=back)
+            tri = _cells_to_triangulation(points, cells)
+            if tri not in index or back not in raw_cones[index[tri]].facets:
+                raise InternalInvariantError(
+                    f"crossing facet {list(g)} of triangulation {sorted(t)} lands on "
+                    f"no regular triangulation whose cone has the facet {list(back)}"
+                )
+            crossed.add((tri, back))
+            if tri not in seen:
+                seen.add(tri)
+                frontier.append(tri)
+    return seen
+
+
+def _cells_to_triangulation(points, cells):
+    tris = []
+    for c in cells:
+        if len(c) != 3:
+            return None
+        if _triangle_area2(points[c[0]], points[c[1]], points[c[2]]) == 0:
+            return None
+        tris.append(tuple(sorted(c)))
+    return frozenset(tris)
 
 
 def triangulations_of_subset_by_edge_lists(points, used: tuple[int, ...]) -> list[frozenset]:

@@ -147,22 +147,28 @@ def per_cone_layout(line: str) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def with_ray_index(line: str, index) -> str:
-    """The fan line with cone 1's one ray index replaced."""
-    data = json.loads(line)
-    data["cones"][1]["rays"] = [index]
-    return json.dumps(data)
-
-
-# the fan {x >= 0, x <= 0} of the line; in the per-cone layout, and with cone
-# 1's ray index negative (it would wrap to cone 0's ray), past the table's end,
-# or not an int
+# the fan {x >= 0, x <= 0} of the line; in the per-cone layout, with cone 1's
+# ray index negative (it would wrap to cone 0's ray), past the table's end, or
+# not an int, and with a number that is not a JSON int or a decimal string
+# (refused, not truncated: ray 0 = (-1) read as (1) would repeat cone 0)
 LINE_FAN = json.dumps(cones.fan_to_json(
     Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))))
+LINE = json.loads(LINE_FAN)
+
+
+def with_cone_1(**entries) -> str:
+    return json.dumps({**LINE, "cones": [LINE["cones"][0], {**LINE["cones"][1], **entries}]})
+
+
 BAD_FANS = {
     "per_cone.json": per_cone_layout(LINE_FAN),
-    **{f"index_{name}.json": with_ray_index(LINE_FAN, i)
+    **{f"index_{name}.json": with_cone_1(rays=[i])
        for name, i in [("negative", -1), ("past_end", 2), ("bool", True), ("text", "0")]},
+    "ray_float.json": json.dumps({**LINE, "rays": [[1.7], ["1"]]}),
+    "ray_bool.json": json.dumps({**LINE, "rays": [[True], ["1"]]}),
+    "rank_float.json": json.dumps({**LINE, "ambient_rank": 1.9}),
+    "rank_text.json": json.dumps({**LINE, "ambient_rank": "1"}),
+    "lineality_float.json": with_cone_1(lineality=[[0.5]]),
 }
 # by the last argument, the key or option a bad input must name in its error;
 # a named key comes with the name of its file
@@ -172,7 +178,11 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
               "direction_float.json": "'direction' entry", "weight_float.json": "'weight'",
               "weight_bool.json": "'weight'", "1,0": "--L", "0": "--L",
               "deep.json": "is not valid JSON", "per_cone.json": "'rays'",
-              **{name: "cone 1 ('cone1'): ray 0 is" for name in BAD_FANS if "index" in name}}
+              **{name: "cone 1 ('cone1'): ray 0 is" for name in BAD_FANS if "index" in name},
+              "ray_float.json": "ray table: ray 0, entry 0 is 1.7",
+              "ray_bool.json": "ray table: ray 0, entry 0 is True",
+              "rank_float.json": "'ambient_rank' is 1.9", "rank_text.json": "'ambient_rank' is '1'",
+              "lineality_float.json": "cone 1 ('cone1'): lineality row 0, entry 0 is 0.5"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
-"""The integer lower-hull test against the Fraction kernel it replaced, and the
-triangle-placing enumeration against the edge-list and bitset kernels before
-it.  The edge-list kernel takes 14 s on the 3x3 grid, so the grid, and
-random configurations of up to 9 points, are checked against the bitset
-kernel."""
+"""The triangle-placing enumeration against the edge-list and bitset kernels
+before it, and the secondary cones against the lifting construction: the
+Fraction lower-hull kernel at an interior point of each cone, and the
+flip-graph walk across its walls.  The edge-list kernel takes 14 s on the 3x3
+grid, so the grid, and random configurations of up to 9 points, are checked
+against the bitset kernel."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from gkz_oracle import (
     all_triangulations_by_bitsets,
     all_triangulations_by_edge_lists,
+    flip_graph_triangulations,
     regular_subdivision_by_fractions,
 )
 from secfan.delpezzo import TORIC_NAMES, toric_boundary
-from secfan.lattice import vec_dot
-from secfan.secondary import _orient, all_triangulations, gkz_secondary_fan, regular_subdivision
+from secfan.secondary import _orient, all_triangulations, gkz_secondary_fan
 
 NESTED = [(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)]
 GRID = [(x, y) for x in range(3) for y in range(3)]
@@ -35,22 +36,6 @@ def _configurations(max_size):
 configurations = _configurations(8)
 
 
-@st.composite
-def lifted_configurations(draw):
-    """A configuration with integer heights and, or not, integer tie-breaks."""
-    pts = draw(configurations)
-    layer = st.lists(st.integers(-5, 5), min_size=len(pts), max_size=len(pts))
-    return pts, draw(layer), draw(st.none() | layer)
-
-
-@settings(max_examples=300, deadline=None)
-@given(lifted_configurations())
-def test_regular_subdivision_matches_fraction_kernel(case):
-    pts, heights, tie_break = case
-    assert regular_subdivision(pts, heights, tie_break) == regular_subdivision_by_fractions(
-        pts, heights, tie_break)
-
-
 @settings(max_examples=30, deadline=None)
 @given(configurations)
 def test_all_triangulations_matches_edge_list_kernel(pts):
@@ -63,6 +48,15 @@ def test_all_triangulations_matches_bitset_kernel(pts):
     assert all_triangulations(pts) == all_triangulations_by_bitsets(pts)
 
 
+def assert_lifting_construction(pts, gkz):
+    """Each regular triangulation is the lower hull at an interior point of its
+    cone, and the walk across the walls reaches exactly the regular ones."""
+    for t, rc in zip(gkz.triangulations, gkz.raw_cones):
+        assert regular_subdivision_by_fractions(pts, rc.interior_point()) == sorted(t)
+    assert flip_graph_triangulations(pts, gkz.triangulations, gkz.raw_cones) == set(
+        gkz.triangulations)
+
+
 @pytest.mark.parametrize("pts", FIXED, ids=list(TORIC_NAMES) + ["nested", "grid"])
 def test_fixed_configurations_match_the_oracles(pts):
     tris = all_triangulations(pts)
@@ -72,14 +66,10 @@ def test_fixed_configurations_match_the_oracles(pts):
         assert len(tris) == 387
         return
     assert tris == all_triangulations_by_edge_lists(pts)
-    # the wall crossings of the flip-graph walk, and each ray as a height function
-    gkz = gkz_secondary_fan(pts)
-    for rc in gkz.raw_cones:
-        for g in rc.facets:
-            wall = [sum(col) for col in zip(*(r for r in rc.rays if vec_dot(g, r) == 0))]
-            wall = wall or [0] * len(pts)
-            tie = [-x for x in g]
-            assert regular_subdivision(pts, wall, tie) == regular_subdivision_by_fractions(
-                pts, wall, tie)
-        for r in rc.rays:
-            assert regular_subdivision(pts, r) == regular_subdivision_by_fractions(pts, r)
+    assert_lifting_construction(pts, gkz_secondary_fan(pts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configurations(7))
+def test_secondary_cones_match_the_lifting_construction(pts):
+    assert_lifting_construction(pts, gkz_secondary_fan(pts))

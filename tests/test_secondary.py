@@ -2,10 +2,10 @@ import ast
 import dataclasses
 import json
 import re
-from fractions import Fraction
 
 import pytest
 
+import gkz_oracle
 from cocycle_oracle import chamber_adjacency
 from wall_map_oracles import grouping_by_chamber_triangulations
 from secfan import secondary
@@ -52,7 +52,6 @@ from secfan.secondary import (
     mori_fan_K,
     movsec,
     one_stratum_report,
-    regular_subdivision,
     secondary_fan,
     theta_cocycle,
     theta_line_bundles,
@@ -570,14 +569,14 @@ GKZ_INPUTS.append([(0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2)])
 def test_flip_walk_crosses_each_wall_once(monkeypatch, pts):
     gkz = gkz_secondary_fan(pts)
     calls = []
-    original = secondary.regular_subdivision
+    original = gkz_oracle.regular_subdivision_by_fractions
 
     def counted(points, heights, tie_break=None):
         calls.append(tuple(tie_break))
         return original(points, heights, tie_break)
 
-    monkeypatch.setattr(secondary, "regular_subdivision", counted)
-    reached = secondary._flip_graph_triangulations(pts, gkz.triangulations, gkz.raw_cones)
+    monkeypatch.setattr(gkz_oracle, "regular_subdivision_by_fractions", counted)
+    reached = gkz_oracle.flip_graph_triangulations(pts, gkz.triangulations, gkz.raw_cones)
     assert reached == set(gkz.triangulations)
     # a complete fan: every facet is one side of an interior wall
     assert 2 * len(calls) == sum(len(c.facets) for c in gkz.raw_cones)
@@ -588,7 +587,20 @@ def test_flip_walk_asserts_where_a_crossing_lands():
     gkz = gkz_secondary_fan(pts)
     # drop one regular triangulation: the walls around it lead nowhere
     with pytest.raises(InternalInvariantError, match="lands on no regular triangulation"):
-        secondary._flip_graph_triangulations(pts, gkz.triangulations[:-1], gkz.raw_cones)
+        gkz_oracle.flip_graph_triangulations(pts, gkz.triangulations[:-1], gkz.raw_cones)
+
+
+@pytest.mark.parametrize("drop", range(16))
+def test_degree_certificate_alone_refuses_a_missing_triangulation(monkeypatch, drop):
+    # the nested configuration has 16 regular triangulations; drop each in turn
+    pts = GKZ_INPUTS[-1]
+    regular = gkz_secondary_fan(pts).triangulations
+    original = secondary.all_triangulations
+    monkeypatch.setattr(secondary, "all_triangulations",
+                        lambda points: [t for t in original(points) if t != regular[drop]])
+    with pytest.raises(InternalInvariantError, match="GKZ secondary fan is not a complete fan:"
+                       r" wall .* of cone T\d+ is met by no other cone"):
+        gkz_secondary_fan(pts)
 
 
 def test_gkz_square_in_any_point_order():
@@ -599,22 +611,12 @@ def test_gkz_square_in_any_point_order():
     assert len(gkz_secondary_fan(pts).triangulations) == 2
 
 
-@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, "1", None])
-def test_regular_subdivision_rejects_non_integer_heights(bad):
-    pts = [(0, 0), (2, 0), (0, 2), (1, 1)]
-    with pytest.raises(ValidationError):
-        regular_subdivision(pts, [0, 0, 0, bad])
-    with pytest.raises(ValidationError):
-        regular_subdivision(pts, [0, 0, 0, 0], tie_break=[bad, 0, 0, 0])
-
-
 def test_regular_subdivision_tie_break_refines_a_tie():
     pts = [(0, 0), (2, 0), (0, 2), (2, 2)]
-    assert regular_subdivision(pts, [0, 0, 0, 0]) == [(0, 1, 2, 3)]
-    assert regular_subdivision(pts, [0, 0, 0, 0], tie_break=[0, 1, 1, 0]) == [
-        (0, 1, 3), (0, 2, 3)]
-    assert regular_subdivision(pts, [0, 0, 0, 0], tie_break=[1, 0, 0, 1]) == [
-        (0, 1, 2), (1, 2, 3)]
+    subdivision = gkz_oracle.regular_subdivision_by_fractions
+    assert subdivision(pts, [0, 0, 0, 0]) == [(0, 1, 2, 3)]
+    assert subdivision(pts, [0, 0, 0, 0], tie_break=[0, 1, 1, 0]) == [(0, 1, 3), (0, 2, 3)]
+    assert subdivision(pts, [0, 0, 0, 0], tie_break=[1, 0, 0, 1]) == [(0, 1, 2), (1, 2, 3)]
 
 
 @pytest.mark.parametrize("name", TORIC_NAMES)
