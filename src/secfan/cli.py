@@ -47,7 +47,6 @@ from .secondary import (
     gkz_secondary_fan,
     grouping_by_triangulation,
     mori_fan_K,
-    one_stratum_report,
     secondary_fan,
     toric_compare,
 )
@@ -218,11 +217,10 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     Blowups with k >= 2 get a "weyl" section.  workers has no effect.
     """
     sec = secondary_fan(lat, cycle)  # its full fan carries the proved Stab(B)-orbits
-    keys = grouping_by_triangulation(sec)
+    grouping_by_triangulation(sec)  # raises unless the two groupings agree
     # not run below n = 3: ok is null, not a proof
     battery = cocycle_battery(sec) \
         if cycle.n >= 3 else {"ok": None, "pairs": 0, "loops": 0, "points": 0, "failures": []}
-    strata = one_stratum_report(sec, keys)
     theta = theta_divisor_checks(cycle.n)
     halg = boundary_algebra(cycle.n)
     binput = BundleInput(sec.full_fan, sec.movsec_fan, (lat.canonical,))
@@ -257,7 +255,9 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
             "pairs": battery["pairs"],
             "loops": battery["loops"],
             "points": battery["points"],
-            "failures": battery["failures"][:5],
+            "failures": [{"kind": kind, "pair": [sec.mori_fan.label_of(i) for i in (a, b)],
+                          "cell": list(p.cell), "coords": list(p.coords)}
+                         for kind, a, b, p in battery["failures"][:5]],
         },
         "theta_checks": {
             "all_nodes_missed": theta["all_nodes_missed"],
@@ -269,16 +269,12 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
         "boundary_algebra_level_dims": {
             str(m): halg["levels"][m]["total"] for m in sorted(halg["levels"])
         },
-        "one_strata": {
-            "total": len(strata),
-            "changing": sum(1 for s in strata if s["changes"]),
-            "non_changing": [s["wall"] for s in strata if not s["changes"]],
-        },
         "bundle": {
             "decomposition_ok": bcert.ok,
             "failures": bcert.failures[:5],
-            "nontrivial_stabilizers": [
-                [lbl, list(t.invariant_factors)] for lbl, t in (stab.nontrivial() if stab else [])
+            "nontrivial_stabilizers": [  # one per Stab(B)-orbit: root label, orbit size
+                [lbl, size, list(t.invariant_factors)]
+                for lbl, size, t in stab or () if not t.is_trivial()
             ],
         },
     }
@@ -315,6 +311,7 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
 
 
 def report_markdown(report: dict) -> str:
+    stabs = report["bundle"]["nontrivial_stabilizers"]  # one per Stab(B)-orbit
     lines = [
         "# secondary fan report",
         "",
@@ -343,20 +340,11 @@ def report_markdown(report: dict) -> str:
         f"- unique nonvanishing theta at center: {report['theta_checks']['center_check']}",
         f"- degenerate variant fails center: {report['theta_checks']['degenerate_variant_fails_center']}",
         "",
-        "## one-strata",
-        f"- walls: {report['one_strata']['total']}",
-        f"- changing: {report['one_strata']['changing']}",
-    ]
-    non_changing = report["one_strata"]["non_changing"]
-    if non_changing:
-        lines.append(f"- WARNING non-changing walls: {non_changing}")
-    else:
-        lines.append("- every wall changes the restricted family data")
-    lines += [
-        "",
         "## bundle",
         f"- decomposition certificate: {report['bundle']['decomposition_ok']}",
-        f"- nontrivial stabilizers: {report['bundle']['nontrivial_stabilizers']}",
+        f"- Stab(B)-orbits with a nontrivial stabilizer: {len(stabs)}",
+        *(f"- {size} cones like {lbl}: invariant factors {factors}"
+          for lbl, size, factors in stabs),
     ]
     if "weyl" in report:
         w = report["weyl"]
@@ -676,7 +664,7 @@ def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
         "ok": cert.ok,
         "failures": cert.failures,
         "stabilizers": [
-            [lbl, list(t.invariant_factors)] for lbl, t in (stab.entries if stab else [])
+            [lbl, list(t.invariant_factors)] for lbl, _, t in stab or ()
         ],
     }
     click.echo(json.dumps(payload, sort_keys=True))

@@ -669,24 +669,29 @@ def _vec_from_json(v, where: str) -> IntVec:
 
 def fan_from_json(data: dict) -> Fan:
     """The fan of fan_to_json's layout.  Facets are not trusted: each cone is
-    rebuilt from its rays and lineality, and a ray index that is not an int in
-    range of the ray table (a negative one would wrap) raises ValidationError,
-    as does an `ambient_rank` that is not an int or a vector entry that is not
-    an int or a decimal string."""
+    rebuilt from its rays and lineality.  Still, every part of the file is
+    read: a ray or facet index that is not an int in range of its table (a
+    negative one would wrap) raises ValidationError, as does an
+    `ambient_rank` that is not an int, a label that is not a string, or an
+    entry of a vector or of either table that is not an int or a decimal
+    string."""
     n = data["ambient_rank"]
     if type(n) is not int:
         raise ValidationError(f"'ambient_rank' is {n!r}, not an integer")
-    table = [_vec_from_json(r, f"ray table: ray {i}") for i, r in enumerate(data["rays"])]
+    tables = {name: [_vec_from_json(v, f"{name[:-1]} table: {name[:-1]} {i}")
+                     for i, v in enumerate(data[name])] for name in ("rays", "facets")}
     cones = []
     labels = []
     for j, cd in enumerate(data["cones"]):
         label = cd.get("label", "")
-        rays = []
-        for pos, i in enumerate(cd["rays"]):
-            if type(i) is not int or not 0 <= i < len(table):
-                raise ValidationError(f"cone {j} ({label!r}): ray {pos} is {i!r}, "
-                                      f"not an index into the table of {len(table)} rays")
-            rays.append(table[i])
+        if type(label) is not str:
+            raise ValidationError(f"cone {j}: label is {label!r}, not a string")
+        for name, table in tables.items():
+            for pos, i in enumerate(cd[name]):
+                if type(i) is not int or not 0 <= i < len(table):
+                    raise ValidationError(f"cone {j} ({label!r}): {name[:-1]} {pos} is {i!r}, "
+                                          f"not an index into the table of {len(table)} {name}")
+        rays = [tables["rays"][i] for i in cd["rays"]]
         lin = [_vec_from_json(l, f"cone {j} ({label!r}): lineality row {r}")
                for r, l in enumerate(cd.get("lineality", []))]
         cones.append(cone_from_rays(rays, n, lineality=lin))
@@ -730,7 +735,9 @@ def boundary_walls(fan: Fan, support: RationalCone) -> list[tuple[IntVec, ...]]:
 
 
 def fan_to_dot(fan: Fan, groups: dict[int, str] | None = None) -> str:
-    """DOT graph of chamber adjacency; nodes colored by group key when given."""
+    """DOT graph of chamber adjacency; nodes colored by group key when given.
+
+    Cone i is node ci, declared once with its label; edges name nodes by id."""
     palette = [
         "lightblue", "lightsalmon", "palegreen", "khaki", "plum", "lightgray",
         "lightpink", "wheat", "paleturquoise", "thistle",
@@ -741,8 +748,8 @@ def fan_to_dot(fan: Fan, groups: dict[int, str] | None = None) -> str:
         g = (groups or {}).get(i, "")
         if g not in group_color:
             group_color[g] = palette[len(group_color) % len(palette)]
-        lines.append(f'  "{fan.label_of(i)}" [fillcolor={group_color[g]}];')
+        lines.append(f'  c{i} [label="{fan.label_of(i)}", fillcolor={group_color[g]}];')
     for a, b in adjacency_pairs(fan):
-        lines.append(f'  "{fan.label_of(a)}" -- "{fan.label_of(b)}";')
+        lines.append(f"  c{a} -- c{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

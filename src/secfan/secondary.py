@@ -9,10 +9,10 @@ lattice and process, one cone per Weyl orbit.  A boundary only annotates the
 chambers; grouping those whose contracted set meets it in the same
 components, and completing the groups by bogus cones, gives the secondary
 fan.  Each fan's walls are built once, as data of the Fan, and the degree
-certificate, the coarsening pass, the cocycle battery, the one-strata and
-the DOT export read that one map.  secondary_fan always proves what it
-returns (see its lemmas).  In the toric cases the whole object must agree
-with an independently computed GKZ secondary fan of the reflexive polygon.
+certificate, the coarsening pass, the cocycle battery and the DOT export
+read that one map.  secondary_fan always proves what it returns (see its
+lemmas).  In the toric cases the whole object must agree with an
+independently computed GKZ secondary fan of the reflexive polygon.
 """
 from __future__ import annotations
 
@@ -632,7 +632,8 @@ def one_stratum_report(sec: SecondaryFan, keys: list) -> list[dict]:
     Walls whose two sides carry identical data are flagged: they would
     correspond to a contracted stratum.  Each shadow holds its own cone's
     group key or base face, and those are distinct per cone, so no wall is
-    flagged: changes is true on every wall by construction.
+    flagged: changes is true on every wall by construction, and the pipeline
+    does not run it.  It stays while perfbench's tracer lists it.
     """
     fan = sec.full_fan
     n_mov = len(sec.groups)

@@ -5,12 +5,13 @@ subspace) + (face from the subfan); the lifted fan lives in the direct sum and
 projects back by addition.  Stabilizers along lifted strata are the torsion of
 the lattice by the two sublattice factors, which is where the stack differs
 from its coarse space.  Both are computed once per orbit of the ambient fan's
-orbits (a symmetry of both fans fixing the subspace's basis), and read off
-the orbit's first cone elsewhere.
+orbits (a symmetry of both fans fixing the subspace's basis): a decomposition
+failure is named at every cone of its orbit, a stabilizer once per orbit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cones import (
@@ -126,16 +127,10 @@ def decompose(inp: BundleInput) -> DecompositionCert:
     return DecompositionCert(pieces, failures)
 
 
-@dataclass
-class StabilizerReport:
-    entries: list[tuple[str, TorsionGroup]]
-
-    def nontrivial(self) -> list[tuple[str, TorsionGroup]]:
-        return [(lbl, t) for lbl, t in self.entries if not t.is_trivial()]
-
-
-def stabilizers(inp: BundleInput, cert: DecompositionCert) -> StabilizerReport:
-    """Torsion of N/(N_1 + N_2) per lifted stratum, N_i the saturated span lattices.
+def stabilizers(inp: BundleInput, cert: DecompositionCert) -> list[tuple[str, int, TorsionGroup]]:
+    """Torsion of N/(N_1 + N_2) per lifted stratum, N_i the saturated span lattices,
+    as one (root label, orbit size, group) entry per orbit of the ambient fan's
+    orbits, in root order; a fan without orbits gets one entry per cone.
 
     cert is decompose(inp), computed once by the caller.  N_1 is generated by
     the sigma_1 lattice points inside L (not its saturation in N): refining L
@@ -148,15 +143,13 @@ def stabilizers(inp: BundleInput, cert: DecompositionCert) -> StabilizerReport:
         raise ValidationError("decomposition failed: " + "; ".join(cert.failures))
     rank = inp.rank
     out = []
-    for idx, (root, piece) in enumerate(zip(inp.ambient.orbit_roots, cert.pieces)):
-        if root == idx:
-            s1, s2 = piece
-            n1 = _cone_lattice_gens_in(s1, inp.sub_lattice, rank)
-            tg = torsion_quotient(n1 + saturate(s2.rays + s2.lineality), rank)
-        else:
-            tg = out[root][1]
-        out.append((inp.ambient.label_of(idx), tg))
-    return StabilizerReport(out)
+    # a root is the first cone of its orbit, so the roots come in cone order
+    for root, size in Counter(inp.ambient.orbit_roots).items():
+        s1, s2 = cert.pieces[root]
+        n1 = _cone_lattice_gens_in(s1, inp.sub_lattice, rank)
+        tg = torsion_quotient(n1 + saturate(s2.rays + s2.lineality), rank)
+        out.append((inp.ambient.label_of(root), size, tg))
+    return out
 
 
 def _cone_lattice_gens_in(s1: RationalCone, sub_basis, rank: int):

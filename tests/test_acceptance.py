@@ -390,7 +390,7 @@ def test_criterion_11_toric_stack_certificates():
     sub = Fan(2, (cone_from_rays([(1, -1)]),), ("tau",))
     z2_input = BundleInput(amb, sub, ((1, 1),))
     z2 = stabilizers(z2_input, decompose(z2_input))
-    z2_ok = z2.entries[0][1].invariant_factors == (2,)
+    z2_ok = z2[0][2].invariant_factors == (2,)
     # Sec/MovSec certificates at k <= 5
     cert_ok = True
     for lat, cycle in [
@@ -417,7 +417,7 @@ def test_criterion_11_toric_stack_certificates():
     inp1 = BundleInput(sec_q.full_fan, mov_q, (lat_q.canonical,))
     inp2 = BundleInput(sec_q.full_fan, mov_q, (tuple(2 * x for x in lat_q.canonical),))
     s1, s2 = stabilizers(inp1, decompose(inp1)), stabilizers(inp2, decompose(inp2))
-    doubling_ok = [t.order for _, t in s1.entries] != [t.order for _, t in s2.entries]
+    doubling_ok = [t.order for _, _, t in s1] != [t.order for _, _, t in s2]
     pieces_same = [
         (a.rays, b.rays) for a, b in decompose(inp1).pieces
     ] == [(a.rays, b.rays) for a, b in decompose(inp2).pieces]

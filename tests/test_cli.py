@@ -149,8 +149,9 @@ def per_cone_layout(line: str) -> str:
 
 # the fan {x >= 0, x <= 0} of the line; in the per-cone layout, with cone 1's
 # ray index negative (it would wrap to cone 0's ray), past the table's end, or
-# not an int, and with a number that is not a JSON int or a decimal string
-# (refused, not truncated: ray 0 = (-1) read as (1) would repeat cone 0)
+# not an int, with a number that is not a JSON int or a decimal string
+# (refused, not truncated: ray 0 = (-1) read as (1) would repeat cone 0), and
+# with a label, a facet table or a facet index that the reader would not use
 LINE_FAN = json.dumps(cones.fan_to_json(
     Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))))
 LINE = json.loads(LINE_FAN)
@@ -169,6 +170,9 @@ BAD_FANS = {
     "rank_float.json": json.dumps({**LINE, "ambient_rank": 1.9}),
     "rank_text.json": json.dumps({**LINE, "ambient_rank": "1"}),
     "lineality_float.json": with_cone_1(lineality=[[0.5]]),
+    "label_list.json": with_cone_1(label=[1]),
+    "facet_table.json": json.dumps({**LINE, "facets": [["x"], [1.5]]}),
+    "facet_index.json": with_cone_1(facets=[2]),
 }
 # by the last argument, the key or option a bad input must name in its error;
 # a named key comes with the name of its file
@@ -182,7 +186,10 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
               "ray_float.json": "ray table: ray 0, entry 0 is 1.7",
               "ray_bool.json": "ray table: ray 0, entry 0 is True",
               "rank_float.json": "'ambient_rank' is 1.9", "rank_text.json": "'ambient_rank' is '1'",
-              "lineality_float.json": "cone 1 ('cone1'): lineality row 0, entry 0 is 0.5"}
+              "lineality_float.json": "cone 1 ('cone1'): lineality row 0, entry 0 is 0.5",
+              "label_list.json": "cone 1: label is [1], not a string",
+              "facet_table.json": "facet table: facet 0, entry 0 is 'x'",
+              "facet_index.json": "cone 1 ('cone1'): facet 0 is 2"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -623,7 +630,24 @@ def test_pipeline_hexagon_dot_has_32_nodes(tmp_path, hexagon_config):
     assert sum(1 for line in dot.splitlines() if "fillcolor" in line) == 32
     report = json.loads((out / "report.json").read_text())
     assert report["counts"]["maximal_cones"] == 32
-    assert report["one_strata"]["non_changing"] == []
+    assert "one_strata" not in report
+
+
+def test_a_failing_cocycle_battery_is_written_as_data(tmp_path, hexagon_config, monkeypatch):
+    lat, cycle = hexagon_boundary()
+    point = gamma_complex(fan_triangulation(cycle.n)).points_at_level(1)[0]
+    real_battery = cli_module.cocycle_battery
+    monkeypatch.setattr(cli_module, "cocycle_battery", lambda sec: {
+        **real_battery(sec), "ok": False, "failures": [("loop", 0, 1, point)]})
+    out = tmp_path / "hex"
+    res = CliRunner().invoke(cli, ["pipeline", hexagon_config, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    battery = json.loads((out / "report.json").read_text())["cocycle_battery"]
+    assert battery["ok"] is False
+    assert battery["failures"] == [{"kind": "loop", "pair": [mori_fan_K(lat).label_of(i)
+                                                             for i in (0, 1)],
+                                    "cell": list(point.cell), "coords": list(point.coords)}]
+    assert "- cocycle battery: False" in (out / "report.md").read_text()
 
 
 def test_pipeline_is_byte_deterministic(tmp_path, p2_config):
@@ -815,35 +839,35 @@ BOUNDARIES = {
 # sha256 of each bundle file; the seed-0 square's report carries its k = 5 weyl section
 BUNDLE_DIGESTS = {
     "hexagon": {
-        "chambers.dot": "8e069ffdd595381e6ec2a12fb3e91039f4a4fe2009d6767ab7e0616bf508c01a",
+        "chambers.dot": "c0d01285862e3dcb4ea0d27bff2e72fe81abfb1d0cd46003b2a2f4a1f0892450",
         "fan_mori.json": "7d08075c03809be388cab2d38de095aa256426086fe12b8c016c009562bb2561",
         "fan_secondary.json": "ce4a61cd364c7970895d31949b4910fe1f1b4f6d0a24fb2f1b7d3e3ac76f539f",
-        "report.json": "2ed15f08e4e9876910d71e190c57d917ad689adf902ce846ae647b49296b29d6",
-        "report.md": "20e4118cca86cf8ed72b7124c5cc5ddc295b2a5a9aebdf3bb902f8cbd4878886",
+        "report.json": "ecd1437c2234805a3e49a6383c73169aa301aaf4b2d046e255e62af503ac120a",
+        "report.md": "fec3d48d19bc4f675fbe5918f92984b452d8244992cf1593dc15786e91951d53",
         "theta_table.csv": "985af5adf02f8280444b30586ae0f69b11841cf8c2571ede86d935c11dff1753",
     },
     "p2": {
-        "chambers.dot": "d86096bc8a1aa83f822f0e1c00ab31af96bebf04709cd65b9329321b5915179e",
+        "chambers.dot": "8c724281b7cc2471190c1b723d3775328fb283a8dc1d908d05a19ecbe7d17348",
         "fan_mori.json": "bcb04cf6477ee1d7ee66055eb8f68497fbc36047510128bfdaccbdc76cc48431",
         "fan_secondary.json": "e241aa7539ceba9d7da93e1812b6203b25eab017e7b47cbfb02cf4646e637679",
-        "report.json": "9b268e26c236bd1c519d124fdf771812766522d61b8e8ab413ae5e55362daffe",
-        "report.md": "fb1db9dddb5b180ac102365fbc80f635d84c757b784222e82efa1381eef2a722",
+        "report.json": "fe4e667e47576189457970195b574ffa2e68a6c8ff5eda11ff997ad7e9ccbbc0",
+        "report.md": "74de51d7fa1fa9a0768218b361caef43ec8ef2468746692b8525c1db0233d902",
         "theta_table.csv": "41fe46231cf966b8fafd195d89b2f819ecba64c233a9b4481f8f4a0afdc337bb",
     },
     "pentagon": {
-        "chambers.dot": "cd501872d66c0b4af73e8eea5ca42cc534a26215b535e5a6e9485b12dcfd107a",
+        "chambers.dot": "c285e7a63e3b93b13e1f361bddec02da8c8a4a3779ffd7e6e3cbea7b6a3fc36a",
         "fan_mori.json": "e070a718a9dd0b9a1e3f2f8128b71b4859a01940ad03d0c87091f80497d57ecd",
         "fan_secondary.json": "3a22dd57a8466d65f76577103c7128feba3b98a5975bf0ec6d5e52ddbdc67a63",
-        "report.json": "29ac8b665f8b16cbbbbb6fcb6845cb2f86c3a8efea74f8c04bc80a29928f6368",
-        "report.md": "db9097c04c63c491b52c5a5a9180f9ad817d924ba1044685329ab54f531244df",
+        "report.json": "ea053cbf1069d6d0d2e831916943219d84e23e31937a9c4d957d6b7403bc94fd",
+        "report.md": "24e0e77523eec6783d95c8b9ab4af0326bcf763904464ed1fd7b9ab8b7fcdd06",
         "theta_table.csv": "176eb7f0ed8fa40360dfe1a902fb7ff78047c472353cf64d8af02701ef1a9cc2",
     },
     "square": {
-        "chambers.dot": "6198881952ce705377e3aa4e1d51d9a9be113add26269037e17ac4fe4a17b1e0",
+        "chambers.dot": "4cad7ab4752620a39125b3c04fc1b0aab01de2c7c88a4e39631b62d5452e07b2",
         "fan_mori.json": "33b10f02636c373b99cf575486d6351a65769e4cce3fa857a5b5b9340a1b28a9",
         "fan_secondary.json": "3a00f4498506aba0643013f2082d33c4aee8fd501ec9a071cdf1689f84cf3cf9",
-        "report.json": "837891267dc98da590ab78a0dce8a8d46764eeb45a2c4611eb6a1002c31b9554",
-        "report.md": "4d18aef92a44a3ef19ba2bfe47494d19635bcdafeee920bf09a45544db0414d0",
+        "report.json": "f558331d3ac38e13eef15d85a26307736d9ae95e2ddd9fba01ca8cada1e6940d",
+        "report.md": "f54f35d38e2d374ff5172ff0267879e828ec9da535fa695f56d41294b68d8d00",
         "theta_table.csv": "d2a64fe38db2c7f666e8afe2292eaf4291864029476657c5d304a7c5f9f6ad99",
     },
 }
@@ -892,7 +916,7 @@ def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, cold_mo
     # read the Mori walls, and no group is re-tiled
     assert len(counted) == len(set(mori.orbits)) + len(full.cones) == rows
     assert tilings == []
-    # is_complete, one_stratum_report and fan_to_dot build no map of their own
+    # is_complete and fan_to_dot build no map of their own
     assert mori.cones not in maps and full.cones not in maps
     # the bogus cones' walls, added to the members' map, give a fresh map of all
     # cones and leave the members' map as it was
@@ -998,6 +1022,15 @@ ORBIT_CASES = {
 }
 
 
+def _assert_orbits_expand_to_cones(orbits, cone_entries):
+    """Each per-orbit entry, counted orbit size times, gives the per-cone
+    multiset, and its root label holds its group in the per-cone run."""
+    assert sorted(g for _, size, *g in orbits for _ in range(size)) == sorted(
+        g for _, _, *g in cone_entries)
+    by_label = {lbl: g for lbl, _, *g in cone_entries}
+    assert all(by_label[lbl] == g for lbl, _, *g in orbits)
+
+
 @pytest.mark.parametrize("name", list(ORBIT_CASES))
 def test_orbit_read_bundle_stage_matches_the_per_cone_run(name):
     lat, cycle = ORBIT_CASES[name]()
@@ -1009,11 +1042,15 @@ def test_orbit_read_bundle_stage_matches_the_per_cone_run(name):
         inp = toricstack.BundleInput(fan, subfan, (lat.canonical,))
         cert = toricstack.decompose(inp)
         stab = toricstack.stabilizers(inp, cert) if cert.ok else None
-        return cert.failures, stab and [(lbl, t.invariant_factors, t.free_rank)
-                                        for lbl, t in stab.entries]
+        return cert.failures, stab and [(lbl, size, t.invariant_factors, t.free_rank)
+                                        for lbl, size, t in stab]
 
-    assert run(walked, sec.movsec_fan) == run(per_cone, sec.movsec_fan)
-    assert run(walked, sec.movsec_fan)[0] == []
+    (failures, orbits), (per_cone_failures, cone_entries) = (
+        run(walked, sec.movsec_fan), run(per_cone, sec.movsec_fan))
+    assert failures == per_cone_failures == []
+    assert [(lbl, size) for lbl, size, *_ in cone_entries] == [
+        (lbl, 1) for lbl in walked.labels]
+    _assert_orbits_expand_to_cones(orbits, cone_entries)
     # with an empty subfan, which every generator fixes, every cone fails
     no_subfan = Fan(lat.rank, ())
     failures = run(walked, no_subfan)
@@ -1023,6 +1060,30 @@ def test_orbit_read_bundle_stage_matches_the_per_cone_run(name):
     roots = set(walked.orbits)
     assert len(walked.orbits) == len(walked.cones)
     assert (len(roots) < len(walked.cones)) == (name not in ("quadric", "p2"))
+
+
+# (orbit size, invariant factors) of each Stab(B)-orbit with a nontrivial
+# stabilizer, in root order: 14, 25 and 126 cones
+STABILIZER_ORBITS = {
+    "hexagon": [(2, [3]), (6, [2]), (6, [2])],
+    "k4": [(5, [3]), (10, [2]), (10, [2])],
+    "k6": [(48, [3]), (6, [2]), (24, [2]), (24, [2]), (24, [3])],
+}
+
+
+@pytest.mark.parametrize("name", list(STABILIZER_ORBITS))
+def test_the_report_gives_one_stabilizer_entry_per_orbit(name):
+    lat, cycle = ORBIT_CASES[name]()
+    report, sec = build_report(lat, cycle)
+    orbits = report["bundle"]["nontrivial_stabilizers"]
+    assert [(size, factors) for _, size, factors in orbits] == STABILIZER_ORBITS[name]
+    fan = sec.full_fan
+    inp = toricstack.BundleInput(Fan(fan.ambient_rank, fan.cones, fan.labels), sec.movsec_fan,
+                                 (lat.canonical,))
+    cone_entries = [(lbl, size, list(t.invariant_factors))
+                    for lbl, size, t in toricstack.stabilizers(inp, toricstack.decompose(inp))
+                    if not t.is_trivial()]
+    _assert_orbits_expand_to_cones(orbits, cone_entries)
 
 
 def test_bundle_stage_runs_once_per_stabilizer_orbit(monkeypatch):

@@ -134,7 +134,7 @@ def test_decompose_rejects_subspace_through_interior():
 def test_stabilizer_z2():
     inp = simple_input()
     rep = stabilizers(inp, decompose(inp))
-    assert rep.entries[0][1].invariant_factors == (2,)
+    assert rep[0][2].invariant_factors == (2,)
 
 
 def test_stabilizer_trivial_when_direct_sum():
@@ -142,7 +142,7 @@ def test_stabilizer_trivial_when_direct_sum():
     sub = Fan(2, (cone_from_rays([(0, 1)]),), ("tau",))
     inp = BundleInput(amb, sub, ((1, 0),))
     rep = stabilizers(inp, decompose(inp))
-    assert rep.entries[0][1].is_trivial()
+    assert rep[0][2].is_trivial()
 
 
 def test_build_tilde_projection():
@@ -197,7 +197,7 @@ def test_doubling_changes_stabilizers_not_fan():
         inp.ambient, inp.subfan, (tuple(2 * x for x in lat.canonical),)
     )
     rep2 = stabilizers(doubled, decompose(doubled))
-    assert [t.order for _, t in rep1.entries] != [t.order for _, t in rep2.entries]
+    assert [t.order for _, _, t in rep1] != [t.order for _, _, t in rep2]
     # coarse data: the decomposition pieces agree
     c1 = decompose(inp)
     c2 = decompose(doubled)
@@ -309,8 +309,8 @@ def test_decompose_keeps_the_lineality_of_sigma_2():
 def test_stabilizers_count_the_lineality_of_sigma_2():
     inp = _lineal_quarter_spaces()
     rep = stabilizers(inp, decompose(inp))
-    assert [(lbl, t.invariant_factors, t.free_rank) for lbl, t in rep.entries] == [
-        ("up", (), 0), ("down", (), 0)]
+    assert [(lbl, size, t.invariant_factors, t.free_rank) for lbl, size, t in rep] == [
+        ("up", 1, (), 0), ("down", 1, (), 0)]
 
 
 def test_build_tilde_lifts_the_lineality_of_sigma_2():
