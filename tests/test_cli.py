@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from operator import add
 from pathlib import Path
 from types import SimpleNamespace
@@ -151,7 +152,8 @@ def per_cone_layout(line: str) -> str:
 # ray index negative (it would wrap to cone 0's ray), past the table's end, or
 # not an int, with a number that is not a JSON int or a decimal string
 # (refused, not truncated: ray 0 = (-1) read as (1) would repeat cone 0), and
-# with a label, a facet table or a facet index that the reader would not use
+# with a label, a facet table or a facet index that the reader would not use,
+# and without the facet table or cone 1's facet list (both are required keys)
 LINE_FAN = json.dumps(cones.fan_to_json(
     Fan(1, (cones.cone_from_rays([(1,)]), cones.cone_from_rays([(-1,)])))))
 LINE = json.loads(LINE_FAN)
@@ -173,6 +175,9 @@ BAD_FANS = {
     "label_list.json": with_cone_1(label=[1]),
     "facet_table.json": json.dumps({**LINE, "facets": [["x"], [1.5]]}),
     "facet_index.json": with_cone_1(facets=[2]),
+    "no_facet_table.json": json.dumps({k: v for k, v in LINE.items() if k != "facets"}),
+    "no_cone_facets.json": json.dumps({**LINE, "cones": [
+        LINE["cones"][0], {k: v for k, v in LINE["cones"][1].items() if k != "facets"}]}),
 }
 # by the last argument, the key or option a bad input must name in its error;
 # a named key comes with the name of its file
@@ -189,7 +194,8 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
               "lineality_float.json": "cone 1 ('cone1'): lineality row 0, entry 0 is 0.5",
               "label_list.json": "cone 1: label is [1], not a string",
               "facet_table.json": "facet table: facet 0, entry 0 is 'x'",
-              "facet_index.json": "cone 1 ('cone1'): facet 0 is 2"}
+              "facet_index.json": "cone 1 ('cone1'): facet 0 is 2",
+              "no_facet_table.json": "'facets'", "no_cone_facets.json": "'facets'"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1050,6 +1056,12 @@ def test_orbit_read_bundle_stage_matches_the_per_cone_run(name):
     assert failures == per_cone_failures == []
     assert [(lbl, size) for lbl, size, *_ in cone_entries] == [
         (lbl, 1) for lbl in walked.labels]
+    # every cone's group is its orbit root's group (Stab(B) transports it), and
+    # each orbit's size counts the cones with that root
+    group_of_root = {lbl: g for lbl, _, *g in orbits}
+    assert [g for _, _, *g in cone_entries] == [
+        group_of_root[walked.label_of(r)] for r in walked.orbit_roots]
+    assert [size for _, size, *_ in orbits] == list(Counter(walked.orbit_roots).values())
     _assert_orbits_expand_to_cones(orbits, cone_entries)
     # with an empty subfan, which every generator fixes, every cone fails
     no_subfan = Fan(lat.rank, ())
