@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .cones import fan_from_json, fan_to_dot, fan_to_json
+from .cones import _tiling_defect, fan_from_json, fan_to_dot, fan_to_json
 from .delpezzo import (
     BoundaryCycle,
     PicLattice,
@@ -57,7 +57,7 @@ from .thetaalg import (
     proj_degree,
     theta_divisor_checks,
 )
-from .toricstack import BundleInput, decompose, stabilizers
+from .toricstack import BundleInput, _cone_in_fan, decompose, stabilizers
 
 CACHE_ENV = "SECFAN_CACHE_DIR"
 
@@ -657,6 +657,14 @@ def bundle_check_cmd(fan_path, subfan_path, l_spec, config_path):
         basis = tuple(_option_ints(chunk, "--L") for chunk in l_spec.split(";"))
     if any(len(b) != ambient.ambient_rank for b in basis) or rank_of(basis) != len(basis):
         raise ValidationError(f"--L needs independent vectors of length {ambient.ambient_rank}")
+    # the ambient must be a complete fan, proved by the degree certificate
+    # (is_complete's), and every subfan cone one of its cones or their faces
+    defect = _tiling_defect(ambient.cones, walls=ambient.walls, label_of=ambient.label_of)
+    if defect is not None:
+        raise ValidationError(f"--fan is not a complete fan: {defect}")
+    stray = next((i for i, c in enumerate(subfan.cones) if not _cone_in_fan(c, ambient)), None)
+    if stray is not None:
+        raise ValidationError(f"--subfan cone {subfan.label_of(stray)} is not a cone of --fan")
     inp = BundleInput(ambient, subfan, basis)
     cert = decompose(inp)
     stab = stabilizers(inp, cert) if cert.ok else None

@@ -31,7 +31,6 @@ from .cones import (
     cone_from_inequalities,
     cone_from_rays,
     fan_check,
-    image,
     intersect,
     is_complete,
 )
@@ -781,39 +780,32 @@ def all_triangulations(points) -> list[frozenset]:
     return sorted(out, key=sorted)
 
 
-def secondary_cone(points, triangulation) -> RationalCone:
-    """Closed cone of height functions inducing the triangulation (with lineality).
+def secondary_cone(points, triangulation, section: IntMat) -> RationalCone:
+    """Cone of height functions inducing the triangulation, through proj, in Z^(s-3).
 
     Lemma: w induces it iff the lift folds up strictly across each interior
     edge (the far vertex of one triangle lies above the lift on the other) and
     each unused point lies strictly above the lift on a triangle holding it: a
-    locally convex piecewise-affine function on a convex domain is convex.  No
-    row is zero (|det| at its target), so the triangulation is regular iff this
-    cone is full-dimensional (De Loera-Rambau-Santos, *Triangulations*, 2010).
+    locally convex piecewise-affine function on a convex domain is convex.
+    Each row a kills ker proj, so a = (a.S) o proj.  Only affine w vanish on
+    every row and no row is zero, so the cone is pointed, and full-dimensional
+    iff the triangulation is regular (De Loera-Rambau-Santos, 2010).
     """
-    points = [tuple(p) for p in points]
     s = len(points)
     tris = sorted(triangulation)
     used = sorted({v for t in tris for v in t})
     ineqs = []
 
     def lift_functional(tri, target):
-        """Row expressing w(target) - ell_tri(target) >= 0, cleared to integers."""
-        a, b, c = tri
-        pa, pb, pc = points[a], points[b], points[c]
-        det = _orient(pa, pb, pc)
-        # barycentric coordinates of target w.r.t. tri, times det
-        pt = points[target]
-        la = _orient(pt, pb, pc)
-        lb = _orient(pa, pt, pc)
-        lc = _orient(pa, pb, pt)
+        """Row a.S of w(target) - ell_tri(target) >= 0, cleared to integers."""
+        pa, pb, pc = (points[v] for v in tri)
+        det, pt = _orient(pa, pb, pc), points[target]
         row = [0] * s
-        sign = 1 if det > 0 else -1
         row[target] = abs(det)
-        row[a] -= sign * la
-        row[b] -= sign * lb
-        row[c] -= sign * lc
-        return tuple(row)
+        # minus the barycentric coordinates of target w.r.t. tri, times |det|
+        for v, lam in zip(tri, (_orient(pt, pb, pc), _orient(pa, pt, pc), _orient(pa, pb, pt))):
+            row[v] -= lam if det > 0 else -lam
+        return section.apply(row)
 
     # folding across interior edges
     edge_owner: dict[tuple, list] = {}
@@ -829,12 +821,9 @@ def secondary_cone(points, triangulation) -> RationalCone:
     for d in range(s):
         if d in used:
             continue
-        host = next(
-            t for t in tris
-            if _point_in_triangle(points[d], points[t[0]], points[t[1]], points[t[2]])
-        )
+        host = next(t for t in tris if _point_in_triangle(points[d], *(points[v] for v in t)))
         ineqs.append(lift_functional(host, d))
-    return cone_from_inequalities(ineqs, ambient_rank=s)
+    return cone_from_inequalities(ineqs, ambient_rank=section.rows)
 
 
 @dataclass
@@ -842,7 +831,7 @@ class GkzFan:
     points: list
     triangulations: list[frozenset]
     fan: Fan  # in the quotient by affine functions
-    raw_cones: list[RationalCone]
+    section: IntMat  # S^T: proj maps row j to e_j
     irregular: list[frozenset]
 
 
@@ -854,31 +843,30 @@ def _affine_functions(points) -> list[IntVec]:
 def gkz_secondary_fan(points) -> GkzFan:
     """Secondary fan modulo lineality, from all regular triangulations.
 
-    A triangulation is regular iff its secondary cone is full-dimensional
-    (secondary_cone's lemma); those cones are the secondary fan's maximal
-    cones (Gelfand-Kapranov-Zelevinsky, 1994, ch. 7).  The degree certificate
-    proves their images modulo the affine functions a complete fan (see
-    is_complete), so no regular triangulation is missing.
+    proj kills exactly the affine functions and is onto Z^(s-3), so it has an
+    integral section S (proj.S = I).  The full-dimensional secondary cones are
+    the maximal cones (Gelfand-Kapranov-Zelevinsky 1994, ch. 7); the degree
+    certificate proves them a complete fan, so no regular triangulation is missing.
     """
     points = [tuple(p) for p in points]
-    regular, irregular, raw = [], [], []
-    for t in all_triangulations(points):
-        cone = secondary_cone(points, t)  # built once: it decides regularity and is kept
-        if cone.dim == len(points):
-            regular.append(t)
-            raw.append(cone)
-        else:
-            irregular.append(t)
-    # integer projection Z^s -> Z^(s-3) killing exactly the affine functions
     proj = quotient_lattice_map(_affine_functions(points), len(points))
-    cones = tuple(image(proj, rc) for rc in raw)
-    fan = Fan(proj.rows, cones, tuple(f"T{i}" for i in range(len(cones))))
+    section = IntMat(proj.rows, len(points), tuple(
+        x for e in IntMat.identity(proj.rows).row_list() for x in solve_integral(proj, e)))
+    regular, irregular, cones = [], [], []
+    for t in all_triangulations(points):
+        cone = secondary_cone(points, t, section)
+        if cone.equations:
+            irregular.append(t)
+        else:
+            regular.append(t)
+            cones.append(cone)
+    fan = Fan(proj.rows, tuple(cones), tuple(f"T{i}" for i in range(len(cones))))
     if not is_complete(fan):
         raise InternalInvariantError(
             "GKZ secondary fan is not a complete fan:"
             f" {_tiling_defect(fan.cones, walls=fan.walls, label_of=fan.label_of)}"
         )
-    return GkzFan(points, regular, fan, raw, irregular)
+    return GkzFan(points, regular, fan, section, irregular)
 
 
 # ---------------------------------------------------------------------------
@@ -896,10 +884,12 @@ def toric_compare(lat: PicLattice, boundary: BoundaryCycle, fan_rays,
                   gkz: GkzFan, sec: SecondaryFan | None = None) -> CompareCertificate:
     """Certify the pushed GKZ fan equals the secondary fan for a toric pair.
 
-    The linear map sends the basis vector of a boundary ray to the class of its
-    divisor and the center to the canonical class; its kernel must be exactly
-    the affine functions, and every pushed maximal cone must match a secondary
-    cone ray-for-ray.
+    The linear map phi sends the basis vector of a boundary ray to the class of
+    its divisor and the center to the canonical class; its kernel must be
+    exactly the affine functions, and every pushed maximal cone must match a
+    secondary cone ray-for-ray.  phi = (phi.S) o proj with phi.S nonsingular
+    (rank check); an injective map sends extreme rays onto extreme rays, so
+    no sweep.
     """
     details: list[str] = []
     points = [tuple(r) for r in fan_rays] + [(0, 0)]
@@ -918,24 +908,19 @@ def toric_compare(lat: PicLattice, boundary: BoundaryCycle, fan_rays,
         return CompareCertificate(False, [], ["rank mismatch: kernel exceeds affine functions"])
     if sec is None:
         sec = secondary_fan(lat, boundary)
-    pushed = [image(phi, rc) for rc in gkz.raw_cones]
+    phi_bar = phi.mul(gkz.section.transpose())
     sec_cones = {c.key(): i for i, c in enumerate(sec.full_fan.cones)}
     matched = []
-    for t_idx, pc in enumerate(pushed):
-        j = sec_cones.get(pc.key())
+    for t_idx, c in enumerate(gkz.fan.cones):
+        j = sec_cones.get((tuple(sorted(primitive(phi_bar.apply(r)) for r in c.rays)), ()))
         if j is None:
             details.append(
                 f"triangulation {sorted(gkz.triangulations[t_idx])} pushes to no secondary cone"
             )
-            continue
-        matched.append((t_idx, j))
-    ok = (
-        len(matched) == len(pushed)
-        and len(pushed) == len(sec.full_fan.cones)
-        and len({j for _, j in matched}) == len(matched)
-    )
+        else:
+            matched.append((t_idx, j))
+    pushed, n = len(gkz.fan.cones), len(sec.full_fan.cones)
+    ok = len(matched) == pushed == n and len({j for _, j in matched}) == pushed
     if not ok and not details:
-        details.append(
-            f"cone counts differ: {len(pushed)} pushed vs {len(sec.full_fan.cones)} secondary"
-        )
+        details.append(f"cone counts differ: {pushed} pushed vs {n} secondary")
     return CompareCertificate(ok, matched, details)

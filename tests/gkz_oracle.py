@@ -30,6 +30,11 @@ each wall of the secondary cones once, lifting the points to a point of the
 wall with the far side's direction as tie-break, and asserts that the lower
 hull is the triangulation beyond the wall: a check of secondary_cone against
 the lifting construction.
+
+lineal_secondary_cone is secfan.secondary.secondary_cone before it was built
+in the quotient by the affine functions, verbatim but for the name: the cone
+in R^s, with the affine functions as its lineality.  Its image under the
+quotient map is the library's cone, field for field.
 """
 
 import itertools
@@ -37,6 +42,7 @@ from fractions import Fraction
 from unittest import mock
 
 from secfan import secondary
+from secfan.cones import RationalCone, cone_from_inequalities
 from secfan.errors import InternalInvariantError, ValidationError
 from secfan.lattice import vec_dot
 from secfan.secondary import _hull_vertices, _orient, _point_in_triangle, _triangle_area2
@@ -112,6 +118,62 @@ def regular_subdivision_by_fractions(points, heights, tie_break=None):
             cells.append(tuple(sorted(tight)))
     out = sorted(set(cells))
     return [c for c in out if not any(set(c) < set(o) for o in out)]
+
+
+def lineal_secondary_cone(points, triangulation) -> RationalCone:
+    """Closed cone of height functions inducing the triangulation (with lineality).
+
+    Lemma: w induces it iff the lift folds up strictly across each interior
+    edge (the far vertex of one triangle lies above the lift on the other) and
+    each unused point lies strictly above the lift on a triangle holding it: a
+    locally convex piecewise-affine function on a convex domain is convex.  No
+    row is zero (|det| at its target), so the triangulation is regular iff this
+    cone is full-dimensional (De Loera-Rambau-Santos, *Triangulations*, 2010).
+    """
+    points = [tuple(p) for p in points]
+    s = len(points)
+    tris = sorted(triangulation)
+    used = sorted({v for t in tris for v in t})
+    ineqs = []
+
+    def lift_functional(tri, target):
+        """Row expressing w(target) - ell_tri(target) >= 0, cleared to integers."""
+        a, b, c = tri
+        pa, pb, pc = points[a], points[b], points[c]
+        det = _orient(pa, pb, pc)
+        # barycentric coordinates of target w.r.t. tri, times det
+        pt = points[target]
+        la = _orient(pt, pb, pc)
+        lb = _orient(pa, pt, pc)
+        lc = _orient(pa, pb, pt)
+        row = [0] * s
+        sign = 1 if det > 0 else -1
+        row[target] = abs(det)
+        row[a] -= sign * la
+        row[b] -= sign * lb
+        row[c] -= sign * lc
+        return tuple(row)
+
+    # folding across interior edges
+    edge_owner: dict[tuple, list] = {}
+    for t in tris:
+        for e in itertools.combinations(t, 2):
+            edge_owner.setdefault(tuple(sorted(e)), []).append(t)
+    for e, owners in edge_owner.items():
+        if len(owners) == 2:
+            t1, t2 = owners
+            opp = next(v for v in t2 if v not in t1)
+            ineqs.append(lift_functional(t1, opp))
+    # unused points sit above the lift of their containing cell
+    for d in range(s):
+        if d in used:
+            continue
+        host = next(
+            t for t in tris
+            if _point_in_triangle(points[d], points[t[0]], points[t[1]], points[t[2]])
+        )
+        ineqs.append(lift_functional(host, d))
+    return cone_from_inequalities(ineqs, ambient_rank=s)
 
 
 def flip_graph_triangulations(points, regular, raw_cones) -> set:

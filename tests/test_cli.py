@@ -179,6 +179,20 @@ BAD_FANS = {
     "no_cone_facets.json": json.dumps({**LINE, "cones": [
         LINE["cones"][0], {k: v for k, v in LINE["cones"][1].items() if k != "facets"}]}),
 }
+
+
+def plane_fan(*cones_rays) -> str:
+    return json.dumps(cones.fan_to_json(Fan(2, tuple(cone_from_rays(r) for r in cones_rays))))
+
+
+# an ambient fan that is no fan (cone 1 lies inside cone 0), a complete one,
+# and a subfan of rays that are no cones, nor faces of cones, of either
+AMBIENTS = {
+    "nested.json": plane_fan([(1, 0), (1, 2)], [(1, 0), (1, 1)]),
+    "quadrants.json": plane_fan([(1, 0), (0, 1)], [(0, 1), (-1, 0)], [(-1, 0), (0, -1)],
+                                [(0, -1), (1, 0)]),
+    "rays.json": plane_fan([(1, 2)], [(1, 1)]),
+}
 # by the last argument, the key or option a bad input must name in its error;
 # a named key comes with the name of its file
 NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_bool.json": "'k'",
@@ -195,7 +209,10 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
               "label_list.json": "cone 1: label is [1], not a string",
               "facet_table.json": "facet table: facet 0, entry 0 is 'x'",
               "facet_index.json": "cone 1 ('cone1'): facet 0 is 2",
-              "no_facet_table.json": "'facets'", "no_cone_facets.json": "'facets'"}
+              "no_facet_table.json": "'facets'", "no_cone_facets.json": "'facets'",
+              "nested.json": "--fan is not a complete fan: wall [(1, 0)]:"
+                             " cones cone0 and cone1 are not on opposite sides",
+              "rays.json": "--subfan cone cone0 is not a cone of --fan"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -212,6 +229,9 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
     ["bundle", "check", "--fan", "line.json", "--subfan", "line.json", "--L", "0"],
     ["bundle", "check", "--fan", "broken.json", "--subfan", "line.json", "--L", "1"],
     ["bundle", "check", "--fan", "no_cycle.json", "--subfan", "line.json", "--L", "1"],
+    # the ambient must be a complete fan, and each subfan cone one of its cones
+    ["bundle", "check", "--L", "1,0", "--subfan", "rays.json", "--fan", "nested.json"],
+    ["bundle", "check", "--L", "1,0", "--fan", "quadrants.json", "--subfan", "rays.json"],
     ["spine", "count", "--selfint", "-1,-1,-1,-1,-1,-1", "--spine", "no_cycle.json"],
     ["theta", "table", "--n", "6", "--triangulation", "a"],
     ["theta", "hilbert", "--n", "3", "--max-level", "-1"],
@@ -222,7 +242,8 @@ NAMED_KEYS = {"class_float.json": "'cycle' entry", "k_float.json": "'k'", "k_boo
       for name in BAD_SPINES],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_without_traceback(tmp_path, argv):
-    for name, text in {**BAD_CONFIGS, **BAD_SPINES, **BAD_FANS, "line.json": LINE_FAN}.items():
+    for name, text in {**BAD_CONFIGS, **BAD_SPINES, **BAD_FANS, **AMBIENTS,
+                       "line.json": LINE_FAN}.items():
         (tmp_path / name).write_text(text)
     key = NAMED_KEYS.get(argv[-1], "")
     argv = [str(tmp_path / a) if (tmp_path / a).is_file() else a for a in argv]
@@ -604,6 +625,17 @@ def test_bundle_check_command(tmp_path, p2_config):
     assert res.exit_code == 0, res.output
     data = json.loads(res.output)
     assert data["ok"]
+
+
+def test_bundle_check_takes_a_subfan_of_faces(tmp_path):
+    # the x-axis rays are faces of the quadrants, not quadrants: each quadrant
+    # splits as its ray on the y-axis plus its ray on the x-axis
+    (tmp_path / "quadrants.json").write_text(AMBIENTS["quadrants.json"])
+    (tmp_path / "x_axis.json").write_text(plane_fan([(1, 0)], [(-1, 0)]))
+    res = CliRunner().invoke(cli, ["bundle", "check", "--fan", str(tmp_path / "quadrants.json"),
+                                   "--subfan", str(tmp_path / "x_axis.json"), "--L", "0,1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ok"]
 
 
 def test_pipeline_bundle_files(tmp_path, p2_config):

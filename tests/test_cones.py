@@ -750,7 +750,7 @@ def test_mori_chamber_runs_two_sweeps(sweeps):
 
 
 def test_full_dimensional_cone_from_inequalities_reads_its_facets_off_them(sweeps):
-    from secfan.secondary import all_triangulations, secondary_cone
+    from secfan.secondary import all_triangulations, gkz_secondary_fan, secondary_cone
 
     # pointed: the H-to-V sweep alone; lineal: the second sweep of cone_from_rays
     assert sweeps(cone_from_inequalities, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]) == 1
@@ -758,6 +758,22 @@ def test_full_dimensional_cone_from_inequalities_reads_its_facets_off_them(sweep
     # equations, given or implied, go through cone_from_rays as before
     assert sweeps(cone_from_inequalities, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)]) == 2
     assert sweeps(cone_from_inequalities, [(1, 0), (-1, 0)], ambient_rank=2) == 3
-    # a GKZ secondary cone holds the affine functions as lineality
+    # a GKZ secondary cone, built modulo the affine functions, is pointed
     square = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]
-    assert [sweeps(secondary_cone, square, t) for t in all_triangulations(square)] == [2] * 4
+    section = gkz_secondary_fan(square).section
+    assert [sweeps(secondary_cone, square, t, section)
+            for t in all_triangulations(square)] == [1] * 4
+
+
+def test_toric_gkz_comparisons_run_one_sweep_per_triangulation(sweeps):
+    from secfan.delpezzo import TORIC_NAMES, toric_boundary
+    from secfan.secondary import gkz_secondary_fan, secondary_fan, toric_compare
+
+    def compare(name):
+        lat, cycle, rays = toric_boundary(name)
+        sec = secondary_fan(lat, cycle)
+        return lambda: toric_compare(
+            lat, cycle, rays, gkz_secondary_fan([tuple(r) for r in rays] + [(0, 0)]), sec)
+
+    # 2 + 3 + 4 + 10 + 32 regular triangulations: one sweep each, none in the push
+    assert sum(sweeps(compare(name)) for name in TORIC_NAMES) == 51

@@ -25,6 +25,7 @@ from secfan.cones import (
     intersect,
     is_coarsening,
     is_complete,
+    zero_cone,
 )
 from secfan.delpezzo import (
     BoundaryCycle,
@@ -489,7 +490,7 @@ def test_one_stratum_report_degree6():
 
 
 def is_regular(points, triangulation) -> bool:
-    return secondary.secondary_cone(points, triangulation).dim == len(points)
+    return gkz_oracle.lineal_secondary_cone(points, triangulation).dim == len(points)
 
 
 def test_gkz_triangle_center():
@@ -506,10 +507,13 @@ def test_gkz_triangle_center():
 def test_secondary_cone_of_one_triangle_is_every_height_function():
     # one cell, no interior edge and no unused point: no constraint at all
     pts = [(0, 0), (1, 0), (0, 1)]
-    cone = secondary.secondary_cone(pts, frozenset({(0, 1, 2)}))
+    cone = gkz_oracle.lineal_secondary_cone(pts, frozenset({(0, 1, 2)}))
     assert cone == cone_from_inequalities([], ambient_rank=3)
     assert cone.lineality and not cone.rays
     assert is_regular(pts, frozenset({(0, 1, 2)}))
+    # modulo the affine functions, the whole space is the zero cone of Z^0
+    gkz = gkz_secondary_fan(pts)
+    assert gkz.fan.cones == (zero_cone(0),) and gkz.irregular == []
 
 
 def test_gkz_square_center():
@@ -551,9 +555,9 @@ def test_gkz_builds_each_secondary_cone_once(monkeypatch, pts, count):
     built = []
     original = secondary.secondary_cone
 
-    def counted(points, triangulation):
+    def counted(points, triangulation, section):
         built.append(triangulation)
-        return original(points, triangulation)
+        return original(points, triangulation, section)
 
     monkeypatch.setattr(secondary, "secondary_cone", counted)
     gkz = gkz_secondary_fan(pts)
@@ -576,18 +580,20 @@ def test_flip_walk_crosses_each_wall_once(monkeypatch, pts):
         return original(points, heights, tie_break)
 
     monkeypatch.setattr(gkz_oracle, "regular_subdivision_by_fractions", counted)
-    reached = gkz_oracle.flip_graph_triangulations(pts, gkz.triangulations, gkz.raw_cones)
+    lineal = [gkz_oracle.lineal_secondary_cone(pts, t) for t in gkz.triangulations]
+    reached = gkz_oracle.flip_graph_triangulations(pts, gkz.triangulations, lineal)
     assert reached == set(gkz.triangulations)
     # a complete fan: every facet is one side of an interior wall
-    assert 2 * len(calls) == sum(len(c.facets) for c in gkz.raw_cones)
+    assert 2 * len(calls) == sum(len(c.facets) for c in lineal)
 
 
 def test_flip_walk_asserts_where_a_crossing_lands():
     pts = GKZ_INPUTS[-1]
     gkz = gkz_secondary_fan(pts)
+    lineal = [gkz_oracle.lineal_secondary_cone(pts, t) for t in gkz.triangulations]
     # drop one regular triangulation: the walls around it lead nowhere
     with pytest.raises(InternalInvariantError, match="lands on no regular triangulation"):
-        gkz_oracle.flip_graph_triangulations(pts, gkz.triangulations[:-1], gkz.raw_cones)
+        gkz_oracle.flip_graph_triangulations(pts, gkz.triangulations[:-1], lineal)
 
 
 @pytest.mark.parametrize("drop", range(16))
@@ -621,9 +627,10 @@ def test_regular_subdivision_tie_break_refines_a_tie():
 
 @pytest.mark.parametrize("name", TORIC_NAMES)
 def test_gkz_raw_cones_survive_the_json_round_trip(name):
-    # each raw secondary cone contains the affine functions as its lineality
+    # each lineal oracle cone contains the affine functions as its lineality
     _, _, rays = toric_boundary(name)
-    raw = gkz_secondary_fan([tuple(r) for r in rays] + [(0, 0)]).raw_cones
+    pts = [tuple(r) for r in rays] + [(0, 0)]
+    raw = [gkz_oracle.lineal_secondary_cone(pts, t) for t in gkz_secondary_fan(pts).triangulations]
     fan = Fan(len(rays) + 1, tuple(raw), tuple(f"T{i}" for i in range(len(raw))))
     assert all(len(c.lineality) == 3 for c in fan.cones)
     back = fan_from_json(json.loads(json.dumps(fan_to_json(fan))))
