@@ -6,8 +6,10 @@ library version and seeds, never wall-clock data, so runs are byte-stable
 across repetitions; every blowup report with k >= 2 carries Weyl data.
 A fan has one text, fan_line: the line `secfan fan` prints is the cache
 entry and the bundle's fan_*.json file (indented files in the same indexed
-layout still load; the per-cone layout of older versions is refused).  A
-report is encoded once, as json_text, for report.json and its cache entry.
+layout still load; the per-cone layout of older versions is refused).  A fan
+entry is written with a SHA-256 proof that it passed the hit check, so a hit
+serves it unparsed (cache_get).  A report is encoded once, as json_text, for
+report.json and its cache entry, which gets no proof.
 Exit codes: 0 success, 2 validation problem, 3 broken invariant.
 """
 
@@ -60,6 +62,7 @@ from .thetaalg import (
 from .toricstack import BundleInput, _cone_in_fan, decompose, stabilizers
 
 CACHE_ENV = "SECFAN_CACHE_DIR"
+THETA_CHECKS = ("all_nodes_missed", "center_check", "degenerate_variant_fails_center")
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +120,8 @@ def load_config(path: str) -> dict:
     rep = validate_boundary(lat, cycle)
     if not rep.valid:
         raise ValidationError("invalid boundary: " + "; ".join(rep.diagnostics))
-    return {
-        "lat": lat,
-        "cycle": cycle,
-        "report": rep,
-        "seed": _json_int(data.get("seed", 20220110), f"config {path}: 'seed'"),
-    }
+    seed = _json_int(data.get("seed", 20220110), f"config {path}: 'seed'")
+    return {"lat": lat, "cycle": cycle, "report": rep, "seed": seed}
 
 
 def _option_ints(text: str, option: str) -> tuple[int, ...]:
@@ -134,11 +133,8 @@ def _option_ints(text: str, option: str) -> tuple[int, ...]:
 
 
 def config_hash(lat: PicLattice, cycle: BoundaryCycle) -> str:
-    canonical = {
-        "k": lat.k,
-        "model_tag": lat.model_tag,
-        "cycle": [list(c) for c in normalized_cycle(cycle).classes],
-    }
+    canonical = {"k": lat.k, "model_tag": lat.model_tag,
+                 "cycle": [list(c) for c in normalized_cycle(cycle).classes]}
     blob = json.dumps(canonical, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -163,47 +159,81 @@ def cache_entry(cache_dir: str | None, key: str, kind: str) -> Path | None:
     return Path(d) / kind / f"{key}.json" if d else None
 
 
-def cache_get(cache_dir, key: str, kind: str) -> str | None:
-    """The entry's text, if it is one line of a JSON object whose metadata.kind is kind,
-    in the indexed fan layout (a top-level rays table)."""
-    path = cache_entry(cache_dir, key, kind)
-    if path is None or not path.exists():
-        return None
+def _entry_problem(data: bytes, kind: str, path: Path) -> str | None:
+    """The hit check: None if data is one line of a JSON object whose metadata.kind is
+    kind, in the indexed fan layout (a top-level rays table); else the warning."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
         payload = json.loads(text)
-    except (ValueError, RecursionError, OSError):  # broken JSON or UTF-8, or nested too deep
-        click.echo(f"warning: corrupt cache entry {path}, recomputing", err=True)
-        return None
+    except (ValueError, RecursionError):  # broken JSON or UTF-8, or nested too deep
+        return f"warning: corrupt cache entry {path}, recomputing"
     meta = payload.get("metadata") if isinstance(payload, dict) else None
     if not isinstance(meta, dict) or meta.get("kind") != kind:
-        click.echo(f"warning: cache entry {path} is not a {kind} payload, recomputing", err=True)
-        return None
+        return f"warning: cache entry {path} is not a {kind} payload, recomputing"
     if not isinstance(payload.get("rays"), list):  # the per-cone layout of older versions
-        click.echo(f"warning: cache entry {path} is not in the indexed fan layout, recomputing",
-                   err=True)
-        return None
+        return f"warning: cache entry {path} is not in the indexed fan layout, recomputing"
     if "\n" in text:  # the old indented layout: served as is, it would change stdout
-        click.echo(f"warning: cache entry {path} is not a single line, recomputing", err=True)
-        return None
-    return text
+        return f"warning: cache entry {path} is not a single line, recomputing"
+    return None
 
 
-def cache_put(cache_dir, key: str, kind: str, payload: dict | str):
-    """Publish the entry whole: text is written as is, a dict as json_text."""
+def _proof(data: bytes, kind: str) -> bytes:
+    """The hex sha256 of __version__ + NUL + kind + NUL + the entry's bytes."""
+    digest = hashlib.sha256(f"{__version__}\0{kind}\0".encode())
+    digest.update(data)
+    return digest.hexdigest().encode()
+
+
+def cache_get(cache_dir, key: str, kind: str) -> str | None:
+    """The entry's text, if its proof matches or it passes _entry_problem; reads never write.
+
+    cache_put writes the proof DIR/<kind>/<key>.sha256 only for text that passed the
+    check, so a matching proof means these exact bytes were written by this library
+    version under this kind after passing it; they are served unparsed.  Any truncation,
+    bit flip, old layout or copy from another kind's slot changes the digest, so such an
+    entry falls back to the full check."""
     path = cache_entry(cache_dir, key, kind)
     if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # a temp file per writer: concurrent runs never share a half-written file
+        return None
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:  # never written, or removed since: a plain miss
+        return None
+    except OSError:
+        click.echo(f"warning: corrupt cache entry {path}, recomputing", err=True)
+        return None
+    try:
+        proved = path.with_suffix(".sha256").read_bytes() == _proof(data, kind)
+    except OSError:
+        proved = False
+    if not proved and (problem := _entry_problem(data, kind, path)) is not None:
+        click.echo(problem, err=True)
+        return None
+    return data.decode("utf-8")
+
+
+def _publish(path: Path, payload: dict | str) -> str:
+    """Write path whole (a temp file per writer, then a rename), a dict as json_text."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload if isinstance(payload, str) else json_text(payload))
+            fh.write(text := payload if isinstance(payload, str) else json_text(payload))
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+    return text
+
+
+def cache_put(cache_dir, key: str, kind: str, payload: dict | str):
+    """Publish the entry (a dict as json_text), then its proof if it passes the hit check."""
+    path = cache_entry(cache_dir, key, kind)
+    if path is None:
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = _publish(path, payload).encode("utf-8")
+    if _entry_problem(data, kind, path) is None:
+        _publish(path.with_suffix(".sha256"), _proof(data, kind).decode())
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +289,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
                           "cell": list(p.cell), "coords": list(p.coords)}
                          for kind, a, b, p in battery["failures"][:5]],
         },
-        "theta_checks": {
-            "all_nodes_missed": theta["all_nodes_missed"],
-            "center_check": theta["center_check"],
-            "degenerate_variant_fails_center": theta["degenerate_variant_fails_center"],
-        },
+        "theta_checks": {key: theta[key] for key in THETA_CHECKS},
         "hilbert": {str(m): hilbert(cycle.n, m) for m in range(0, 6)},
         "proj_degree": proj_degree(cycle.n),
         "boundary_algebra_level_dims": {
@@ -395,8 +421,7 @@ def write_bundle(outdir: Path, report: dict, sec) -> dict[str, str]:
     files["report.json"] = json_text(report)
     files["report.md"] = report_markdown(report)
     for name, text in sorted(files.items()):
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        (outdir / name).write_text(text, encoding="utf-8")
     return files
 
 
@@ -480,45 +505,25 @@ def _fan_command_common(config, cache_dir, kind, outdir=None) -> str:
     if outdir is not None:
         base = Path(outdir)
         base.mkdir(parents=True, exist_ok=True)
-        with open(base / f"fan_{kind}.json", "w", encoding="utf-8") as fh:
-            fh.write(line)
-        md = [
-            f"# {kind} fan",
-            "",
-            f"- input hash: {key}",
-            f"- maximal cones: {len(fan.cones)}",
-            f"- labels: {sorted(fan.label_of(i) for i in range(len(fan.cones)))}",
-        ]
-        with open(base / f"fan_{kind}.md", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(md) + "\n")
+        (base / f"fan_{kind}.json").write_text(line, encoding="utf-8")
+        labels = sorted(fan.label_of(i) for i in range(len(fan.cones)))
+        (base / f"fan_{kind}.md").write_text(
+            f"# {kind} fan\n\n- input hash: {key}\n- maximal cones: {len(fan.cones)}\n"
+            f"- labels: {labels}\n", encoding="utf-8")
     return line
 
 
-@fan_group.command("mori")
-@click.argument("config", type=click.Path(exists=True))
-@click.option("--cache-dir", default=None)
-@click.option("--out", "outdir", default=None, type=click.Path())
-def fan_mori(config, cache_dir, outdir):
-    """Mori fan of the canonical bundle (complete, with bogus cones)."""
-    click.echo(_fan_command_common(config, cache_dir, "mori", outdir))
-
-
-@fan_group.command("movsec")
-@click.argument("config", type=click.Path(exists=True))
-@click.option("--cache-dir", default=None)
-@click.option("--out", "outdir", default=None, type=click.Path())
-def fan_movsec(config, cache_dir, outdir):
-    """Moving part of the secondary fan (grouped chambers)."""
-    click.echo(_fan_command_common(config, cache_dir, "movsec", outdir))
-
-
-@fan_group.command("secondary")
-@click.argument("config", type=click.Path(exists=True))
-@click.option("--cache-dir", default=None)
-@click.option("--out", "outdir", default=None, type=click.Path())
-def fan_secondary(config, cache_dir, outdir):
-    """Full secondary fan (moving groups plus bogus completion)."""
-    click.echo(_fan_command_common(config, cache_dir, "secondary", outdir))
+for _kind, _help in (
+    ("mori", "Mori fan of the canonical bundle (complete, with bogus cones)."),
+    ("movsec", "Moving part of the secondary fan (grouped chambers)."),
+    ("secondary", "Full secondary fan (moving groups plus bogus completion)."),
+):
+    @fan_group.command(_kind, help=_help)
+    @click.argument("config", type=click.Path(exists=True))
+    @click.option("--cache-dir", default=None)
+    @click.option("--out", "outdir", default=None, type=click.Path())
+    def _fan(config, cache_dir, outdir, kind=_kind):
+        click.echo(_fan_command_common(config, cache_dir, kind, outdir))
 
 
 @fan_group.command("gkz")
@@ -593,13 +598,7 @@ def theta_table(n, flips, level):
 @click.option("--n", type=int, required=True)
 def theta_checks(n):
     rep = theta_divisor_checks(n)
-    payload = {
-        "n": n,
-        "all_nodes_missed": rep["all_nodes_missed"],
-        "center_check": rep["center_check"],
-        "degenerate_variant_fails_center": rep["degenerate_variant_fails_center"],
-    }
-    click.echo(json.dumps(payload, sort_keys=True))
+    click.echo(json.dumps({"n": n, **{key: rep[key] for key in THETA_CHECKS}}, sort_keys=True))
 
 
 @cli.group("spine")

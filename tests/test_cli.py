@@ -426,6 +426,94 @@ def test_corrupt_fan_cache_entry_recomputes_with_warning(tmp_path, hexagon_confi
     assert entry.read_bytes() + b"\n" == miss.encode()
 
 
+@pytest.mark.parametrize("kind", FAN_KINDS)
+def test_fan_cache_hit_with_a_matching_proof_runs_no_check(tmp_path, hexagon_config, monkeypatch,
+                                                           kind):
+    runner = CliRunner()
+    args = ["fan", kind, hexagon_config, "--cache-dir", str(tmp_path / "cache")]
+    miss = runner.invoke(cli, args).output
+    entry = next((tmp_path / "cache" / kind).glob("*.json"))
+    blob = f"{cli_module.__version__}\0{kind}\0".encode() + entry.read_bytes()
+    assert entry.with_suffix(".sha256").read_text() == hashlib.sha256(blob).hexdigest()
+
+    def boom(*args):
+        raise AssertionError("a hit with a matching proof ran the check")
+
+    monkeypatch.setattr(cli_module, "_entry_problem", boom)
+    assert runner.invoke(cli, args).output == miss
+
+
+def test_cache_entry_and_proof_of_another_kind_recompute_with_warning(tmp_path, hexagon_config):
+    runner = CliRunner()
+    cache = tmp_path / "cache"
+    miss = {kind: runner.invoke(cli, ["fan", kind, hexagon_config, "--cache-dir", str(cache)]).output
+            for kind in ("mori", "secondary")}
+    entry, other = next(cache.glob("mori/*.json")), next(cache.glob("secondary/*.json"))
+    for suffix in (".json", ".sha256"):
+        entry.with_suffix(suffix).write_bytes(other.with_suffix(suffix).read_bytes())
+    res = runner.invoke(cli, ["fan", "mori", hexagon_config, "--cache-dir", str(cache)])
+    assert res.output == f"warning: cache entry {entry} is not a mori payload, recomputing\n" \
+                         f"{miss['mori']}"
+    assert entry.read_bytes() + b"\n" == miss["mori"].encode()
+    assert runner.invoke(cli, ["fan", "mori", hexagon_config, "--cache-dir", str(cache)]).output \
+        == miss["mori"]
+
+
+@pytest.mark.parametrize("proof", ["missing", "junk", "other_version"])
+def test_cache_entry_without_a_matching_proof_is_checked_and_served(tmp_path, hexagon_config,
+                                                                    monkeypatch, proof):
+    # caches written before proofs existed, a damaged proof, or one of another version
+    runner = CliRunner()
+    cache = tmp_path / "cache"
+    args = ["fan", "mori", hexagon_config, "--cache-dir", str(cache)]
+    with monkeypatch.context() as m:
+        if proof == "other_version":
+            m.setattr(cli_module, "__version__", "0.0.1")
+        miss = runner.invoke(cli, args).output
+    entry = next(cache.glob("mori/*.json"))
+    if proof == "missing":
+        entry.with_suffix(".sha256").unlink()
+    elif proof == "junk":
+        entry.with_suffix(".sha256").write_bytes(b"\xff" * 64)
+    files = lambda: {p: p.read_bytes() for p in cache.rglob("*") if p.is_file()}
+    before, checked, real = files(), [], cli_module._entry_problem
+    monkeypatch.setattr(cli_module, "_entry_problem",
+                        lambda data, kind, path: checked.append(path) or real(data, kind, path))
+    assert runner.invoke(cli, args).output == miss
+    assert checked == [entry]  # the full check ran once
+    assert files() == before  # a read writes no file
+
+
+def test_cache_entry_removed_before_its_read_is_a_silent_miss(tmp_path, hexagon_config,
+                                                              monkeypatch):
+    runner = CliRunner()
+    args = ["fan", "mori", hexagon_config, "--cache-dir", str(tmp_path / "cache")]
+    miss = runner.invoke(cli, args).output
+    entry = next((tmp_path / "cache" / "mori").glob("*.json"))
+    real_open = Path.open
+
+    def vanishing_open(self, *args, **kwargs):  # a concurrent prune removes the entry first
+        if self == entry:
+            self.unlink(missing_ok=True)
+        return real_open(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "open", vanishing_open)
+        res = runner.invoke(cli, args)
+    assert res.exit_code == 0, res.output
+    assert res.output == miss
+    assert entry.read_bytes() + b"\n" == miss.encode()
+
+
+def test_pipeline_report_entry_gets_no_proof(tmp_path, p2_config):
+    res = CliRunner().invoke(cli, ["pipeline", p2_config, "--out", str(tmp_path / "out"),
+                                   "--cache-dir", str(tmp_path / "cache")])
+    assert res.exit_code == 0, res.output
+    (entry,) = (tmp_path / "cache" / "report").iterdir()
+    assert entry.suffix == ".json"
+    assert entry.read_bytes() == (tmp_path / "out" / "report.json").read_bytes()
+
+
 def test_fan_gkz_points():
     runner = CliRunner()
     res = runner.invoke(cli, ["fan", "gkz", "--points", "1,0;0,1;-1,-1;0,0"])
