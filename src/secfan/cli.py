@@ -321,8 +321,8 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     Stab(E) = S_k; orbit-stabilizer does the rest.  The boundary stabilizer
     has order |W| / |W B| (boundary_stabilizer).  A group maps a finite set
     of cones onto itself iff each generator does, which secondary_fan proved
-    with stabilizer_orbits before it returned sec, so that fact is read here,
-    not walked again.
+    with the Stab(B) walk of its build, so that fact is read here, not
+    walked again.
     """
     keys = [c.classes for c in contractions(lat)]
     roots = sec.mori_fan.orbits[:len(keys)]  # the chambers' roots; the bogus cones' follow

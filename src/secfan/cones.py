@@ -37,7 +37,7 @@ from functools import cached_property, reduce
 from itertools import combinations, count, islice
 from operator import and_, mul, sub
 
-from .errors import InternalInvariantError, ValidationError
+from .errors import ValidationError
 from .lattice import (
     IntMat,
     IntVec,
@@ -715,23 +715,13 @@ def adjacency_pairs(fan: Fan) -> dict[tuple[int, int], tuple[IntVec, ...]]:
     return dict(sorted(walls.items()))
 
 
-def boundary_walls(fan: Fan, support: RationalCone) -> list[tuple[IntVec, ...]]:
+def boundary_walls(fan: Fan) -> list[tuple[IntVec, ...]]:
     """Rays of the walls met by exactly one cone of the fan, sorted.
 
-    When the cones tile support, those are its walls on the boundary of
-    support, so each must lie in a facet hyperplane of support; one that does
-    not is a gap in the tiling and raises InternalInvariantError naming it
-    and its cone.  Only the walls of orbit roots are tested (Fan's orbit
-    lemma), so the group must fix support.
-    """
-    out = sorted((rays, incident[0][0]) for (rays, _), incident in fan.walls.items()
-                 if len(incident) == 1)
-    roots = fan.orbit_roots
-    for rays, mi in out:
-        if roots[mi] == mi and not on_facet(rays, support):
-            raise InternalInvariantError(f"wall {list(rays)} of cone {fan.label_of(mi)} is met"
-                                         " by one cone and lies on no facet of the support")
-    return [rays for rays, _ in out]
+    When the cones tile a cone, those are its walls on that cone's boundary,
+    so each must lie in one of its facet hyperplanes (secondary's
+    _complete_with_bogus proves it, one wall per orbit)."""
+    return sorted(rays for (rays, _), incident in fan.walls.items() if len(incident) == 1)
 
 
 def fan_to_dot(fan: Fan, groups: dict[int, str] | None = None) -> str:

@@ -19,7 +19,7 @@ from operator import mul
 
 from .cones import RationalCone, cone_from_inequalities, cone_from_rays, dual_description
 from .errors import InternalInvariantError, ValidationError
-from .lattice import BilinearForm, IntMat, IntVec, pair
+from .lattice import BilinearForm, IntMat, IntVec
 
 CONTRACTION_CAP = 6  # full clique enumeration refused above this blowup count
 
@@ -62,7 +62,13 @@ class PicLattice:
         return tuple([-3] + [1] * self.k)
 
     def dot(self, x: IntVec, y: IntVec) -> int:
-        return pair(self.form, x, y)
+        """pair(self.form, x, y), read off the form: x0 y1 + x1 y0 on the quadric,
+        x0 y0 - sum of xi yi on a blowup."""
+        if len(x) != self.rank or len(y) != self.rank:
+            raise ValueError(f"length mismatch: {len(x)} and {len(y)} vs rank {self.rank}")
+        if self.model_tag == "quadric":
+            return x[0] * y[1] + x[1] * y[0]
+        return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
 
 
 def quadric() -> PicLattice:

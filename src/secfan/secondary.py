@@ -8,11 +8,12 @@ depends on the lattice alone: mori_fan_K builds and proves it once per
 lattice and process, one cone per Weyl orbit.  A boundary only annotates the
 chambers; grouping those whose contracted set meets it in the same
 components, and completing the groups by bogus cones, gives the secondary
-fan.  Each fan's walls are built once, as data of the Fan, and the degree
-certificate, the coarsening pass, the cocycle battery and the DOT export
-read that one map.  secondary_fan always proves what it returns (see its
-lemmas).  In the toric cases the whole object must agree with an
-independently computed GKZ secondary fan of the reflexive polygon.
+fan, built one cone per orbit of the boundary stabilizer.  Each fan's walls
+are built once, as data of the Fan, and the degree certificate, the
+coarsening pass, the cocycle battery and the DOT export read that one map.
+secondary_fan always proves what it returns (see its lemmas).  In the toric
+cases the whole object must agree with an independently computed GKZ
+secondary fan of the reflexive polygon.
 """
 from __future__ import annotations
 
@@ -33,11 +34,13 @@ from .cones import (
     fan_check,
     intersect,
     is_complete,
+    on_facet,
 )
 from .delpezzo import (
     BoundaryCycle,
     Contraction,
     PicLattice,
+    WeylElement,
     boundary_stabilizer,
     contractions,
     effective_cone,
@@ -74,25 +77,29 @@ class Chamber:
     boundary_exc: frozenset[int]  # 1-based boundary indices
 
 
-def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list, list[int]]:
+def _orbit_cones(keys, build, gens, what: str, by: str = "simple reflection",
+                 names=None) -> tuple[list[RationalCone], list, list[int]]:
     """build(key) for every key, in keys order, with one build per orbit of gens;
     also, for every key, its cone's _facet_faces_key and the index of the
     first key of its orbit.
 
-    keys are sorted tuples of vectors and gens are simple reflections, each
-    acting on every vector of a key.  The first key of an orbit, in keys
-    order, is built; every other key q = s.p of the orbit's Schreier tree
-    gets its parent p's cone moved by s, read off s's image tables: rays go
-    to s.r, facet normals to s^T.f (the inverse transpose, s being an
-    involution) and a facet's rays to the s.r, as r.f = (s.r).(s^-T.f).
-    s is unimodular, so rays and facets stay primitive and irredundant, and
-    a moved cone equals its direct build field for field when that is
-    pointed and full-dimensional.  With no gens every key is its own orbit.
-    InternalInvariantError names a key moved outside keys and an orbit whose
-    first cone is lineal or lower-dimensional.
+    keys are sorted tuples of vectors; a generator is a pair (w.act,
+    w^-T.act) of a unimodular w.  A simple reflection has s^-T = s^T.  Lemma:
+    each w in W(E_k) is an isometry of the intersection form J, w^T J w = J,
+    and J^2 = 1, so w^-T = J w J.  The first key of an orbit, in keys order,
+    is built; every other key q = w.p of the orbit's Schreier tree gets its
+    parent p's cone moved by w, read off w's image tables: rays go to w.r,
+    facet normals to w^-T.f and a facet's rays to the w.r, as
+    r.f = (w.r).(w^-T.f).  So rays and facets stay primitive and irredundant,
+    and a moved cone equals its direct build field for field when that is
+    pointed and full-dimensional.  The walk proves that each generator maps
+    the finite key set into, hence onto, itself: InternalInvariantError names
+    a key (by names, if given) that a generator (named by) moves outside
+    keys, and an orbit whose first cone is lineal or lower-dimensional.
+    With no gens every key is its own orbit.
     """
     index = {key: i for i, key in enumerate(keys)}
-    moves = [lambda p, a=g.act: tuple(sorted(map(a, p))) for g in gens]
+    moves = [lambda p, a=act: tuple(sorted(map(a, p))) for act, _ in gens]
     cones: list = [None] * len(keys)
     incidences, roots = list(cones), [0] * len(keys)
     for key in keys:
@@ -109,13 +116,14 @@ def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list
                         " so its orbit cannot be moved")
                 tight = _facet_faces_key(cone)
             elif q not in index:
+                p, i = edge
                 raise InternalInvariantError(
-                    f"{what} {list(edge[0])} moves by simple reflection {edge[1]}"
+                    f"{what} {names[index[p]] if names else list(p)} moves by {by} {i}"
                     f" to {list(q)}, which is no {what}")
             else:
                 p, i = edge
                 c = cones[index[p]]
-                facets, tight = zip(*sorted(zip(map(gens[i].transpose.act, c.facets),
+                facets, tight = zip(*sorted(zip(map(gens[i][1], c.facets),
                                                 map(moves[i], incidences[index[p]]))))
                 cone = RationalCone(c.ambient_rank, moves[i](c.rays), facets)
             cones[index[q]], incidences[index[q]], roots[index[q]] = cone, tight, root
@@ -123,21 +131,28 @@ def _orbit_cones(keys, build, gens, what: str) -> tuple[list[RationalCone], list
 
 
 def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
-                         what: str) -> tuple[Fan, list[tuple]]:
+                         what: str, by: str = "simple reflection") -> tuple[Fan, list[tuple]]:
     """The members, then the bogus cone face + R>=0.K over each face on the
     boundary of eff, proved a complete fan; also returns those faces.
 
-    The faces are the member walls met by one member (boundary_walls raises on
-    one off eff).  gens permute the faces and fix K, so cone(w.F + K) =
-    w.cone(F + K) and _orbit_cones builds one bogus cone per orbit; the
-    secondary fan is not W-invariant and passes no gens.  The bogus cones add
-    their own walls and orbit roots to the members', and is_complete reads
-    the whole map: True proves a complete fan at every rank (see its
-    lemmas).  A failure raises InternalInvariantError naming what.
+    The faces are the member walls met by one member.  gens (see
+    _orbit_cones) permute the members and fix eff and K, so they permute the
+    faces and the facets of eff, and cone(w.F + K) = w.cone(F + K):
+    _orbit_cones builds one bogus cone per orbit, once its face is proved on
+    a facet of eff, and walks the faces apart from the members.  is_complete
+    reads the whole wall map: True proves a complete fan at every rank (see
+    its lemmas).  A failure raises InternalInvariantError naming what or the
+    face.
     """
-    faces = boundary_walls(members, eff)
-    bogus, keys, roots = _orbit_cones(faces, lambda face: cone_from_rays(
-        list(face) + [lat.canonical], lat.rank), gens, f"{what} face")
+    def build(face):
+        if not on_facet(face, eff):  # the members are pointed (_orbit_cones)
+            raise InternalInvariantError(
+                f"wall {list(face)} of cone {members.label_of(members.walls[face, ()][0][0])}"
+                " is met by one cone and lies on no facet of the support")
+        return cone_from_rays(list(face) + [lat.canonical], lat.rank)
+
+    faces = boundary_walls(members)
+    bogus, keys, roots = _orbit_cones(faces, build, gens, f"{what} face", by)
     fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces],
                            keys, [len(members.cones) + r for r in roots])
     if not is_complete(fan):
@@ -162,11 +177,12 @@ def mori_fan_K(lat: PicLattice) -> Fan:
     rest with their walls' incidences; its walk proves that W maps the cone
     set onto itself.  The fan's orbits keep the walk: each cone's W-orbit
     root, the chambers' first (the Weyl section reads those).  So
-    boundary_walls and is_complete test facets of Eff and opposite sides
-    only at the walls of orbit roots (their orbit lemmas), which rests on
-    exact moves: tests compare the moved walls with dot products.
+    _complete_with_bogus tests one face per orbit on Eff, and is_complete
+    opposite sides only at the walls of orbit roots (its orbit lemma), which
+    rests on exact moves: tests compare the moved walls with dot products.
     """
-    cons, gens = contractions(lat), weyl_generators(lat)
+    cons = contractions(lat)
+    gens = [(s.act, s.transpose.act) for s in weyl_generators(lat)]
     chambers, keys, roots = _orbit_cones([c.classes for c in cons],
                                          lambda classes: mori_chamber(lat, Contraction(classes)),
                                          gens, "contraction")
@@ -194,26 +210,37 @@ class MovSecGroup:
     member_ids: tuple[int, ...]
 
     def label(self) -> str:
-        return "mov[" + ",".join(str(i) for i in sorted(self.key)) + "]"
+        return _group_label(self.key)
 
 
-def movsec(chambers: list[Chamber]) -> list[MovSecGroup]:
+def _group_label(key) -> str:
+    return "mov[" + ",".join(str(i) for i in sorted(key)) + "]"
+
+
+def movsec(chambers: list[Chamber], gens) -> tuple[list[MovSecGroup], Fan]:
     """Group chambers by boundary-exceptional set, each group with the hull of
-    its chambers' rays.
+    its chambers' rays; also the fan of the hulls, with its walls and orbits.
 
-    Nothing is proved here: secondary_fan proves the hulls and their bogus
-    cones a complete fan that holds every Mori cone, and by its lemma each
-    hull is then the union of its group's chambers.
+    gens (see _orbit_cones) generate Stab(B), which permutes the chambers
+    and the boundary classes, hence the groups, and the hull of w.R is
+    w.hull(R): _orbit_cones builds one hull per orbit, a group keyed by its
+    sorted chamber rays, and proves that gens map the groups onto themselves.
+    Nothing else is proved here: secondary_fan proves the hulls and their
+    bogus cones a complete fan that holds every Mori cone, and by its lemma
+    each hull is then the union of its group's chambers.
     """
     by_key: dict[frozenset[int], list[int]] = {}
     for i, ch in enumerate(chambers):
         by_key.setdefault(ch.boundary_exc, []).append(i)
     rank = chambers[0].cone.ambient_rank
-    groups = []
-    for key in sorted(by_key, key=sorted):
-        rays = sorted({r for i in by_key[key] for r in chambers[i].cone.rays})
-        groups.append(MovSecGroup(key, cone_from_rays(rays, rank), tuple(by_key[key])))
-    return groups
+    keys = sorted(by_key, key=sorted)
+    labels = list(map(_group_label, keys))
+    rays = [tuple(sorted({r for i in by_key[key] for r in chambers[i].cone.rays})) for key in keys]
+    hulls, tight, roots = _orbit_cones(rays, lambda r: cone_from_rays(r, rank), gens,
+                                       "secondary fan group", "boundary stabilizer generator",
+                                       labels)
+    groups = [MovSecGroup(key, hull, tuple(by_key[key])) for key, hull in zip(keys, hulls)]
+    return groups, Fan(rank, ()).extended(hulls, labels, tight, roots)
 
 
 @dataclass
@@ -251,11 +278,15 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     fan's walls are built once: the Mori fan and the moving groups each get
     their bogus cones from the walls met by one cone, is_complete reads the
     same map to prove each a complete fan, and the coarsening pass reads the
-    Mori walls.  Right after its completion the full fan's Stab(B)-orbits are
-    walked and proved (stabilizer_orbits), so the returned full_fan carries
-    them in Fan.orbits for the bundle stage and the Weyl section, and the
-    smaller secondary fan passes the pairwise fan predicate on the pairs with
-    an orbit root (fan_check's lemma).
+    Mori walls.  The boundary stabilizer Stab(B) is walked once, during the
+    build: movsec builds one hull per orbit of the groups, and
+    _complete_with_bogus one bogus cone per orbit of the faces.  The walks
+    prove that each generator maps the groups, and the faces, onto
+    themselves, so Stab(B) maps the fan and its movsec subfan onto
+    themselves and no orbit crosses the subfan.  full_fan keeps each cone's
+    orbit root, the first cone of its orbit, in Fan.orbits: is_complete,
+    fan_check (on the pairs with an orbit root), the bundle stage and the
+    Weyl section read them.
 
     Coarsening is one set lookup per Mori bogus cone cone(F + K), F its rays
     other than primitive(K): mori.walls names the chamber c on F and c's
@@ -273,18 +304,20 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     lies in its named C', and C cap C' is a common face with interior points,
     so C' = C.  So each secondary cone is the union of the Mori cones that
     name it, and each hull the union of its group's chambers: a grouping that
-    is not convex fails in boundary_walls, is_complete or the lookup.
+    is not convex fails at a face off Eff, in is_complete or in the lookup.
     """
     chambers = build_chambers(lat, boundary)
     mori = mori_fan_K(lat)
-    groups = movsec(chambers)
-    mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
+    j = lat.form.gram  # w^-T = J w J for the intersection form J (see _orbit_cones)
+    gens = [(w.act, WeylElement(j.mul(w.matrix).mul(j)).act)
+            for w in boundary_stabilizer(lat, boundary)[0]]
+    groups, mov = movsec(chambers, gens)
     eff = effective_cone(lat)
-    fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, (), "secondary fan")
+    fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, gens, "secondary fan",
+                                             "boundary stabilizer generator")
     bogus = list(fan.cones[len(groups):])
     sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori, mov)
-    sec.full_fan = stabilizer_orbits(sec)
-    rep = fan_check(sec.full_fan)
+    rep = fan_check(fan)
     if not rep.is_fan:
         raise InternalInvariantError(
             f"secondary fan fails the fan predicate: {rep.violations[:3]}"
@@ -302,43 +335,6 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     if eff.contains_point(lat.canonical):
         raise InternalInvariantError("canonical class misplaced relative to Eff")
     return sec
-
-
-def stabilizer_orbits(sec: SecondaryFan) -> Fan:
-    """sec.full_fan with its orbits under the boundary stabilizer Stab(B): each
-    cone's orbit root, the first cone of its orbit in fan order.
-
-    One walk with orbit_tree over the cone keys, under the generators of
-    boundary_stabilizer, proves two facts: every image of a cone is a cone of
-    the fan, and every cone of an orbit is in the movsec subfan exactly when
-    the orbit's root is.  So each generator maps the finite cone set into,
-    hence onto, itself and the subfan onto itself, and so does Stab(B), a
-    group of unimodular maps fixing K.  Otherwise InternalInvariantError
-    names the cone, the generator and the image.  secondary_fan runs the walk
-    before its fan predicate, which then tests only the pairs with an orbit
-    root (Fan's orbit lemma).  The bundle stage
-    and the Weyl section read this walk in full_fan.orbits; with no
-    generators every cone is its own root.
-    """
-    fan = sec.full_fan
-    index = {c.key(): i for i, c in enumerate(fan.cones)}
-    moving = {c.key() for c in sec.movsec_fan.cones}
-    moves = [lambda key, a=w.act: tuple(tuple(sorted(map(a, part))) for part in key)
-             for w in boundary_stabilizer(sec.lat, sec.boundary)[0]]
-    roots: list = [None] * len(fan.cones)
-    for i, cone in enumerate(fan.cones):
-        if roots[i] is not None:
-            continue
-        for q, edge in orbit_tree(cone.key(), moves).items():
-            j = index.get(q)
-            if edge is not None and (j is None or (q in moving) != (cone.key() in moving)):
-                where = "no cone of the secondary fan" if j is None else (
-                    f"cone {fan.label_of(j)}, on the other side of the movsec subfan")
-                raise InternalInvariantError(
-                    f"secondary fan cone {fan.label_of(index[edge[0]])} moves by boundary"
-                    f" stabilizer generator {edge[1]} to {list(q[0])}, which is {where}")
-            roots[j] = i
-    return fan.with_orbits(roots)
 
 
 def grouping_by_triangulation(sec: SecondaryFan) -> list:

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 import pytest
 
+from test_cli import _broken_build
 from wall_map_oracles import grouping_by_chamber_triangulations
+from secfan import secondary
 from secfan.cli import weyl_orbit_decomposition
 from secfan.cones import Fan, cone_from_rays, cones_tile, fan_check, is_coarsening, is_complete
 from secfan.delpezzo import (
@@ -41,7 +43,6 @@ from secfan.secondary import (
     grouping_by_triangulation,
     movsec,
     secondary_fan,
-    stabilizer_orbits,
     toric_compare,
 )
 from secfan.spines import (
@@ -178,7 +179,7 @@ def test_criterion_04_no_boundary_exceptional_single_group():
         rep = validate_boundary(lat, cycle)
         assert rep.valid, rep.diagnostics
         assert not any(rep.minus_one_flags)
-        groups = movsec(build_chambers(lat, cycle))
+        groups = movsec(build_chambers(lat, cycle), ())[0]
         single = len(groups) == 1 and groups[0].cone == effective_cone(lat)
         results.append(single)
     # lazy mode at k = 8: grouping predicate only, no cone enumeration
@@ -481,24 +482,20 @@ def _moved_key(w, cone):
     return tuple(sorted(w.act(r) for r in cone.rays)), cone.lineality
 
 
-def test_weyl_data_sees_a_fan_the_stabilizer_does_not_fix():
-    # the seed-0 pentagon: its stabilizer (order 10) contains no simple reflection
-    lat = PicLattice(4)
-    cycle = minus_one_cycles(lat, 5)[0]
-    sec = secondary_fan(lat, cycle)
+def test_weyl_data_sees_a_fan_the_stabilizer_does_not_fix(monkeypatch):
+    # the seed-0 pentagon, its chamber 0 moved into another group; its
+    # stabilizer (order 10) contains no simple reflection
+    lat, cycle, _ = _broken_build("chamber", monkeypatch.setattr)
     stab = [w for w in weyl_group(lat)
             if sorted(w.act(c) for c in cycle.classes) == sorted(cycle.classes)]
-    cones = sec.full_fan.cones
-    # drop a cone that some stabilizer element moves onto another cone
-    drop = next(c for c in cones if any(_moved_key(w, c) != c.key() for w in stab))
-    kept = tuple(c for c in cones if c is not drop)
-    doctored = dataclasses.replace(sec, full_fan=Fan(sec.full_fan.ambient_rank, kept))
-    oracle = all({_moved_key(w, c) for c in kept} == {c.key() for c in kept} for w in stab)
+    hulls = [g.cone for g in movsec(secondary.build_chambers(lat, cycle), ())[0]]
+    keys = {c.key() for c in hulls}
+    oracle = all({_moved_key(w, c) for c in hulls} == keys for w in stab)
     assert oracle is False and len(stab) == 10
     # the report reads a proved fact: secondary_fan's Stab(B) walk, which the
-    # Weyl section reads, raises on a fan the stabilizer does not fix
-    with pytest.raises(InternalInvariantError, match="which is no cone of the secondary fan"):
-        stabilizer_orbits(doctored)
+    # Weyl section reads, raises on a grouping the stabilizer does not fix
+    with pytest.raises(InternalInvariantError, match="which is no secondary fan group"):
+        secondary_fan(lat, cycle)
 
 
 def _chamber_orbits(lat, group, chambers):

@@ -1,10 +1,11 @@
+import ast
+import dataclasses
 import hashlib
 import json
 import re
 import subprocess
 import sys
 from collections import Counter
-from operator import add
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -901,9 +902,21 @@ def test_disk_triangulations_are_built_per_moving_group(tmp_path, monkeypatch):
     assert built == [g.key for g in sec.groups]
 
 
+def _stab_b_walk_starts(sec):
+    """The start of each of secondary_fan's Stab(B) walks: the root key of
+    each group orbit, its sorted chamber rays, then the root of each face
+    orbit."""
+    n, roots = len(sec.groups), sorted(set(sec.full_fan.orbits))
+    rays = [tuple(sorted({r for i in g.member_ids for r in sec.chambers[i].cone.rays}))
+            for g in sec.groups]
+    return [rays[r] for r in roots if r < n] + [sec.bogus_faces[r - n] for r in roots if r >= n]
+
+
 def test_pipeline_enumerates_each_level_once_and_walks_stab_b_once(tmp_path, monkeypatch):
     enumerated, walks = [], []
-    real_level, real_walk = disk.GammaComplex.points_at_level, secondary.stabilizer_orbits
+    real_level, real_walk = disk.GammaComplex.points_at_level, secondary.orbit_tree
+    lat = PicLattice(4)
+    mori_fan_K(lat)  # warm: the only walks left are the secondary fan's
 
     def level(comp, m):
         if m not in comp._levels:
@@ -911,17 +924,17 @@ def test_pipeline_enumerates_each_level_once_and_walks_stab_b_once(tmp_path, mon
         return real_level(comp, m)
 
     monkeypatch.setattr(disk.GammaComplex, "points_at_level", level)
-    monkeypatch.setattr(secondary, "stabilizer_orbits",
-                        lambda sec: walks.append(sec) or real_walk(sec))
+    monkeypatch.setattr(secondary, "orbit_tree",
+                        lambda start, moves: walks.append(start) or real_walk(start, moves))
     disk._complex_cache.cache_clear()  # fresh complexes, so no level is kept yet
-    lat = PicLattice(4)
     report, sec = build_report(lat, minus_one_cycles(lat, 5)[0])
     write_bundle(tmp_path, report, sec)
     # Hilbert data, the battery, the theta checks, the boundary algebra and
     # the theta table all read the fan triangulation's levels 0 to 5
     assert enumerated == [(fan_triangulation(5), m) for m in range(6)]
-    # the Weyl section reads the walk secondary_fan proved
-    assert walks == [sec]
+    # secondary_fan walks Stab(B) once per orbit of the groups and of the
+    # faces, during the build; the Weyl section reads those walks
+    assert walks == _stab_b_walk_starts(sec) and len(walks) == 6
     assert report["weyl"]["stabilizer_fixes_secondary_fan"] is True
 
 
@@ -1008,7 +1021,7 @@ def test_bundle_bytes_are_pinned(tmp_path, name):
 
 
 # ids leave out the pinned counts, so a new pin does not rename the test
-@pytest.mark.parametrize("name, rows", [("hexagon", 40), ("pentagon", 45), ("square", 65)],
+@pytest.mark.parametrize("name, rows", [("hexagon", 16), ("pentagon", 15), ("square", 19)],
                          ids=["hexagon", "pentagon", "square"])
 def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, cold_mori_fan,
                                                  name, rows):
@@ -1037,10 +1050,10 @@ def test_build_report_builds_each_fans_walls_once(tmp_path, monkeypatch, cold_mo
     write_bundle(tmp_path, report, sec)
     monkeypatch.undo()
     mori, full = sec.mori_fan, sec.full_fan
-    # a row per W-orbit root of the Mori fan, whose other cones are moved with
-    # their rows, and per cone of the full fan: movsec and the cocycle battery
-    # read the Mori walls, and no group is re-tiled
-    assert len(counted) == len(set(mori.orbits)) + len(full.cones) == rows
+    # a row per orbit root of the Mori fan (under W) and of the full fan (under
+    # Stab(B)), whose other cones are moved with their rows: movsec and the
+    # cocycle battery read the Mori walls, and no group is re-tiled
+    assert len(counted) == len(set(mori.orbits)) + len(set(full.orbits)) == rows
     assert tilings == []
     # is_complete and fan_to_dot build no map of their own
     assert mori.cones not in maps and full.cones not in maps
@@ -1092,8 +1105,8 @@ def test_weyl_section_at_k6():
 
 def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
     # mori_fan_K walks each chamber orbit once per lattice, from its first
-    # chamber; secondary_fan walks the boundary's W-orbit and the secondary
-    # fan's Stab(B)-orbits once, and the Weyl section walks nothing
+    # chamber; secondary_fan walks the boundary's W-orbit, then the Stab(B)-orbits
+    # of its groups and of its faces, once, and the Weyl section walks nothing
     lat = PicLattice(4)
     keys = [c.classes for c in contractions(lat)]
     walks = []
@@ -1115,14 +1128,14 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
         sec = secondary.secondary_fan(lat, cycle)
         roots = sorted(set(sec.mori_fan.orbits[:len(keys)]))  # the chambers' roots
         fan = sec.full_fan
-        cone_roots = [(secondary, fan.cones[r].key()) for r in sorted(set(fan.orbits))]
-        assert len(fan.orbits) == len(fan.cones) and len(cone_roots) == 6
-        # the chambers' orbits, then the bogus faces' orbits; none on a second
-        # boundary; then the boundary's orbit and the cone orbits
-        mori, rest = walks[:-1 - len(cone_roots)], walks[-1 - len(cone_roots):]
+        stab_b = [(secondary, start) for start in _stab_b_walk_starts(sec)]
+        assert len(fan.orbits) == len(fan.cones) and len(stab_b) == 6
+        # the chambers' orbits, then the Mori faces' orbits; none on a second
+        # boundary; then the boundary's orbit, the groups' and the faces' orbits
+        mori, rest = walks[:-1 - len(stab_b)], walks[-1 - len(stab_b):]
         assert mori[:len(roots)] == ([] if i else [(secondary, keys[r]) for r in roots])
         assert (mori == []) == (i == 1)
-        assert rest == [(delpezzo, tuple(sorted(cycle.classes)))] + cone_roots
+        assert rest == [(delpezzo, tuple(sorted(cycle.classes)))] + stab_b
         walks.clear()
         cli_module.weyl_orbit_decomposition(lat, sec)
         assert walks == []
@@ -1230,9 +1243,9 @@ def test_bundle_stage_runs_once_per_stabilizer_orbit(monkeypatch):
     fan = sec.full_fan
     roots = sorted(set(fan.orbits))
     assert (len(fan.cones), len(roots), sec.bogus_count) == (36, 6, 25)
-    # one walk per orbit, from its root; the Weyl section reads the walked fan
-    keys = {c.key() for c in fan.cones}
-    assert [start for start in walks if start in keys] == [fan.cones[r].key() for r in roots]
+    # one walk per orbit, from its root, during the build; the Weyl section
+    # reads the walked fan
+    assert walks[-len(roots):] == _stab_b_walk_starts(sec)
     # intersect runs once per orbit root outside the movsec subfan, not once per bogus cone
     moving = {c.key() for c in sec.movsec_fan.cones}
     assert intersects == [fan.cones[r] for r in roots if fan.cones[r].key() not in moving]
@@ -1240,56 +1253,65 @@ def test_bundle_stage_runs_once_per_stabilizer_orbit(monkeypatch):
     assert report["weyl"]["stabilizer_fixes_secondary_fan"] is True
 
 
-def _doctored(sec, how):
-    """sec with one cone of a nontrivial Stab(B)-orbit dropped from the fan
-    ("drop"), dropped from the movsec subfan ("bogus"), or, for the first
-    cone of a bogus orbit, replaced by a cone on another ray ("bend");
-    returns it, the doctored cone and the cones of its orbit."""
-    fan = sec.full_fan  # secondary_fan walked its orbits
-    moving = sec.movsec_fan.cones
-    i = next(i for i, r in enumerate(fan.orbits)
-             if r != i and (how == "bogus") == (fan.cones[i] in moving))
-    orbit = [c for c, r in zip(fan.cones, fan.orbits) if r == fan.orbits[i]]
-    cones = list(fan.cones)
-    if how == "bend":  # the root's first ray r0 becomes r0 + r1, a ray of no cone
-        i = fan.orbits[i]
-        r0, r1, *rest = cones[i].rays
-        cones[i] = cone_from_rays([tuple(map(add, r0, r1)), r1, *rest], fan.ambient_rank)
-    kept = [j for j in range(len(cones)) if how != "drop" or j != i]
-    sec.full_fan = Fan(fan.ambient_rank, tuple(cones[j] for j in kept),
-                       tuple(fan.labels[j] for j in kept))
-    if how == "bogus":
-        sec.movsec_fan = Fan(fan.ambient_rank, tuple(c for c in moving if c != cones[i]))
-    return sec, cones[i], orbit
-
-
-@pytest.mark.parametrize("how, where", [("drop", "no cone of the secondary fan"),
-                                        ("bogus", "on the other side of the movsec subfan"),
-                                        ("bend", "no cone of the secondary fan")])
-def test_a_fan_the_boundary_stabilizer_does_not_fix_is_named(how, where):
+def _broken_build(how, patch):
+    """Doctor one input of secondary_fan on the seed-0 pentagon, whose
+    stabilizer (order 10) holds no simple reflection: give boundary_stabilizer
+    the first simple reflection as an eighth generator ("generator"), move
+    chamber 0 into a group that holds none of its neighbours ("chamber"), or
+    drop the last face of the groups' boundary walls ("face").
+    patch(module, name, value) installs it.  Returns the lattice, the cycle
+    and the dropped faces."""
     lat, cycle = BOUNDARIES["pentagon"]()
-    sec, cone, orbit = _doctored(secondary.secondary_fan(lat, cycle), how)
-    assert len(orbit) > 1
+    dropped = []
+    if how == "generator":
+        real_stab = secondary.boundary_stabilizer
+        patch(secondary, "boundary_stabilizer", lambda lat, boundary: (
+            real_stab(lat, boundary)[0] + weyl_generators(lat)[:1], real_stab(lat, boundary)[1]))
+    elif how == "chamber":
+        chambers = secondary.build_chambers(lat, cycle)
+        near = {i for e in chamber_adjacency(chambers) if 0 in e for i in e}
+        far = next(k for k in sorted({c.boundary_exc for c in chambers}, key=sorted)
+                   if all(chambers[i].boundary_exc != k for i in near))
+        doctored = [dataclasses.replace(chambers[0], boundary_exc=far), *chambers[1:]]
+        patch(secondary, "build_chambers", lambda lat, boundary: doctored)
+    else:
+        real_walls = secondary.boundary_walls
+
+        def walls(fan):
+            faces = real_walls(fan)
+            if fan.label_of(0).startswith("mov["):
+                dropped.append(faces.pop())
+            return faces
+        patch(secondary, "boundary_walls", walls)
+    return lat, cycle, dropped
+
+
+@pytest.mark.parametrize("how, what", [("generator", "group"), ("chamber", "group"),
+                                       ("face", "face")])
+def test_a_fan_the_boundary_stabilizer_does_not_fix_is_named(monkeypatch, how, what):
+    lat, cycle, dropped = _broken_build(how, monkeypatch.setattr)
     with pytest.raises(InternalInvariantError) as exc:
-        secondary.stabilizer_orbits(sec)
-    named, gen, image, which = re.fullmatch(
-        r"secondary fan cone (.+) moves by boundary stabilizer generator (\d+)"
-        r" to (\[.*\]), which is (.*)", str(exc.value)).groups()
-    fan = sec.full_fan
-    assert int(gen) < len(boundary_stabilizer(lat, cycle)[0])
-    assert where in which
-    if how == "bend":  # the bent cone is named, and its image is no cone
-        assert fan.cones[fan.labels.index(named)] == cone
-        assert image not in [str(list(c.rays)) for c in fan.cones]
-        return
-    # the named cone and its image lie in the doctored cone's orbit
-    assert fan.cones[fan.labels.index(named)] in orbit
-    assert image in [str(list(c.rays)) for c in orbit]
-    if how == "drop":  # the image is the dropped cone
-        assert image == str(list(cone.rays))
+        secondary.secondary_fan(lat, cycle)
+    named, gen, image = re.fullmatch(
+        rf"secondary fan {what} (.+) moves by boundary stabilizer generator (\d+)"
+        rf" to (\[.*\]), which is no secondary fan {what}", str(exc.value)).groups()
+    gens = secondary.boundary_stabilizer(lat, cycle)[0]
+    chambers = secondary.build_chambers(lat, cycle)
+    # each group's key is its sorted chamber rays
+    keys = {g.label(): tuple(sorted({r for i in g.member_ids for r in chambers[i].cone.rays}))
+            for g in secondary.movsec(chambers, ())[0]}
+    key = keys[named] if what == "group" else ast.literal_eval(named)
+    # the image is the named key moved by the named generator
+    assert sorted(map(gens[int(gen)].act, key)) == ast.literal_eval(image)
+    if how == "generator":  # only the added reflection moves a group off the groups
+        assert int(gen) == len(gens) - 1 == 7
+    if how == "face":  # the image is the dropped face
+        assert ast.literal_eval(image) == list(dropped[0])
+    else:
+        assert tuple(ast.literal_eval(image)) not in keys.values()
 
 
-@pytest.mark.parametrize("how", ["drop", "bogus", "no_e"])
+@pytest.mark.parametrize("how", ["generator", "chamber", "face", "no_e"])
 def test_pipeline_exits_3_on_a_broken_weyl_invariant(tmp_path, how):
     lat, cycle = BOUNDARIES["pentagon"]()
     cfg = tmp_path / "pentagon.json"
@@ -1300,17 +1322,11 @@ def test_pipeline_exits_3_on_a_broken_weyl_invariant(tmp_path, how):
             "e = tuple(sorted(tuple(int(i == j) for i in range(5)) for j in range(1, 5)))\n"
             "c.contractions = lambda lat: tuple(x for x in real(lat) if x.classes != e)\n"
         )
-    else:
-        # secondary_fan walks the true fan's orbits, doctors it, and walks it again
+    else:  # secondary_fan's build walk meets the doctored input
         patch = (
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-            "from test_cli import _doctored\n"
-            "import secfan.secondary as s\n"
-            "real = s.stabilizer_orbits\n"
-            "def walk(sec):\n"
-            "    sec.full_fan = real(sec)\n"
-            f"    return real(_doctored(sec, {how!r})[0])\n"
-            "s.stabilizer_orbits = walk\n"
+            "from test_cli import _broken_build\n"
+            f"_broken_build({how!r}, setattr)\n"
         )
     stub = (
         "import sys\n"

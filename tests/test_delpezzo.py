@@ -2,6 +2,8 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secfan import delpezzo
 from secfan.cones import cones_tile
@@ -30,7 +32,7 @@ from secfan.delpezzo import (
     weyl_group,
 )
 from secfan.errors import InternalInvariantError, ValidationError
-from secfan.lattice import IntMat
+from secfan.lattice import IntMat, pair
 
 MINUS_ONE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
@@ -364,3 +366,23 @@ def test_normalized_cycle_rotation_invariant():
 def test_ne_generators_k1():
     lat = PicLattice(1)
     assert set(ne_generators(lat)) == {(0, 1), (1, -1)}
+
+
+@st.composite
+def _pairs_of_classes(draw):
+    lat = draw(st.sampled_from([PicLattice(k) for k in range(9)] + [quadric()]))
+    classes = st.lists(st.integers(-50, 50), min_size=lat.rank, max_size=lat.rank).map(tuple)
+    return lat, draw(classes), draw(classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs_of_classes())
+def test_dot_is_the_pairing_of_the_form(case):
+    lat, x, y = case
+    assert lat.dot(x, y) == pair(lat.form, x, y)
+    # a class of the wrong length is refused, as by pair
+    for short in ((x[:-1], y), (x, y + (0,))):
+        with pytest.raises(ValueError):
+            lat.dot(*short)
+        with pytest.raises(ValueError):
+            pair(lat.form, *short)

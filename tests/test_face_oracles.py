@@ -159,8 +159,7 @@ def _moving_fans(lat, cycle):
     """The chambers' fan, the groups' fan, and the full fan over the groups with
     its bogus faces; the pairwise fan predicate is skipped."""
     chambers = build_chambers(lat, cycle)
-    groups = movsec(chambers)
-    mov = Fan(lat.rank, tuple(g.cone for g in groups), tuple(g.label() for g in groups))
+    mov = movsec(chambers, ())[1]
     full, faces = _complete_with_bogus(mov, lat, effective_cone(lat), (), "secondary fan")
     return Fan(lat.rank, tuple(c.cone for c in chambers)), mov, full, faces
 
@@ -199,7 +198,7 @@ def test_boundary_walls_match_the_facet_scan():
         eff = effective_cone(lat)
         for fan in (chamber_fan, mov):
             want = boundary_faces_by_facet_scan(fan.cones, eff, lat.rank)
-            assert want and boundary_walls(fan, eff) == want, name
+            assert want and boundary_walls(fan) == want, name
         assert faces == want, name
         names.append(name)
     assert len(names) == 1 + len(TORIC_NAMES) + 12 + 3

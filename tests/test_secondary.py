@@ -84,7 +84,7 @@ def test_mori_fan_degree6():
 
 def test_movsec_hexagon_all_singletons():
     lat, cycle = hexagon_boundary()
-    groups = movsec(build_chambers(lat, cycle))
+    groups = movsec(build_chambers(lat, cycle), ())[0]
     assert len(groups) == 18
     assert all(len(g.member_ids) == 1 for g in groups)
 
@@ -92,7 +92,7 @@ def test_movsec_hexagon_all_singletons():
 def test_movsec_no_minus_one_boundary_single_group():
     # degree 9: triangle of lines, no (-1)-components anywhere
     lat, cycle, _ = toric_boundary("p2")
-    groups = movsec(build_chambers(lat, cycle))
+    groups = movsec(build_chambers(lat, cycle), ())[0]
     assert len(groups) == 1
     assert groups[0].cone == effective_cone(lat)
 
@@ -101,7 +101,7 @@ def test_movsec_degree5_intermediate():
     lat = PicLattice(4)
     cycle = minus_one_cycles(lat, 5)[0]
     chambers = build_chambers(lat, cycle)
-    groups = movsec(chambers)
+    groups = movsec(chambers, ())[0]
     # 1 empty + 5 singletons + 5 non-adjacent pairs
     assert len(groups) == 11
     assert 1 < len(groups) < len(chambers)
@@ -143,7 +143,7 @@ def test_a_missing_bogus_cone_leaves_the_mori_fan_incomplete(monkeypatch, cold_m
     # with no generators every face is its own orbit, so the gap reaches is_complete
     # (test_a_face_moved_outside_the_faces_is_named covers the orbit walk)
     monkeypatch.setattr(secondary, "weyl_generators", lambda _: [])
-    monkeypatch.setattr(secondary, "boundary_walls", lambda fan, support: real(fan, support)[:-1])
+    monkeypatch.setattr(secondary, "boundary_walls", lambda fan: real(fan)[:-1])
     with pytest.raises(InternalInvariantError,
                        match=r"^Mori fan is not a complete fan: wall \[.*is met by no other cone"):
         secondary_fan(lat, cycle)
@@ -153,7 +153,7 @@ def test_a_mori_fan_gap_names_the_cone_by_its_label(monkeypatch, cold_mori_fan):
     lat, cycle = hexagon_boundary()
     real = secondary.boundary_walls
     monkeypatch.setattr(secondary, "weyl_generators", lambda _: [])
-    monkeypatch.setattr(secondary, "boundary_walls", lambda fan, support: real(fan, support)[1:])
+    monkeypatch.setattr(secondary, "boundary_walls", lambda fan: real(fan)[1:])
     # the chamber whose wall lost its bogus cone is named by its label, not its index
     with pytest.raises(InternalInvariantError,
                        match=r"wall \[.*\] of cone (c|bogus)\[[^]]*\] is met by no other cone$"):
@@ -166,9 +166,9 @@ def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch, co
     real = secondary.boundary_walls
     calls = []
 
-    def walls(fan, support):
+    def walls(fan):
         calls.append(len(fan.cones))
-        faces = real(fan, support)
+        faces = real(fan)
         return faces[:-1] if len(calls) == 2 else faces
 
     monkeypatch.setattr(secondary, "boundary_walls", walls)
@@ -178,7 +178,7 @@ def test_a_mori_bogus_cone_outside_every_secondary_cone_is_named(monkeypatch, co
     monkeypatch.setattr(secondary, "fan_check", lambda fan: FanReport(True))
     monkeypatch.setattr(secondary, "is_complete", lambda fan: True)
     chambers = Fan(lat.rank, tuple(c.cone for c in build_chambers(lat, cycle)))
-    face = real(chambers, effective_cone(lat))[-1]
+    face = real(chambers)[-1]
     label = "bogus[" + ",".join(str(r) for r in face) + "]"
     with pytest.raises(InternalInvariantError,
                        match=rf"Mori cone {re.escape(label)} lies in no secondary bogus cone"):
@@ -202,7 +202,7 @@ def test_moved_mori_cones_equal_their_direct_builds(lat, monkeypatch, cold_mori_
     assert len(built) == (MORI_ORBITS[lat.k] if weyl_generators(lat) else len(cons))
     assert [_fields(c) for c in fan.cones[:len(cons)]] == \
         [_fields(mori_chamber(lat, c)) for c in cons]
-    faces = boundary_walls(Fan(lat.rank, fan.cones[:len(cons)]), effective_cone(lat))
+    faces = boundary_walls(Fan(lat.rank, fan.cones[:len(cons)]))
     assert [_fields(c) for c in fan.cones[len(cons):]] == \
         [_fields(cone_from_rays(list(face) + [lat.canonical], lat.rank)) for face in faces]
 
@@ -321,8 +321,8 @@ def test_a_face_moved_outside_the_faces_is_named(monkeypatch, cold_mori_fan):
     real = secondary.boundary_walls
     dropped = []
 
-    def walls(fan, support):
-        faces = real(fan, support)
+    def walls(fan):
+        faces = real(fan)
         dropped.append(faces[-1])
         return faces[:-1]
 
@@ -338,7 +338,7 @@ def test_an_orbit_is_moved_only_from_a_pointed_full_dimensional_cone():
     with pytest.raises(InternalInvariantError,
                        match=r"the cone of ray \[\(1, 0, 0, 0\)\] is lineal or lower-dim"):
         secondary._orbit_cones([(h,)], lambda key: cone_from_rays(key, lat.rank),
-                               weyl_generators(lat), "ray")
+                               [(s.act, s.transpose.act) for s in weyl_generators(lat)], "ray")
 
 
 def test_a_second_boundary_reuses_the_proved_mori_fan(monkeypatch, cold_mori_fan):
@@ -355,8 +355,8 @@ def test_a_second_boundary_reuses_the_proved_mori_fan(monkeypatch, cold_mori_fan
     proved.clear()
     sec = secondary_fan(lat, second)
     assert built == []
-    # the full fan, before secondary_fan set its Stab(B)-orbits
-    assert len(proved) == 1 and proved[0].cones is sec.full_fan.cones
+    # the full fan, with the Stab(B)-orbits its build walked
+    assert len(proved) == 1 and proved[0] is sec.full_fan
     assert sec.mori_fan is mori_fan_K(lat)
 
 
