@@ -20,10 +20,10 @@ intersect resumes its first operand's double description and inserts only the
 second operand's constraints: any constraint set defining a cone, with each
 extreme ray's zero set taken over it, is a valid start (see dual_description).
 
-fan_check tests only the pairs with an orbit root of the fan's orbits, proves
-most of them by a separating functional, tested on bitmasks read off one
-facet.ray sign table per call, and sends the rest to the exact intersect and
-is_face_of.
+fan_check tests one pair per orbit of pairs under the permutations the fan
+carries for its group's generators, proves most of them by a separating
+functional, tested on bitmasks read off one facet.ray sign table per call,
+and sends the rest to the exact intersect and is_face_of.
 
 Callers need no edge cases: an empty hull in a given rank is zero_cone, and
 image(m, c) is the one rule for the image of a cone under an integer map.
@@ -34,8 +34,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, count, islice
-from operator import and_, mul, sub
+from itertools import count, islice
+from operator import add, and_, mul, sub
 
 from .errors import ValidationError
 from .lattice import (
@@ -363,22 +363,31 @@ class Fan:
     is the index of the first cone of cone i's orbit under a group of linear
     automorphisms that permutes the first len(orbits) cones (every cone of
     mori_fan_K under W(E_k), and of secondary_fan's full fan under the
-    boundary stabilizer); it is not compared, so equality and JSON see the
-    cones alone.  Orbit lemma: such a w maps rays by w and facets by w^-T,
-    so it permutes the walls with their incidences and the pairs of cones,
-    keeping each sign g.r = (w^-T g).(w r) and each face relation; and
-    w.C = root(C) for some w, so a test of every wall of C, or of every pair
-    {C, D}, holds if it holds at root(C).  A further cone is its own root.
+    boundary stabilizer); perms[g][i] is the index of w_g.C_i, for each
+    generator w_g of that group and every cone i.  Neither is compared, so
+    equality and JSON see the cones alone.  Orbit lemma: such a w maps rays
+    by w and facets by w^-T, so it permutes the walls with their incidences
+    and the pairs of cones, keeping each sign g.r = (w^-T g).(w r) and each
+    face relation; and w.C = root(C) for some w, so a test of every wall of
+    C holds if it holds at root(C), and a test of a pair holds on its whole
+    orbit of pairs.  A further cone is its own root.  The perms are that
+    action because a cone built from a key is moved with it:
+    cone(w.key) = w.cone(key), for the contracted classes of a Mori chamber,
+    the chamber rays of a group hull and the face of a bogus cone (see
+    mori_fan_K, movsec and _complete_with_bogus).
     """
 
     ambient_rank: int
     cones: tuple[RationalCone, ...]
     labels: tuple[str, ...] = ()
     orbits: tuple[int, ...] = field(default=(), compare=False)
+    perms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.labels and len(self.labels) != len(self.cones):
             raise ValidationError("one label per cone")
+        if any(len(p) != len(self.cones) for p in self.perms):
+            raise ValidationError("one image per cone in each permutation")
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels else f"cone{i}"
@@ -394,18 +403,25 @@ class Fan:
         return _wall_map(self.cones)
 
     def with_orbits(self, orbits) -> "Fan":
-        """This fan with the given orbits; a wall map already built is kept."""
+        """This fan with the given orbits and no perms; a wall map already
+        built is kept."""
         out = Fan(self.ambient_rank, self.cones, self.labels, tuple(orbits))
         if "walls" in self.__dict__:
             out.__dict__["walls"] = self.walls
         return out
 
-    def extended(self, cones, labels, keys=None, roots=()) -> "Fan":
+    def extended(self, cones, labels, keys=None, roots=(), perms=()) -> "Fan":
         """This fan followed by more labelled cones, with their facet keys
-        (_wall_map) and orbit roots when given; walls are built for them only."""
-        cones = tuple(cones)
-        orbits = self.orbit_roots + tuple(roots) if roots else self.orbits
-        out = Fan(self.ambient_rank, self.cones + cones, self.labels + tuple(labels), orbits)
+        (_wall_map), orbit roots and generator perms when given, indexed
+        among the new cones; walls are built for them only.  The perms are
+        kept only if both parts have them (an empty fan has), so a fan
+        extended without them has none."""
+        cones, n = tuple(cones), len(self.cones)
+        orbits = self.orbit_roots + tuple(r + n for r in roots) if roots else self.orbits
+        moved = tuple(tuple(j + n for j in p) for p in perms)
+        perms = tuple(map(add, self.perms, moved)) if self.perms else (() if n else moved)
+        out = Fan(self.ambient_rank, self.cones + cones, self.labels + tuple(labels), orbits,
+                  perms)
         # _wall_map rebinds the lists it adds to, so a shallow copy leaves self.walls as it is
         out.__dict__["walls"] = _wall_map(cones, len(self.cones), dict(self.walls), keys)
         return out
@@ -440,8 +456,11 @@ def fan_check(fan: Fan) -> FanReport:
     other cone's rays are exact dots.  Lineal cones, and pairs no candidate
     separates, get intersect and is_face_of on both.
 
-    Only the pairs in which one cone is an orbit root are tested (Fan's
-    orbit lemma); with no orbits every pair is tested, on the same path.
+    One pair per orbit of pairs under the fan's perms is tested, the first
+    in pair order (Fan's orbit lemma): a flat walk marks pair (i, j), i < j,
+    as i*N + j in one bytearray and pushes it through the perms.  With no
+    perms every pair is its own orbit, on the same path.  A failure names
+    the tested pair.
     """
     cones, n = fan.cones, fan.ambient_rank
     bit = {r: 1 << k for k, r in enumerate(dict.fromkeys(r for c in cones for r in c.rays))}
@@ -476,16 +495,31 @@ def fan_check(fan: Fan) -> FanReport:
                 or all(sum(map(mul, diff, r)) > 0 for r in out_a)
                 and all(sum(map(mul, diff, r)) < 0 for r in out_b))
 
-    roots = fan.orbit_roots
+    size, perms = len(cones), fan.perms
+    seen = bytearray(size * size)
     violations = []
-    for (i, a), (j, b) in combinations(enumerate(cones), 2):
-        if roots[i] != i and roots[j] != j:
-            continue  # w.(a, b) with w.a = root(a) is tested in its place
-        if a.lineality or b.lineality or not separated(i, j):
-            cap = intersect(a, b)
-            if not is_face_of(cap, a) or not is_face_of(cap, b):
-                violations.append((fan.label_of(i), fan.label_of(j),
-                                   "intersection is not a common face"))
+    for i, a in enumerate(cones):
+        row = i * size
+        x = seen.find(0, row + i + 1, row + size)
+        while x >= 0:
+            seen[x] = 1
+            orbit = [x]
+            for y in orbit:
+                c, d = divmod(y, size)
+                for p in perms:
+                    e, f = p[c], p[d]
+                    z = e * size + f if e < f else f * size + e
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+            j = x - row
+            b = cones[j]
+            if a.lineality or b.lineality or not separated(i, j):
+                cap = intersect(a, b)
+                if not is_face_of(cap, a) or not is_face_of(cap, b):
+                    violations.append((fan.label_of(i), fan.label_of(j),
+                                       "intersection is not a common face"))
+            x = seen.find(0, x + 1, row + size)
     return FanReport(is_fan=not violations, violations=violations)
 
 

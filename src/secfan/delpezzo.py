@@ -300,10 +300,12 @@ def orbit_tree(start, moves) -> dict:
     return tree
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple, int]:
     """Generators of Stab(B) in W(E_k), B the sorted boundary multiset, and the
-    orbit size |W B|; walked once per boundary and process.
+    orbit size |W B|.  Only the last boundary is kept: secondary_fan and the
+    Weyl section of the report ask for the boundary just built, so one walk
+    serves both and a process building many boundaries keeps one.
 
     With u_p the element along the Schreier tree of the simple reflections
     from B to p, the u_q^-1 s u_p (s a generator, q = s p) generate Stab(B)

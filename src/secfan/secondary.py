@@ -78,10 +78,10 @@ class Chamber:
 
 
 def _orbit_cones(keys, build, gens, what: str, by: str = "simple reflection",
-                 names=None) -> tuple[list[RationalCone], list, list[int]]:
+                 names=None) -> tuple[list[RationalCone], list, list[int], list[tuple]]:
     """build(key) for every key, in keys order, with one build per orbit of gens;
     also, for every key, its cone's _facet_faces_key and the index of the
-    first key of its orbit.
+    first key of its orbit, and, per generator, the index of each key's image.
 
     keys are sorted tuples of vectors; a generator is a pair (w.act,
     w^-T.act) of a unimodular w.  A simple reflection has s^-T = s^T.  Lemma:
@@ -96,10 +96,15 @@ def _orbit_cones(keys, build, gens, what: str, by: str = "simple reflection",
     the finite key set into, hence onto, itself: InternalInvariantError names
     a key (by names, if given) that a generator (named by) moves outside
     keys, and an orbit whose first cone is lineal or lower-dimensional.
-    With no gens every key is its own orbit.
+    With no gens every key is its own orbit.  orbit_tree calls each
+    generator once on each key of the orbit; the calls record their images,
+    which give the permutations.
     """
     index = {key: i for i, key in enumerate(keys)}
     moves = [lambda p, a=act: tuple(sorted(map(a, p))) for act, _ in gens]
+    images: list[dict] = [{} for _ in gens]
+    walk = [lambda p, m=m, seen=seen: seen.setdefault(p, m(p))
+            for m, seen in zip(moves, images)]
     cones: list = [None] * len(keys)
     incidences, roots = list(cones), [0] * len(keys)
     for key in keys:
@@ -107,7 +112,7 @@ def _orbit_cones(keys, build, gens, what: str, by: str = "simple reflection",
         if cones[root] is not None:
             continue
         # breadth-first: a parent's cone is in place before its children's
-        for q, edge in orbit_tree(key, moves).items():
+        for q, edge in orbit_tree(key, walk).items():
             if edge is None:
                 cone = build(q)
                 if cone.lineality or cone.equations:
@@ -127,7 +132,7 @@ def _orbit_cones(keys, build, gens, what: str, by: str = "simple reflection",
                                                 map(moves[i], incidences[index[p]]))))
                 cone = RationalCone(c.ambient_rank, moves[i](c.rays), facets)
             cones[index[q]], incidences[index[q]], roots[index[q]] = cone, tight, root
-    return cones, incidences, roots
+    return cones, incidences, roots, [tuple(index[seen[key]] for key in keys) for seen in images]
 
 
 def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
@@ -152,9 +157,9 @@ def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
         return cone_from_rays(list(face) + [lat.canonical], lat.rank)
 
     faces = boundary_walls(members)
-    bogus, keys, roots = _orbit_cones(faces, build, gens, f"{what} face", by)
+    bogus, keys, roots, perms = _orbit_cones(faces, build, gens, f"{what} face", by)
     fan = members.extended(bogus, ["bogus[" + ",".join(map(str, face)) + "]" for face in faces],
-                           keys, [len(members.cones) + r for r in roots])
+                           keys, roots, perms)
     if not is_complete(fan):
         defect = _tiling_defect(fan.cones, walls=fan.walls, label_of=fan.label_of,
                                 roots=fan.orbit_roots)
@@ -175,18 +180,19 @@ def mori_fan_K(lat: PicLattice) -> Fan:
     boundary of Eff and their bogus cones.  So _orbit_cones builds one chamber
     and one bogus cone per orbit of the simple reflections and moves the
     rest with their walls' incidences; its walk proves that W maps the cone
-    set onto itself.  The fan's orbits keep the walk: each cone's W-orbit
-    root, the chambers' first (the Weyl section reads those).  So
+    set onto itself.  The fan's orbits and perms keep the walk: each cone's
+    W-orbit root, the chambers' first (the Weyl section reads those), and
+    each simple reflection's permutation of the cones.  So
     _complete_with_bogus tests one face per orbit on Eff, and is_complete
     opposite sides only at the walls of orbit roots (its orbit lemma), which
     rests on exact moves: tests compare the moved walls with dot products.
     """
     cons = contractions(lat)
     gens = [(s.act, s.transpose.act) for s in weyl_generators(lat)]
-    chambers, keys, roots = _orbit_cones([c.classes for c in cons],
-                                         lambda classes: mori_chamber(lat, Contraction(classes)),
-                                         gens, "contraction")
-    members = Fan(lat.rank, ()).extended(chambers, [c.label() for c in cons], keys, roots)
+    chambers, keys, roots, perms = _orbit_cones(
+        [c.classes for c in cons], lambda classes: mori_chamber(lat, Contraction(classes)),
+        gens, "contraction")
+    members = Fan(lat.rank, ()).extended(chambers, [c.label() for c in cons], keys, roots, perms)
     return _complete_with_bogus(members, lat, effective_cone(lat), gens, "Mori fan")[0]
 
 
@@ -236,11 +242,11 @@ def movsec(chambers: list[Chamber], gens) -> tuple[list[MovSecGroup], Fan]:
     keys = sorted(by_key, key=sorted)
     labels = list(map(_group_label, keys))
     rays = [tuple(sorted({r for i in by_key[key] for r in chambers[i].cone.rays})) for key in keys]
-    hulls, tight, roots = _orbit_cones(rays, lambda r: cone_from_rays(r, rank), gens,
-                                       "secondary fan group", "boundary stabilizer generator",
-                                       labels)
+    hulls, tight, roots, perms = _orbit_cones(rays, lambda r: cone_from_rays(r, rank), gens,
+                                              "secondary fan group",
+                                              "boundary stabilizer generator", labels)
     groups = [MovSecGroup(key, hull, tuple(by_key[key])) for key, hull in zip(keys, hulls)]
-    return groups, Fan(rank, ()).extended(hulls, labels, tight, roots)
+    return groups, Fan(rank, ()).extended(hulls, labels, tight, roots, perms)
 
 
 @dataclass
@@ -284,9 +290,10 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     prove that each generator maps the groups, and the faces, onto
     themselves, so Stab(B) maps the fan and its movsec subfan onto
     themselves and no orbit crosses the subfan.  full_fan keeps each cone's
-    orbit root, the first cone of its orbit, in Fan.orbits: is_complete,
-    fan_check (on the pairs with an orbit root), the bundle stage and the
-    Weyl section read them.
+    orbit root, the first cone of its orbit, in Fan.orbits, and the walk's
+    images, each generator's permutation of the cones, in Fan.perms:
+    is_complete, the bundle stage and the Weyl section read the roots, and
+    fan_check, one pair per orbit of pairs, reads the perms.
 
     Coarsening is one set lookup per Mori bogus cone cone(F + K), F its rays
     other than primitive(K): mori.walls names the chamber c on F and c's

@@ -380,22 +380,63 @@ def test_fan_check_keeps_a_facet_and_its_negative_apart(intersect_calls):
     assert intersect_calls == _left_by_dot_tables(fan) == []
 
 
+QUARTER = IntMat.from_rows([[0, -1], [1, 0]])
+
+
+def _quarter_turns(*first):
+    """Each cone and its images under quarter turns, in four-cone orbits; the
+    turn's permutation sends cone i of an orbit to cone i + 1."""
+    out = []
+    for rays in first:
+        orbit = [rays]
+        while len(orbit) < 4:
+            orbit.append([QUARTER.apply(r) for r in orbit[-1]])
+        out += map(cone_from_rays, orbit)
+    turn = tuple(4 * (i // 4) + (i + 1) % 4 for i in range(len(out)))
+    return tuple(out), tuple(4 * (i // 4) for i in range(len(out))), (turn,)
+
+
 def test_fan_check_names_a_bad_pair_of_a_rotation_invariant_fan_by_its_orbit_root():
     # the quadrants and the cone((1,0),(1,1)) inside the first, each rotated by
     # quarter turns: the rotation permutes the cones, in two orbits
-    quarter = IntMat.from_rows([[0, -1], [1, 0]])
-    quadrants, slivers = [[(1, 0), (0, 1)]], [[(1, 0), (1, 1)]]
-    for orbit in (quadrants, slivers):
-        while len(orbit) < 4:
-            orbit.append([quarter.apply(r) for r in orbit[-1]])
-    fan = Fan(2, tuple(cone_from_rays(rays) for rays in quadrants + slivers), (),
-              (0, 0, 0, 0, 4, 4, 4, 4))
+    cones, orbits, perms = _quarter_turns([(1, 0), (0, 1)], [(1, 0), (1, 1)])
+    fan = Fan(2, cones, (), orbits, perms)
     assert fan.orbit_roots == fan.orbits
     rep = fan_check(fan)
     assert rep.violations == [("cone0", "cone4", "intersection is not a common face")]
     # with no orbits every pair is checked: each quadrant holds its sliver
     assert fan_check(fan.with_orbits(())).violations == [
         (f"cone{i}", f"cone{i + 4}", "intersection is not a common face") for i in range(4)]
+
+
+def test_fan_check_names_the_first_pair_of_an_overlapping_pair_orbit():
+    # cone((1,0),(-1,2)) spans more than a quarter turn, so each cone overlaps
+    # the next: the orbit {0,1}, {1,2}, {2,3}, {0,3} fails, and the orbit
+    # {0,2}, {1,3} meets at the origin
+    cones, orbits, perms = _quarter_turns([(1, 0), (-1, 2)])
+    labels = ("east", "north", "west", "south")
+    fan = Fan(2, cones, labels, orbits, perms)
+    bad = "intersection is not a common face"
+    assert fan_check(fan).violations == [("east", "north", bad)]
+    # orbits alone, or no perms, test every pair
+    assert fan_check(Fan(2, cones, labels, orbits)) == fan_check(fan.with_orbits(())) == \
+        FanReport(False, [("east", "north", bad), ("east", "south", bad),
+                          ("north", "west", bad), ("west", "south", bad)])
+
+
+def test_fan_perms_are_concatenated_by_extended_and_cleared_by_with_orbits():
+    # roots and perms are given among the new cones, and offset by extended
+    cones, orbits, perms = _quarter_turns([(1, 0), (0, 1)], [(1, 0), (1, 1)])
+    quadrants = Fan(2, ()).extended(cones[:4], "abcd", roots=orbits[:4], perms=[perms[0][:4]])
+    fan = quadrants.extended(cones[4:], "efgh", roots=orbits[:4], perms=[perms[0][:4]])
+    assert (fan.orbits, fan.perms) == (orbits, perms)
+    assert fan == fan.with_orbits(()) and fan.with_orbits(()).perms == ()
+    # cones added with no perms, or after cones with none, leave the fan with none
+    assert quadrants.extended(cones[4:], "efgh").perms == ()
+    assert quadrants.with_orbits(orbits[:4]).extended(
+        cones[4:], "efgh", roots=orbits[:4], perms=[perms[0][:4]]).perms == ()
+    with pytest.raises(ValidationError, match="one image per cone"):
+        Fan(2, cones, (), orbits, (perms[0][:4],))
 
 
 def test_single_quadrant_incomplete():

@@ -33,6 +33,7 @@ from secfan.delpezzo import (
 )
 from secfan.errors import InternalInvariantError, ValidationError
 from secfan.lattice import IntMat, pair
+from secfan.secondary import secondary_fan
 
 MINUS_ONE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
@@ -260,6 +261,21 @@ def test_boundary_stabilizer_refuses_a_rho_on_a_root_hyperplane(monkeypatch):
     try:
         with pytest.raises(InternalInvariantError, match="root hyperplane"):
             delpezzo.boundary_stabilizer(lat, cycle)
+    finally:
+        delpezzo.boundary_stabilizer.cache_clear()
+
+
+def test_boundary_stabilizer_keeps_only_the_last_boundary():
+    # secondary_fan and then the Weyl section ask for the boundary just built
+    lat = PicLattice(4)
+    delpezzo.boundary_stabilizer.cache_clear()
+    try:
+        for cycle in minus_one_cycles(lat, 5)[:2]:
+            secondary_fan(lat, cycle)
+            delpezzo.boundary_stabilizer(lat, cycle)
+            assert delpezzo.boundary_stabilizer.cache_info().currsize == 1
+        info = delpezzo.boundary_stabilizer.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
     finally:
         delpezzo.boundary_stabilizer.cache_clear()
 

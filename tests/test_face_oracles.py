@@ -30,9 +30,11 @@ from secfan.cones import (
 from secfan.delpezzo import (
     TORIC_NAMES,
     PicLattice,
+    boundary_stabilizer,
     effective_cone,
     hexagon_boundary,
     minus_one_cycles,
+    orbit_tree,
     toric_boundary,
 )
 from secfan.lattice import IntMat, invariant_factors, primitive, rank_of
@@ -271,21 +273,43 @@ def test_fan_check_intersects_the_pairs_the_dot_tables_leave_on_the_criterion_11
                      "hexagon": 30, "pentagon": 60, "square": 93}
 
 
-def test_fan_check_on_the_stabilizer_orbit_roots_agrees_on_the_criterion_11_fans():
-    # secondary_fan's full fan carries its Stab(B)-orbits: the pairs with an
-    # orbit root give the per-pair report, with fewer exact checks
+def _pair_orbits(fan, gens):
+    """Each unordered pair of cone indices -> its orbit under gens, walked
+    with orbit_tree on frozensets, each cone moved by its rays."""
+    index = {c.rays: i for i, c in enumerate(fan.cones)}
+    moves = [lambda pair, a=w.act: frozenset(
+        index[tuple(sorted(map(a, fan.cones[i].rays)))] for i in pair) for w in gens]
+    orbit_of = {}
+    for pair in map(frozenset, itertools.combinations(range(len(fan.cones)), 2)):
+        if pair not in orbit_of:
+            orbit = frozenset(orbit_tree(pair, moves))
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    return orbit_of
+
+
+def test_fan_check_on_the_stabilizer_pair_orbits_agrees_on_the_criterion_11_fans():
+    # secondary_fan's full fan carries its Stab(B) generators' permutations:
+    # one pair per orbit of pairs gives the per-pair report, with fewer exact
+    # checks, and the pairs the full check sends to intersect are whole orbits
     exact = {}
     for name, (lat, cycle) in _criterion_11_inputs():
         full = secondary_fan(lat, cycle).full_fan
         assert len(full.orbits) == len(full.cones), name
         report, calls = _intersected(full)
-        assert report == fan_check(full.with_orbits(())) == FanReport(True), name
-        index, roots = {id(c): i for i, c in enumerate(full.cones)}, full.orbit_roots
-        assert all(roots[index[a]] == index[a] or roots[index[b]] == index[b]
-                   for a, b in calls), name
-        exact[name] = len(calls)
-    assert exact == {"p2": 0, "quadric": 0, "f1": 0, "dp7": 2,
-                     "hexagon": 17, "pentagon": 28, "square": 36}
+        every, all_calls = _intersected(full.with_orbits(()))
+        assert report == every == FanReport(True), name
+        index = {id(c): i for i, c in enumerate(full.cones)}
+        pairs, all_pairs = ([frozenset((index[a], index[b])) for a, b in cs]
+                            for cs in (calls, all_calls))
+        orbit_of = _pair_orbits(full, boundary_stabilizer(lat, cycle)[0])
+        # one exact check per pair orbit, at its first pair in pair order
+        assert len({orbit_of[p] for p in pairs}) == len(pairs), name
+        assert all(min(map(sorted, orbit_of[p])) == sorted(p) for p in pairs), name
+        assert {q for p in pairs for q in orbit_of[p]} == set(all_pairs), name
+        exact[name] = len(calls), len(set(orbit_of.values()))
+    # (exact checks, pair orbits); the seed-0 pentagon has 630 pairs
+    assert exact == {"p2": (0, 1), "quadric": (0, 3), "f1": (0, 6), "dp7": (2, 27),
+                     "hexagon": (5, 71), "pentagon": (8, 74), "square": (9, 118)}
 
 
 @pytest.mark.parametrize("name, exact", [("hexagon", 30), ("pentagon", 60)])

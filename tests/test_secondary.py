@@ -32,6 +32,7 @@ from secfan.delpezzo import (
     TORIC_NAMES,
     PicLattice,
     WeylElement,
+    boundary_stabilizer,
     contractions,
     effective_cone,
     hexagon_boundary,
@@ -293,6 +294,35 @@ def test_mori_fan_orbits_are_the_chamber_orbits(lat):
     for c, r in zip(cons, roots):
         got.setdefault(r, set()).add(frozenset(c.classes))
     assert set(map(frozenset, got.values())) == _chamber_orbits(lat)
+
+
+def _fan_and_generators(name):
+    """mori_fan_K with the simple reflections, or a secondary full fan (a
+    criterion-11 input, or the first k = 6 trio) with Stab(B)'s generators."""
+    if name.startswith("mori"):
+        lat = PicLattice(int(name[-1]))
+        return mori_fan_K(lat), weyl_generators(lat)
+    lat, cycle = {"hexagon": hexagon_boundary,
+                  "pentagon": lambda: (PicLattice(4), minus_one_cycles(PicLattice(4), 5)[0]),
+                  "square": lambda: (PicLattice(5), minus_one_cycles(PicLattice(5), 4)[0]),
+                  "trio": lambda: (PicLattice(6), minus_one_cycles(PicLattice(6), 3)[0]),
+                  }.get(name, lambda: toric_boundary(name)[:2])()
+    return secondary_fan(lat, cycle).full_fan, boundary_stabilizer(lat, cycle)[0]
+
+
+@pytest.mark.parametrize("name", [f"mori k={k}" for k in range(3, 7)] + [
+    "p2", "quadric", "f1", "dp7", "hexagon", "pentagon", "square", "trio"])
+def test_fan_perms_are_the_generators_action_on_the_cones(name):
+    # cones[perm[i]] is cone i moved by w: rays by w, and w^T takes its facets
+    # back to cone i's, since (w^T f).r = f.(w r)
+    fan, gens = _fan_and_generators(name)
+    assert len(fan.perms) == len(gens)
+    for w, perm in zip(gens, fan.perms):
+        assert sorted(perm) == list(range(len(fan.cones)))
+        for c, moved in zip(fan.cones, (fan.cones[j] for j in perm)):
+            assert (moved.ambient_rank, moved.rays, moved.equations, moved.lineality) == \
+                (c.ambient_rank, tuple(sorted(map(w.act, c.rays))), (), ())
+            assert tuple(sorted(map(w.transpose.act, moved.facets))) == c.facets
 
 
 def _moved_out(lat, message, what):
