@@ -32,7 +32,6 @@ from .delpezzo import (
     BoundaryCycle,
     PicLattice,
     TORIC_NAMES,
-    boundary_stabilizer,
     contractions,
     minus_one_classes,
     normalized_cycle,
@@ -45,6 +44,7 @@ from .disk import triangulation_with_flips
 from .errors import InternalInvariantError, ValidationError
 from .lattice import rank_of
 from .secondary import (
+    SecondaryFan,
     cocycle_battery,
     gkz_secondary_fan,
     grouping_by_triangulation,
@@ -62,7 +62,6 @@ from .thetaalg import (
 from .toricstack import BundleInput, _cone_in_fan, decompose, stabilizers
 
 CACHE_ENV = "SECFAN_CACHE_DIR"
-THETA_CHECKS = ("all_nodes_missed", "center_check", "degenerate_variant_fails_center")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,7 @@ def cache_put(cache_dir, key: str, kind: str, payload: dict | str):
 
 
 def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
-                 seed: int = 20220110) -> dict:
+                 seed: int = 20220110) -> tuple[dict, SecondaryFan]:
     """Every stage once; secondary_fan proves the four fan checks or raises.
 
     Blowups with k >= 2 get a "weyl" section.  workers has no effect.
@@ -251,7 +250,6 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
     # not run below n = 3: ok is null, not a proof
     battery = cocycle_battery(sec) \
         if cycle.n >= 3 else {"ok": None, "pairs": 0, "loops": 0, "points": 0, "failures": []}
-    theta = theta_divisor_checks(cycle.n)
     halg = boundary_algebra(cycle.n)
     binput = BundleInput(sec.full_fan, sec.movsec_fan, (lat.canonical,))
     bcert = decompose(binput)
@@ -289,7 +287,7 @@ def build_report(lat: PicLattice, cycle: BoundaryCycle, workers: int = 1,
                           "cell": list(p.cell), "coords": list(p.coords)}
                          for kind, a, b, p in battery["failures"][:5]],
         },
-        "theta_checks": {key: theta[key] for key in THETA_CHECKS},
+        "theta_checks": theta_divisor_checks(cycle.n),
         "hilbert": {str(m): hilbert(cycle.n, m) for m in range(0, 6)},
         "proj_degree": proj_degree(cycle.n),
         "boundary_algebra_level_dims": {
@@ -319,10 +317,10 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
     identity fixes every E_i; an element mapping E onto itself permutes the
     E_i, and the reflections in E_i - E_{i+1} give every permutation, so
     Stab(E) = S_k; orbit-stabilizer does the rest.  The boundary stabilizer
-    has order |W| / |W B| (boundary_stabilizer).  A group maps a finite set
-    of cones onto itself iff each generator does, which secondary_fan proved
-    with the Stab(B) walk of its build, so that fact is read here, not
-    walked again.
+    has order |W| / |W B|, |W B| kept by secondary_fan (boundary_orbit_size).
+    A group maps a finite set of cones onto itself iff each generator does,
+    which secondary_fan proved with the Stab(B) walk of its build, so both
+    facts are read here, not walked again.
     """
     keys = [c.classes for c in contractions(lat)]
     roots = sec.mori_fan.orbits[:len(keys)]  # the chambers' roots; the bogus cones' follow
@@ -332,7 +330,7 @@ def weyl_orbit_decomposition(lat: PicLattice, sec) -> dict:
         raise InternalInvariantError(f"the contraction E = {list(e)} is not in contractions(lat)")
     order = factorial(lat.k) * sizes[roots[keys.index(e)]]
     return {"group_order": order, "orbit_sizes": sorted(sizes.values()),
-            "stabilizer_order": order // boundary_stabilizer(lat, sec.boundary)[1],
+            "stabilizer_order": order // sec.boundary_orbit_size,
             "stabilizer_fixes_secondary_fan": True}  # secondary_fan raised otherwise
 
 
@@ -414,7 +412,7 @@ def write_bundle(outdir: Path, report: dict, sec) -> dict[str, str]:
     files["fan_secondary.json"] = fan_line(sec.full_fan, report["input_hash"], "secondary")
     # adjacency of the full secondary fan, nodes colored by moving group
     groups = {gi: g.label() for gi, g in enumerate(sec.groups)}
-    for bi in range(len(sec.bogus_cones)):
+    for bi in range(sec.bogus_count):
         groups[len(sec.groups) + bi] = "bogus"
     files["chambers.dot"] = fan_to_dot(sec.full_fan, groups)
     files["theta_table.csv"] = theta_table_csv(sec.boundary.n, (), 2)
@@ -597,8 +595,7 @@ def theta_table(n, flips, level):
 @theta_group.command("checks")
 @click.option("--n", type=int, required=True)
 def theta_checks(n):
-    rep = theta_divisor_checks(n)
-    click.echo(json.dumps({"n": n, **{key: rep[key] for key in THETA_CHECKS}}, sort_keys=True))
+    click.echo(json.dumps({"n": n, **theta_divisor_checks(n)}, sort_keys=True))
 
 
 @cli.group("spine")

@@ -148,9 +148,6 @@ class RationalCone:
         # the equations are a basis of the span's orthogonal complement
         return self.ambient_rank - len(self.equations)
 
-    def is_pointed(self) -> bool:
-        return not self.lineality
-
     def contains_point(self, x: IntVec) -> bool:
         return all(vec_dot(f, x) >= 0 for f in self.facets) and all(
             vec_dot(e, x) == 0 for e in self.equations
@@ -401,14 +398,6 @@ class Fan:
     def walls(self) -> dict[tuple, list[tuple[int, IntVec]]]:
         """The wall map of the cones (see _wall_map), built on first use."""
         return _wall_map(self.cones)
-
-    def with_orbits(self, orbits) -> "Fan":
-        """This fan with the given orbits and no perms; a wall map already
-        built is kept."""
-        out = Fan(self.ambient_rank, self.cones, self.labels, tuple(orbits))
-        if "walls" in self.__dict__:
-            out.__dict__["walls"] = self.walls
-        return out
 
     def extended(self, cones, labels, keys=None, roots=(), perms=()) -> "Fan":
         """This fan followed by more labelled cones, with their facet keys

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 from operator import mul
 
-from .cones import RationalCone, cone_from_inequalities, cone_from_rays, dual_description
+from .cones import RationalCone, cone_from_rays, dual_description
 from .errors import InternalInvariantError, ValidationError
 from .lattice import BilinearForm, IntMat, IntVec
 
@@ -158,13 +158,6 @@ def effective_cone(lat: PicLattice) -> RationalCone:
     return cone_from_rays(ne_generators(lat), lat.rank)
 
 
-def nef_cone(lat: PicLattice) -> RationalCone:
-    """Dual of the curve cone under the intersection pairing."""
-    gram = lat.form.gram
-    ineqs = [gram.apply(c) for c in ne_generators(lat)]
-    return cone_from_inequalities(ineqs, ambient_rank=lat.rank)
-
-
 @dataclass(frozen=True)
 class Contraction:
     """Pairwise-orthogonal set of (-1)-classes, i.e. a simultaneous blowdown."""
@@ -247,11 +240,6 @@ class WeylElement:
         """v -> matrix.apply(v), each v moved once per element: its image table."""
         return lru_cache(maxsize=None)(self._apply)
 
-    @cached_property
-    def transpose(self) -> "WeylElement":
-        """matrix^T, which moves facet normals: s^-T = s^T for an involution s."""
-        return WeylElement(self.matrix.transpose())
-
     def _apply(self, v: IntVec) -> IntVec:
         """matrix.apply(v), computing only the moved rows (2 or 4 for a simple reflection)."""
         if len(v) != self.matrix.cols:
@@ -300,30 +288,20 @@ def orbit_tree(start, moves) -> dict:
     return tree
 
 
-@lru_cache(maxsize=1)
 def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple, int]:
     """Generators of Stab(B) in W(E_k), B the sorted boundary multiset, and the
-    orbit size |W B|.  Only the last boundary is kept: secondary_fan and the
-    Weyl section of the report ask for the boundary just built, so one walk
-    serves both and a process building many boundaries keeps one.
+    orbit size |W B|.  secondary_fan calls it once per boundary and keeps
+    |W B| on the SecondaryFan it returns.
 
     With u_p the element along the Schreier tree of the simple reflections
     from B to p, the u_q^-1 s u_p (s a generator, q = s p) generate Stab(B)
     (Schreier's lemma; Seress, Permutation Group Algorithms, 2003, ch. 4).
-    A tree edge, read either way, gives the identity, so it is skipped, as
-    are repeats.  With no simple roots (p2, f1, the quadric) B is its own
-    orbit and there are no generators: that returns before any walk or root
-    is listed.
-
-    Products are told apart by their images of rho = (0, 1, ..., k), a vector
-    on no root hyperplane (checked against roots(lat)).  W fixes K and acts on
-    K-perp, where the form is definite, as a finite reflection group whose
-    reflections are s_a for roots a.  The stabilizer of a vector in such a
-    group is generated by the reflections that fix it (Steinberg, 1964), and
-    s_a fixes rho only if rho.a = 0, so only the identity fixes rho and two
-    products are equal exactly when their images of rho are.  Only the
-    distinct products other than the identity are multiplied out, as the
-    images of a basis.
+    A tree edge, read either way, gives the identity, so it is skipped.  Each
+    other product is multiplied out as its images of the basis, u_q^-1 moving
+    s's images of u_p's, which the tree walk keeps per point; the images key
+    the product: the first of equal products, in walk order, is kept, and the
+    identity is dropped.  With no simple roots (p2, f1, the quadric) B is its
+    own orbit and there are no generators: that returns before any walk.
     """
     gens = weyl_generators(lat)
     if not gens:
@@ -331,40 +309,21 @@ def boundary_stabilizer(lat: PicLattice, boundary: BoundaryCycle) -> tuple[tuple
     moves = [lambda m, a=g.act: tuple(sorted(map(a, m))) for g in gens]
     start = tuple(sorted(boundary.classes))
     tree = orbit_tree(start, moves)
-    rho = tuple(range(lat.rank))
-    if any(lat.dot(rho, a) == 0 for a in roots(lat)):
-        raise InternalInvariantError(f"{list(rho)} lies on a root hyperplane")
-
-    def path(p) -> list[int]:  # generator indices from B down to p
-        out = []
-        while tree[p] is not None:
-            p, i = tree[p]
-            out.append(i)
-        return out[::-1]
 
     def apply(word, x: IntVec) -> IntVec:
         for i in word:
             x = gens[i].act(x)
         return x
 
-    img = {start: rho}  # p -> u_p rho
+    basis = tuple(IntMat.identity(lat.rank).row_list())
+    cols, back = {start: basis}, {start: []}  # p -> u_p's images of the basis, u_p^-1's word
     for p, (parent, i) in list(tree.items())[1:]:
-        img[p] = gens[i].act(img[parent])
-    seen, words = {rho}, []  # the images of rho so far; words of u_q^-1 s u_p
-    for p in tree:
-        for i, move in enumerate(moves):
-            q = move(p)
-            if tree[q] != (p, i) and tree[p] != (q, i):
-                image = apply(path(q)[::-1], gens[i].act(img[p]))
-                if image not in seen:
-                    seen.add(image)
-                    words.append(path(p) + [i] + path(q)[::-1])
-    basis = IntMat.identity(lat.rank).row_list()
-
-    def element(word) -> WeylElement:
-        return WeylElement(IntMat.from_rows(list(zip(*(apply(word, e) for e in basis)))))
-
-    return tuple(map(element, words)), len(tree)
+        cols[p], back[p] = tuple(map(gens[i].act, cols[parent])), [i] + back[parent]
+    images = dict.fromkeys(tuple(apply(back[q], gens[i].act(x)) for x in cols[p])
+                           for p in tree for i, q in enumerate(move(p) for move in moves)
+                           if tree[q] != (p, i) and tree[p] != (q, i))
+    images.pop(basis, None)
+    return tuple(WeylElement(IntMat.from_rows(list(zip(*key)))) for key in images), len(tree)
 
 
 def weyl_group(lat: PicLattice) -> list[WeylElement]:

@@ -109,11 +109,6 @@ class IntMat:
         e, c = self.entries, self.cols
         return tuple(sum(map(mul, e[i * c : i * c + c], v)) for i in range(self.rows))
 
-    def is_diagonal(self) -> bool:
-        return all(
-            self[i, j] == 0 for i in range(self.rows) for j in range(self.cols) if i != j
-        )
-
 
 @dataclass(frozen=True)
 class BilinearForm:

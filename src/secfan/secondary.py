@@ -84,21 +84,20 @@ def _orbit_cones(keys, build, gens, what: str, by: str = "simple reflection",
     first key of its orbit, and, per generator, the index of each key's image.
 
     keys are sorted tuples of vectors; a generator is a pair (w.act,
-    w^-T.act) of a unimodular w.  A simple reflection has s^-T = s^T.  Lemma:
-    each w in W(E_k) is an isometry of the intersection form J, w^T J w = J,
-    and J^2 = 1, so w^-T = J w J.  The first key of an orbit, in keys order,
-    is built; every other key q = w.p of the orbit's Schreier tree gets its
-    parent p's cone moved by w, read off w's image tables: rays go to w.r,
-    facet normals to w^-T.f and a facet's rays to the w.r, as
-    r.f = (w.r).(w^-T.f).  So rays and facets stay primitive and irredundant,
-    and a moved cone equals its direct build field for field when that is
-    pointed and full-dimensional.  The walk proves that each generator maps
-    the finite key set into, hence onto, itself: InternalInvariantError names
-    a key (by names, if given) that a generator (named by) moves outside
-    keys, and an orbit whose first cone is lineal or lower-dimensional.
-    With no gens every key is its own orbit.  orbit_tree calls each
-    generator once on each key of the orbit; the calls record their images,
-    which give the permutations.
+    w^-T.act) of a unimodular w (_isometry_moves).  Lemma: each w in W(E_k)
+    is an isometry of the intersection form J, w^T J w = J, and J^2 = 1, so
+    w^-T = J w J.  The first key of an orbit, in keys order, is built; every
+    other key q = w.p of the orbit's Schreier tree gets its parent p's cone
+    moved by w, read off w's image tables: rays go to w.r, facet normals to
+    w^-T.f and a facet's rays to the w.r, as r.f = (w.r).(w^-T.f).  So rays
+    and facets stay primitive and irredundant, and a moved cone equals its
+    direct build field for field when that is pointed and full-dimensional.
+    The walk proves that each generator maps the finite key set into, hence
+    onto, itself: InternalInvariantError names a key (by names, if given)
+    that a generator (named by) moves outside keys, and an orbit whose first
+    cone is lineal or lower-dimensional.  With no gens every key is its own
+    orbit.  orbit_tree calls each generator once on each key of the orbit;
+    the calls record their images, which give the permutations.
     """
     index = {key: i for i, key in enumerate(keys)}
     moves = [lambda p, a=act: tuple(sorted(map(a, p))) for act, _ in gens]
@@ -133,6 +132,12 @@ def _orbit_cones(keys, build, gens, what: str, by: str = "simple reflection",
                 cone = RationalCone(c.ambient_rank, moves[i](c.rays), facets)
             cones[index[q]], incidences[index[q]], roots[index[q]] = cone, tight, root
     return cones, incidences, roots, [tuple(index[seen[key]] for key in keys) for seen in images]
+
+
+def _isometry_moves(lat: PicLattice, ws) -> list[tuple]:
+    """The generator (w.act, w^-T.act) of _orbit_cones for each w in ws: w^-T = J w J."""
+    j = lat.form.gram
+    return [(w.act, WeylElement(j.mul(w.matrix).mul(j)).act) for w in ws]
 
 
 def _complete_with_bogus(members: Fan, lat: PicLattice, eff: RationalCone, gens,
@@ -188,7 +193,7 @@ def mori_fan_K(lat: PicLattice) -> Fan:
     rests on exact moves: tests compare the moved walls with dot products.
     """
     cons = contractions(lat)
-    gens = [(s.act, s.transpose.act) for s in weyl_generators(lat)]
+    gens = _isometry_moves(lat, weyl_generators(lat))
     chambers, keys, roots, perms = _orbit_cones(
         [c.classes for c in cons], lambda classes: mori_chamber(lat, Contraction(classes)),
         gens, "contraction")
@@ -255,11 +260,11 @@ class SecondaryFan:
     boundary: BoundaryCycle
     chambers: list[Chamber]
     groups: list[MovSecGroup]
-    bogus_cones: list[RationalCone]
     bogus_faces: list[tuple]
     full_fan: Fan
     mori_fan: Fan
     movsec_fan: Fan  # the moving part: one cone per group, the first cones of full_fan
+    boundary_orbit_size: int  # |W B| (boundary_stabilizer), so |Stab(B)| = |W| / |W B|
 
     @property
     def moving_count(self) -> int:
@@ -267,7 +272,7 @@ class SecondaryFan:
 
     @property
     def bogus_count(self) -> int:
-        return len(self.bogus_cones)
+        return len(self.full_fan.cones) - len(self.groups)
 
     @property
     def maximal_count(self) -> int:
@@ -315,15 +320,12 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
     """
     chambers = build_chambers(lat, boundary)
     mori = mori_fan_K(lat)
-    j = lat.form.gram  # w^-T = J w J for the intersection form J (see _orbit_cones)
-    gens = [(w.act, WeylElement(j.mul(w.matrix).mul(j)).act)
-            for w in boundary_stabilizer(lat, boundary)[0]]
+    stab, orbit_size = boundary_stabilizer(lat, boundary)
+    gens = _isometry_moves(lat, stab)
     groups, mov = movsec(chambers, gens)
-    eff = effective_cone(lat)
-    fan, faces_on_eff = _complete_with_bogus(mov, lat, eff, gens, "secondary fan",
+    fan, faces_on_eff = _complete_with_bogus(mov, lat, effective_cone(lat), gens, "secondary fan",
                                              "boundary stabilizer generator")
-    bogus = list(fan.cones[len(groups):])
-    sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces_on_eff, fan, mori, mov)
+    sec = SecondaryFan(lat, boundary, chambers, groups, faces_on_eff, fan, mori, mov, orbit_size)
     rep = fan_check(fan)
     if not rep.is_fan:
         raise InternalInvariantError(
@@ -339,8 +341,6 @@ def secondary_fan(lat: PicLattice, boundary: BoundaryCycle) -> SecondaryFan:
             raise InternalInvariantError(
                 f"Mori cone {mori.label_of(i)} lies in no secondary bogus cone"
             )
-    if eff.contains_point(lat.canonical):
-        raise InternalInvariantError("canonical class misplaced relative to Eff")
     return sec
 
 

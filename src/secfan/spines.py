@@ -56,10 +56,6 @@ def monodromy(aff: AffineStructure) -> Mat2:
     return out
 
 
-def is_toric_monodromy(aff: AffineStructure) -> bool:
-    return monodromy(aff) == ((1, 0), (0, 1))
-
-
 @dataclass(frozen=True)
 class Leg:
     direction: tuple[int, int]  # in the vertex chart basis

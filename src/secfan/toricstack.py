@@ -79,7 +79,10 @@ def decompose(inp: BundleInput) -> DecompositionCert:
     span(L), and sigma_1 plus that face is not sigma: r is extreme, so it is
     no sum of a point of sigma_1 and a point of a face without r.  C is a
     face exactly when the rays of sigma tight on every facet tight on C's
-    rays are C's rays.
+    rays are C's rays.  Then sigma_1 + sigma_2 = sigma, with no test: each
+    ray of sigma lies in span(L), so in sigma_1, or outside it, so in
+    sigma_2; the lineality of sigma lies in sigma_2; and sigma_1 and sigma_2
+    both lie in the convex cone sigma.
 
     The work runs once per orbit root of the ambient fan (Fan.orbit_roots);
     every other cone gets its root's outcome under its own label.  Lemma: let w
@@ -107,9 +110,6 @@ def decompose(inp: BundleInput) -> DecompositionCert:
         sigma2 = cone_from_rays(outside, rank, lineality=sigma.lineality)
         if not _span_meets_trivially(sigma2, inp.sub_lattice):
             return "subspace meets the span of sigma_2"
-        recomposed = cone_from_rays(sigma1.rays + sigma2.rays, rank, lineality=sigma2.lineality)
-        if recomposed != sigma:
-            return "sigma_1 + sigma_2 does not recompose the cone"
         if not _cone_in_fan(sigma2, inp.subfan):
             return "sigma_2 is not a cone of the subfan"
         return sigma1, sigma2

@@ -10,6 +10,8 @@ maps the cones onto themselves and the movsec subfan onto itself, and sets
 the orbits.
 """
 
+import dataclasses
+
 from secfan.cones import Fan, boundary_walls, cone_from_rays, on_facet
 from secfan.delpezzo import boundary_stabilizer, effective_cone, orbit_tree
 from secfan.errors import InternalInvariantError
@@ -36,7 +38,8 @@ def per_cone_secondary_fan(lat, boundary) -> SecondaryFan:
     bogus = [cone_from_rays(list(face) + [lat.canonical], lat.rank) for face in faces]
     full = Fan(lat.rank, mov.cones + tuple(bogus), mov.labels + tuple(
         "bogus[" + ",".join(map(str, face)) + "]" for face in faces))
-    sec = SecondaryFan(lat, boundary, chambers, groups, bogus, faces, full, mori_fan_K(lat), mov)
+    sec = SecondaryFan(lat, boundary, chambers, groups, faces, full, mori_fan_K(lat), mov,
+                       boundary_stabilizer(lat, boundary)[1])
     sec.full_fan = stabilizer_orbits(sec)
     return sec
 
@@ -70,4 +73,4 @@ def stabilizer_orbits(sec: SecondaryFan) -> Fan:
                     f"secondary fan cone {fan.label_of(index[edge[0]])} moves by boundary"
                     f" stabilizer generator {edge[1]} to {list(q[0])}, which is {where}")
             roots[j] = i
-    return fan.with_orbits(roots)
+    return dataclasses.replace(fan, orbits=tuple(roots), perms=())

@@ -50,7 +50,7 @@ from secfan.spines import (
     count,
     crossing_class,
     is_balanced,
-    is_toric_monodromy,
+    monodromy,
     spine,
     two_leg_outputs,
 )
@@ -319,10 +319,9 @@ def test_criterion_09_monodromy_and_spine_counts():
         "dp7": (-1, -1, 0, 0, -1),
         "dp6": (-1,) * 6,
     }
-    mono_ok = all(
-        is_toric_monodromy(AffineStructure(len(s), s)) for s in toric_seqs.values()
-    )
-    mono_ok = mono_ok and not is_toric_monodromy(AffineStructure(3, (-1, -1, -1)))
+    identity = ((1, 0), (0, 1))
+    mono_ok = all(monodromy(AffineStructure(len(s), s)) == identity for s in toric_seqs.values())
+    mono_ok = mono_ok and monodromy(AffineStructure(3, (-1, -1, -1))) != identity
     suite = _hand_spine_suite()
     spine_ok = True
     counted = 0

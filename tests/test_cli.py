@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import subprocess
@@ -513,6 +514,23 @@ def test_pipeline_report_entry_gets_no_proof(tmp_path, p2_config):
     (entry,) = (tmp_path / "cache" / "report").iterdir()
     assert entry.suffix == ".json"
     assert entry.read_bytes() == (tmp_path / "out" / "report.json").read_bytes()
+
+
+# the library version and the SHA-256 of the hit check and of the proof digest
+CACHE_CHECK_PIN = ("0.1.0", "24dd37be40422cf534789db334c830f8163c6d0eb011850668929769121d6732")
+
+
+def test_the_cache_hit_check_is_pinned_with_the_version():
+    # a proof digests __version__, so entries proved under one hit check are
+    # served unparsed only while the version stays: a change to _entry_problem
+    # or _proof with the same version would serve them under the new check
+    source = inspect.getsource(cli_module._entry_problem) + inspect.getsource(cli_module._proof)
+    got = (cli_module.__version__, hashlib.sha256(source.encode()).hexdigest())
+    assert got[0] != CACHE_CHECK_PIN[0] or got[1] == CACHE_CHECK_PIN[1], \
+        "bump secfan.__version__ (and pyproject.toml)"
+    assert got == CACHE_CHECK_PIN, f"re-pin CACHE_CHECK_PIN to {got}"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == got[0]
 
 
 def test_fan_gkz_points():
@@ -1074,13 +1092,15 @@ def test_a_warm_mori_fan_gives_the_cold_report(cold_mori_fan):
 
 
 def _weyl_stub(k):
-    """A boundary at k and a secondary-fan stand-in: the Mori fan, no secondary cones."""
+    """A boundary at k and a secondary-fan stand-in: the Mori fan, no secondary
+    cones, and |W B|."""
     if k == 2:
         lat, cycle, _ = toric_boundary("dp7")
     else:
         lat = PicLattice(k)
         cycle = minus_one_cycles(lat, 9 - k)[0]
-    sec = SimpleNamespace(boundary=cycle, full_fan=Fan(lat.rank, ()), mori_fan=mori_fan_K(lat))
+    sec = SimpleNamespace(boundary=cycle, full_fan=Fan(lat.rank, ()), mori_fan=mori_fan_K(lat),
+                          boundary_orbit_size=boundary_stabilizer(lat, cycle)[1])
     return lat, sec
 
 
@@ -1122,7 +1142,6 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
 
     for module in (secondary, delpezzo):
         monkeypatch.setattr(module, "orbit_tree", counted(module))
-    boundary_stabilizer.cache_clear()
     for i, cycle in enumerate(minus_one_cycles(lat, 5)[:2]):
         walks.clear()
         sec = secondary.secondary_fan(lat, cycle)
@@ -1139,7 +1158,6 @@ def test_one_chamber_orbit_walk_per_lattice(monkeypatch, cold_mori_fan):
         walks.clear()
         cli_module.weyl_orbit_decomposition(lat, sec)
         assert walks == []
-    boundary_stabilizer.cache_clear()
 
 
 def test_weyl_data_names_a_missing_contraction_e(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secfan import delpezzo
-from secfan.cones import cones_tile
+from secfan.cones import cone_from_inequalities, cones_tile
 from secfan.delpezzo import (
     BoundaryCycle,
     Contraction,
@@ -19,7 +19,6 @@ from secfan.delpezzo import (
     minus_one_cycles,
     mori_chamber,
     ne_generators,
-    nef_cone,
     normalized_cycle,
     orbit_tree,
     quadric,
@@ -33,7 +32,6 @@ from secfan.delpezzo import (
 )
 from secfan.errors import InternalInvariantError, ValidationError
 from secfan.lattice import IntMat, pair
-from secfan.secondary import secondary_fan
 
 MINUS_ONE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
@@ -82,6 +80,14 @@ def test_effective_cone_small():
     assert set(eff1.rays) == {(0, 1), (1, -1)}
     eff3 = effective_cone(PicLattice(3))
     assert len(eff3.rays) == 6  # every (-1)-class is extreme
+
+
+def nef_cone(lat):
+    """Dual of the curve cone under the intersection pairing: the independent
+    oracle for mori_chamber of the empty contraction."""
+    gram = lat.form.gram
+    ineqs = [gram.apply(c) for c in ne_generators(lat)]
+    return cone_from_inequalities(ineqs, ambient_rank=lat.rank)
 
 
 def test_nef_cone_examples():
@@ -252,32 +258,6 @@ def test_boundary_stabilizer_skips_only_identities(k):
         assert w.matrix != ident
         assert sorted(map(w.act, cycle.classes)) == boundary
     assert len(gens) == len(set(gens))
-
-
-def test_boundary_stabilizer_refuses_a_rho_on_a_root_hyperplane(monkeypatch):
-    lat, cycle = hexagon_boundary()
-    monkeypatch.setattr(delpezzo, "roots", lambda lat: [(1, 0, 0, 0), (2, 1, 1, -2)])
-    delpezzo.boundary_stabilizer.cache_clear()
-    try:
-        with pytest.raises(InternalInvariantError, match="root hyperplane"):
-            delpezzo.boundary_stabilizer(lat, cycle)
-    finally:
-        delpezzo.boundary_stabilizer.cache_clear()
-
-
-def test_boundary_stabilizer_keeps_only_the_last_boundary():
-    # secondary_fan and then the Weyl section ask for the boundary just built
-    lat = PicLattice(4)
-    delpezzo.boundary_stabilizer.cache_clear()
-    try:
-        for cycle in minus_one_cycles(lat, 5)[:2]:
-            secondary_fan(lat, cycle)
-            delpezzo.boundary_stabilizer(lat, cycle)
-            assert delpezzo.boundary_stabilizer.cache_info().currsize == 1
-        info = delpezzo.boundary_stabilizer.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
-    finally:
-        delpezzo.boundary_stabilizer.cache_clear()
 
 
 def test_boundary_stabilizer_without_simple_roots():

@@ -88,7 +88,7 @@ def test_snf_properties(rows):
     m = mat(rows)
     u, d, v = smith_normal_form(m)
     assert u.mul(m).mul(v).row_list() == d.row_list()
-    assert d.is_diagonal()
+    assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
     diag = [d[i, i] for i in range(min(d.rows, d.cols))]
     nz = [x for x in diag if x != 0]
     assert all(x > 0 for x in nz)

@@ -31,7 +31,6 @@ from secfan.delpezzo import (
     BoundaryCycle,
     TORIC_NAMES,
     PicLattice,
-    WeylElement,
     boundary_stabilizer,
     contractions,
     effective_cone,
@@ -254,11 +253,12 @@ def test_facets_moved_by_s_not_s_transpose_fail_the_full_oracle(monkeypatch, col
     """The per-orbit certificate rests on the moves being exact: it tests
     only the walls of orbit roots, and W carries that proof to the other
     walls only if each moved cone is the true image.  Move facet normals by
-    s instead of s^T (they differ for the reflection in H - E_1 - E_2 - E_3):
-    the moved wall map then fails the dot-product oracle, and so does the
-    full certificate.  Here the per-orbit one fails too, at a root's wall."""
+    s instead of s^-T = s^T (they differ for the reflection in
+    H - E_1 - E_2 - E_3): the moved wall map then fails the dot-product
+    oracle, and so does the full certificate.  Here the per-orbit one fails
+    too, at a root's wall."""
     lat = PicLattice(4)
-    monkeypatch.setattr(WeylElement, "transpose", property(lambda w: w))
+    monkeypatch.setattr(secondary, "_isometry_moves", lambda lat, ws: [(w.act, w.act) for w in ws])
     with pytest.raises(InternalInvariantError, match=r"Mori fan is not a complete fan: wall .*"
                                                       r" are not on opposite sides"):
         mori_fan_K(lat)
@@ -322,7 +322,7 @@ def test_fan_perms_are_the_generators_action_on_the_cones(name):
         for c, moved in zip(fan.cones, (fan.cones[j] for j in perm)):
             assert (moved.ambient_rank, moved.rays, moved.equations, moved.lineality) == \
                 (c.ambient_rank, tuple(sorted(map(w.act, c.rays))), (), ())
-            assert tuple(sorted(map(w.transpose.act, moved.facets))) == c.facets
+            assert tuple(sorted(map(w.matrix.transpose().apply, moved.facets))) == c.facets
 
 
 def _moved_out(lat, message, what):
@@ -368,7 +368,7 @@ def test_an_orbit_is_moved_only_from_a_pointed_full_dimensional_cone():
     with pytest.raises(InternalInvariantError,
                        match=r"the cone of ray \[\(1, 0, 0, 0\)\] is lineal or lower-dim"):
         secondary._orbit_cones([(h,)], lambda key: cone_from_rays(key, lat.rank),
-                               [(s.act, s.transpose.act) for s in weyl_generators(lat)], "ray")
+                               secondary._isometry_moves(lat, weyl_generators(lat)), "ray")
 
 
 def test_a_second_boundary_reuses_the_proved_mori_fan(monkeypatch, cold_mori_fan):
@@ -689,7 +689,8 @@ def test_rank_identity_toric():
 
 def test_intersect_nef_with_chamber_is_perp_face():
     from secfan.cones import cone_from_inequalities, intersect
-    from secfan.delpezzo import Contraction, minus_one_classes, mori_chamber, nef_cone
+    from secfan.delpezzo import Contraction, minus_one_classes, mori_chamber
+    from test_delpezzo import nef_cone
 
     lat = PicLattice(3)
     e1 = (0, 1, 0, 0)

@@ -12,7 +12,6 @@ from secfan.spines import (
     crossing_class,
     develop_rays,
     is_balanced,
-    is_toric_monodromy,
     monodromy,
     spine,
     trace_leg,
@@ -51,19 +50,18 @@ def test_transition_det_one():
 @pytest.mark.parametrize("name", sorted(TORIC))
 def test_monodromy_identity_toric(name):
     aff = AffineStructure(len(TORIC[name]), TORIC[name])
-    assert is_toric_monodromy(aff)
+    assert monodromy(aff) == ((1, 0), (0, 1))
 
 
 def test_monodromy_nonidentity():
     aff = AffineStructure(3, (-1, -1, -1))
-    assert not is_toric_monodromy(aff)
     assert monodromy(aff) == ((-1, 0), (0, -1))
 
 
 def test_monodromy_nontoric_random():
     # small perturbation of a toric sequence loses the identity
     aff = AffineStructure(6, (-1, -1, -1, -1, -1, -2))
-    assert not is_toric_monodromy(aff)
+    assert monodromy(aff) != ((1, 0), (0, 1))
 
 
 def hex_aff():

@@ -12,6 +12,7 @@ from secfan.delpezzo import (
     hexagon_boundary,
     minus_one_cycles,
     toric_boundary,
+    weyl_generators,
 )
 from secfan.lattice import IntMat
 
@@ -76,3 +77,13 @@ def test_stabilizer_generators_are_isometries_of_the_form(name):
     # on these a generator has w^T != w^-T, so moving facets by w^T would be wrong
     skew = {"pentagon0", "trio"}
     assert any(w.matrix.transpose() != j.mul(w.matrix).mul(j) for w in gens) == (name in skew)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_j_s_j_is_the_transpose_of_a_simple_reflection(k):
+    # so the facet moves of mori_fan_K, J s J, are the s^T = s^-T of an involution
+    lat = PicLattice(k)
+    gens, basis = weyl_generators(lat), IntMat.identity(lat.rank).row_list()
+    assert gens
+    for s, (_, facet_move) in zip(gens, secondary._isometry_moves(lat, gens), strict=True):
+        assert list(map(facet_move, basis)) == list(map(s.matrix.transpose().apply, basis))

@@ -2,7 +2,7 @@
 use: the lifted fan (build_tilde), the fiber-bundle hypothesis check
 (check_bundle) and the character extension test (character_extends)."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -169,7 +169,7 @@ def _sec_bundle_input(lat, cycle):
         tuple(g.label() for g in sec.groups),
     )
     # per-cone pieces: every cone its own orbit root
-    return sec, BundleInput(sec.full_fan.with_orbits(()), mov, (lat.canonical,))
+    return sec, BundleInput(replace(sec.full_fan, orbits=(), perms=()), mov, (lat.canonical,))
 
 
 @pytest.mark.parametrize("name", ["p2", "quadric", "f1", "dp7", "dp6"])
@@ -214,7 +214,7 @@ def test_build_tilde_hexagon_secondary():
         tuple(g.cone for g in sec.groups),
         tuple(g.label() for g in sec.groups),
     )
-    tf = build_tilde(BundleInput(sec.full_fan.with_orbits(()), mov, (lat.canonical,)))
+    tf = build_tilde(BundleInput(replace(sec.full_fan, orbits=(), perms=()), mov, (lat.canonical,)))
     assert len(tf.fan.cones) == sec.maximal_count
     # the addition map sends every lifted cone into a cone of the base fan
     for c in tf.fan.cones:
@@ -335,8 +335,8 @@ def test_check_bundle_boundary_subfan_hexagon():
     sec = secondary_fan(lat, cycle)
     bogus_fan = Fan(
         lat.rank,
-        tuple(sec.bogus_cones),
-        tuple(f"b{i}" for i in range(len(sec.bogus_cones))),
+        sec.full_fan.cones[sec.moving_count:],
+        tuple(f"b{i}" for i in range(sec.bogus_count)),
     )
     base_fan = Fan(
         lat.rank,

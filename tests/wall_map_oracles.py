@@ -49,9 +49,11 @@ def movsec_by_tiling(chambers: list[Chamber]) -> list[MovSecGroup]:
 
 def bogus_hosts_by_scan(sec: SecondaryFan) -> list[list[int]]:
     """For each Mori bogus cone, in Mori fan order, the indices in
-    sec.bogus_cones of the secondary bogus cones that contain it."""
+    sec.full_fan of the secondary bogus cones that contain it, counted
+    from the first bogus cone."""
     mori_bogus = sec.mori_fan.cones[len(sec.chambers):]
-    return [[j for j, host in enumerate(sec.bogus_cones) if host.contains_cone(c)]
+    return [[j for j, host in enumerate(sec.full_fan.cones[sec.moving_count:])
+             if host.contains_cone(c)]
             for c in mori_bogus]
 
 
